@@ -7,13 +7,14 @@ benchmark's first commit).  It records, for every CLI job any seed can pick,
 the SHA-256 of its exit code and standard output, and for every stream input
 (fixed balls and the random-word pools) the ray-order verdict, ``u`` when the
 depth cap leaves it undecided, and the handle-reduction sign; and for the
-long-word pools the work that ranks them into strata.  Later commits
-must reproduce these bytes exactly; do not regenerate the file to make a
-failing run pass.
+stream and long-word pools the work that ranks them into strata.  Later
+commits must reproduce these bytes exactly; do not regenerate the file to
+make a failing run pass.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
@@ -35,6 +36,34 @@ def verdicts(bo, order, n: int, words) -> dict[str, str]:
             nt.append(workloads.UNDECIDED)
         hr.append(workloads.VERDICT[bo.dehornoy.dehornoy_sign(w)])
     return {"nt": "".join(nt), "hr": "".join(hr)}
+
+
+def stream_work(bo, order, n: int, words) -> list[int]:
+    """For each stream pool braid: the image letters that the stream
+    transport certifies while the order signs it.  Used only to rank the
+    pool."""
+    artin = importlib.import_module("braidorders.artin")
+    prefix_image = artin.stream_prefix_image
+    certified = [0]
+
+    def counting(*args, **kwargs):
+        out = prefix_image(*args, **kwargs)
+        certified[0] += len(out)
+        return out
+
+    artin.stream_prefix_image = counting
+    out = []
+    try:
+        for letters in words:
+            certified[0] = 0
+            try:
+                order.sign(bo.braids.BraidWord(n, letters))
+            except bo.errors.UndecidedComparisonError:
+                pass
+            out.append(certified[0])
+    finally:
+        artin.stream_prefix_image = prefix_image
+    return out
 
 
 def fold_work(bo, n: int) -> list[int]:
@@ -89,7 +118,9 @@ def main() -> int:
     for name, n, radius in workloads.STREAM_ORDERS:
         order = bo.catalog.catalog_order(name)
         ref["streams"][f"{name}:ball"] = verdicts(bo, order, n, workloads.ball_words(n, radius))
-        ref["streams"][f"{name}:pool"] = verdicts(bo, order, n, workloads.stream_pool(n, name))
+        pool = workloads.stream_pool(n, name)
+        ref["streams"][f"{name}:pool"] = verdicts(bo, order, n, pool)
+        ref["streams"][f"{name}:pool"]["work"] = stream_work(bo, order, n, pool)
         undecided = ref["streams"][f"{name}:pool"]["nt"].count(workloads.UNDECIDED)
         print(f"{name}: pool undecided {undecided}", file=sys.stderr)
     for n in (3, 4, 6):

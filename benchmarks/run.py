@@ -10,10 +10,14 @@ Each run starts fresh interpreters with a pinned environment
 (``PYTHONHASHSEED=0``, no ``BRAIDORDERS_DEPTH_CAP``, no ``PYTHONPATH``): one
 that sets up, repeats the workload's fixed job list for ``--seconds`` and
 checks every answer, then (untraced runs only) nine that only time the
-set-up.  The last line of standard output is one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
-print every metric with its unit and sample count, and ``failed_frac``.  With ``--trace 0`` the metrics are end to end, with
-``--trace 1`` per layer (a separate, traced run; spans go to
+set-up.  Untraced times are scaled to a reference host speed, measured by a
+calibration kernel timed around each job and each set-up (calibration.py),
+because the shared host's speed drifts by a third or more between spells;
+the raw times are printed alongside.  The last line of standard output is
+one JSON object with ``correct``, ``attempted``, ``failed`` and
+``metrics``; the lines before it print every metric with its unit and
+sample count, and ``failed_frac``.  With ``--trace 0`` the metrics are end
+to end, with ``--trace 1`` per layer (a separate, traced run; spans go to
 ``benchmarks/out/``).  The exit code is 1 when any answer is wrong, 2 when
 the run itself cannot be made.
 """
@@ -93,7 +97,7 @@ def main() -> int:
             run_worker(
                 ["setup", args.workload, str(args.seed)],
                 timeout=max(0.1, DEADLINE_S - (monotonic() - started)),
-            )["setup_s"]
+            )
             for _ in range(0 if args.trace else SETUP_PROBES)
         ]
     except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError, IndexError) as exc:
@@ -117,10 +121,10 @@ def main() -> int:
         print(f"  per traced pass, {passes} traced passes; spans in {trace_file.relative_to(ROOT)}")
     else:
         passes = result["passes"]
-        per_pass = f"median over {len(passes)} passes of"
+        per_word = f"over the per-word medians of {len(passes)} passes,"
         metrics = {
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
-            "wall_s": {"value": statistics.median(passes), "unit": "s"},
+            "setup_s": {"value": statistics.median(s["setup_s"] for s in setups), "unit": "s"},
+            "wall_s": {"value": result["wall_s"], "unit": "s"},
             "hr_sign_p50_ms": {"value": result["hr_sign_p50_ms"], "unit": "ms"},
             "hr_sign_p99_ms": {"value": result["hr_sign_p99_ms"], "unit": "ms"},
             "nt_sign_p50_ms": {"value": result["nt_sign_p50_ms"], "unit": "ms"},
@@ -128,12 +132,12 @@ def main() -> int:
             "peak_rss_mb": {"value": result["peak_rss_mb"], "unit": "MB"},
         }
         counts = {
-            "setup_s": f"median of {len(setups)} set-ups",
-            "wall_s": f"median of {len(passes)} passes",
-            "hr_sign_p50_ms": f"{per_pass} n={result['hr_samples_per_pass']}",
-            "hr_sign_p99_ms": f"{per_pass} n={result['hr_samples_per_pass']}",
-            "nt_sign_p50_ms": f"{per_pass} n={result['nt_samples_per_pass']}",
-            "nt_sign_p99_ms": f"{per_pass} n={result['nt_samples_per_pass']}",
+            "setup_s": f"median of {len(setups)} set-ups; raw {statistics.median(s['raw_setup_s'] for s in setups):.4g} s",
+            "wall_s": f"sum of job medians over {len(passes)} passes; raw {result['raw_wall_s']:.4g} s",
+            "hr_sign_p50_ms": f"{per_word} n={result['hr_words']} words",
+            "hr_sign_p99_ms": f"{per_word} n={result['hr_words']} words",
+            "nt_sign_p50_ms": f"{per_word} n={result['nt_words']} words",
+            "nt_sign_p99_ms": f"{per_word} n={result['nt_words']} words",
             "peak_rss_mb": "1 process",
         }
     for name, metric in metrics.items():

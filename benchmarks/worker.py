@@ -7,9 +7,11 @@
         passed, and print one JSON summary line
 
 The first WARMUP_S seconds are a warm-up: jobs checked, not timed.
-With trace 1 the measured time is split: untraced passes, then the tracer is
-installed and the remaining passes are traced; the per-layer metrics are per
-traced pass.
+Untraced runs report times scaled to the reference host speed, measured by
+the calibration kernel around each job (calibration.py), with the raw times
+alongside.  With trace 1 the measured time is split: untraced passes, then
+the tracer is installed and the remaining passes are traced; the per-layer
+metrics are per traced pass, in raw time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import calibration
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -30,7 +33,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 
 
-WARMUP_S = 6.0
+WARMUP_S = 4.0
 MODULES = ("braids", "catalog", "cli", "dehornoy", "errors", "nt", "orders", "planar")
 
 
@@ -60,20 +63,61 @@ def set_up(workload: str, seed: int, ref: dict):
     return bo, jobs, perf_counter() - t0
 
 
-def run_pass(bo, jobs, ref, tally, latencies: list) -> float:
-    """One pass over the job list; appends the pass's sign latency
-    percentiles (ms) per oracle to ``latencies``."""
+class Record:
+    """The timed passes of an untraced run, scaled to the reference host
+    speed (see calibration.py): each job's times, and per oracle and pass
+    the sign latencies in word order."""
+
+    def __init__(self, jobs):
+        self.job_s: list[list[float]] = [[] for _ in jobs]
+        self.raw_job_s: list[list[float]] = [[] for _ in jobs]
+        self.samples: dict[str, list[list[float]]] = {workloads.HR: [], workloads.NT: []}
+
+    def latency(self, oracle: str) -> tuple[int, float, float]:
+        """(words signed per pass, p50 ms, p99 ms): percentiles over the
+        words of each word's median latency across the passes, so that a
+        call that a stray pause of the host lands on does not count."""
+        per_word = sorted(statistics.median(calls) for calls in zip(*self.samples[oracle]))
+        return len(per_word), percentile(per_word, 0.50) * 1e3, percentile(per_word, 0.99) * 1e3
+
+
+def run_pass(bo, jobs, ref, tally, record: Record | None = None) -> float:
+    """One pass over the job list; returns its duration.
+
+    With a ``record``, the calibration kernel is timed before and after each
+    job, and the job's time and sign latencies, scaled by the mean of the
+    two, are added to the record.
+    """
     tally.samples = {workloads.HR: [], workloads.NT: []}
     t0 = perf_counter()
-    for job in jobs:
+    if record is None:
+        for job in jobs:
+            job.run(bo, ref, tally)
+        return perf_counter() - t0
+    before = calibration.kernel_s()
+    for i, job in enumerate(jobs):
+        marks = {oracle: len(samples) for oracle, samples in tally.samples.items()}
+        start = perf_counter()
         job.run(bo, ref, tally)
-    elapsed = perf_counter() - t0
-    summary = {}
+        took = perf_counter() - start
+        after = calibration.kernel_s()
+        scale = 2 * calibration.REFERENCE_S / (before + after)
+        record.job_s[i].append(took * scale)
+        record.raw_job_s[i].append(took)
+        for oracle, samples in tally.samples.items():
+            samples[marks[oracle] :] = [x * scale for x in samples[marks[oracle] :]]
+        before = after
     for oracle, samples in tally.samples.items():
-        samples.sort()
-        summary[oracle] = (len(samples), percentile(samples, 0.50) * 1e3, percentile(samples, 0.99) * 1e3)
-    latencies.append(summary)
-    return elapsed
+        record.samples[oracle].append(samples)
+    return perf_counter() - t0
+
+
+def scaled_pass(bo, jobs, ref, tally) -> tuple[float, float]:
+    """One pass, not recorded per job: (its duration, its duration scaled
+    by the calibration kernel timed before and after it)."""
+    before = calibration.kernel_s()
+    took = run_pass(bo, jobs, ref, tally)
+    return took, took * 2 * calibration.REFERENCE_S / (before + calibration.kernel_s())
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -95,8 +139,10 @@ def main(argv: list[str]) -> int:
     mode, workload, seed = argv[0], argv[1], int(argv[2])
     ref = json.loads((HERE / "reference.json").read_text())
     if mode == "setup":
+        before = calibration.kernel_s()
         _, _, setup_s = set_up(workload, seed, ref)
-        print(json.dumps({"setup_s": setup_s}))
+        scale = 2 * calibration.REFERENCE_S / (before + calibration.kernel_s())
+        print(json.dumps({"setup_s": setup_s * scale, "raw_setup_s": setup_s}))
         return 0
 
     seconds, trace, trace_file = float(argv[3]), argv[4] == "1", argv[5]
@@ -118,32 +164,36 @@ def main(argv: list[str]) -> int:
         job.run(bo, ref, tally)
 
     if not trace:
-        latencies: list[dict] = []
-        passes = [run_pass(bo, jobs, ref, tally, latencies)]
+        record = Record(jobs)
+        passes = [run_pass(bo, jobs, ref, tally, record)]
         while keep_going(start, passes, seconds):
-            passes.append(run_pass(bo, jobs, ref, tally, latencies))
-        # percentiles are taken per pass, then the median over passes, so a
-        # slow spell of the machine within one pass does not move them
+            passes.append(run_pass(bo, jobs, ref, tally, record))
+        # the pass time is the sum of each job's median time, so that a slow
+        # spell of the host within a run does not move it
+        out["wall_s"] = sum(statistics.median(times) for times in record.job_s)
+        out["raw_wall_s"] = sum(statistics.median(times) for times in record.raw_job_s)
         for oracle in (workloads.HR, workloads.NT):
-            out[f"{oracle}_samples_per_pass"] = latencies[0][oracle][0]
-            out[f"{oracle}_sign_p50_ms"] = statistics.median(p[oracle][1] for p in latencies)
-            out[f"{oracle}_sign_p99_ms"] = statistics.median(p[oracle][2] for p in latencies)
+            words, p50, p99 = record.latency(oracle)
+            out.update({f"{oracle}_words": words, f"{oracle}_sign_p50_ms": p50, f"{oracle}_sign_p99_ms": p99})
         out.update(passes=passes, peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     else:
         from tracer import Tracer
 
         # untraced passes for the first half of the measured time, traced
-        # passes for the second; the difference of the means is the overhead
-        untraced = [run_pass(bo, jobs, ref, tally, [])]
-        while keep_going(start, untraced, (WARMUP_S + seconds) / 2):
-            untraced.append(run_pass(bo, jobs, ref, tally, []))
+        # passes for the second; the difference of their scaled medians is
+        # the overhead
+        untraced = [scaled_pass(bo, jobs, ref, tally)]
+        while keep_going(start, [took for took, _ in untraced], (WARMUP_S + seconds) / 2):
+            untraced.append(scaled_pass(bo, jobs, ref, tally))
         tracer = Tracer()
         tracer.install()
-        traced: list[float] = []
+        traced: list[tuple[float, float]] = []
         while True:
-            traced.append(run_pass(bo, jobs, ref, tally, []))
-            if not keep_going(start, traced, seconds):
+            traced.append(scaled_pass(bo, jobs, ref, tally))
+            if not keep_going(start, [took for took, _ in traced], seconds):
                 break
+        overhead = statistics.median(x for _, x in traced) - statistics.median(x for _, x in untraced)
+        untraced, traced = [took for took, _ in untraced], [took for took, _ in traced]
         wall = sum(traced)
         outside = wall - tracer.top_level_s
         self_sum = tracer.self_sum_s()
@@ -152,8 +202,8 @@ def main(argv: list[str]) -> int:
         if not closes:
             tally.fail(f"trace does not close: self {self_sum} + outside {outside} != wall {wall}")
         layers = tracer.metrics(len(traced))
+        layers["trace.overhead_s"] = {"value": overhead, "unit": "s"}
         # means, not medians, so that the per-pass self times add up exactly
-        layers["trace.overhead_s"] = {"value": statistics.mean(traced) - statistics.mean(untraced), "unit": "s"}
         layers["trace.wall_s"] = {"value": wall / len(traced), "unit": "s"}
         layers["trace.outside_s"] = {"value": outside / len(traced), "unit": "s"}
         layers["trace.spans"] = {"value": tracer.next_id / len(traced), "unit": "count"}

@@ -133,7 +133,8 @@ def timed_verdicts(sign, words, samples: list, tally: Tally, label: str, undecid
     """Sign every word in one loop, timing each call.
 
     Verdicts are "-", "0", "+", or "u" for an expected ``undecided``
-    exception; None marks a call that failed.
+    exception; None marks a call that failed.  Every call is timed, a
+    failed one too, so that the i-th sample of every pass is the same word.
     """
     out = []
     for w in words:
@@ -144,6 +145,7 @@ def timed_verdicts(sign, words, samples: list, tally: Tally, label: str, undecid
         except undecided:
             verdict = UNDECIDED
         except Exception as exc:  # an unexpected exception is a failed operation
+            samples.append(perf_counter() - t0)
             tally.fail(f"{label} [{w}]: {type(exc).__name__}: {exc}")
             out.append(None)
             continue
@@ -295,25 +297,31 @@ CALIBRATE_JOBS = (
     ["calibrate", "--n", "3", "--ball-length", "6"],
     ["calibrate", "--n", "4", "--ball-length", "4"],
 )
-BALL_SIGN_WORDS = 2000
+BALL_SIGN_WORDS = 5000
 
 # long_words: ray-order costs of random words are heavy-tailed (the image of
 # the ray grows exponentially, at a word-dependent rate), so the ray-signed
 # words are a stratified sample: per length, a fixed pool is ranked by its fold
 # work (the letters the right-to-left transport writes, recorded in
 # reference.json) and cut into strata of LONG_STRATUM words, and the seed picks
-# one word from each stratum.  B_3 images grow fastest: at length 30-32 one word
-# can take a second and set the whole run's tail, so B_3 stops at 28.  The
-# words signed by handle reduction alone are drawn the same way, ranked by the
-# letters handle reduction scans.
+# one word from each stratum.  The pool's LONG_TAIL heaviest words are always
+# signed instead: they are the tail that p99 and the peak memory read, which
+# would otherwise depend on the seed's draw from the top strata.  B_3 images grow fastest: at length
+# 30-32 one word can take a second and set the whole run's tail, so B_3 stops
+# at 28.  The words signed by handle reduction alone are drawn the same way,
+# ranked by the letters handle reduction scans.
 LONG_POOL_SEED = "long-pool-v1"
-LONG_STRATUM = 4
+LONG_STRATUM = 2
+LONG_TAIL = {"nt": 8, "hr": 4}
 LONG_NT_LENGTHS = {3: range(1, 29), 4: range(1, 33), 6: range(1, 33)}
 LONG_NT_PER_LENGTH = 12
 LONG_HR_LENGTHS = range(31, 257, 25)
 LONG_HR_PER_LENGTH = 5
 
-# conjugates: the seed picks the conj:dehornoy conjugator and the ball words
+# conjugates: the seed picks the conj:dehornoy agree conjugator.  The sign
+# jobs sign whole balls under each conjugator, as approx conjugates does: the
+# ray order's cost is heavy-tailed in the word, so the tail latency of a
+# sample would depend on which few heavy words the seed happened to draw
 CONJUGATES_JOBS = (
     ["approx", "conjugates", "--n", "3", "--order", "nt:dehornoy_3", "--range", "1:4", "--ball-length", "5"],
     ["approx", "conjugates", "--n", "4", "--order", "nt:dehornoy_4", "--range", "1:4", "--ball-length", "3"],
@@ -321,12 +329,15 @@ CONJUGATES_JOBS = (
     ["probe", "--kind", "limit", "--n", "6", "--order", "nt:b6_cx", "--range", "1:8", "--ball-length", "2", "--pattern", "3/4"],
 )
 CONJ_AGREE_J = (8, 9, 10)
-CONJ_SIGN_WORDS = 200
-CONJ_SIGN_RADIUS = 5
+CONJ_SIGN_RADIUS = {3: 4, 4: 3}
 CONJ_SIGN_J = range(1, 7)
 
 # streams: fixed balls plus a pool of random words, recorded once by
-# make_reference.py; each run signs a seeded sample of the pool
+# make_reference.py.  Stream signs are heavy-tailed too (a few words of each
+# pool take several times as long as any other), so each run signs a
+# stratified sample: the pool is ranked by its stream work (the image letters
+# the stream transport certifies, recorded in reference.json) and cut into
+# strata of STREAM_STRATUM words, and the seed picks one word from each.
 STREAMS_JOBS = (
     ["probe", "--kind", "totality", "--n", "3", "--order", "nt:sturmian_3", "--ball-length", "5", "--depth-target", "20"],
 )
@@ -334,7 +345,7 @@ STREAM_ORDERS = (("sturmian_4", 4, 3), ("sturmian_6", 6, 2), ("mixed_4", 4, 3))
 STREAM_POOL_SEED = "streams-pool-v1"
 STREAM_POOL_LENGTHS = range(2, 13)
 STREAM_POOL_PER_LENGTH = 80
-STREAM_SAMPLE = 400
+STREAM_STRATUM = 2
 
 
 def cli_variants() -> list[list[str]]:
@@ -361,15 +372,17 @@ def long_pool(kind: str, n: int) -> list[tuple[int, ...]]:
 
 
 def stratified_sample(rng: random.Random, kind: str, n: int, work: list[int]) -> list:
-    """One word per stratum of LONG_STRATUM pool words of like work."""
+    """The pool's LONG_TAIL heaviest words, and one word per stratum of
+    LONG_STRATUM other pool words of like work."""
     pool = long_pool(kind, n)
     cell = (LONG_NT_PER_LENGTH if kind == "nt" else LONG_HR_PER_LENGTH) * LONG_STRATUM
-    out = []
+    tail = set(sorted(range(len(pool)), key=lambda i: (work[i], i))[-LONG_TAIL[kind] :])
+    chosen = list(tail)
     for start in range(0, len(pool), cell):
-        ranked = sorted(range(start, start + cell), key=lambda i: (work[i], i))
-        for s in range(0, cell, LONG_STRATUM):
-            out.append(pool[rng.choice(ranked[s : s + LONG_STRATUM])])
-    return out
+        ranked = [i for i in sorted(range(start, start + cell), key=lambda i: (work[i], i)) if i not in tail]
+        for s in range(0, len(ranked), LONG_STRATUM):
+            chosen.append(rng.choice(ranked[s : s + LONG_STRATUM]))
+    return [pool[i] for i in sorted(chosen)]
 
 
 def stream_pool(n: int, name: str) -> list[tuple[int, ...]]:
@@ -406,7 +419,7 @@ def build(workload: str, seed: int, ref: dict) -> tuple[list, list[str]]:
         for n in (3, 4):
             for j in CONJ_SIGN_J:
                 conjugator = (-(n - 1),) * j + (n - 2,)
-                words = [ball_element(rng, n, CONJ_SIGN_RADIUS) for _ in range(CONJ_SIGN_WORDS)]
+                words = ball_words(n, CONJ_SIGN_RADIUS[n])
                 jobs.append(ConjugatedPairJob(f"conj B{n} j={j}", n, words, conjugator))
         return jobs, ["dehornoy_3", "dehornoy_4", "b6_cx"]
     if workload == "streams":
@@ -415,7 +428,9 @@ def build(workload: str, seed: int, ref: dict) -> tuple[list, list[str]]:
             ball = ball_words(n, radius)
             jobs.append(StreamSignJob(f"{name} ball L<={radius}", n, name, ball, f"{name}:ball", list(range(len(ball)))))
             pool = stream_pool(n, name)
-            index = sorted(rng.sample(range(len(pool)), STREAM_SAMPLE))
+            work = ref["streams"][f"{name}:pool"]["work"]
+            ranked = sorted(range(len(pool)), key=lambda i: (work[i], i))
+            index = sorted(rng.choice(ranked[s : s + STREAM_STRATUM]) for s in range(0, len(pool), STREAM_STRATUM))
             jobs.append(StreamSignJob(f"{name} random", n, name, [pool[i] for i in index], f"{name}:pool", index))
         return jobs, ["sturmian_3"] + [name for name, _, _ in STREAM_ORDERS]
     raise ValueError(f"unknown workload {workload!r}")
