@@ -8,16 +8,7 @@ abelian soul blocks; experiments measure agreement radii between orders on
 balls.
 """
 
-from .artin import (
-    ArtinMap,
-    CancellationBound,
-    apply_map,
-    artin_map_of,
-    cancellation_bound_of,
-    compose,
-    image_ray,
-    stream_prefix_image,
-)
+from .artin import ArtinMap, apply_map, artin_map_of, compose
 from .braids import (
     BallSpec,
     BraidWord,
@@ -26,7 +17,6 @@ from .braids import (
     conjugate,
     enumerate_ball,
     format_braid,
-    free_reduce_braid,
     invert,
     linking_number,
     multiply,
@@ -113,8 +103,6 @@ from .orders import (
     ZkIntegerSlope,
     ZkLex,
     ZkQuadraticSlope,
-    conjugate_order,
-    convex_extension_sign,
     order_cmp,
     soul_lex_of_base,
     zk_membership,

@@ -6,125 +6,84 @@ Each generator acts by the substitution
     sigma_i^-1:   x_i -> x_{i+1},              x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
 
 with all other generators fixed (a "mirrored" convention swaps the two rules).
-Maps compose so that the whole action is a left action: for braid words read
-left to right, map(a b) = map(a) o map(b) as functions.  Concretely the images
-are folded letter by letter, substituting the images accumulated so far into
-the next letter's template.
+``letter_images`` holds that substitution as a fixed table over every signed
+letter; the ray orders transport a word through it one braid letter at a
+time (``nt.braid_image_of_word``).
 
-Acting on infinite words uses bounded cancellation: if at most C letters can
-cancel at any junction of images, then all but the last C letters of a reduced
-image prefix are final.  The certificate (norm, bound) is folded along the
-word with actual reduced image lengths at every stage, which keeps it usable
-even for conjugated generators where the worst-case product bound explodes.
+Whole maps (``ArtinMap``) are the reference the property tests check the
+transport against.  They compose so that the action is a left action: for
+braid words read left to right, map(a b) = map(a) o map(b) as functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .braids import BraidWord
-from .errors import MalformedInputError, StreamGrowthError
-from .freewords import FreeLetters, FreeWord, Ray, ray_prefix
+from .errors import MalformedInputError
+from .freewords import FreeLetters, FreeWord, substitute
 
+# Bounded cancellation (Cooper 1987) for one braid letter: where the images
+# of u and v meet, for a freely reduced product u v, at most this many
+# letters cancel on each side.  Checked exhaustively on short junctions by
+# the tests; it is what lets a prefix of a stream be transported.
 SINGLE_LETTER_BOUND = 3
 
 
-def _letter_template(letter: int, mirrored: bool) -> dict[int, tuple[int, ...]]:
-    """Substitution rule of one braid letter, as generator -> image letters."""
+@lru_cache(maxsize=None)
+def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
+    """Image of every signed letter of F_n under one braid letter (a shared,
+    read-only table)."""
     i = abs(letter)
-    positive = (letter > 0) != mirrored
-    if positive:
-        return {i: (i, i + 1, -i), i + 1: (i,)}
-    return {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
-
-
-def _substitute(images: list[FreeLetters], template: tuple[int, ...]) -> FreeLetters:
-    """Rewrite a template word through the current generator images, reduced."""
-    out: list[int] = []
-    for k in template:
-        img = images[abs(k) - 1]
-        seq = img if k > 0 else tuple(-m for m in reversed(img))
-        for m in seq:
-            if out and out[-1] == -m:
-                out.pop()
-            else:
-                out.append(m)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CancellationBound:
-    """Certificate for a map: max reduced image length, junction cancellation."""
-
-    norm: int
-    bound: int
+    if (letter > 0) != mirrored:
+        moved = {i: (i, i + 1, -i), i + 1: (i,)}
+    else:
+        moved = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+    images: dict[int, FreeLetters] = {}
+    for j in range(1, n + 1):
+        img = moved.get(j, (j,))
+        images[j] = img
+        images[-j] = tuple(-k for k in reversed(img))
+    return MappingProxyType(images)
 
 
 @dataclass(frozen=True)
 class ArtinMap:
-    """An automorphism of F_n given by the images of x_1 .. x_n.
-
-    ``bound`` is a sound junction-cancellation certificate carried along from
-    construction; it never participates in equality.
-    """
+    """An automorphism of F_n given by the images of x_1 .. x_n."""
 
     n: int
     images: tuple[FreeWord, ...]
-    bound: int = field(compare=False, default=-1)
 
     def __post_init__(self):
         if len(self.images) != self.n:
             raise MalformedInputError("need one image per generator")
-        if self.bound < 0:
-            # conservative fallback for hand-built maps
-            total = sum(len(img) for img in self.images)
-            object.__setattr__(self, "bound", SINGLE_LETTER_BOUND * max(1, total))
 
     @staticmethod
     def identity(n: int) -> "ArtinMap":
-        return ArtinMap(n, tuple(FreeWord(n, (j,)) for j in range(1, n + 1)), 0)
+        return ArtinMap(n, tuple(FreeWord(n, (j,)) for j in range(1, n + 1)))
 
-    @property
-    def norm(self) -> int:
-        return max((len(img) for img in self.images), default=1) or 1
-
-    def image_letters(self, letter: int) -> FreeLetters:
-        img = self.images[abs(letter) - 1].letters
-        if letter > 0:
-            return img
-        return tuple(-k for k in reversed(img))
+    @cached_property
+    def _table(self) -> dict[int, FreeLetters]:
+        table: dict[int, FreeLetters] = {}
+        for j, img in enumerate(self.images, start=1):
+            table[j] = img.letters
+            table[-j] = (~img).letters
+        return table
 
     def apply_letters(self, letters: FreeLetters) -> FreeLetters:
-        out: list[int] = []
-        for k in letters:
-            for m in self.image_letters(k):
-                if out and out[-1] == -m:
-                    out.pop()
-                else:
-                    out.append(m)
-        return tuple(out)
-
-    def cancellation(self) -> CancellationBound:
-        return CancellationBound(self.norm, self.bound)
+        return substitute(letters, self._table)
 
 
 def artin_map_of(b: BraidWord, mirrored: bool = False) -> ArtinMap:
-    """The map of a braid word, folded left to right with its bound."""
-    n_free = b.n
-    images: list[FreeLetters] = [(j,) for j in range(1, n_free + 1)]
-    bound = 0
+    """The map of a braid word, composed left to right from its letters."""
+    m = ArtinMap.identity(b.n)
     for letter in b.letters:
-        norm = max(len(img) for img in images)
-        bound += norm * SINGLE_LETTER_BOUND
-        template = _letter_template(letter, mirrored)
-        snapshot = list(images)
-        for gen, tmpl in template.items():
-            images[gen - 1] = _substitute(snapshot, tmpl)
-    return ArtinMap(n_free, tuple(FreeWord(n_free, img) for img in images), bound)
-
-
-def cancellation_bound_of(b: BraidWord, mirrored: bool = False) -> CancellationBound:
-    return artin_map_of(b, mirrored).cancellation()
+        images = letter_images(b.n, letter, mirrored)
+        m = ArtinMap(b.n, tuple(FreeWord(b.n, m.apply_letters(images[j])) for j in range(1, b.n + 1)))
+    return m
 
 
 def apply_map(m: ArtinMap, w: FreeWord) -> FreeWord:
@@ -138,68 +97,4 @@ def compose(outer: ArtinMap, inner: ArtinMap) -> ArtinMap:
     if outer.n != inner.n:
         raise MalformedInputError("rank mismatch")
     images = tuple(FreeWord(outer.n, outer.apply_letters(img.letters)) for img in inner.images)
-    return ArtinMap(outer.n, images, outer.bound + outer.norm * inner.bound)
-
-
-GROWTH_PATIENCE = 10
-
-
-def stream_prefix_image(
-    m: ArtinMap, word: Ray, target_len: int, *, initial_slack: int = 64
-) -> FreeLetters:
-    """A certified prefix (length >= target_len) of the image of an infinite word.
-
-    Takes growing input prefixes P, reduces m(P), and certifies all but the
-    last ``bound`` letters; junction cancellation against any continuation
-    cannot reach past them.  Certified prefixes are coherent across targets.
-    """
-    if target_len < 0:
-        raise MalformedInputError("target_len must be >= 0")
-    if target_len == 0:
-        return ()
-    if isinstance(word, FreeWord):
-        img = m.apply_letters(word.letters)
-        if len(img) < target_len:
-            raise StreamGrowthError(
-                f"finite word image has {len(img)} letters, target {target_len}"
-            )
-        return img
-    bound = m.bound
-    k = target_len + bound + initial_slack
-    best = -1
-    stalls = 0
-    while True:
-        prefix = ray_prefix(word, k)
-        if len(prefix) < k:
-            raise StreamGrowthError("stream ran out of letters")
-        img = m.apply_letters(prefix)
-        certified = len(img) - bound
-        if certified >= target_len:
-            return img[:certified]
-        if certified <= best:
-            stalls += 1
-            if stalls >= GROWTH_PATIENCE:
-                raise StreamGrowthError(
-                    f"certified image length stalled at {certified} (target {target_len})"
-                )
-        else:
-            best = certified
-            stalls = 0
-        k *= 2
-
-
-def image_ray(m: ArtinMap, word: Ray) -> Ray:
-    """The image of a ray as a coherent prefix supplier (lazy, memoized)."""
-    if isinstance(word, FreeWord):
-        return FreeWord(m.n, m.apply_letters(word.letters))
-
-    from .freewords import Custom
-
-    cache: dict[str, FreeLetters] = {"prefix": ()}
-
-    def supplier(length: int) -> FreeLetters:
-        if len(cache["prefix"]) < length:
-            cache["prefix"] = stream_prefix_image(m, word, length)
-        return cache["prefix"][:length]
-
-    return Custom(m.n, supplier, label="image")
+    return ArtinMap(outer.n, images)

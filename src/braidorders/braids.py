@@ -16,19 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MalformedInputError
+from .freewords import reduce_free
 
 Letters = tuple[int, ...]
-
-
-def reduce_letters(letters: Iterable[int]) -> Letters:
-    """Freely reduce a letter sequence by cancelling adjacent inverse pairs."""
-    out: list[int] = []
-    for k in letters:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,7 @@ class BraidWord:
                 raise MalformedInputError(
                     f"letter {k!r} out of range for B_{self.n} (need 1 <= |k| <= {self.n - 1})"
                 )
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+        object.__setattr__(self, "letters", reduce_free(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -86,12 +76,6 @@ def sigma(n: int, i: int, power: int = 1) -> BraidWord:
         raise MalformedInputError(f"generator index {i} out of range for B_{n}")
     k = i if power >= 0 else -i
     return BraidWord(n, (k,) * abs(power))
-
-
-def free_reduce_braid(w: BraidWord) -> BraidWord:
-    """Free reduction; idempotent, and a no-op on BraidWord values (they
-    reduce on construction), kept as the explicit named operation."""
-    return BraidWord(w.n, reduce_letters(w.letters))
 
 
 def multiply(a: BraidWord, b: BraidWord) -> BraidWord:

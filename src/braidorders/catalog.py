@@ -34,7 +34,7 @@ from .freewords import (
     Sturmian,
 )
 from .nt import GeodesicSpec, NTOrder, braid_image_of_word, nt_sign
-from .planar import DEFAULT_DEPTH_CAP, GermConvention
+from .planar import DEFAULT_DEPTH_CAP, GermConvention, common_prefix_length
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
 FROZEN_CONVENTION_FLAGS = (True, False, True)
@@ -190,17 +190,13 @@ def calibrate_conventions(n: int, max_length: int, oracle=None) -> CalibrationRe
 
 def generator_death_depths(n: int, letters: FreeLetters, mirrored: bool = False) -> dict[int, tuple[int, int]]:
     """Divergence depth of sigma_j and sigma_j^-1 against a finite word."""
-    out: dict[int, tuple[int, int]] = {}
-    for j in range(1, n):
-        pair = []
-        for s in (j, -j):
-            img = braid_image_of_word(BraidWord(n, (s,)), letters, mirrored)
-            d = 0
-            while d < min(len(img), len(letters)) and img[d] == letters[d]:
-                d += 1
-            pair.append(d)
-        out[j] = (pair[0], pair[1])
-    return out
+    word = FreeWord(n, letters)
+
+    def death(s: int) -> int:
+        image = braid_image_of_word(BraidWord(n, (s,)), letters, mirrored)
+        return common_prefix_length(word, FreeWord(n, image))[0]
+
+    return {j: (death(j), death(-j)) for j in range(1, n)}
 
 
 def search_chain_words(

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
 (undecided comparisons, degenerate probes, too-short stabilization windows).
-Output is deterministic for fixed flags and seed; --format picks text, json
+Output is deterministic for fixed flags; --format picks text, json
 (line-delimited records) or csv.
 """
 
@@ -191,7 +191,7 @@ def cmd_cmp(args) -> int:
 def cmd_agree(args) -> int:
     o1 = parse_order(args.order, args.n, args.depth_cap)
     o2 = parse_order(args.other, args.n, args.depth_cap)
-    report = agreement_radius(o1, o2, BallSpec(args.n, args.ball_length), workers=args.workers)
+    report = agreement_radius(o1, o2, BallSpec(args.n, args.ball_length))
     _emit(
         args,
         [
@@ -445,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", required=True, help="dehornoy | nt:<name-or-file> | conj:<order>:<braid> | ext:<order>:<soul-order>")
         p.add_argument("--depth-cap", type=int, default=_default_depth_cap())
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sign", help="sign of a braid under an order")
     common(p)

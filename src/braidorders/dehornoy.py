@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, invert, multiply, reduce_letters
+from .braids import BraidWord, invert, multiply
 from .errors import BudgetExceededError
+from .freewords import reduce_free
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
@@ -55,7 +56,7 @@ def _reduce_handle(letters: list[int], p: int, t: int) -> list[int]:
             replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
         else:
             replacement.append(k)
-    return list(reduce_letters(letters[:p] + replacement + letters[t + 1 :]))
+    return list(reduce_free(letters[:p] + replacement + letters[t + 1 :]))
 
 
 @dataclass(frozen=True)

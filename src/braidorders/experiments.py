@@ -51,15 +51,12 @@ def _sign_pair(o1: OrderOracle, o2: OrderOracle, w: BraidWord):
         return None
 
 
-def agreement_radius(
-    o1: OrderOracle, o2: OrderOracle, ball: BallSpec, workers: int = 1
-) -> AgreementReport:
+def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> AgreementReport:
     """Compare signs on every word of the ball (words, not elements).
 
     The radius is the largest L with no disagreement among words of length
     <= L; the witness is the first disagreement in enumeration order, which
-    is the length-lex smallest one.  Evaluation may fan out over workers;
-    the result never depends on the worker count.
+    is the length-lex smallest one.
     """
     if o1.n != o2.n or ball.n != o1.n:
         raise MalformedInputError("strand counts differ")
@@ -67,28 +64,6 @@ def agreement_radius(
     witness = None
     witness_signs = None
     radius = ball.max_length
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        from itertools import islice
-
-        words_iter = ball.words()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = False
-            while not done:
-                chunk = list(islice(words_iter, 512))
-                if not chunk:
-                    break
-                for w, pair in zip(chunk, pool.map(lambda x: _sign_pair(o1, o2, x), chunk)):
-                    if pair is None:
-                        undecided += 1
-                        continue
-                    if pair[0] != pair[1]:
-                        witness, witness_signs = w, pair
-                        radius = len(w) - 1
-                        done = True
-                        break
-        return AgreementReport(radius, ball.max_length, witness, witness_signs, undecided)
 
     for w in ball.words():
         pair = _sign_pair(o1, o2, w)

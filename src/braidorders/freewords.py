@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import MalformedInputError
 
@@ -25,12 +25,29 @@ FreeLetters = tuple[int, ...]
 
 
 def reduce_free(letters: Iterable[int]) -> FreeLetters:
+    """Freely reduce a letter sequence by cancelling adjacent inverse pairs."""
     out: list[int] = []
     for k in letters:
         if out and out[-1] == -k:
             out.pop()
         else:
             out.append(k)
+    return tuple(out)
+
+
+def substitute(letters: Iterable[int], images: Mapping[int, FreeLetters]) -> FreeLetters:
+    """The reduced image of a word under a substitution.
+
+    ``images`` gives the image of every signed letter that occurs, inverse
+    letters included, so the inner loop only looks up and cancels.
+    """
+    out: list[int] = []
+    for k in letters:
+        for m in images[k]:
+            if out and out[-1] == -m:
+                out.pop()
+            else:
+                out.append(m)
     return tuple(out)
 
 

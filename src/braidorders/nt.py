@@ -5,7 +5,9 @@ separating structure: the prefix depths at which the ray has cut one more pair
 of punctures apart, and the generators of its maximal abelian convex subgroup
 (the soul).  The induced ordering compares a braid's image of the ray against
 the ray itself by boundary angle; convex subgroup membership is divergence
-depth against the separating depths.
+depth against the separating depths.  Every image is made by one transport,
+braid_image_of_word: whole for a finite word, a certified prefix at a time
+for a stream.
 
 The equivalence of depth membership with the geometric stabilizers is an
 assumption validated on the catalog: membership tables, nesting, closure and
@@ -18,21 +20,27 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .artin import _letter_template, artin_map_of, image_ray
+from .artin import SINGLE_LETTER_BOUND, letter_images
 from .braids import BallSpec, BraidWord, invert, multiply
 from .errors import (
     MalformedInputError,
     SearchFailureError,
     SoulValidationError,
+    StreamGrowthError,
     UndecidedComparisonError,
 )
 from .freewords import (
+    Custom,
+    FreeLetters,
     FreeWord,
+    InfiniteWord,
     Ray,
     format_infinite_word,
     is_infinite,
     parse_free_word,
     parse_infinite_word,
+    ray_prefix,
+    substitute,
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
@@ -123,40 +131,73 @@ class NTOrder:
         return f"nt:{self.spec.name}"
 
 
-def braid_image_of_word(b: BraidWord, letters: tuple[int, ...], mirrored: bool) -> tuple[int, ...]:
-    """Image of a finite free word under the braid map, folded right to left.
+def braid_image_of_word(
+    b: BraidWord, letters: FreeLetters, mirrored: bool, complete: bool = True
+) -> FreeLetters:
+    """Image of a free word under the braid, folded right to left.
 
-    Same result as apply_map(artin_map_of(b), .) but only transports the one
-    word, which is what the finite-type sign evaluation needs.
+    The last braid letter acts first, each through its letter_images table;
+    the result equals apply_map(artin_map_of(b, mirrored), .) on the word.
+
+    With complete=False the letters are only a prefix of a longer reduced
+    word (a stream), and the result is a certified prefix of that word's
+    image.  By bounded cancellation, where the images of the prefix and of
+    the rest meet under one braid letter, at most SINGLE_LETTER_BOUND letters
+    cancel: all but the last SINGLE_LETTER_BOUND letters of the reduced image
+    of the prefix are letters of the image of the whole word.  Dropping them
+    after every stage keeps each stage a prefix of the stream's image under
+    the letters applied so far, which is again a reduced word, so the
+    argument repeats letter by letter.
     """
     for letter in reversed(b.letters):
-        template = _letter_template(letter, mirrored)
-        out: list[int] = []
-        for k in letters:
-            img = template.get(abs(k))
-            if img is None:
-                seq: Sequence[int] = (k,)
-            elif k > 0:
-                seq = img
-            else:
-                seq = tuple(-m for m in reversed(img))
-            for m in seq:
-                if out and out[-1] == -m:
-                    out.pop()
-                else:
-                    out.append(m)
-        letters = tuple(out)
+        letters = substitute(letters, letter_images(b.n, letter, mirrored))
+        if not complete:
+            letters = letters[: len(letters) - SINGLE_LETTER_BOUND]
     return letters
+
+
+# Doublings of the input prefix without any growth of the certified image
+# before a stream transport gives up.
+GROWTH_PATIENCE = 10
+
+
+def _stream_image(b: BraidWord, word: InfiniteWord, mirrored: bool) -> Custom:
+    """The image of a stream as a lazy, memoised prefix supplier.
+
+    A request for ``length`` letters transports an input prefix of
+    length // 4 + SINGLE_LETTER_BOUND * |b| + 8 letters, or twice the last
+    prefix tried if that is more, and doubles it until the certified image
+    covers the request.  Certified images are prefixes of the one true
+    image, so every answer extends the shorter ones.
+    """
+    image: FreeLetters = ()
+    taken = 0
+
+    def supplier(length: int) -> FreeLetters:
+        nonlocal image, taken
+        stalls = 0
+        while len(image) < length:
+            taken = max(2 * taken, length // 4 + SINGLE_LETTER_BOUND * len(b.letters) + 8)
+            certified = braid_image_of_word(b, ray_prefix(word, taken), mirrored, complete=False)
+            if len(certified) > len(image):
+                image, stalls = certified, 0
+                continue
+            stalls += 1
+            if stalls >= GROWTH_PATIENCE:
+                raise StreamGrowthError(
+                    f"certified image length stalled at {len(image)} (target {length})"
+                )
+        return image[:length]
+
+    return Custom(b.n, supplier, label="image")
 
 
 def acted_ray(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> Ray:
     """The image of the spec's ray under the braid."""
+    mirrored = convention.artin_mirrored
     if isinstance(spec.word, FreeWord):
-        return FreeWord(
-            spec.n, braid_image_of_word(b, spec.word.letters, convention.artin_mirrored)
-        )
-    m = artin_map_of(b, convention.artin_mirrored)
-    return image_ray(m, spec.word)
+        return FreeWord(spec.n, braid_image_of_word(b, spec.word.letters, mirrored))
+    return _stream_image(b, spec.word, mirrored)
 
 
 def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
@@ -222,6 +263,19 @@ def in_convex_subgroup(
     return report.depth >= spec.separating_depths[i - 1]
 
 
+def generator_depths(
+    spec: GeodesicSpec, convention: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> dict[int, int]:
+    """For each generator j, the smaller divergence depth of sigma_j and sigma_j^-1."""
+    return {
+        j: min(
+            divergence_depth(BraidWord(spec.n, (s,)), spec, convention, depth_cap).depth
+            for s in (j, -j)
+        )
+        for j in range(1, spec.n)
+    }
+
+
 @dataclass(frozen=True)
 class ChainLevel:
     index: int
@@ -281,13 +335,7 @@ def convex_chain_report(
             undecided += 1
         depths[w] = report.depth
 
-    gen_depths = {}
-    for j in range(1, spec.n):
-        gen_depths[j] = min(
-            divergence_depth(BraidWord(spec.n, (j,)), spec, convention, depth_cap).depth,
-            divergence_depth(BraidWord(spec.n, (-j,)), spec, convention, depth_cap).depth,
-        )
-
+    gen_depths = generator_depths(spec, convention, depth_cap)
     levels = []
     for i, d in enumerate(spec.separating_depths, start=1):
         pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]
@@ -329,13 +377,7 @@ def soul_of(
         return spec.soul_generators
     if convention is None:
         raise MalformedInputError("validation needs the germ convention")
-    gen_depths = {
-        j: min(
-            divergence_depth(BraidWord(spec.n, (j,)), spec, convention, depth_cap).depth,
-            divergence_depth(BraidWord(spec.n, (-j,)), spec, convention, depth_cap).depth,
-        )
-        for j in range(1, spec.n)
-    }
+    gen_depths = generator_depths(spec, convention, depth_cap)
     recomputed: frozenset[int] = frozenset()
     for d in spec.separating_depths:
         pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]

@@ -69,10 +69,6 @@ class ConjugatedOrder:
         return f"conj:{self.base.describe()}:{self.h}"
 
 
-def conjugate_order(base: OrderOracle, h: BraidWord) -> ConjugatedOrder:
-    return ConjugatedOrder(base, h)
-
-
 # --- exact orderings of Z^k --------------------------------------------------
 
 
@@ -227,10 +223,6 @@ class ConvexExtensionOrder:
 
     def describe(self) -> str:
         return f"ext:{self.base.describe()}:{self.soul_order!r}"
-
-
-def convex_extension_sign(extension: ConvexExtensionOrder, b: BraidWord) -> int:
-    return extension.sign(b)
 
 
 def soul_lex_of_base(base: NTOrder) -> ZkLex:

@@ -16,9 +16,12 @@ flags of GermConvention are frozen by calibrating against handle reduction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import UndecidedComparisonError
-from .freewords import FreeWord, Ray, ray_prefix
+from .freewords import FreeLetters, FreeWord, Ray, ray_prefix
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -49,23 +52,39 @@ class GermConvention:
             germs.extend((i, -i))
         return tuple(germs)
 
-    def positions(self) -> dict[int, int]:
-        return {g: p for p, g in enumerate(self.cycle())}
+    @cached_property
+    def positions(self) -> Mapping[int, int]:
+        """Place of each germ in the cycle, built once per convention."""
+        return MappingProxyType({g: p for p, g in enumerate(self.cycle())})
 
 
-def _next_germ(word: Ray, prefix_len: int, probe: tuple[int, ...]) -> int | None:
-    """Germ taken by the word after its first prefix_len letters.
+def _settled(word: Ray, probe: FreeLetters, d: int) -> bool:
+    """The probe shows what the word does after its first d letters."""
+    return len(probe) > d or (isinstance(word, FreeWord) and len(word.letters) <= d)
 
-    TERMINAL for a finite word that ends there, None when the probe window is
-    too short to know (infinite words only).
+
+def _diverge(u: Ray, v: Ray, depth_cap: int | None) -> tuple[int, FreeLetters, FreeLetters]:
+    """(d, pu, pv): the length d of the longest common prefix of two rays,
+    with probes that show each ray's next letter after d, or its end.
+
+    The probe window starts at 32 letters and doubles; with a depth cap it
+    stops at cap + 1 letters, and d may then reach the cap unsettled.
     """
-    if isinstance(word, FreeWord):
-        if prefix_len >= len(word.letters):
-            return TERMINAL
-        return word.letters[prefix_len]
-    if prefix_len < len(probe):
-        return probe[prefix_len]
-    return None
+    window = 32
+    while True:
+        pu = ray_prefix(u, window)
+        pv = ray_prefix(v, window)
+        limit = min(len(pu), len(pv))
+        d = 0
+        while d < limit and pu[d] == pv[d]:
+            d += 1
+        if depth_cap is not None and d >= depth_cap:
+            return d, pu, pv
+        if _settled(u, pu, d) and _settled(v, pv, d):
+            return d, pu, pv
+        window *= 2
+        if depth_cap is not None:
+            window = min(window, depth_cap + 1)
 
 
 def planar_cmp(
@@ -79,42 +98,27 @@ def planar_cmp(
     Raises UndecidedComparisonError(depth_cap) when two streams agree beyond
     the cap; two finite words always separate, so the cap never binds them.
     """
-    pos = conv.positions()
-    size = len(conv.cycle())
     both_finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
-
-    window = 32
-    while True:
-        pu = ray_prefix(u, window)
-        pv = ray_prefix(v, window)
-        limit = min(len(pu), len(pv))
-        d = 0
-        while d < limit and pu[d] == pv[d]:
-            d += 1
-        gu = _next_germ(u, d, pu)
-        gv = _next_germ(v, d, pv)
-        if d >= depth_cap and not both_finite:
-            raise UndecidedComparisonError(depth_cap)
-        if (d == limit and d == window) or gu is None or gv is None:
-            # agreement may continue beyond the probe window: widen it
-            window = max(window * 2, d + 2)
-            if not both_finite:
-                window = min(window, max(depth_cap + 1, 2))
-            continue
-        if gu == gv == TERMINAL:
-            return EQUAL
-        assert gu != gv, "divergence scan stopped on equal letters"
-        if d == 0:
-            # at the basepoint the cycle is cut at the boundary west germ,
-            # which sits just before TERMINAL: positions read as listed
-            pu_pos, pv_pos = pos[gu], pos[gv]
-        else:
-            arrival = -pu[d - 1]
-            a = pos[arrival]
-            pu_pos = (pos[gu] - a) % size
-            pv_pos = (pos[gv] - a) % size
-        verdict = LESS if pu_pos < pv_pos else GREATER
-        return -verdict if conv.angle_flipped else verdict
+    d, pu, pv = _diverge(u, v, None if both_finite else depth_cap)
+    if d >= depth_cap and not both_finite:
+        raise UndecidedComparisonError(depth_cap)
+    gu = pu[d] if d < len(pu) else TERMINAL
+    gv = pv[d] if d < len(pv) else TERMINAL
+    if gu == gv == TERMINAL:
+        return EQUAL
+    assert gu != gv, "divergence scan stopped on equal letters"
+    pos = conv.positions
+    if d == 0:
+        # at the basepoint the cycle is cut at the boundary west germ,
+        # which sits just before TERMINAL: positions read as listed
+        pu_pos, pv_pos = pos[gu], pos[gv]
+    else:
+        size = len(pos)
+        a = pos[-pu[d - 1]]  # the arrival germ
+        pu_pos = (pos[gu] - a) % size
+        pv_pos = (pos[gv] - a) % size
+    verdict = LESS if pu_pos < pv_pos else GREATER
+    return -verdict if conv.angle_flipped else verdict
 
 
 def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, bool]:
@@ -122,21 +126,7 @@ def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> 
 
     decided is False when the words agree all the way to the cap.
     """
-    window = 32
-    while True:
-        pu = ray_prefix(u, window)
-        pv = ray_prefix(v, window)
-        limit = min(len(pu), len(pv))
-        d = 0
-        while d < limit and pu[d] == pv[d]:
-            d += 1
-        if d >= depth_cap:
-            return depth_cap, False
-        if d < limit:
-            return d, True
-        # one probe ran out: finite word exhausted, or window too small
-        u_done = isinstance(u, FreeWord) and d >= len(u.letters)
-        v_done = isinstance(v, FreeWord) and d >= len(v.letters)
-        if (u_done or len(pu) > d) and (v_done or len(pv) > d):
-            return d, True
-        window = min(window * 2, depth_cap + 1)
+    d, _, _ = _diverge(u, v, depth_cap)
+    if d >= depth_cap:
+        return depth_cap, False
+    return d, True

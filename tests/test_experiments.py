@@ -33,14 +33,6 @@ def test_agreement_cross_oracle(specs):
     assert report.radius == 5 and report.witness is None
 
 
-def test_agreement_workers_deterministic():
-    base = DehornoyOrder(3)
-    other = ConjugatedOrder(base, BraidWord(3, (-2, -2, -2, 1)))
-    seq = agreement_radius(base, other, BallSpec(3, 5))
-    par = agreement_radius(base, other, BallSpec(3, 5), workers=4)
-    assert (seq.radius, seq.witness) == (par.radius, par.witness)
-
-
 def test_agreement_witness_is_first_in_ball_order():
     base = DehornoyOrder(3)
     other = ConjugatedOrder(base, BraidWord(3, (-2, 1)))

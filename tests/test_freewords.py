@@ -9,22 +9,26 @@ from braidorders import (
     Custom,
     EventuallyPeriodic,
     FreeWord,
+    GermConvention,
     MalformedInputError,
+    NTOrder,
     QuadraticIrrational,
     StreamGrowthError,
     Sturmian,
+    act_on_geodesic,
     apply_map,
     artin_map_of,
-    cancellation_bound_of,
+    catalog,
     compose,
     invert,
     multiply,
+    nt_sign,
     parse_free_word,
     parse_infinite_word,
     random_word,
-    stream_prefix_image,
 )
 from braidorders.freewords import format_infinite_word, ray_prefix
+from braidorders.nt import GeodesicSpec, braid_image_of_word
 
 
 def random_free_word(rng, n, length):
@@ -120,18 +124,9 @@ def test_apply_map_morphism_and_inverse(rng):
         assert apply_map(artin_map_of(invert(bw)), apply_map(m, u)) == u
 
 
-def test_cancellation_bound_recursion():
-    cb0 = cancellation_bound_of(BraidWord(3))
-    assert (cb0.norm, cb0.bound) == (1, 0)
-    cb1 = cancellation_bound_of(BraidWord(3, (1,)))
-    assert cb1.norm == 3 and cb1.bound <= 3
-    cb2 = cancellation_bound_of(BraidWord(3, (1, 2)))
-    assert cb2.bound <= 12
-
-
 def test_single_letter_maps_cancel_at_most_three():
-    # base case of the folded certificate, checked exhaustively on short
-    # junctions: observed worst cancellation is 1, bound is 3
+    # the soundness base of the stream transport (SINGLE_LETTER_BOUND),
+    # checked exhaustively on short junctions: observed worst is 1, bound 3
     def all_reduced(n, L):
         alphabet = [k for i in range(1, n + 1) for k in (i, -i)]
         frontier = [()]
@@ -161,37 +156,47 @@ def test_single_letter_maps_cancel_at_most_three():
                     assert cancelled <= 3
 
 
-def test_cancellation_bound_sound_on_junctions(rng):
-    # reduce(m(u)m(v)) must keep all but `bound` letters of each side
-    for _ in range(200):
-        bw = random_word(rng, 3, rng.randrange(0, 5))
-        m = artin_map_of(bw)
-        u = random_free_word(rng, 3, rng.randrange(1, 8))
-        v = random_free_word(rng, 3, rng.randrange(1, 8))
-        if (u * v).letters != u.letters + v.letters:
-            continue
-        left = apply_map(m, u)
-        joint = apply_map(m, u * v)
-        keep = len(left) - m.bound
-        if keep > 0:
-            assert joint.letters[:keep] == left.letters[:keep]
+def test_braid_image_matches_artin_map(rng):
+    # the right-to-left transport against the left-to-right reference maps
+    for _ in range(300):
+        n = rng.randrange(3, 7)
+        b = random_word(rng, n, rng.randrange(0, 8))
+        u = random_free_word(rng, n, rng.randrange(0, 10))
+        for mirrored in (False, True):
+            expected = apply_map(artin_map_of(b, mirrored), u).letters
+            assert braid_image_of_word(b, u.letters, mirrored) == expected
 
 
 def test_stream_prefix_image_coherence(rng):
-    ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
-    for stream in (ep, st):
-        for _ in range(50):
-            bw = random_word(rng, 3, rng.randrange(0, 5))
-            m = artin_map_of(bw)
-            a = stream_prefix_image(m, stream, 10)
-            b = stream_prefix_image(m, stream, 25)
-            assert b[: len(a)] == a
-            assert len(a) >= 10 and len(b) >= 25
-    # identity map on (x1 x2)^omega
-    m = artin_map_of(BraidWord(3))
-    assert stream_prefix_image(m, ep, 6)[:6] == (1, 2, 1, 2, 1, 2)
-    assert stream_prefix_image(m, ep, 0) == ()
+    specs = catalog()
+    streams = [
+        EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2))),
+        Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2),
+        specs["sturmian_4"].word,
+        specs["mixed_4"].word,
+        specs["sturmian_6"].word,
+    ]
+    for stream in streams:
+        n = stream.n
+        spec = GeodesicSpec("stream", n, stream, type_tag="full_infinite")
+        long_input = FreeWord(n, ray_prefix(stream, 600))
+        for _ in range(30):
+            b = random_word(rng, n, rng.randrange(0, 6))
+            for mirrored in (False, True):
+                conv = GermConvention(n, artin_mirrored=mirrored)
+                reference = apply_map(artin_map_of(b, mirrored), long_input).letters
+                image = act_on_geodesic(b, spec, conv).word
+                prefixes = {length: ray_prefix(image, length) for length in (25, 10, 80, 40)}
+                for length, prefix in prefixes.items():
+                    assert len(prefix) == length
+                    assert prefix == prefixes[80][:length] == reference[:length]
+                certified = braid_image_of_word(b, long_input.letters, mirrored, complete=False)
+                assert certified == reference[: len(certified)]
+                assert len(certified) >= 80
+    # the identity braid on (x1 x2)^omega
+    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", 3, streams[0]), GermConvention(3)).word
+    assert ray_prefix(image, 6) == (1, 2, 1, 2, 1, 2)
+    assert ray_prefix(image, 0) == ()
 
 
 def test_custom_supplier_checked():
@@ -200,7 +205,10 @@ def test_custom_supplier_checked():
         ray_prefix(bad, 10)
 
 
-def test_growth_failure_on_too_short_finite_word():
-    m = artin_map_of(BraidWord(3))
+def test_growth_failure_on_degenerate_stream():
+    # (x1 x1^-1)^omega is not reduced: every image of it collapses, so the
+    # certified image never grows and the transport must give up, not hang
+    stream = Custom(3, lambda length: ((1, -1) * length)[:length], label="collapsing")
+    order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3))
     with pytest.raises(StreamGrowthError):
-        stream_prefix_image(m, FreeWord(3, (1,)), 5)
+        nt_sign(order, BraidWord(3, (1,)))
