@@ -11,23 +11,20 @@ violations.
 from braidorders import (
     BallSpec,
     BraidWord,
-    catalog,
+    catalog_order,
     convex_chain_report,
     divergence_depth,
-    frozen_convention,
     soul_of,
 )
 from braidorders.catalog import search_chain_words
 
-specs = catalog()
-
 # --- generator divergence depths -------------------------------------------------
 
 for name in ("dehornoy_4", "b4_b", "b4_c", "b6_cx"):
-    spec = specs[name]
-    conv = frozen_convention(spec.n)
+    order = catalog_order(name)
+    spec = order.spec
     deaths = {
-        j: divergence_depth(BraidWord(spec.n, (j,)), spec, conv).depth
+        j: divergence_depth(order, BraidWord(spec.n, (j,))).depth
         for j in range(1, spec.n)
     }
     print(f"{name}: word [{spec.word}]  depths {spec.separating_depths}  generator deaths {deaths}")
@@ -35,14 +32,13 @@ for name in ("dehornoy_4", "b4_b", "b4_c", "b6_cx"):
 # --- chain reports ---------------------------------------------------------------
 
 for name in ("dehornoy_4", "b4_a", "b4_b", "b4_c", "b6_cx"):
-    spec = specs[name]
-    conv = frozen_convention(spec.n)
-    report = convex_chain_report(spec, BallSpec(spec.n, 3), conv)
+    order = catalog_order(name)
+    report = convex_chain_report(order, BallSpec(order.n, 3))
     chain = " > ".join(
         "{" + ",".join(f"s{j}" for j in lv.generator_pattern) + "}" for lv in report.levels
     )
     print(f"{name}: levels {chain}  violations {report.total_violations}")
-    print(f"   soul (validated): {sorted(soul_of(spec, conv, validate=True))}")
+    print(f"   soul (validated): {sorted(soul_of(order))}")
 
 # --- the search that produced the committed words ---------------------------------
 

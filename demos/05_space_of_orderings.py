@@ -12,18 +12,14 @@ from braidorders import (
     BallSpec,
     BraidWord,
     DehornoyOrder,
-    catalog,
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
-    frozen_convention,
     limit_probe_experiment,
     order_distance,
     small_positive_search,
     totality_probe,
 )
-
-specs = catalog()
 
 # --- distances shrink along the conjugate sequence --------------------------------
 
@@ -42,7 +38,7 @@ print(f"smallest positive outside <s2> in ball L=3: [{small}]")
 # --- conjugate convergence records --------------------------------------------------
 
 report = converge_conjugates_experiment(
-    specs["dehornoy_3"], (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6), frozen_convention(3)
+    catalog_order("dehornoy_3"), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
 )
 print("conjugates of dehornoy_3:")
 for row in report.rows:
@@ -50,18 +46,14 @@ for row in report.rows:
 
 # --- extension families for rank >= 2 souls -----------------------------------------
 
-ext = converge_extensions_experiment(
-    specs["b6_cx"], range(2, 8), BallSpec(6, 3), frozen_convention(6)
-)
+ext = converge_extensions_experiment(catalog_order("b6_cx"), range(2, 8), BallSpec(6, 3))
 print("slope extensions of b6_cx (soul rank 3):")
 for row in ext.rows:
     print(f"  M={row.M}: weights {row.weights}, radius {row.radius}, soul witness {row.soul_witness_vector}")
 
 # --- where do conjugates of b6_cx converge? -----------------------------------------
 
-probe = limit_probe_experiment(
-    specs["b6_cx"], (3, 4), range(1, 13), BallSpec(6, 2), frozen_convention(6)
-)
+probe = limit_probe_experiment(catalog_order("b6_cx"), (3, 4), range(1, 13), BallSpec(6, 2))
 print("limit probe, conjugating b6_cx by s3^-N s4 (evidence only, inconclusive by design):")
 for row in probe.differing_probes[:4]:
     trail = "".join("+" if s > 0 else "-" for s in row.signs)
@@ -69,7 +61,7 @@ for row in probe.differing_probes[:4]:
 
 # --- infinite type: nothing fixes the ray, small elements go arbitrarily deep --------
 
-rep = totality_probe(specs["sturmian_3"], BallSpec(3, 5), 20, frozen_convention(3))
+rep = totality_probe(catalog_order("sturmian_3"), BallSpec(3, 5), 20)
 print(
     f"sturmian_3 totality: ties {len(rep.tie_words)}, deepest small element [{rep.records[-1][1]}]"
     f" at depth {rep.max_depth}"

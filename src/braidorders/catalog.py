@@ -63,17 +63,18 @@ def _dehornoy_spec(n: int, name: str | None = None) -> GeodesicSpec:
 
 
 def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: FreeLetters, label: str) -> Custom:
-    """head then Sturmian-driven blocks; aperiodic, positive past the head."""
+    """head then Sturmian-driven blocks; aperiodic, positive past the head.
+
+    The blocks follow the letters of the Sturmian word of STURMIAN_SLOPE:
+    block_a for a 1, block_b for a 2."""
+    choices = Sturmian(2, STURMIAN_SLOPE, 1, 2)
+    shortest = min(len(block_a), len(block_b))
 
     def supplier(length: int) -> FreeLetters:
+        count = -(-max(0, length - len(head)) // shortest)
         out = list(head)
-        k = 0
-        prev = 0
-        while len(out) < length:
-            cur = STURMIAN_SLOPE.floor_times(k + 1)
-            out.extend(block_b if cur - prev == 1 else block_a)
-            prev = cur
-            k += 1
+        for k in choices.prefix(count):
+            out.extend(block_a if k == 1 else block_b)
         return tuple(out[:length])
 
     return Custom(n, supplier, label=label)
@@ -131,8 +132,7 @@ def catalog_order(name: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> NTOrder:
     specs = catalog()
     if name not in specs:
         raise MalformedInputError(f"unknown catalog entry {name!r} (have {sorted(specs)})")
-    spec = specs[name]
-    return NTOrder(spec, frozen_convention(spec.n), depth_cap)
+    return order_for_spec(specs[name], depth_cap)
 
 
 def order_for_spec(spec: GeodesicSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> NTOrder:

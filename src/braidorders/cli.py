@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .braids import BallSpec, parse_braid
-from .catalog import calibrate_conventions, catalog, frozen_convention
+from .catalog import calibrate_conventions, catalog, order_for_spec
 from .errors import (
     BudgetExceededError,
     CalibrationError,
@@ -75,11 +75,10 @@ def _default_depth_cap() -> int:
 def _load_spec(token: str, depth_cap: int) -> NTOrder:
     specs = catalog()
     if token in specs:
-        return NTOrder(specs[token], frozen_convention(specs[token].n), depth_cap)
+        return order_for_spec(specs[token], depth_cap)
     path = Path(token)
     if path.exists():
-        spec = parse_geodesic_spec(path.read_text())
-        return NTOrder(spec, frozen_convention(spec.n), depth_cap)
+        return order_for_spec(parse_geodesic_spec(path.read_text()), depth_cap)
     raise MalformedInputError(f"no catalog entry or spec file named {token!r}")
 
 
@@ -231,7 +230,7 @@ def cmd_soul(args) -> int:
     order = parse_order(args.order, args.n, args.depth_cap)
     if not isinstance(order, NTOrder):
         raise MalformedInputError("soul needs an nt:<...> order")
-    soul = soul_of(order.spec, order.convention, validate=args.validate, depth_cap=args.depth_cap)
+    soul = soul_of(order) if args.validate else order.spec.soul_generators
     _emit(args, [{"command": "soul", "spec": order.spec.name, "soul": sorted(soul)}])
     return 0
 
@@ -240,9 +239,7 @@ def cmd_chain(args) -> int:
     order = parse_order(args.order, args.n, args.depth_cap)
     if not isinstance(order, NTOrder):
         raise MalformedInputError("chain needs an nt:<...> order")
-    report = convex_chain_report(
-        order.spec, BallSpec(args.n, args.ball_length), order.convention, args.depth_cap
-    )
+    report = convex_chain_report(order, BallSpec(args.n, args.ball_length))
     records = [
         {
             "command": "chain",
@@ -263,11 +260,10 @@ def cmd_approx(args) -> int:
     order = parse_order(args.order, args.n, args.depth_cap)
     if not isinstance(order, NTOrder):
         raise MalformedInputError("approx needs an nt:<...> order")
-    spec = order.spec
     ball = BallSpec(args.n, args.ball_length)
     j_lo, j_hi = _parse_range(args.range)
     if args.kind == "conjugates":
-        soul = sorted(spec.soul_generators)
+        soul = sorted(order.spec.soul_generators)
         if args.pattern:
             s_text, u_text = args.pattern.split("/", 1)
             pattern = (int(s_text), parse_braid(u_text, args.n))
@@ -277,9 +273,7 @@ def cmd_approx(args) -> int:
             s = soul[-1]
             u = small_positive_search(order, soul, BallSpec(args.n, 2))
             pattern = (s, u)
-        report = converge_conjugates_experiment(
-            spec, pattern, range(j_lo, j_hi + 1), ball, order.convention, args.depth_cap
-        )
+        report = converge_conjugates_experiment(order, pattern, range(j_lo, j_hi + 1), ball)
         if args.format == "json":
             sys.stdout.write(report.to_json_lines())
         elif args.format == "csv":
@@ -298,9 +292,7 @@ def cmd_approx(args) -> int:
                 ],
             )
         return 2 if any(r.undecided_count for r in report.rows) else 0
-    report = converge_extensions_experiment(
-        spec, range(max(2, j_lo), j_hi + 1), ball, order.convention, args.depth_cap
-    )
+    report = converge_extensions_experiment(order, range(max(2, j_lo), j_hi + 1), ball)
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())
     elif args.format == "csv":
@@ -325,22 +317,15 @@ def cmd_probe(args) -> int:
     order = parse_order(args.order, args.n, args.depth_cap)
     if not isinstance(order, NTOrder):
         raise MalformedInputError("probe needs an nt:<...> order")
-    spec = order.spec
     if args.kind == "totality":
-        report = totality_probe(
-            spec,
-            BallSpec(args.n, args.ball_length),
-            args.depth_target,
-            order.convention,
-            args.depth_cap,
-        )
+        report = totality_probe(order, BallSpec(args.n, args.ball_length), args.depth_target)
         _emit(
             args,
             [
                 {
                     "command": "probe",
                     "kind": "totality",
-                    "spec": spec.name,
+                    "spec": order.spec.name,
                     "ties": [str(w) for w in report.tie_words],
                     "max_depth": report.max_depth,
                     "depth_target": report.depth_target,
@@ -352,12 +337,7 @@ def cmd_probe(args) -> int:
     lo, hi = _parse_range(args.range)
     s_text, u_text = (args.pattern or "3/4").split("/", 1)
     report = limit_probe_experiment(
-        spec,
-        (int(s_text), int(u_text)),
-        range(lo, hi + 1),
-        BallSpec(args.n, args.ball_length),
-        order.convention,
-        depth_cap=args.depth_cap,
+        order, (int(s_text), int(u_text)), range(lo, hi + 1), BallSpec(args.n, args.ball_length)
     )
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .braids import BallSpec, BraidWord
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
-from .nt import GeodesicSpec, NTOrder
+from .nt import NTOrder
 from .orders import (
     ConjugatedOrder,
     ConvexExtensionOrder,
@@ -158,25 +158,22 @@ class ConjugatesReport:
         )
 
 
-def _witness_candidates(
-    s: int, u: BraidWord, j: int, extra_range: int = 6
-) -> list[BraidWord]:
+def _witness_candidates(s: int, u: BraidWord, j: int) -> list[BraidWord]:
     """Deterministic distinctness candidates for the conjugator s^-j u:
-    the words s^-(j+c) u s^(j+c-1), which sit just past the agreement ball."""
+    the words s^-(j+c) u s^(j+c-1) for c = 1..6, which sit just past the
+    agreement ball."""
     out = []
-    for c in range(1, extra_range + 1):
+    for c in range(1, 7):
         letters = (-s,) * (j + c) + u.letters + (s,) * (j + c - 1)
         out.append(BraidWord(u.n, letters))
     return out
 
 
 def converge_conjugates_experiment(
-    spec: GeodesicSpec,
+    base: NTOrder,
     pattern: tuple[int, BraidWord] | None,
     j_range: Sequence[int],
     ball: BallSpec,
-    convention,
-    depth_cap: int | None = None,
     conjugators: Sequence[BraidWord] | None = None,
 ) -> ConjugatesReport:
     """Agreement of the order with its conjugates by s^-j u along j.
@@ -189,8 +186,6 @@ def converge_conjugates_experiment(
     """
     if (pattern is None) == (conjugators is None):
         raise MalformedInputError("give exactly one of pattern or conjugators")
-    kwargs = {} if depth_cap is None else {"depth_cap": depth_cap}
-    base = NTOrder(spec, convention, **kwargs)
 
     if conjugators is not None:
         hs = list(conjugators)
@@ -199,9 +194,9 @@ def converge_conjugates_experiment(
         s = u = None
     else:
         s, u = pattern
-        if not 1 <= s <= spec.n - 1:
+        if not 1 <= s <= base.n - 1:
             raise MalformedInputError(f"soul generator {s} out of range")
-        pairs = [(j, BraidWord(spec.n, (-s,) * j + u.letters)) for j in j_range]
+        pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
 
     rows = []
     for j, h in pairs:
@@ -214,7 +209,7 @@ def converge_conjugates_experiment(
                 witness, s1, s2 = found
                 signs = (s1, s2)
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
-    return ConjugatesReport(spec.name, ball, tuple(rows))
+    return ConjugatesReport(base.spec.name, ball, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -299,11 +294,7 @@ def _soul_witness(
 
 
 def converge_extensions_experiment(
-    spec: GeodesicSpec,
-    m_range: Sequence[int],
-    ball: BallSpec,
-    convention,
-    depth_cap: int | None = None,
+    base: NTOrder, m_range: Sequence[int], ball: BallSpec
 ) -> ExtensionsReport:
     """Convex extensions by integer-slope soul orders approximating the base.
 
@@ -311,12 +302,10 @@ def converge_extensions_experiment(
     growing M forces agreement on ever larger balls while staying distinct.
     Needs soul rank k >= 2 (rank one has no slope family; conjugates apply).
     """
-    soul = sorted(spec.soul_generators)
+    soul = sorted(base.spec.soul_generators)
     k = len(soul)
-    if spec.type_tag != "finite" or k < 2:
+    if base.spec.type_tag != "finite" or k < 2:
         raise MalformedInputError("extension experiment needs finite type with soul rank >= 2")
-    kwargs = {} if depth_cap is None else {"depth_cap": depth_cap}
-    base = NTOrder(spec, convention, **kwargs)
     lex = soul_lex_of_base(base)
     rows = []
     for M in m_range:
@@ -339,7 +328,7 @@ def converge_extensions_experiment(
         rows.append(
             ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector, rep.undecided_count)
         )
-    return ExtensionsReport(spec.name, ball, tuple(rows))
+    return ExtensionsReport(base.spec.name, ball, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -415,29 +404,20 @@ def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
 
 
 def limit_probe_experiment(
-    spec: GeodesicSpec,
-    pattern: tuple[int, int],
-    n_range: Sequence[int],
-    probe_ball: BallSpec,
-    convention,
-    extra_probes: Sequence[BraidWord] = (),
-    depth_cap: int | None = None,
+    base: NTOrder, pattern: tuple[int, int], n_range: Sequence[int], probe_ball: BallSpec
 ) -> LimitProbeReport:
     """Conjugate by s^-N u for N in range and watch which probe signs settle.
 
     pattern = (s, u) as generator indices (conjugator word sigma_s^-N sigma_u).
     """
     s, u = pattern
-    kwargs = {} if depth_cap is None else {"depth_cap": depth_cap}
-    base = NTOrder(spec, convention, **kwargs)
-    soul = sorted(spec.soul_generators)
+    soul = sorted(base.spec.soul_generators)
     probes: list[BraidWord] = []
     seen = set()
     for i in soul:
         for j in soul:
             if i != j:
-                probes.append(BraidWord(spec.n, (i, -j)))
-    probes.extend(extra_probes)
+                probes.append(BraidWord(base.n, (i, -j)))
     probes.extend(w for w in probe_ball.words() if w.letters)
     unique_probes = []
     for p in probes:
@@ -450,12 +430,12 @@ def limit_probe_experiment(
         base_sign = base.sign(probe)
         signs = []
         for N in n_range:
-            h = BraidWord(spec.n, (-s,) * N + (u,))
+            h = BraidWord(base.n, (-s,) * N + (u,))
             signs.append(ConjugatedOrder(base, h).sign(probe))
         stab, stable = _stabilized(signs)
         rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
     return LimitProbeReport(
-        spec.name, f"{-s}^N {u}", tuple(n_range), tuple(rows)
+        base.spec.name, f"{-s}^N {u}", tuple(n_range), tuple(rows)
     )
 
 
@@ -471,8 +451,6 @@ def small_positive_search(
             if order.sign(w) <= 0:
                 continue
             if soul and zk_membership(w, soul) is not None:
-                continue
-            if not soul and not w.letters:
                 continue
             if best is None or order_cmp(order, w, best) < 0:
                 best = w

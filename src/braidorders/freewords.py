@@ -9,8 +9,9 @@ reduced.  Infinite words come in three flavours:
   slope (all arithmetic in integers, no floats anywhere);
 * custom: any coherent prefix supplier (longer requests extend shorter ones).
 
-Infinite words over positive letters are reduced for free; custom suppliers
-are trusted but spot-checked for coherence where they are consumed.
+Infinite words over positive letters are reduced for free.  Custom suppliers
+are trusted: neither coherence nor free reduction is checked, only that each
+answer is at least as long as the request.
 """
 
 from __future__ import annotations

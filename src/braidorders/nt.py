@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 from .artin import SINGLE_LETTER_BOUND, letter_images
-from .braids import BallSpec, BraidWord, invert, multiply
+from .braids import BallSpec, BraidWord, invert, multiply, sigma
 from .errors import (
     MalformedInputError,
     SearchFailureError,
@@ -49,6 +49,7 @@ from .planar import (
     LESS,
     GermConvention,
     common_prefix_length,
+    divergence,
     planar_cmp,
 )
 
@@ -126,9 +127,6 @@ class NTOrder:
 
     def cmp(self, a: BraidWord, b: BraidWord) -> int:
         return nt_cmp(self, a, b)
-
-    def describe(self) -> str:
-        return f"nt:{self.spec.name}"
 
 
 def braid_image_of_word(
@@ -231,48 +229,32 @@ class DivergenceReport:
     verdict: Literal["less", "equal", "greater", "undecided"]
 
 
-def divergence_depth(
-    b: BraidWord, spec: GeodesicSpec, convention: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> DivergenceReport:
+def divergence_depth(order: NTOrder, b: BraidWord) -> DivergenceReport:
     """Longest common prefix of the ray and its image, with the angle verdict."""
-    image = acted_ray(b, spec, convention)
-    depth, decided = common_prefix_length(spec.word, image, depth_cap)
-    if not decided:
-        return DivergenceReport(depth, "undecided")
-    try:
-        verdict = planar_cmp(spec.word, image, convention, depth_cap)
-    except UndecidedComparisonError:
+    image = acted_ray(b, order.spec, order.convention)
+    depth, verdict = divergence(order.spec.word, image, order.convention, order.depth_cap)
+    if verdict is None:
         return DivergenceReport(depth, "undecided")
     names = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
     return DivergenceReport(depth, names[verdict])
 
 
-def in_convex_subgroup(
-    b: BraidWord,
-    spec: GeodesicSpec,
-    i: int,
-    convention: GermConvention,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> bool:
+def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
     """Membership in the i-th convex level: divergence depth >= i-th depth."""
+    spec = order.spec
     if not 1 <= i <= spec.m:
         raise MalformedInputError(f"level {i} out of range (spec has {spec.m})")
-    report = divergence_depth(b, spec, convention, depth_cap)
+    report = divergence_depth(order, b)
     if report.verdict == "undecided" and report.depth < spec.separating_depths[i - 1]:
-        raise UndecidedComparisonError(depth_cap)
+        raise UndecidedComparisonError(order.depth_cap)
     return report.depth >= spec.separating_depths[i - 1]
 
 
-def generator_depths(
-    spec: GeodesicSpec, convention: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> dict[int, int]:
+def generator_depths(order: NTOrder) -> dict[int, int]:
     """For each generator j, the smaller divergence depth of sigma_j and sigma_j^-1."""
     return {
-        j: min(
-            divergence_depth(BraidWord(spec.n, (s,)), spec, convention, depth_cap).depth
-            for s in (j, -j)
-        )
-        for j in range(1, spec.n)
+        j: min(divergence_depth(order, BraidWord(order.n, (s,))).depth for s in (j, -j))
+        for j in range(1, order.n)
     }
 
 
@@ -308,34 +290,29 @@ class ChainReport:
         return seen
 
 
-def convex_chain_report(
-    spec: GeodesicSpec,
-    sample: BallSpec,
-    convention: GermConvention,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> ChainReport:
+def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     """Membership patterns per level plus an exhaustive ball convexity check.
 
     For each level, every ball word outside the level must not lie strictly
     between the level's order-minimum and order-maximum within the ball;
     expected violation count is zero.
     """
+    spec = order.spec
     if spec.m < 1:
         raise MalformedInputError(f"{spec.name}: chain report needs at least one depth")
     if sample.n != spec.n:
         raise MalformedInputError("ball strand count differs from spec")
-    order = NTOrder(spec, convention, depth_cap)
     undecided = 0
 
     words = list(sample.words())
     depths: dict[BraidWord, int] = {}
     for w in words:
-        report = divergence_depth(w, spec, convention, depth_cap)
+        report = divergence_depth(order, w)
         if report.verdict == "undecided":
             undecided += 1
         depths[w] = report.depth
 
-    gen_depths = generator_depths(spec, convention, depth_cap)
+    gen_depths = generator_depths(order)
     levels = []
     for i, d in enumerate(spec.separating_depths, start=1):
         pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]
@@ -364,20 +341,12 @@ def convex_chain_report(
     return ChainReport(spec.name, ambient, tuple(levels), undecided)
 
 
-def soul_of(
-    spec: GeodesicSpec,
-    convention: GermConvention | None = None,
-    validate: bool = False,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> frozenset[int]:
-    """The soul generators; with validate=True they are recomputed from the
-    chain as the outermost level whose nonempty pattern is pairwise
-    non-adjacent, and checked against the stored value."""
-    if not validate:
-        return spec.soul_generators
-    if convention is None:
-        raise MalformedInputError("validation needs the germ convention")
-    gen_depths = generator_depths(spec, convention, depth_cap)
+def soul_of(order: NTOrder) -> frozenset[int]:
+    """The soul generators, recomputed from the chain as the outermost level
+    whose nonempty pattern is pairwise non-adjacent, and checked against the
+    stored value."""
+    spec = order.spec
+    gen_depths = generator_depths(order)
     recomputed: frozenset[int] = frozenset()
     for d in spec.separating_depths:
         pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]
@@ -453,14 +422,7 @@ class TotalityReport:
         return self.max_depth >= self.depth_target
 
 
-def totality_probe(
-    spec: GeodesicSpec,
-    ball: BallSpec,
-    depth_target: int,
-    convention: GermConvention,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    conjugator_ball: BallSpec | None = None,
-) -> TotalityReport:
+def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> TotalityReport:
     """Empirical totality of an infinite-type spec.
 
     (a) every nontrivial ball word must diverge from the ray before the cap
@@ -469,6 +431,7 @@ def totality_probe(
     and conjugated generators) is scanned for braids of ever larger
     divergence depth, up to depth_target.
     """
+    spec = order.spec
     if not is_infinite(spec.word):
         raise MalformedInputError(f"{spec.name}: totality probe needs an infinite-type spec")
     ties: list[BraidWord] = []
@@ -480,7 +443,7 @@ def totality_probe(
         if not w.letters:
             return
         depth, decided = common_prefix_length(
-            spec.word, acted_ray(w, spec, convention), depth_cap
+            spec.word, acted_ray(w, spec, order.convention), order.depth_cap
         )
         if not decided:
             if tie_eligible:
@@ -494,14 +457,12 @@ def totality_probe(
         consider(w, tie_eligible=True)
 
     if best < depth_target:
-        conj_ball = conjugator_ball or ball
-        for g in conj_ball.words():
+        for g in ball.words():
             if best >= depth_target:
                 break
             for i in range(1, spec.n):
                 for e in (1, -1, 2, -2):
-                    w = multiply(multiply(g, BraidWord(spec.n, (i,) * abs(e) if e > 0 else (-i,) * abs(e))), invert(g))
-                    consider(w, tie_eligible=False)
+                    consider(multiply(multiply(g, sigma(spec.n, i, e)), invert(g)), tie_eligible=False)
 
     return TotalityReport(
         spec.name, ball, tuple(ties), tuple(records), best, depth_target

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import DEFAULT_BUDGET, dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError
-from .nt import NTOrder, nt_sign
+from .nt import NTOrder, divergence_depth, nt_sign
 
 
 @runtime_checkable
@@ -24,8 +24,6 @@ class OrderOracle(Protocol):
     n: int
 
     def sign(self, b: BraidWord) -> int: ...
-
-    def describe(self) -> str: ...
 
 
 def order_cmp(oracle: OrderOracle, a: BraidWord, b: BraidWord) -> int:
@@ -42,9 +40,6 @@ class DehornoyOrder:
 
     def sign(self, b: BraidWord) -> int:
         return dehornoy_sign(b, self.budget)
-
-    def describe(self) -> str:
-        return "dehornoy"
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,6 @@ class ConjugatedOrder:
 
     def sign(self, b: BraidWord) -> int:
         return self.base.sign(conjugate(b, self.h))
-
-    def describe(self) -> str:
-        return f"conj:{self.base.describe()}:{self.h}"
 
 
 # --- exact orderings of Z^k --------------------------------------------------
@@ -221,9 +213,6 @@ class ConvexExtensionOrder:
             return zk_sign(self.soul_order, v)
         return nt_sign(self.base, b)
 
-    def describe(self) -> str:
-        return f"ext:{self.base.describe()}:{self.soul_order!r}"
-
 
 def soul_lex_of_base(base: NTOrder) -> ZkLex:
     """The base order's own restriction to its soul, as a lex spec.
@@ -232,14 +221,7 @@ def soul_lex_of_base(base: NTOrder) -> ZkLex:
     earliest dominates.  Every axis is positively oriented because positive
     half-twists are positive in every ray order.
     """
-    from .nt import divergence_depth
-
     soul = sorted(base.spec.soul_generators)
-    depths = {
-        i: divergence_depth(
-            BraidWord(base.n, (i,)), base.spec, base.convention, base.depth_cap
-        ).depth
-        for i in soul
-    }
+    depths = {i: divergence_depth(base, BraidWord(base.n, (i,))).depth for i in soul}
     order = sorted(range(len(soul)), key=lambda pos: depths[soul[pos]])
     return ZkLex(len(soul), tuple(order), (1,) * len(soul))

@@ -102,6 +102,11 @@ def planar_cmp(
     d, pu, pv = _diverge(u, v, None if both_finite else depth_cap)
     if d >= depth_cap and not both_finite:
         raise UndecidedComparisonError(depth_cap)
+    return _verdict(d, pu, pv, conv)
+
+
+def _verdict(d: int, pu: FreeLetters, pv: FreeLetters, conv: GermConvention) -> int:
+    """The angle verdict from the probes of a settled divergence at d."""
     gu = pu[d] if d < len(pu) else TERMINAL
     gv = pv[d] if d < len(pv) else TERMINAL
     if gu == gv == TERMINAL:
@@ -119,6 +124,18 @@ def planar_cmp(
         pv_pos = (pos[gv] - a) % size
     verdict = LESS if pu_pos < pv_pos else GREATER
     return -verdict if conv.angle_flipped else verdict
+
+
+def divergence(
+    u: Ray, v: Ray, conv: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> tuple[int, int | None]:
+    """(common prefix length, verdict) from one scan; the verdict is that of
+    planar_cmp, or None when the rays agree to the cap (finite words too,
+    as in common_prefix_length), and the length is then the cap."""
+    d, pu, pv = _diverge(u, v, depth_cap)
+    if d >= depth_cap:
+        return depth_cap, None
+    return d, _verdict(d, pu, pv, conv)
 
 
 def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, bool]:

@@ -18,6 +18,7 @@ from braidorders import (
     DehornoyOrder,
     EventuallyPeriodic,
     FreeWord,
+    NTOrder,
     UndecidedComparisonError,
     agreement_radius,
     apply_map,
@@ -115,8 +116,8 @@ def test_criterion_5_souls_and_conradian_failure():
     for name, soul in expected.items():
         spec = specs[name]
         conv = frozen_convention(spec.n)
-        assert soul_of(spec, conv, validate=True) == frozenset(soul), name
-    assert soul_of(specs["mixed_4"], frozen_convention(4), validate=True) == frozenset()
+        assert soul_of(NTOrder(spec, conv)) == frozenset(soul), name
+    assert soul_of(NTOrder(specs["mixed_4"], frozen_convention(4))) == frozenset()
 
     pairs = {
         "dehornoy_3": ((-2, 1), (1,)),
@@ -154,14 +155,14 @@ def test_criterion_6_convex_chain_shape():
     started = time.monotonic()
     specs = catalog()
     conv = frozen_convention(4)
-    report = convex_chain_report(specs["dehornoy_4"], BallSpec(4, 4), conv)
+    report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv), BallSpec(4, 4))
     patterns = [lv.generator_pattern for lv in report.levels]
     assert patterns == [(2, 3), (3,), ()]
     assert all(a > b for a, b in zip(map(set, patterns), map(set, patterns[1:]))), "strict nesting"
     assert report.total_violations == 0
     seen = set()
     for name in ("b4_a", "b4_b", "b4_c"):
-        rep = convex_chain_report(specs[name], BallSpec(4, 3), conv)
+        rep = convex_chain_report(NTOrder(specs[name], conv), BallSpec(4, 3))
         assert rep.total_violations == 0
         seen.add(tuple(lv.generator_pattern for lv in rep.levels))
     assert len(seen) == 3
@@ -172,7 +173,7 @@ def test_criterion_7_totality_probe():
     started = time.monotonic()
     specs = catalog()
     conv = frozen_convention(3)
-    report = totality_probe(specs["sturmian_3"], BallSpec(3, 5), 20, conv)
+    report = totality_probe(NTOrder(specs["sturmian_3"], conv), BallSpec(3, 5), 20)
     assert not report.degenerate, report.tie_words
     assert report.max_depth >= 20
     control = GeodesicSpec(
@@ -180,7 +181,7 @@ def test_criterion_7_totality_probe():
         EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))),
         (), frozenset(), "full_infinite",
     )
-    control_report = totality_probe(control, BallSpec(3, 3), 5, conv)
+    control_report = totality_probe(NTOrder(control, conv), BallSpec(3, 3), 5)
     assert control_report.degenerate
     _report(7, 300, started, "zero ties at L=5; small elements to depth 20; control degenerates")
 
@@ -189,16 +190,16 @@ def test_criterion_8_not_isolated():
     started = time.monotonic()
     specs = catalog()
     ext = converge_extensions_experiment(
-        specs["b6_cx"], range(2, 13), BallSpec(6, 3), frozen_convention(6)
+        NTOrder(specs["b6_cx"], frozen_convention(6)), range(2, 13), BallSpec(6, 3)
     )
     assert ext.radii_nondecreasing
     assert ext.all_distinct
     conj3 = converge_conjugates_experiment(
-        specs["dehornoy_3"], (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6), frozen_convention(3)
+        NTOrder(specs["dehornoy_3"], frozen_convention(3)), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
     )
     assert conj3.reaches_bound and conj3.all_distinct
     conj4 = converge_conjugates_experiment(
-        specs["dehornoy_4"], (3, BraidWord(4, (2,))), range(1, 8), BallSpec(4, 4), frozen_convention(4)
+        NTOrder(specs["dehornoy_4"], frozen_convention(4)), (3, BraidWord(4, (2,))), range(1, 8), BallSpec(4, 4)
     )
     assert conj4.reaches_bound and conj4.all_distinct
     _report(8, 600, started, "extension radii nondecreasing with witnesses; conjugate radii reach ball bounds")
@@ -208,7 +209,7 @@ def test_criterion_9_limit_probe():
     started = time.monotonic()
     specs = catalog()
     report = limit_probe_experiment(
-        specs["b6_cx"], (3, 4), range(1, 13), BallSpec(6, 2), frozen_convention(6)
+        NTOrder(specs["b6_cx"], frozen_convention(6)), (3, 4), range(1, 13), BallSpec(6, 2)
     )
     assert report.inconclusive_by_design
     assert len(report.differing_probes) >= 1

@@ -9,12 +9,12 @@ from braidorders import (
     ConjugatedOrder,
     DehornoyOrder,
     MalformedInputError,
+    NTOrder,
     SearchFailureError,
     agreement_radius,
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
-    frozen_convention,
     limit_probe_experiment,
     order_distance,
     small_positive_search,
@@ -57,7 +57,7 @@ def test_distance_monotone_in_conjugator(specs):
 
 def test_conjugates_experiment_dehornoy3(specs, conv3):
     report = converge_conjugates_experiment(
-        specs["dehornoy_3"], (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6), conv3
+        NTOrder(specs["dehornoy_3"], conv3), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
     )
     assert report.reaches_bound
     assert report.all_distinct
@@ -74,7 +74,7 @@ def test_conjugates_experiment_dehornoy3(specs, conv3):
 
 def test_conjugates_experiment_dehornoy4(specs, conv4):
     report = converge_conjugates_experiment(
-        specs["dehornoy_4"], (3, BraidWord(4, (2,))), range(1, 7), BallSpec(4, 4), conv4
+        NTOrder(specs["dehornoy_4"], conv4), (3, BraidWord(4, (2,))), range(1, 7), BallSpec(4, 4)
     )
     assert report.reaches_bound and report.all_distinct
     radii = report.radii
@@ -87,20 +87,20 @@ def test_conjugates_experiment_infinite_type(specs, conv3):
     from braidorders import totality_probe
 
     spec = specs["sturmian_3"]
-    probe = totality_probe(spec, BallSpec(3, 3), 8, conv3)
+    probe = totality_probe(NTOrder(spec, conv3), BallSpec(3, 3), 8)
     hs = [w for _, w in probe.records][:3]
     report = converge_conjugates_experiment(
-        spec, None, range(1, len(hs) + 1), BallSpec(3, 3), conv3, conjugators=hs
+        NTOrder(spec, conv3), None, range(1, len(hs) + 1), BallSpec(3, 3), conjugators=hs
     )
     radii = report.radii
     assert radii == tuple(sorted(radii))
     with pytest.raises(MalformedInputError):
-        converge_conjugates_experiment(spec, None, range(1, 3), BallSpec(3, 3), conv3)
+        converge_conjugates_experiment(NTOrder(spec, conv3), None, range(1, 3), BallSpec(3, 3))
 
 
 def test_extensions_experiment_b6(specs):
     report = converge_extensions_experiment(
-        specs["b6_cx"], range(2, 13), BallSpec(6, 3), frozen_convention(6)
+        catalog_order("b6_cx"), range(2, 13), BallSpec(6, 3)
     )
     assert report.radii_nondecreasing
     assert report.all_distinct
@@ -114,13 +114,13 @@ def test_extensions_experiment_b6(specs):
 def test_extensions_experiment_rejects_rank_one(specs, conv3):
     with pytest.raises(MalformedInputError):
         converge_extensions_experiment(
-            specs["dehornoy_3"], range(2, 4), BallSpec(3, 3), conv3
+            NTOrder(specs["dehornoy_3"], conv3), range(2, 4), BallSpec(3, 3)
         )
 
 
 def test_limit_probe_b6(specs):
     report = limit_probe_experiment(
-        specs["b6_cx"], (3, 4), range(1, 13), BallSpec(6, 2), frozen_convention(6)
+        catalog_order("b6_cx"), (3, 4), range(1, 13), BallSpec(6, 2)
     )
     assert report.inconclusive_by_design
     differing = report.differing_probes
@@ -134,7 +134,7 @@ def test_limit_probe_b6(specs):
 
 def test_limit_probe_short_window_inconclusive(specs):
     report = limit_probe_experiment(
-        specs["b6_cx"], (3, 4), range(1, 2), BallSpec(6, 1), frozen_convention(6)
+        catalog_order("b6_cx"), (3, 4), range(1, 2), BallSpec(6, 1)
     )
     assert report.window_too_short
     assert all(not row.stabilized for row in report.rows)

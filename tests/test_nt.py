@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from braidorders import (
     SoulValidationError,
     act_on_geodesic,
     catalog_order,
+    common_prefix_length,
     conrad_witness_search,
     convex_chain_report,
     dehornoy_sign,
@@ -22,12 +24,13 @@ from braidorders import (
     nt_cmp,
     nt_sign,
     parse_geodesic_spec,
+    planar_cmp,
     random_word,
     soul_of,
     totality_probe,
 )
 from braidorders.catalog import search_chain_words
-from braidorders.nt import GeodesicSpec
+from braidorders.nt import GeodesicSpec, NTOrder, acted_ray
 
 
 def test_catalog_contents_and_validation(specs):
@@ -159,14 +162,46 @@ def test_divergence_depth_examples(specs):
     for n in (3, 4, 5):
         spec = specs[f"dehornoy_{n}"]
         conv = frozen_convention(n)
-        full = divergence_depth(BraidWord(n), spec, conv)
+        full = divergence_depth(NTOrder(spec, conv), BraidWord(n))
         assert full.verdict == "equal" and full.depth == len(spec.word.letters)
         # the top generator survives every separation but the last
-        top = divergence_depth(BraidWord(n, (n - 1,)), spec, conv)
+        top = divergence_depth(NTOrder(spec, conv), BraidWord(n, (n - 1,)))
         assert top.depth >= spec.separating_depths[n - 3]
         assert top.depth < spec.separating_depths[n - 2]
-        first = divergence_depth(BraidWord(n, (1,)), spec, conv)
+        first = divergence_depth(NTOrder(spec, conv), BraidWord(n, (1,)))
         assert first.depth < spec.separating_depths[0]
+
+
+def _two_scan_divergence(order, b):
+    # the divergence report as it was first computed: the common prefix
+    # length from one scan, then the verdict from a planar_cmp scan
+    image = acted_ray(b, order.spec, order.convention)
+    depth, decided = common_prefix_length(order.spec.word, image, order.depth_cap)
+    if not decided:
+        return depth, "undecided"
+    verdict = planar_cmp(order.spec.word, image, order.convention, order.depth_cap)
+    return depth, {-1: "less", 0: "equal", 1: "greater"}[verdict]
+
+
+@pytest.mark.parametrize("depth_cap", [512, 16])
+def test_divergence_depth_matches_two_scans(depth_cap):
+    verdicts = set()
+    for name, ball_l in (("dehornoy_4", 4), ("b6_cx", 2), ("sturmian_3", 5), ("mixed_4", 3)):
+        order = catalog_order(name, depth_cap)
+        for w in BallSpec(order.n, ball_l).words():
+            report = divergence_depth(order, w)
+            assert (report.depth, report.verdict) == _two_scan_divergence(order, w), (name, w)
+            verdicts.add(report.verdict)
+    assert verdicts == {"less", "equal", "greater", "undecided"}
+
+
+def test_ray_sign_matches_handle_reduction_on_long_words():
+    rng = random.Random(314)
+    for n, lengths in ((3, (10, 20)), (4, (10, 28)), (6, (10, 28))):
+        order = catalog_order(f"dehornoy_{n}")
+        for _ in range(100):
+            w = random_word(rng, n, rng.randint(*lengths))
+            assert order.sign(w) == dehornoy_sign(w), w
 
 
 def test_convex_membership_table(specs):
@@ -177,45 +212,45 @@ def test_convex_membership_table(specs):
         for i in range(1, n):
             for j in range(1, n):
                 expected = j > i
-                assert in_convex_subgroup(BraidWord(n, (j,)), spec, i, conv) == expected
-                assert in_convex_subgroup(BraidWord(n, (-j,)), spec, i, conv) == expected
+                assert in_convex_subgroup(NTOrder(spec, conv), BraidWord(n, (j,)), i) == expected
+                assert in_convex_subgroup(NTOrder(spec, conv), BraidWord(n, (-j,)), i) == expected
     with pytest.raises(MalformedInputError):
-        in_convex_subgroup(BraidWord(3), specs["dehornoy_3"], 5, frozen_convention(3))
+        in_convex_subgroup(NTOrder(specs["dehornoy_3"], frozen_convention(3)), BraidWord(3), 5)
 
 
 def test_convex_membership_closure(rng, specs, conv4):
     spec = specs["dehornoy_4"]
-    members = [w for w in BallSpec(4, 4).words() if in_convex_subgroup(w, spec, 1, conv4)]
+    members = [w for w in BallSpec(4, 4).words() if in_convex_subgroup(NTOrder(spec, conv4), w, 1)]
     for _ in range(500):
         a, b = rng.choice(members), rng.choice(members)
-        assert in_convex_subgroup(multiply(a, b), spec, 1, conv4)
-        assert in_convex_subgroup(invert(a), spec, 1, conv4)
+        assert in_convex_subgroup(NTOrder(spec, conv4), multiply(a, b), 1)
+        assert in_convex_subgroup(NTOrder(spec, conv4), invert(a), 1)
 
 
 def test_chain_nesting_monotone(specs, conv4):
     spec = specs["dehornoy_4"]
     for w in BallSpec(4, 4).words():
-        member = [in_convex_subgroup(w, spec, i, conv4) for i in (1, 2, 3)]
+        member = [in_convex_subgroup(NTOrder(spec, conv4), w, i) for i in (1, 2, 3)]
         for deep, shallow in ((2, 1), (1, 0)):
             if member[deep]:
                 assert member[shallow]
 
 
 def test_chain_report_patterns(specs, conv4):
-    report = convex_chain_report(specs["dehornoy_4"], BallSpec(4, 4), conv4)
+    report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv4), BallSpec(4, 4))
     assert [lv.generator_pattern for lv in report.levels] == [(2, 3), (3,), ()]
     assert report.total_violations == 0
     # distinct nonempty patterns plus the ambient generators, nested
     assert report.patterns() == [(3,), (2, 3), (1, 2, 3)]
     with pytest.raises(MalformedInputError):
-        convex_chain_report(specs["sturmian_3"], BallSpec(3, 2), frozen_convention(3))
+        convex_chain_report(NTOrder(specs["sturmian_3"], frozen_convention(3)), BallSpec(3, 2))
 
 
 def test_three_b4_classes_distinct(specs, conv4):
     reports = {
         name: tuple(
             lv.generator_pattern
-            for lv in convex_chain_report(specs[name], BallSpec(4, 3), conv4).levels
+            for lv in convex_chain_report(NTOrder(specs[name], conv4), BallSpec(4, 3)).levels
         )
         for name in ("b4_a", "b4_b", "b4_c")
     }
@@ -238,7 +273,7 @@ def test_soul_validation_on_catalog(specs):
     ]:
         spec = specs[name]
         conv = frozen_convention(spec.n)
-        assert soul_of(spec, conv, validate=True) == frozenset(expected)
+        assert soul_of(NTOrder(spec, conv)) == frozenset(expected)
 
 
 def test_soul_validation_mismatch_raises(specs, conv3):
@@ -246,7 +281,7 @@ def test_soul_validation_mismatch_raises(specs, conv3):
         "broken", 3, specs["dehornoy_3"].word, (1, 2), frozenset({1}), "finite"
     )
     with pytest.raises(SoulValidationError):
-        soul_of(broken, conv3, validate=True)
+        soul_of(NTOrder(broken, conv3))
 
 
 def test_conrad_witness_canonical_pairs(specs):
@@ -308,7 +343,7 @@ def test_subword_property_all_catalog_orders(rng, name, cases):
 
 
 def test_totality_probe_sturmian(specs, conv3):
-    report = totality_probe(specs["sturmian_3"], BallSpec(3, 5), 20, conv3)
+    report = totality_probe(NTOrder(specs["sturmian_3"], conv3), BallSpec(3, 5), 20)
     assert not report.degenerate
     assert report.covered
     depths = [d for d, _ in report.records]
@@ -321,7 +356,7 @@ def test_block_streams_have_no_small_stabilizers(specs, name, ball_l):
     # products (the boundary loop, or an aligned x_i x_{i+1})
     spec = specs[name]
     conv = frozen_convention(spec.n)
-    report = totality_probe(spec, BallSpec(spec.n, ball_l), 4, conv)
+    report = totality_probe(NTOrder(spec, conv), BallSpec(spec.n, ball_l), 4)
     assert not report.degenerate, report.tie_words
 
 
@@ -333,14 +368,14 @@ def test_totality_probe_periodic_control(conv3):
         EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))),
         (), frozenset(), "full_infinite",
     )
-    report = totality_probe(control, BallSpec(3, 3), 5, conv3)
+    report = totality_probe(NTOrder(control, conv3), BallSpec(3, 3), 5)
     assert report.degenerate
     assert BraidWord(3, (1,)) in report.tie_words
 
 
 def test_totality_probe_rejects_finite(specs, conv3):
     with pytest.raises(MalformedInputError):
-        totality_probe(specs["dehornoy_3"], BallSpec(3, 2), 5, conv3)
+        totality_probe(NTOrder(specs["dehornoy_3"], conv3), BallSpec(3, 2), 5)
 
 
 def test_spec_file_round_trip(specs):
