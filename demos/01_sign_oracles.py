@@ -10,10 +10,11 @@ single sign; that sign orders the whole group.
 from braidorders import (
     BallSpec,
     BraidWord,
-    dehornoy_cmp,
+    DehornoyOrder,
     dehornoy_sign,
     handle_reduce,
     is_trivial_braid,
+    order_cmp,
 )
 
 SIGN = {-1: "negative", 0: "zero", 1: "positive"}
@@ -37,7 +38,7 @@ print("sign(s1)       =", SIGN[dehornoy_sign(BraidWord(3, (1,)))])
 # Conradian (see demo 04)
 for k in (0, 1, 5, 25, 50):
     w = BraidWord(3, (-2, 1) + (1,) * k)
-    print(f"  (s2^-1 s1) s1^{k:<2} < s1 :", dehornoy_cmp(w, BraidWord(3, (1,))) < 0)
+    print(f"  (s2^-1 s1) s1^{k:<2} < s1 :", order_cmp(DehornoyOrder(3), w, BraidWord(3, (1,))) < 0)
 
 # --- sign census over a ball ---------------------------------------------------
 

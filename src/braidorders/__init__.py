@@ -32,14 +32,12 @@ from .catalog import (
     catalog_order,
     dehornoy_word,
     frozen_convention,
-    generator_death_depths,
     order_for_spec,
     search_chain_words,
 )
 from .dehornoy import (
     DEFAULT_BUDGET,
     HandleFreeWord,
-    dehornoy_cmp,
     dehornoy_sign,
     handle_reduce,
     is_trivial_braid,
@@ -89,7 +87,6 @@ from .nt import (
     divergence_depth,
     format_geodesic_spec,
     in_convex_subgroup,
-    nt_cmp,
     nt_sign,
     parse_geodesic_spec,
     soul_of,

@@ -33,8 +33,8 @@ from .freewords import (
     QuadraticIrrational,
     Sturmian,
 )
-from .nt import GeodesicSpec, NTOrder, braid_image_of_word, nt_sign
-from .planar import DEFAULT_DEPTH_CAP, GermConvention, common_prefix_length
+from .nt import GeodesicSpec, NTOrder, divergence_depth, nt_sign
+from .planar import DEFAULT_DEPTH_CAP, GermConvention
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
 FROZEN_CONVENTION_FLAGS = (True, False, True)
@@ -188,22 +188,10 @@ def calibrate_conventions(n: int, max_length: int, oracle=None) -> CalibrationRe
 # --- the committed chain-word search -------------------------------------------
 
 
-def generator_death_depths(n: int, letters: FreeLetters, mirrored: bool = False) -> dict[int, tuple[int, int]]:
-    """Divergence depth of sigma_j and sigma_j^-1 against a finite word."""
-    word = FreeWord(n, letters)
-
-    def death(s: int) -> int:
-        image = braid_image_of_word(BraidWord(n, (s,)), letters, mirrored)
-        return common_prefix_length(word, FreeWord(n, image))[0]
-
-    return {j: (death(j), death(-j)) for j in range(1, n)}
-
-
 def search_chain_words(
     n: int,
     death_order: Sequence[int],
     lengths: Iterable[int],
-    mirrored: bool = False,
 ) -> list[tuple[FreeLetters, tuple[int, ...]]]:
     """Words whose generators die symmetrically in the requested order.
 
@@ -220,10 +208,15 @@ def search_chain_words(
         for tup in itertools.product(alphabet, repeat=L):
             if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
                 continue
-            deaths = generator_death_depths(n, tup, mirrored)
-            if any(dp != dm for dp, dm in deaths.values()):
+            order = order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup)))
+            deaths = {
+                s: divergence_depth(order, BraidWord(n, (s,))).depth
+                for j in range(1, n)
+                for s in (j, -j)
+            }
+            if any(deaths[j] != deaths[-j] for j in range(1, n)):
                 continue
-            seq = [deaths[j][0] for j in death_order]
+            seq = [deaths[j] for j in death_order]
             if seq != sorted(seq) or len(set(seq)) != len(seq) or seq[-1] >= L:
                 continue
             depths = tuple(seq[1:]) + (L,)

@@ -490,14 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # keep --help at 0, but usage errors are malformed input, not
-        # the reserved "mathematically inconclusive" code
-        return 0 if exc.code in (0, None) else 1
-    try:
+        # the parser reads the depth-cap default from the environment
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # keep --help at 0, but usage errors are malformed input, not
+            # the reserved "mathematically inconclusive" code
+            return 0 if exc.code in (0, None) else 1
         return args.func(args)
     except (
         MalformedInputError,

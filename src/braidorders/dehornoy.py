@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, invert, multiply
+from .braids import BraidWord
 from .errors import BudgetExceededError
 from .freewords import reduce_free
 
@@ -99,15 +99,10 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
     return HandleFreeWord(word, main)
 
 
-def dehornoy_sign(w: BraidWord, budget: int = DEFAULT_BUDGET) -> int:
+def dehornoy_sign(w: BraidWord) -> int:
     """-1, 0 or +1; zero exactly on trivial braids."""
-    return handle_reduce(w, budget).main_sign
+    return handle_reduce(w).main_sign
 
 
-def dehornoy_cmp(a: BraidWord, b: BraidWord, budget: int = DEFAULT_BUDGET) -> int:
-    """-1 when a < b, 0 when equal, +1 when a > b; a < b iff a^-1 b is positive."""
-    return -dehornoy_sign(multiply(invert(a), b), budget)
-
-
-def is_trivial_braid(w: BraidWord, budget: int = DEFAULT_BUDGET) -> bool:
-    return dehornoy_sign(w, budget) == ZERO
+def is_trivial_braid(w: BraidWord) -> bool:
+    return dehornoy_sign(w) == ZERO

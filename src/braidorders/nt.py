@@ -7,7 +7,8 @@ of punctures apart, and the generators of its maximal abelian convex subgroup
 the ray itself by boundary angle; convex subgroup membership is divergence
 depth against the separating depths.  Every image is made by one transport,
 braid_image_of_word: whole for a finite word, a certified prefix at a time
-for a stream.
+for a stream.  Every question about the ordering (a sign, a divergence depth,
+a convex level) reads one transport and one divergence scan, _divergence.
 
 The equivalence of depth membership with the geometric stabilizers is an
 assumption validated on the catalog: membership tables, nesting, closure and
@@ -48,9 +49,7 @@ from .planar import (
     GREATER,
     LESS,
     GermConvention,
-    common_prefix_length,
     divergence,
-    planar_cmp,
 )
 
 TypeTag = Literal["finite", "infinite", "full_infinite"]
@@ -117,6 +116,8 @@ class NTOrder:
     def __post_init__(self):
         if self.convention.n != self.spec.n:
             raise MalformedInputError("convention rank must match the spec strand count")
+        if self.depth_cap < 1:
+            raise MalformedInputError(f"depth cap must be at least 1, got {self.depth_cap}")
 
     @property
     def n(self) -> int:
@@ -124,9 +125,6 @@ class NTOrder:
 
     def sign(self, b: BraidWord) -> int:
         return nt_sign(self, b)
-
-    def cmp(self, a: BraidWord, b: BraidWord) -> int:
-        return nt_cmp(self, a, b)
 
 
 def braid_image_of_word(
@@ -207,20 +205,30 @@ def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention
     return replace(spec, name=name, word=word)
 
 
+def _divergence(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
+    """(common prefix length, verdict) of the ray against its image under b,
+    from one transport and one scan: uncapped for a finite ray, to the depth
+    cap for a stream (verdict None when they agree that far)."""
+    image = acted_ray(b, order.spec, order.convention)
+    return divergence(order.spec.word, image, order.convention, order.depth_cap)
+
+
 def nt_sign(order: NTOrder, b: BraidWord) -> int:
     """-1 / 0 / +1: positive iff the braid moves the ray to a larger angle."""
     if b.n != order.n:
         raise MalformedInputError("strand counts differ")
     if not b.letters:
         return 0
-    image = acted_ray(b, order.spec, order.convention)
-    verdict = planar_cmp(order.spec.word, image, order.convention, order.depth_cap)
+    _, verdict = _divergence(order, b)
+    if verdict is None:
+        raise UndecidedComparisonError(order.depth_cap)
     return -verdict
 
 
-def nt_cmp(order: NTOrder, a: BraidWord, b: BraidWord) -> int:
-    """-1 when a < b, 0 when equal, +1 when a > b, via left invariance."""
-    return -nt_sign(order, multiply(invert(a), b))
+def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
+    """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
+    a > b; a < b iff a^-1 b is positive, by left invariance."""
+    return -oracle.sign(multiply(invert(a), b))
 
 
 @dataclass(frozen=True)
@@ -230,11 +238,14 @@ class DivergenceReport:
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> DivergenceReport:
-    """Longest common prefix of the ray and its image, with the angle verdict."""
-    image = acted_ray(b, order.spec, order.convention)
-    depth, verdict = divergence(order.spec.word, image, order.convention, order.depth_cap)
-    if verdict is None:
-        return DivergenceReport(depth, "undecided")
+    """Longest common prefix of the ray and its image, with the angle verdict.
+
+    A depth at or beyond the order's depth cap, finite rays included, is
+    reported as undecided at the cap.
+    """
+    depth, verdict = _divergence(order, b)
+    if verdict is None or depth >= order.depth_cap:
+        return DivergenceReport(order.depth_cap, "undecided")
     names = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
     return DivergenceReport(depth, names[verdict])
 
@@ -323,14 +334,14 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
         if members:
             lo = hi = members[0]
             for w in members[1:]:
-                if order.cmp(w, lo) == LESS:
+                if order_cmp(order, w, lo) == LESS:
                     lo = w
-                if order.cmp(w, hi) == GREATER:
+                if order_cmp(order, w, hi) == GREATER:
                     hi = w
             for g in outside:
                 checked += 1
                 try:
-                    if order.cmp(lo, g) == LESS and order.cmp(g, hi) == LESS:
+                    if order_cmp(order, lo, g) == LESS and order_cmp(order, g, hi) == LESS:
                         violations += 1
                 except UndecidedComparisonError:
                     undecided += 1
@@ -379,14 +390,15 @@ def conrad_witness_search(
 ) -> ConradWitness:
     """First pair (priority candidates, then ball order) violating the Conrad
     property up to k_max.  Raises SearchFailureError when none exists."""
+    if k_max < 0:
+        raise MalformedInputError(f"k_max must be non-negative, got {k_max}")
 
     def is_witness(f: BraidWord, g: BraidWord) -> bool:
         if order.sign(f) <= 0 or order.sign(g) <= 0:
             return False
         gk = BraidWord(ball.n)
         for _ in range(k_max + 1):
-            # f g^k < g  <=>  (f g^k)^-1 g  positive
-            if order.sign(multiply(invert(multiply(f, gk)), g)) <= 0:
+            if order_cmp(order, multiply(f, gk), g) != LESS:
                 return False
             gk = multiply(gk, g)
         return True
@@ -442,16 +454,14 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
         nonlocal best
         if not w.letters:
             return
-        depth, decided = common_prefix_length(
-            spec.word, acted_ray(w, spec, order.convention), order.depth_cap
-        )
-        if not decided:
+        report = divergence_depth(order, w)
+        if report.verdict == "undecided":
             if tie_eligible:
                 ties.append(w)
             return
-        if depth > best:
-            best = depth
-            records.append((depth, w))
+        if report.depth > best:
+            best = report.depth
+            records.append((report.depth, w))
 
     for w in ball.words():
         consider(w, tie_eligible=True)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
-from .dehornoy import DEFAULT_BUDGET, dehornoy_sign, is_trivial_braid
+from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError
-from .nt import NTOrder, divergence_depth, nt_sign
+from .nt import NTOrder, divergence_depth, nt_sign, order_cmp  # order_cmp: re-exported
 
 
 @runtime_checkable
@@ -26,20 +26,14 @@ class OrderOracle(Protocol):
     def sign(self, b: BraidWord) -> int: ...
 
 
-def order_cmp(oracle: OrderOracle, a: BraidWord, b: BraidWord) -> int:
-    """-1 when a < b under the oracle's ordering, by left invariance."""
-    return -oracle.sign(multiply(invert(a), b))
-
-
 @dataclass(frozen=True)
 class DehornoyOrder:
     """The handle-reduction ordering as an oracle."""
 
     n: int
-    budget: int = DEFAULT_BUDGET
 
     def sign(self, b: BraidWord) -> int:
-        return dehornoy_sign(b, self.budget)
+        return dehornoy_sign(b)
 
 
 @dataclass(frozen=True)
@@ -150,9 +144,7 @@ def zk_sign(spec: ZkOrderSpec, v: Sequence[int]) -> int:
 # --- soul membership ----------------------------------------------------------
 
 
-def zk_membership(
-    b: BraidWord, soul: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...] | None:
+def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
     """Exponent vector of b in <sigma_i : i in soul>, or None when outside.
 
     The permutation must move nothing outside the soul's transposition pairs,
@@ -178,7 +170,7 @@ def zk_membership(
     for i, e in zip(soul_sorted, exponents):
         candidate_letters.extend([i if e > 0 else -i] * abs(e))
     candidate = BraidWord(b.n, tuple(candidate_letters))
-    if not is_trivial_braid(multiply(b, invert(candidate)), budget):
+    if not is_trivial_braid(multiply(b, invert(candidate))):
         return None
     return exponents
 

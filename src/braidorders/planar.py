@@ -98,11 +98,10 @@ def planar_cmp(
     Raises UndecidedComparisonError(depth_cap) when two streams agree beyond
     the cap; two finite words always separate, so the cap never binds them.
     """
-    both_finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
-    d, pu, pv = _diverge(u, v, None if both_finite else depth_cap)
-    if d >= depth_cap and not both_finite:
+    _, verdict = divergence(u, v, conv, depth_cap)
+    if verdict is None:
         raise UndecidedComparisonError(depth_cap)
-    return _verdict(d, pu, pv, conv)
+    return verdict
 
 
 def _verdict(d: int, pu: FreeLetters, pv: FreeLetters, conv: GermConvention) -> int:
@@ -129,11 +128,15 @@ def _verdict(d: int, pu: FreeLetters, pv: FreeLetters, conv: GermConvention) -> 
 def divergence(
     u: Ray, v: Ray, conv: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> tuple[int, int | None]:
-    """(common prefix length, verdict) from one scan; the verdict is that of
-    planar_cmp, or None when the rays agree to the cap (finite words too,
-    as in common_prefix_length), and the length is then the cap."""
-    d, pu, pv = _diverge(u, v, depth_cap)
-    if d >= depth_cap:
+    """(common prefix length, verdict) from one scan.
+
+    Two finite words always separate, so their scan is uncapped.  A scan
+    with a stream stops at the cap; the verdict is then None and the length
+    the cap.
+    """
+    both_finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
+    d, pu, pv = _diverge(u, v, None if both_finite else depth_cap)
+    if d >= depth_cap and not both_finite:
         return depth_cap, None
     return d, _verdict(d, pu, pv, conv)
 

@@ -50,6 +50,14 @@ def test_malformed_input_exit_code(capsys):
     assert code == 1
     code, _, _ = run(capsys, "--help")
     assert code == 0
+    # a search with nothing to check, and depth caps below 1
+    for argv in (
+        ("conrad", "--n", "3", "--order", "dehornoy", "--k-max", "-3", "--ball-length", "1"),
+        ("sign", "--n", "3", "--order", "nt:sturmian_3", "--depth-cap", "-5", "1"),
+        ("chain", "--n", "4", "--order", "nt:dehornoy_4", "--ball-length", "1", "--depth-cap", "-2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "error:" in err
 
 
 def test_undecided_exit_code(capsys):
@@ -179,6 +187,14 @@ def test_depth_cap_env_default(monkeypatch):
     monkeypatch.setenv("BRAIDORDERS_DEPTH_CAP", "64")
     args = build_parser().parse_args(["sign", "--n", "3", "--order", "dehornoy", "1"])
     assert args.depth_cap == 64
+
+
+def test_depth_cap_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("BRAIDORDERS_DEPTH_CAP", "abc")
+    for argv in (("catalog",), ("sign", "--n", "3", "--order", "dehornoy", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "BRAIDORDERS_DEPTH_CAP" in err
 
 
 def test_degenerate_probe_exits_inconclusive(tmp_path, capsys):
