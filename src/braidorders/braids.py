@@ -47,21 +47,6 @@ class BraidWord:
     def __invert__(self) -> "BraidWord":
         return invert(self)
 
-    def __pow__(self, e: int) -> "BraidWord":
-        if e < 0:
-            return invert(self) ** (-e)
-        out = BraidWord(self.n)
-        for _ in range(e):
-            out = multiply(out, self)
-        return out
-
-    def is_identity_word(self) -> bool:
-        return not self.letters
-
-    def is_positive_word(self) -> bool:
-        """True when every letter is a positive generator (no inverses)."""
-        return all(k > 0 for k in self.letters)
-
     def __str__(self) -> str:
         return format_braid(self)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .braids import BallSpec, BraidWord
 from .dehornoy import dehornoy_sign
@@ -68,16 +68,13 @@ def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: Fre
     The blocks follow the letters of the Sturmian word of STURMIAN_SLOPE:
     block_a for a 1, block_b for a 2."""
     choices = Sturmian(2, STURMIAN_SLOPE, 1, 2)
-    shortest = min(len(block_a), len(block_b))
 
-    def supplier(length: int) -> FreeLetters:
-        count = -(-max(0, length - len(head)) // shortest)
-        out = list(head)
-        for k in choices.prefix(count):
-            out.extend(block_a if k == 1 else block_b)
-        return tuple(out[:length])
+    def letters() -> Iterator[int]:
+        yield from head
+        for k in choices:
+            yield from block_a if k == 1 else block_b
 
-    return Custom(n, supplier, label=label)
+    return Custom(n, letters, label=label)
 
 
 def _sturmian_spec(n: int) -> GeodesicSpec:

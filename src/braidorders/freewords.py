@@ -7,18 +7,20 @@ reduced.  Infinite words come in three flavours:
 * eventually periodic:  head . period . period . ...
 * Sturmian over two positive letters, cut by an exact quadratic irrational
   slope (all arithmetic in integers, no floats anywhere);
-* custom: any coherent prefix supplier (longer requests extend shorter ones).
+* custom: a function that returns a fresh iterator over the letters.
 
-Infinite words over positive letters are reduced for free.  Custom suppliers
-are trusted: neither coherence nor free reduction is checked, only that each
-answer is at least as long as the request.
+Every word is iterable over its letters, and that iteration is the one way a
+ray is read.  Infinite words over positive letters are reduced for free.
+Custom letter functions are trusted: free reduction is not checked, only that
+the letters do not run out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, cycle, islice
 from math import isqrt
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import MalformedInputError
 
@@ -70,6 +72,9 @@ class FreeWord:
     def __len__(self) -> int:
         return len(self.letters)
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.n != other.n:
             raise MalformedInputError("ranks differ")
@@ -77,9 +82,6 @@ class FreeWord:
 
     def __invert__(self) -> "FreeWord":
         return FreeWord(self.n, tuple(-k for k in reversed(self.letters)))
-
-    def prefix(self, length: int) -> FreeLetters:
-        return self.letters[:length]
 
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters)
@@ -161,11 +163,8 @@ class EventuallyPeriodic:
     def n(self) -> int:
         return self.period.n
 
-    def prefix(self, length: int) -> FreeLetters:
-        out = list(self.head.letters)
-        while len(out) < length:
-            out.extend(self.period.letters)
-        return tuple(out[:length])
+    def __iter__(self) -> Iterator[int]:
+        return chain(self.head.letters, cycle(self.period.letters))
 
 
 @dataclass(frozen=True)
@@ -189,31 +188,26 @@ class Sturmian:
         if max(self.letter_a, self.letter_b) > self.n:
             raise MalformedInputError("Sturmian letters out of range")
 
-    def prefix(self, length: int) -> FreeLetters:
-        out = []
+    def __iter__(self) -> Iterator[int]:
         prev = 0
-        for k in range(length):
-            cur = self.slope.floor_times(k + 1)
-            out.append(self.letter_b if cur - prev == 1 else self.letter_a)
+        for k in count(1):
+            cur = self.slope.floor_times(k)
+            yield self.letter_b if cur - prev == 1 else self.letter_a
             prev = cur
-        return tuple(out)
 
 
 @dataclass(frozen=True)
 class Custom:
-    """An arbitrary coherent prefix supplier: supplier(m) extends supplier(k) for k <= m."""
+    """An infinite word given by a function that returns a fresh iterator
+    over its letters; each call starts again from the first letter."""
 
     n: int
-    supplier: Callable[[int], FreeLetters]
+    letters: Callable[[], Iterable[int]]
     label: str = "custom"
 
-    def prefix(self, length: int) -> FreeLetters:
-        out = self.supplier(length)
-        if len(out) < length:
-            raise MalformedInputError(
-                f"custom supplier returned {len(out)} letters for request {length}"
-            )
-        return tuple(out[:length])
+    def __iter__(self) -> Iterator[int]:
+        yield from self.letters()
+        raise MalformedInputError(f"custom stream {self.label!r} ran out of letters")
 
 
 InfiniteWord = Union[EventuallyPeriodic, Sturmian, Custom]
@@ -226,9 +220,7 @@ def is_infinite(word: Ray) -> bool:
 
 def ray_prefix(word: Ray, length: int) -> FreeLetters:
     """First ``length`` letters, or the whole word if finite and shorter."""
-    if isinstance(word, FreeWord):
-        return word.letters[:length]
-    return word.prefix(length)
+    return tuple(islice(word, length))
 
 
 def parse_infinite_word(text: str, n: int) -> InfiniteWord:

@@ -7,8 +7,9 @@ of punctures apart, and the generators of its maximal abelian convex subgroup
 the ray itself by boundary angle; convex subgroup membership is divergence
 depth against the separating depths.  Every image is made by one transport,
 braid_image_of_word: whole for a finite word, a certified prefix at a time
-for a stream.  Every question about the ordering (a sign, a divergence depth,
-a convex level) reads one transport and one divergence scan, _divergence.
+for a stream, whose letters the scan reads as it needs them.  Every question
+about the ordering (a sign, a divergence depth, a convex level) reads one
+transport and one divergence scan, _divergence.
 
 The equivalence of depth membership with the geometric stabilizers is an
 assumption validated on the catalog: membership tables, nesting, closure and
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .artin import SINGLE_LETTER_BOUND, letter_images
 from .braids import BallSpec, BraidWord, invert, multiply, sigma
@@ -158,34 +159,30 @@ GROWTH_PATIENCE = 10
 
 
 def _stream_image(b: BraidWord, word: InfiniteWord, mirrored: bool) -> Custom:
-    """The image of a stream as a lazy, memoised prefix supplier.
+    """The image of a stream, as a stream whose letters are certified on demand.
 
-    A request for ``length`` letters transports an input prefix of
-    length // 4 + SINGLE_LETTER_BOUND * |b| + 8 letters, or twice the last
-    prefix tried if that is more, and doubles it until the certified image
-    covers the request.  Certified images are prefixes of the one true
-    image, so every answer extends the shorter ones.
+    Each reading transports an input prefix of SINGLE_LETTER_BOUND * |b| + 16
+    letters, then doubles it whenever the letters certified so far are used
+    up, and yields each newly certified letter once.  Certified images are
+    prefixes of the one true image, so each one extends the letters already
+    yielded.
     """
-    image: FreeLetters = ()
-    taken = 0
 
-    def supplier(length: int) -> FreeLetters:
-        nonlocal image, taken
-        stalls = 0
-        while len(image) < length:
-            taken = max(2 * taken, length // 4 + SINGLE_LETTER_BOUND * len(b.letters) + 8)
+    def letters() -> Iterator[int]:
+        taken = SINGLE_LETTER_BOUND * len(b.letters) + 16
+        done = stalls = 0
+        while True:
             certified = braid_image_of_word(b, ray_prefix(word, taken), mirrored, complete=False)
-            if len(certified) > len(image):
-                image, stalls = certified, 0
-                continue
-            stalls += 1
-            if stalls >= GROWTH_PATIENCE:
-                raise StreamGrowthError(
-                    f"certified image length stalled at {len(image)} (target {length})"
-                )
-        return image[:length]
+            if len(certified) > done:
+                yield from certified[done:]
+                done, stalls = len(certified), 0
+            else:
+                stalls += 1
+                if stalls >= GROWTH_PATIENCE:
+                    raise StreamGrowthError(f"certified image length stalled at {done}")
+            taken *= 2
 
-    return Custom(b.n, supplier, label="image")
+    return Custom(b.n, letters, label="image")
 
 
 def acted_ray(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> Ray:
@@ -446,6 +443,8 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
     spec = order.spec
     if not is_infinite(spec.word):
         raise MalformedInputError(f"{spec.name}: totality probe needs an infinite-type spec")
+    if depth_target < 0:
+        raise MalformedInputError(f"depth target must be non-negative, got {depth_target}")
     ties: list[BraidWord] = []
     records: list[tuple[int, BraidWord]] = []
     best = -1

@@ -33,6 +33,8 @@ class DehornoyOrder:
     n: int
 
     def sign(self, b: BraidWord) -> int:
+        if b.n != self.n:
+            raise MalformedInputError("strand counts differ")
         return dehornoy_sign(b)
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, zip_longest
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import UndecidedComparisonError
-from .freewords import FreeLetters, FreeWord, Ray, ray_prefix
+from .freewords import FreeWord, Ray
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -58,33 +59,23 @@ class GermConvention:
         return MappingProxyType({g: p for p, g in enumerate(self.cycle())})
 
 
-def _settled(word: Ray, probe: FreeLetters, d: int) -> bool:
-    """The probe shows what the word does after its first d letters."""
-    return len(probe) > d or (isinstance(word, FreeWord) and len(word.letters) <= d)
+def _diverge(u: Ray, v: Ray, depth_cap: int | None) -> tuple[int, int, int, int]:
+    """(d, gu, gv, arrival): the length d of the longest common prefix of two
+    rays, the germ each takes next (TERMINAL where a finite word ends) and
+    the germ both arrived by (TERMINAL at the basepoint).
 
-
-def _diverge(u: Ray, v: Ray, depth_cap: int | None) -> tuple[int, FreeLetters, FreeLetters]:
-    """(d, pu, pv): the length d of the longest common prefix of two rays,
-    with probes that show each ray's next letter after d, or its end.
-
-    The probe window starts at 32 letters and doubles; with a depth cap it
-    stops at cap + 1 letters, and d may then reach the cap unsettled.
+    One forward scan over the letters of both rays: it stops at the first
+    differing germ, at the end of both words (gu == gv == TERMINAL), or after
+    depth_cap common letters, reading no letter past the cap.
     """
-    window = 32
-    while True:
-        pu = ray_prefix(u, window)
-        pv = ray_prefix(v, window)
-        limit = min(len(pu), len(pv))
-        d = 0
-        while d < limit and pu[d] == pv[d]:
-            d += 1
-        if depth_cap is not None and d >= depth_cap:
-            return d, pu, pv
-        if _settled(u, pu, d) and _settled(v, pv, d):
-            return d, pu, pv
-        window *= 2
-        if depth_cap is not None:
-            window = min(window, depth_cap + 1)
+    d = 0
+    arrival = TERMINAL
+    for gu, gv in islice(zip_longest(u, v, fillvalue=TERMINAL), depth_cap):
+        if gu != gv:
+            return d, gu, gv, arrival
+        d += 1
+        arrival = -gu
+    return d, TERMINAL, TERMINAL, arrival
 
 
 def planar_cmp(
@@ -104,24 +95,19 @@ def planar_cmp(
     return verdict
 
 
-def _verdict(d: int, pu: FreeLetters, pv: FreeLetters, conv: GermConvention) -> int:
-    """The angle verdict from the probes of a settled divergence at d."""
-    gu = pu[d] if d < len(pu) else TERMINAL
-    gv = pv[d] if d < len(pv) else TERMINAL
+def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
+    """The angle verdict of a settled divergence: the next germs of the two
+    rays in the cyclic order cut at the arrival germ."""
     if gu == gv == TERMINAL:
         return EQUAL
     assert gu != gv, "divergence scan stopped on equal letters"
+    # at the basepoint the arrival is TERMINAL, at position 0: the cycle is
+    # then cut at the boundary west germ, just before it, and positions read
+    # as listed
     pos = conv.positions
-    if d == 0:
-        # at the basepoint the cycle is cut at the boundary west germ,
-        # which sits just before TERMINAL: positions read as listed
-        pu_pos, pv_pos = pos[gu], pos[gv]
-    else:
-        size = len(pos)
-        a = pos[-pu[d - 1]]  # the arrival germ
-        pu_pos = (pos[gu] - a) % size
-        pv_pos = (pos[gv] - a) % size
-    verdict = LESS if pu_pos < pv_pos else GREATER
+    size = len(pos)
+    a = pos[arrival]
+    verdict = LESS if (pos[gu] - a) % size < (pos[gv] - a) % size else GREATER
     return -verdict if conv.angle_flipped else verdict
 
 
@@ -135,10 +121,10 @@ def divergence(
     the cap.
     """
     both_finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
-    d, pu, pv = _diverge(u, v, None if both_finite else depth_cap)
+    d, gu, gv, arrival = _diverge(u, v, None if both_finite else depth_cap)
     if d >= depth_cap and not both_finite:
         return depth_cap, None
-    return d, _verdict(d, pu, pv, conv)
+    return d, _verdict(gu, gv, arrival, conv)
 
 
 def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, bool]:
@@ -146,7 +132,7 @@ def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> 
 
     decided is False when the words agree all the way to the cap.
     """
-    d, _, _ = _diverge(u, v, depth_cap)
+    d, _, _, _ = _diverge(u, v, depth_cap)
     if d >= depth_cap:
         return depth_cap, False
     return d, True

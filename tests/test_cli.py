@@ -50,9 +50,13 @@ def test_malformed_input_exit_code(capsys):
     assert code == 1
     code, _, _ = run(capsys, "--help")
     assert code == 0
-    # a search with nothing to check, and depth caps below 1
+    # a search with nothing to check, a depth target below 0, and depth caps below 1
     for argv in (
         ("conrad", "--n", "3", "--order", "dehornoy", "--k-max", "-3", "--ball-length", "1"),
+        (
+            "probe", "--kind", "totality", "--n", "3", "--order", "nt:sturmian_3",
+            "--ball-length", "2", "--depth-target", "-4",
+        ),
         ("sign", "--n", "3", "--order", "nt:sturmian_3", "--depth-cap", "-5", "1"),
         ("chain", "--n", "4", "--order", "nt:dehornoy_4", "--ball-length", "1", "--depth-cap", "-2"),
     ):

@@ -252,3 +252,10 @@ def test_order_cmp_antisymmetry(rng):
         a = random_word(rng, 4, rng.randrange(0, 5))
         b = random_word(rng, 4, rng.randrange(0, 5))
         assert order_cmp(oracle, a, b) == -order_cmp(oracle, b, a)
+
+
+def test_sign_oracles_reject_other_strand_counts():
+    word = BraidWord(5, (4,))
+    for oracle in (DehornoyOrder(3), catalog_order("dehornoy_3")):
+        with pytest.raises(MalformedInputError, match="strand counts differ"):
+            oracle.sign(word)

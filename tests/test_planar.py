@@ -20,6 +20,7 @@ from braidorders import (
     random_word,
 )
 from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
+from braidorders.freewords import ray_prefix
 
 from test_freewords import random_free_word
 
@@ -116,7 +117,7 @@ def test_streams_agreeing_beyond_cap_raise(conv3):
 
 def test_stream_vs_finite_decided(conv3):
     st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
-    head = FreeWord(3, st.prefix(5))
+    head = FreeWord(3, ray_prefix(st, 5))
     assert planar_cmp(head, st, conv3) != 0
 
 
