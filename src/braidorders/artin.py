@@ -7,8 +7,9 @@ Each generator acts by the substitution
 
 with all other generators fixed (a "mirrored" convention swaps the two rules).
 ``letter_images`` holds that substitution as a fixed table over every signed
-letter; the ray orders transport a word through it one braid letter at a
-time (``nt.braid_image_of_word``).
+letter.  The ray orders transport a ray through one such table per braid
+letter, in lazy stages that pass each image letter on as soon as no later
+letter can cancel it (``nt._image_letters``).
 
 Whole maps (``ArtinMap``) are the reference the property tests check the
 transport against.  They compose so that the action is a left action: for
@@ -29,7 +30,8 @@ from .freewords import FreeLetters, FreeWord, substitute
 # Bounded cancellation (Cooper 1987) for one braid letter: where the images
 # of u and v meet, for a freely reduced product u v, at most this many
 # letters cancel on each side.  Checked exhaustively on short junctions by
-# the tests; it is what lets a prefix of a stream be transported.
+# the tests.  A transport stage holds back this many letters and passes on
+# the rest, which no later letter of the ray can cancel.
 SINGLE_LETTER_BOUND = 3
 
 

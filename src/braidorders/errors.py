@@ -27,7 +27,8 @@ class UndecidedComparisonError(RuntimeError):
 
 
 class StreamGrowthError(RuntimeError):
-    """The certified image prefix of a stream stopped growing (degenerate stream)."""
+    """A stream's transport read (3 |b| + 16) 2^10 letters in a row without
+    passing on an image letter under the braid b (a degenerate stream)."""
 
 
 class CalibrationError(RuntimeError):

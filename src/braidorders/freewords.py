@@ -11,14 +11,16 @@ reduced.  Infinite words come in three flavours:
 
 Every word is iterable over its letters, and that iteration is the one way a
 ray is read.  Infinite words over positive letters are reduced for free.
-Custom letter functions are trusted: free reduction is not checked, only that
-the letters do not run out.
+Custom letter functions are trusted: here only that the letters do not run
+out is checked.  The braid transport rejects a letter that cancels one it has
+already passed on (nt._image_letters); letters that cancel within the few it
+still holds back pass unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, cycle, islice
+from itertools import chain, count, cycle
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -216,11 +218,6 @@ Ray = Union[FreeWord, EventuallyPeriodic, Sturmian, Custom]
 
 def is_infinite(word: Ray) -> bool:
     return not isinstance(word, FreeWord)
-
-
-def ray_prefix(word: Ray, length: int) -> FreeLetters:
-    """First ``length`` letters, or the whole word if finite and shorter."""
-    return tuple(islice(word, length))
 
 
 def parse_infinite_word(text: str, n: int) -> InfiniteWord:

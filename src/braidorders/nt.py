@@ -5,11 +5,14 @@ separating structure: the prefix depths at which the ray has cut one more pair
 of punctures apart, and the generators of its maximal abelian convex subgroup
 (the soul).  The induced ordering compares a braid's image of the ray against
 the ray itself by boundary angle; convex subgroup membership is divergence
-depth against the separating depths.  Every image is made by one transport,
-braid_image_of_word: whole for a finite word, a certified prefix at a time
-for a stream, whose letters the scan reads as it needs them.  Every question
-about the ordering (a sign, a divergence depth, a convex level) reads one
-transport and one divergence scan, _divergence.
+depth against the separating depths.  Every image is made by one lazy
+transport, _image_letters: one stage per braid letter, each holding back only
+the few letters that bounded cancellation may still remove, so the scan pulls
+image letters as it needs them and a sign costs memory linear in the braid
+length, finite ray or stream alike.  Every question about the ordering (a
+sign, a divergence depth, a convex level) reads one transport and one
+divergence scan, _divergence; the scan of a finite ray is uncapped, that of a
+stream stops at the order's depth cap.
 
 The equivalence of depth membership with the geometric stabilizers is an
 assumption validated on the catalog: membership tables, nesting, closure and
@@ -35,14 +38,11 @@ from .freewords import (
     Custom,
     FreeLetters,
     FreeWord,
-    InfiniteWord,
     Ray,
     format_infinite_word,
     is_infinite,
     parse_free_word,
     parse_infinite_word,
-    ray_prefix,
-    substitute,
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
@@ -128,76 +128,92 @@ class NTOrder:
         return nt_sign(self, b)
 
 
-def braid_image_of_word(
-    b: BraidWord, letters: FreeLetters, mirrored: bool, complete: bool = True
-) -> FreeLetters:
-    """Image of a free word under the braid, folded right to left.
+def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
+    """The image of a ray under the braid, letter by letter, read lazily.
 
-    The last braid letter acts first, each through its letter_images table;
-    the result equals apply_map(artin_map_of(b, mirrored), .) on the word.
+    One stage per braid letter, the last braid letter acting first: a stage
+    freely reduces the images of the letters it receives through its
+    letter_images table.  By bounded cancellation, where the images of a
+    reduced prefix and of the rest of the word meet under one braid letter,
+    at most SINGLE_LETTER_BOUND letters cancel, so a stage passes a letter on
+    to the next stage once more than SINGLE_LETTER_BOUND letters are held
+    behind it.  When a finite ray ends, the stages flush from the first to
+    the last.  The stages live in one loop with a stage pointer: the highest
+    stage that can pass a letter on does so, and the ray is read only when
+    none can.  No stage holds more than 2 SINGLE_LETTER_BOUND letters.
 
-    With complete=False the letters are only a prefix of a longer reduced
-    word (a stream), and the result is a certified prefix of that word's
-    image.  By bounded cancellation, where the images of the prefix and of
-    the rest meet under one braid letter, at most SINGLE_LETTER_BOUND letters
-    cancel: all but the last SINGLE_LETTER_BOUND letters of the reduced image
-    of the prefix are letters of the image of the whole word.  Dropping them
-    after every stage keeps each stage a prefix of the stream's image under
-    the letters applied so far, which is again a reduced word, so the
-    argument repeats letter by letter.
+    A stage that would cancel a letter it has already passed on raises
+    MalformedInputError: the ray was not freely reduced.  A stream raises
+    StreamGrowthError after (3 |b| + 16) 2^10 letters without an image letter.
     """
-    for letter in reversed(b.letters):
-        letters = substitute(letters, letter_images(b.n, letter, mirrored))
-        if not complete:
-            letters = letters[: len(letters) - SINGLE_LETTER_BOUND]
-    return letters
+    tables = [letter_images(b.n, letter, mirrored) for letter in reversed(b.letters)]
+    top = len(tables)
+    patience = None if isinstance(ray, FreeWord) else (SINGLE_LETTER_BOUND * top + 16) << 10
+    # stage s: the letter it passed on last (0 before the first), then the
+    # letters it holds back; it passes one on once its length exceeds limits[s]
+    stages = [[0] for _ in tables]
+    full = SINGLE_LETTER_BOUND + 1
+    limits = [full] * top
+    letters = iter(ray)
+    flushing = -1  # once the ray has ended: the lowest stage not yet drained
+    idle = 0
+    s = top - 1
+    while True:
+        while s >= 0 and len(stages[s]) <= limits[s]:
+            s -= 1
+        if s >= 0:
+            del stages[s][0]
+            letter = stages[s][0]
+        elif flushing < 0 and (letter := next(letters, None)) is not None:
+            idle += 1
+            if patience is not None and idle > patience:
+                raise StreamGrowthError(f"no image letter after {idle} stream letters")
+        else:  # the ray has just ended, or stage `flushing` is drained
+            flushing += 1
+            if flushing == top:
+                return
+            s = flushing
+            limits[s] = 1
+            continue
+        s += 1
+        while s < top:
+            stage = stages[s]
+            for m in tables[s][letter]:
+                if stage[-1] == -m:
+                    stage.pop()
+                    if not stage:
+                        raise MalformedInputError("the transported ray is not freely reduced")
+                else:
+                    stage.append(m)
+            if len(stage) <= full:
+                break
+            del stage[0]
+            letter = stage[0]
+            s += 1
+        else:
+            idle = 0
+            yield letter
+            s = top - 1
 
 
-# Doublings of the input prefix without any growth of the certified image
-# before a stream transport gives up.
-GROWTH_PATIENCE = 10
-
-
-def _stream_image(b: BraidWord, word: InfiniteWord, mirrored: bool) -> Custom:
-    """The image of a stream, as a stream whose letters are certified on demand.
-
-    Each reading transports an input prefix of SINGLE_LETTER_BOUND * |b| + 16
-    letters, then doubles it whenever the letters certified so far are used
-    up, and yields each newly certified letter once.  Certified images are
-    prefixes of the one true image, so each one extends the letters already
-    yielded.
-    """
-
-    def letters() -> Iterator[int]:
-        taken = SINGLE_LETTER_BOUND * len(b.letters) + 16
-        done = stalls = 0
-        while True:
-            certified = braid_image_of_word(b, ray_prefix(word, taken), mirrored, complete=False)
-            if len(certified) > done:
-                yield from certified[done:]
-                done, stalls = len(certified), 0
-            else:
-                stalls += 1
-                if stalls >= GROWTH_PATIENCE:
-                    raise StreamGrowthError(f"certified image length stalled at {done}")
-            taken *= 2
-
-    return Custom(b.n, letters, label="image")
-
-
-def acted_ray(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> Ray:
-    """The image of the spec's ray under the braid."""
-    mirrored = convention.artin_mirrored
-    if isinstance(spec.word, FreeWord):
-        return FreeWord(spec.n, braid_image_of_word(b, spec.word.letters, mirrored))
-    return _stream_image(b, spec.word, mirrored)
+def braid_image_of_word(b: BraidWord, letters: FreeLetters, mirrored: bool) -> FreeLetters:
+    """The whole image of a finite word under the braid, the lazy transport
+    drained; it equals apply_map(artin_map_of(b, mirrored), .) on the word."""
+    return tuple(_image_letters(b, FreeWord(b.n, letters), mirrored))
 
 
 def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
-    """The spec for the image ray; only the name is recomputed."""
+    """The spec for the image ray: a finite word whole, a stream as a stream
+    whose letters are transported as they are read.  Only the name is
+    recomputed."""
     if b.n != spec.n:
         raise MalformedInputError("strand counts differ")
-    word = acted_ray(b, spec, convention)
+
+    def image() -> Iterator[int]:
+        return _image_letters(b, spec.word, convention.artin_mirrored)
+
+    finite = isinstance(spec.word, FreeWord)
+    word = FreeWord(spec.n, tuple(image())) if finite else Custom(b.n, image, label="image")
     name = f"({b}).{spec.name}" if b.letters else spec.name
     return replace(spec, name=name, word=word)
 
@@ -206,8 +222,10 @@ def _divergence(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     """(common prefix length, verdict) of the ray against its image under b,
     from one transport and one scan: uncapped for a finite ray, to the depth
     cap for a stream (verdict None when they agree that far)."""
-    image = acted_ray(b, order.spec, order.convention)
-    return divergence(order.spec.word, image, order.convention, order.depth_cap)
+    word = order.spec.word
+    image = _image_letters(b, word, order.convention.artin_mirrored)
+    cap = None if isinstance(word, FreeWord) else order.depth_cap
+    return divergence(word, image, order.convention, cap)
 
 
 def nt_sign(order: NTOrder, b: BraidWord) -> int:

@@ -112,17 +112,18 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
 
 
 def divergence(
-    u: Ray, v: Ray, conv: GermConvention, depth_cap: int = DEFAULT_DEPTH_CAP
+    u: Ray, v: Ray, conv: GermConvention, depth_cap: int | None = DEFAULT_DEPTH_CAP
 ) -> tuple[int, int | None]:
     """(common prefix length, verdict) from one scan.
 
-    Two finite words always separate, so their scan is uncapped.  A scan
-    with a stream stops at the cap; the verdict is then None and the length
-    the cap.
+    The scan stops after depth_cap common letters (never for a cap of None);
+    the verdict is then None and the length the cap.  Two finite words
+    always separate, so their scan is uncapped.
     """
-    both_finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
-    d, gu, gv, arrival = _diverge(u, v, None if both_finite else depth_cap)
-    if d >= depth_cap and not both_finite:
+    if isinstance(u, FreeWord) and isinstance(v, FreeWord):
+        depth_cap = None
+    d, gu, gv, arrival = _diverge(u, v, depth_cap)
+    if depth_cap is not None and d >= depth_cap:
         return depth_cap, None
     return d, _verdict(gu, gv, arrival, conv)
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -28,8 +30,13 @@ from braidorders import (
     parse_infinite_word,
     random_word,
 )
-from braidorders.freewords import format_infinite_word, ray_prefix
+from braidorders.freewords import format_infinite_word
 from braidorders.nt import GeodesicSpec, braid_image_of_word
+
+
+def ray_prefix(word, length):
+    """The first ``length`` letters of a ray, or the whole word if shorter."""
+    return tuple(islice(word, length))
 
 
 def random_free_word(rng, n, length):
@@ -191,8 +198,14 @@ def test_stream_prefix_image_coherence(rng):
                 for length, prefix in prefixes.items():
                     assert len(prefix) == length
                     assert prefix == prefixes[80][:length] == reference[:length]
-                certified = braid_image_of_word(b, long_input.letters, mirrored, complete=False)
-                assert certified == reference[: len(certified)]
+                # the stream made of the input prefix alone: every letter the
+                # lazy transport passes on before that prefix runs out is a
+                # letter of the image of any reduced word extending it
+                cut = Custom(n, lambda: iter(long_input.letters), label="prefix")
+                certified = []
+                with pytest.raises(MalformedInputError, match="ran out"):
+                    certified.extend(act_on_geodesic(b, replace(spec, word=cut), conv).word)
+                assert tuple(certified) == reference[: len(certified)]
                 assert len(certified) >= 80
     # the identity braid on (x1 x2)^omega
     image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", 3, streams[0]), GermConvention(3)).word
@@ -213,3 +226,14 @@ def test_growth_failure_on_degenerate_stream():
     order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3))
     with pytest.raises(StreamGrowthError):
         nt_sign(order, BraidWord(3, (1,)))
+
+
+def test_non_reduced_stream_rejected():
+    # x1^8 x1^-8 (x1 x2)^omega: sigma_2 fixes x1, so the transport passes on
+    # x1 letters that the x1^-1 letters would have to cancel
+    stream = Custom(
+        3, lambda: itertools.chain((1,) * 8, (-1,) * 8, itertools.cycle((1, 2))), label="unreduced"
+    )
+    order = NTOrder(GeodesicSpec("unreduced", 3, stream), GermConvention(3))
+    with pytest.raises(MalformedInputError, match="not freely reduced"):
+        nt_sign(order, BraidWord(3, (2,)))

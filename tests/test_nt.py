@@ -30,7 +30,7 @@ from braidorders import (
     totality_probe,
 )
 from braidorders.catalog import search_chain_words
-from braidorders.nt import GeodesicSpec, NTOrder, acted_ray
+from braidorders.nt import GeodesicSpec, NTOrder
 
 
 def test_catalog_contents_and_validation(specs):
@@ -175,7 +175,7 @@ def test_divergence_depth_examples(specs):
 def _two_scan_divergence(order, b):
     # the divergence report as it was first computed: the common prefix
     # length from one scan, then the verdict from a planar_cmp scan
-    image = acted_ray(b, order.spec, order.convention)
+    image = act_on_geodesic(b, order.spec, order.convention).word
     depth, decided = common_prefix_length(order.spec.word, image, order.depth_cap)
     if not decided:
         return depth, "undecided"

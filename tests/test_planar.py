@@ -20,9 +20,8 @@ from braidorders import (
     random_word,
 )
 from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
-from braidorders.freewords import ray_prefix
 
-from test_freewords import random_free_word
+from test_freewords import random_free_word, ray_prefix
 
 
 def test_germ_cycle_contents():

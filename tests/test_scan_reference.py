@@ -4,7 +4,9 @@ The reference below is the earlier implementation, kept as it was: every
 ray answered length requests through a prefix formula (or a prefix
 supplier), and the divergence scan read a 32-letter window of each ray,
 doubling it until both rays showed their next letter after the common
-prefix.  The library now reads each ray as an iterator over its letters in
+prefix.  The reference twin of a stream's image is made by the earlier
+stream transport, which folded a whole input prefix and cut the letters
+bounded cancellation leaves uncertain.  The library now reads each ray as an iterator over its letters in
 one forward scan; on every pair below both must give the same common prefix
 length and the same verdict.
 """
@@ -26,13 +28,13 @@ from braidorders import (
     frozen_convention,
     random_word,
 )
-from braidorders.artin import SINGLE_LETTER_BOUND
+from braidorders.artin import SINGLE_LETTER_BOUND, letter_images
 from braidorders.catalog import STURMIAN_SLOPE
-from braidorders.freewords import Custom, ray_prefix
-from braidorders.nt import GeodesicSpec, braid_image_of_word
+from braidorders.freewords import Custom, substitute
+from braidorders.nt import GeodesicSpec
 from braidorders.planar import EQUAL, GREATER, LESS, TERMINAL, divergence
 
-from test_freewords import random_free_word
+from test_freewords import random_free_word, ray_prefix
 
 # --- reference: prefix formulas and the windowed scan ------------------------
 
@@ -83,6 +85,16 @@ def ref_blocks(n, head, block_a, block_b):
     return RefSupplier(n, supplier)
 
 
+def ref_certified_image(b, letters, mirrored):
+    """The earlier stream transport: the input prefix folded whole through
+    each braid letter, right to left, dropping the last SINGLE_LETTER_BOUND
+    letters after every stage."""
+    for letter in reversed(b.letters):
+        letters = substitute(letters, letter_images(b.n, letter, mirrored))
+        letters = letters[: len(letters) - SINGLE_LETTER_BOUND]
+    return letters
+
+
 def ref_image(b, word, mirrored):
     image = ()
     taken = 0
@@ -91,7 +103,7 @@ def ref_image(b, word, mirrored):
         nonlocal image, taken
         while len(image) < length:
             taken = max(2 * taken, length // 4 + SINGLE_LETTER_BOUND * len(b.letters) + 8)
-            certified = braid_image_of_word(b, ref_prefix(word, taken), mirrored, complete=False)
+            certified = ref_certified_image(b, ref_prefix(word, taken), mirrored)
             assert len(certified) >= len(image)
             image = certified
         return image[:length]
