@@ -8,8 +8,10 @@ Each generator acts by the substitution
 with all other generators fixed (a "mirrored" convention swaps the two rules).
 ``letter_images`` holds that substitution as a fixed table over every signed
 letter.  The ray orders transport a ray through one such table per braid
-letter, in lazy stages that pass each image letter on as soon as no later
-letter can cancel it (``nt._image_letters``).
+letter, in lazy stages (``nt._image_letters``).  One braid letter cancels at
+most one letter on each side of a junction (``SINGLE_LETTER_BOUND``, proved
+below), so a stage passes an image letter on as soon as one more stands
+behind it.
 
 Whole maps (``ArtinMap``) are the reference the property tests check the
 transport against.  They compose so that the action is a left action: for
@@ -27,12 +29,27 @@ from .braids import BraidWord
 from .errors import MalformedInputError
 from .freewords import FreeLetters, FreeWord, substitute
 
-# Bounded cancellation (Cooper 1987) for one braid letter: where the images
-# of u and v meet, for a freely reduced product u v, at most this many
-# letters cancel on each side.  Checked exhaustively on short junctions by
-# the tests.  A transport stage holds back this many letters and passes on
-# the rest, which no later letter of the ray can cancel.
-SINGLE_LETTER_BOUND = 3
+# Bounded cancellation (Cooper 1987) for one braid letter: where the reduced
+# images of u and v meet, for a freely reduced product u v, at most this many
+# letters cancel on each side.  Proof, for either rule of either convention:
+#
+# * Each rule is the transposition x_i <-> x_{i+1} followed by one
+#   conjugation y -> c y c^-1 of a generator y by a letter c:
+#   x_{i+1} -> x_i x_{i+1} x_i^-1, or x_i -> x_{i+1}^-1 x_i x_{i+1}.  The
+#   transposition renames letters and cancels nothing.
+# * Write each letter y^e of a reduced word w as c y^e c^-1.  A pair cancels
+#   only where the c^-1 after a y letter meets a c (inserted or of w), or a
+#   c^-1 of w meets the c before a y letter.  Each such pair sits at one pair
+#   of adjacent letters of w (y^e y^e, y^e c or c^-1 y^e), the pairs are
+#   disjoint, and once they are removed a letter y^e faces a letter that is
+#   not y^-e, so nothing cascades: the syllables of y stay intact.
+# * So the reduced image of u v is the reduced images of u and v side by
+#   side, less at most the one pair at the junction: one letter a side.
+#
+# The bound is met: u = v = y cancels c^-1 c.  A transport stage holds back
+# this many letters and passes on the rest, which no later letter of the ray
+# can cancel.
+SINGLE_LETTER_BOUND = 1
 
 
 @lru_cache(maxsize=None)

@@ -147,16 +147,6 @@ def linking_number(w: BraidWord, i: int, j: int) -> int:
     return total
 
 
-# letter ranking used for length-then-lexicographic enumeration and witnesses:
-# 1 < -1 < 2 < -2 < ...
-def letter_rank(k: int) -> int:
-    return 2 * (abs(k) - 1) + (0 if k > 0 else 1)
-
-
-def word_sort_key(w: BraidWord) -> tuple:
-    return (len(w.letters), tuple(letter_rank(k) for k in w.letters))
-
-
 @dataclass(frozen=True)
 class BallSpec:
     """All freely reduced words of length <= max_length in B_n.

@@ -28,7 +28,8 @@ class UndecidedComparisonError(RuntimeError):
 
 class StreamGrowthError(RuntimeError):
     """A stream's transport read (3 |b| + 16) 2^10 letters in a row without
-    passing on an image letter under the braid b (a degenerate stream)."""
+    passing on an image letter under the braid b: the image of the stream
+    grows too slowly for this budget."""
 
 
 class CalibrationError(RuntimeError):

@@ -10,11 +10,10 @@ reduced.  Infinite words come in three flavours:
 * custom: a function that returns a fresh iterator over the letters.
 
 Every word is iterable over its letters, and that iteration is the one way a
-ray is read.  Infinite words over positive letters are reduced for free.
-Custom letter functions are trusted: here only that the letters do not run
-out is checked.  The braid transport rejects a letter that cancels one it has
-already passed on (nt._image_letters); letters that cancel within the few it
-still holds back pass unchecked.
+ray is read.  Infinite words over positive letters are reduced for free.  A
+custom word is checked as it is read: a letter that is the inverse of the
+letter before it, or letters that run out, raise MalformedInputError.  The
+letters themselves (their range) are trusted.
 """
 
 from __future__ import annotations
@@ -208,7 +207,12 @@ class Custom:
     label: str = "custom"
 
     def __iter__(self) -> Iterator[int]:
-        yield from self.letters()
+        prev = 0
+        for k in self.letters():
+            if k == -prev:
+                raise MalformedInputError(f"custom stream {self.label!r} is not freely reduced")
+            yield k
+            prev = k
         raise MalformedInputError(f"custom stream {self.label!r} ran out of letters")
 
 

@@ -7,7 +7,7 @@ of punctures apart, and the generators of its maximal abelian convex subgroup
 the ray itself by boundary angle; convex subgroup membership is divergence
 depth against the separating depths.  Every image is made by one lazy
 transport, _image_letters: one stage per braid letter, each holding back only
-the few letters that bounded cancellation may still remove, so the scan pulls
+the one letter that bounded cancellation may still remove, so the scan pulls
 image letters as it needs them and a sign costs memory linear in the braid
 length, finite ray or stream alike.  Every question about the ordering (a
 sign, a divergence depth, a convex level) reads one transport and one
@@ -135,12 +135,14 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     freely reduces the images of the letters it receives through its
     letter_images table.  By bounded cancellation, where the images of a
     reduced prefix and of the rest of the word meet under one braid letter,
-    at most SINGLE_LETTER_BOUND letters cancel, so a stage passes a letter on
-    to the next stage once more than SINGLE_LETTER_BOUND letters are held
-    behind it.  When a finite ray ends, the stages flush from the first to
-    the last.  The stages live in one loop with a stage pointer: the highest
-    stage that can pass a letter on does so, and the ray is read only when
-    none can.  No stage holds more than 2 SINGLE_LETTER_BOUND letters.
+    at most SINGLE_LETTER_BOUND = 1 letter cancels (proved in artin.py), so a
+    stage passes a letter on to the next stage once a letter is held behind
+    it.  When a finite ray ends, the stages flush from the first to the last.
+    The stages live in one loop with a stage pointer: the highest stage that
+    can pass a letter on does so, and the ray is read only when none can.  A
+    stage receives a letter only when it holds at most SINGLE_LETTER_BOUND,
+    and a letter's image has at most 3 letters, so no stage holds more than
+    SINGLE_LETTER_BOUND + 3 letters.
 
     A stage that would cancel a letter it has already passed on raises
     MalformedInputError: the ray was not freely reduced.  A stream raises
@@ -148,7 +150,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     """
     tables = [letter_images(b.n, letter, mirrored) for letter in reversed(b.letters)]
     top = len(tables)
-    patience = None if isinstance(ray, FreeWord) else (SINGLE_LETTER_BOUND * top + 16) << 10
+    patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
     # stage s: the letter it passed on last (0 before the first), then the
     # letters it holds back; it passes one on once its length exceeds limits[s]
     stages = [[0] for _ in tables]

@@ -30,7 +30,8 @@ from braidorders import (
     parse_infinite_word,
     random_word,
 )
-from braidorders.freewords import format_infinite_word
+from braidorders.artin import SINGLE_LETTER_BOUND, letter_images
+from braidorders.freewords import format_infinite_word, substitute
 from braidorders.nt import GeodesicSpec, braid_image_of_word
 
 
@@ -132,36 +133,40 @@ def test_apply_map_morphism_and_inverse(rng):
         assert apply_map(artin_map_of(invert(bw)), apply_map(m, u)) == u
 
 
-def test_single_letter_maps_cancel_at_most_three():
-    # the soundness base of the stream transport (SINGLE_LETTER_BOUND),
-    # checked exhaustively on short junctions: observed worst is 1, bound 3
+def test_single_letter_cancellation_bound_is_exact():
+    # the soundness base of the lazy transport: where the reduced images of
+    # u and v meet under one braid letter, for a reduced product u v, the
+    # worst cancellation is exactly SINGLE_LETTER_BOUND, checked on every
+    # reduced u, v of length <= 3 for every signed letter of B_3 and for
+    # sigma_2^{+-1} of B_4, which fixes a generator on each side
     def all_reduced(n, L):
         alphabet = [k for i in range(1, n + 1) for k in (i, -i)]
         frontier = [()]
-        out = [()]
+        out = []
         for _ in range(L):
-            new = []
-            for p in frontier:
-                for k in alphabet:
-                    if p and k == -p[-1]:
-                        continue
-                    new.append(p + (k,))
-            out.extend(new)
-            frontier = new
+            frontier = [p + (k,) for p in frontier for k in alphabet if not p or k != -p[-1]]
+            out.extend(frontier)
         return out
 
-    words = [w for w in all_reduced(3, 3) if w]
-    for s in (1, -1, 2, -2):
+    cases = [(3, s) for s in (1, -1, 2, -2)] + [(4, 2), (4, -2)]
+    for n, s in cases:
+        words = all_reduced(n, 3)
         for mirrored in (False, True):
-            m = artin_map_of(BraidWord(3, (s,)), mirrored)
-            images = {w: m.apply_letters(w) for w in words}
-            for u in words:
-                for v in words:
+            table = letter_images(n, s, mirrored)
+            images = [substitute(w, table) for w in words]
+            worst = 0
+            for u, image_u in zip(words, images):
+                tail = [-k for k in reversed(image_u)]
+                for v, image_v in zip(words, images):
                     if u[-1] == -v[0]:
                         continue
-                    joint = m.apply_letters(u + v)
-                    cancelled = (len(images[u]) + len(images[v]) - len(joint)) // 2
-                    assert cancelled <= 3
+                    cancelled = 0
+                    for a, b in zip(tail, image_v):
+                        if a != b:
+                            break
+                        cancelled += 1
+                    worst = max(worst, cancelled)
+            assert worst == SINGLE_LETTER_BOUND == 1, (n, s, mirrored)
 
 
 def test_braid_image_matches_artin_map(rng):
@@ -220,17 +225,30 @@ def test_custom_supplier_checked():
 
 
 def test_growth_failure_on_degenerate_stream():
-    # (x1 x1^-1)^omega is not reduced: every image of it collapses, so the
-    # certified image never grows and the transport must give up, not hang
+    # (x1 x1^-1)^omega is not reduced: every image of it collapses, so it
+    # must be refused as it is read, not signed or left to hang
     stream = Custom(3, lambda: itertools.cycle((1, -1)), label="collapsing")
     order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3))
-    with pytest.raises(StreamGrowthError):
+    with pytest.raises(MalformedInputError, match="not freely reduced"):
         nt_sign(order, BraidWord(3, (1,)))
 
 
+def test_growth_budget_on_slow_reduced_stream():
+    # a reduced stream can still exhaust the stall budget: the pull-back of
+    # (x1 x2)^omega by b = (sigma_1 sigma_2^-1)^12 maps back to it under b,
+    # but each image letter needs about 2.6^12 stream letters
+    b = BraidWord(3, (1, -2) * 12)
+    periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
+    base = GeodesicSpec("periodic", 3, periodic, type_tag="full_infinite")
+    pulled = act_on_geodesic(invert(b), base, GermConvention(3))
+    with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
+        nt_sign(NTOrder(pulled, GermConvention(3)), b)
+
+
 def test_non_reduced_stream_rejected():
-    # x1^8 x1^-8 (x1 x2)^omega: sigma_2 fixes x1, so the transport passes on
-    # x1 letters that the x1^-1 letters would have to cancel
+    # x1^8 x1^-8 (x1 x2)^omega: sigma_2 fixes x1, so a transport that did not
+    # check its input would pass on x1 letters that the x1^-1 letters would
+    # have to cancel
     stream = Custom(
         3, lambda: itertools.chain((1,) * 8, (-1,) * 8, itertools.cycle((1, 2))), label="unreduced"
     )

@@ -28,7 +28,7 @@ from braidorders import (
     frozen_convention,
     random_word,
 )
-from braidorders.artin import SINGLE_LETTER_BOUND, letter_images
+from braidorders.artin import letter_images
 from braidorders.catalog import STURMIAN_SLOPE
 from braidorders.freewords import Custom, substitute
 from braidorders.nt import GeodesicSpec
@@ -37,6 +37,9 @@ from braidorders.planar import EQUAL, GREATER, LESS, TERMINAL, divergence
 from test_freewords import random_free_word, ray_prefix
 
 # --- reference: prefix formulas and the windowed scan ------------------------
+
+# the letters the earlier stream transport cut after every stage
+SINGLE_LETTER_BOUND = 3
 
 
 @dataclass(frozen=True)

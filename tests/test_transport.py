@@ -1,12 +1,15 @@
 """The lazy letter-by-letter braid transport against independent references.
 
 The whole maps (``artin_map_of``/``apply_map``) check its letters on small
-balls, handle reduction checks its signs on long random words, and tracemalloc
-checks that a sign holds only the stage buffers, not the image.
+balls, the same transport holding back three letters a stage (the looser
+bound it used before) checks them on random braids, handle reduction checks
+its signs on long random words, and tracemalloc checks that a sign holds only
+the stage buffers, not the image.
 """
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -16,9 +19,11 @@ from braidorders import (
     act_on_geodesic,
     apply_map,
     artin_map_of,
+    catalog,
     catalog_order,
     dehornoy_sign,
     divergence_depth,
+    nt,
     nt_sign,
     random_word,
 )
@@ -71,6 +76,21 @@ def test_lazy_transport_matches_whole_maps_on_balls(name, max_length):
             depth, verdict = divergence(FreeWord(n, letters[:read]), FreeWord(n, whole), conv)
         expected = "undecided" if depth >= order.depth_cap else names[verdict]
         assert (report.depth, report.verdict) == (depth, expected), b
+
+
+def test_one_letter_stages_match_three_letter_stages(monkeypatch):
+    # stages that hold back one letter give the same image letters as the
+    # earlier stages that held back three, on every catalog ray
+    rng = random.Random(20240817)
+    rays = [(spec.n, spec.word) for spec in catalog().values()]
+    cases = []
+    for _ in range(81):
+        for n, ray in rays:
+            cases.append((random_word(rng, n, rng.randrange(13)), ray, rng.random() < 0.5))
+    images = [tuple(islice(nt._image_letters(*case), 300)) for case in cases]
+    monkeypatch.setattr(nt, "SINGLE_LETTER_BOUND", 3)
+    for case, image in zip(cases, images):
+        assert tuple(islice(nt._image_letters(*case), 300)) == image, case
 
 
 def test_long_words_match_handle_reduction():
