@@ -69,13 +69,20 @@ def multiply(a: BraidWord, b: BraidWord) -> BraidWord:
     return BraidWord(a.n, a.letters + b.letters)
 
 
+def inverse_letters(letters: Letters) -> Letters:
+    """The letters of the inverse word: reversed, each one inverted."""
+    return tuple(-k for k in reversed(letters))
+
+
 def invert(a: BraidWord) -> BraidWord:
-    return BraidWord(a.n, tuple(-k for k in reversed(a.letters)))
+    return BraidWord(a.n, inverse_letters(a.letters))
 
 
 def conjugate(b: BraidWord, h: BraidWord) -> BraidWord:
-    """h^-1 * b * h, freely reduced."""
-    return multiply(multiply(invert(h), b), h)
+    """h^-1 * b * h, freely reduced once."""
+    if h.n != b.n:
+        raise MalformedInputError(f"strand counts differ: {h.n} vs {b.n}")
+    return BraidWord(b.n, inverse_letters(h.letters) + b.letters + h.letters)
 
 
 @dataclass(frozen=True)

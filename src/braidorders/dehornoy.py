@@ -14,9 +14,9 @@ independent cross-check oracle for every other ordering in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .braids import BraidWord
+from .braids import BraidWord, Letters
 from .errors import BudgetExceededError
 from .freewords import reduce_free
 
@@ -59,20 +59,32 @@ def _reduce_handle(letters: list[int], p: int, t: int) -> list[int]:
     return list(reduce_free(letters[:p] + replacement + letters[t + 1 :]))
 
 
-@dataclass(frozen=True)
-class HandleFreeWord:
-    """A handle-free representative of a braid, plus its lowest index."""
+class HandleFreeWord(NamedTuple):
+    """A handle-free representative of a braid, plus its lowest index.
 
-    word: BraidWord
+    ``n`` is the strand count, ``letters`` the freely reduced, handle-free
+    letters, and ``main_index`` the lowest index among them (None for the
+    empty word).  The ``BraidWord`` is built only when ``word`` is read;
+    ``main_sign`` reads the letters directly.
+    """
+
+    n: int
+    letters: Letters
     main_index: int | None
 
     @property
+    def word(self) -> BraidWord:
+        return BraidWord(self.n, self.letters)
+
+    @property
     def main_sign(self) -> int:
-        if self.main_index is None:
+        i = self.main_index
+        if i is None:
             return ZERO
-        signs = {1 if k > 0 else -1 for k in self.word.letters if abs(k) == self.main_index}
-        assert len(signs) == 1, "handle-free word has mixed signs on its main index"
-        return signs.pop()
+        k = i if i in self.letters else -i
+        if -k in self.letters:
+            raise AssertionError("handle-free word has mixed signs on its main index")
+        return POSITIVE if k > 0 else NEGATIVE
 
 
 def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
@@ -94,9 +106,7 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
                 BraidWord(w.n, tuple(letters)),
             )
         letters = _reduce_handle(letters, *found)
-    word = BraidWord(w.n, tuple(letters))
-    main = min((abs(k) for k in letters), default=None)
-    return HandleFreeWord(word, main)
+    return HandleFreeWord(w.n, tuple(letters), min(map(abs, letters), default=None))
 
 
 def dehornoy_sign(w: BraidWord) -> int:

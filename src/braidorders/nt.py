@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Literal, Sequence
 
 from .artin import SINGLE_LETTER_BOUND, letter_images
-from .braids import BallSpec, BraidWord, invert, multiply, sigma
+from .braids import BallSpec, BraidWord, inverse_letters, invert, multiply, sigma
 from .errors import (
     MalformedInputError,
     SearchFailureError,
@@ -245,7 +245,9 @@ def nt_sign(order: NTOrder, b: BraidWord) -> int:
 def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
     a > b; a < b iff a^-1 b is positive, by left invariance."""
-    return -oracle.sign(multiply(invert(a), b))
+    if a.n != b.n:
+        raise MalformedInputError(f"strand counts differ: {a.n} vs {b.n}")
+    return -oracle.sign(BraidWord(a.n, inverse_letters(a.letters) + b.letters))
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
     rays in the cyclic order cut at the arrival germ."""
     if gu == gv == TERMINAL:
         return EQUAL
-    assert gu != gv, "divergence scan stopped on equal letters"
+    if gu == gv:
+        raise AssertionError("divergence scan stopped on equal letters")
     # at the basepoint the arrival is TERMINAL, at position 0: the cycle is
     # then cut at the boundary west germ, just before it, and positions read
     # as listed

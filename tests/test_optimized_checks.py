@@ -1,0 +1,45 @@
+"""The library's internal correctness checks survive ``python -O``.
+
+``-O`` strips ``assert`` statements, so the checks that guard a sign are
+written as explicit raises.  A subprocess under ``-O`` builds a handle-free
+result with mixed signs on its main index and a settled divergence on two
+equal germs; both must still raise.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+from braidorders import frozen_convention
+from braidorders.dehornoy import HandleFreeWord
+from braidorders.planar import _verdict
+
+assert False, "asserts are live"  # stripped under -O
+print("optimize", sys.flags.optimize)
+try:
+    HandleFreeWord(3, (1, 2, -1), 1).main_sign
+except AssertionError as exc:
+    print("main_sign:", exc)
+try:
+    _verdict(2, 2, 1, frozen_convention(3))
+except AssertionError as exc:
+    print("verdict:", exc)
+"""
+
+
+def test_checks_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "main_sign: handle-free word has mixed signs on its main index",
+        "verdict: divergence scan stopped on equal letters",
+    ]
