@@ -13,7 +13,7 @@ adjacent ``k, -k`` pair); no braid-relation rewriting happens in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedInputError
 from .freewords import reduce_free
@@ -69,7 +69,7 @@ def multiply(a: BraidWord, b: BraidWord) -> BraidWord:
     return BraidWord(a.n, a.letters + b.letters)
 
 
-def inverse_letters(letters: Letters) -> Letters:
+def inverse_letters(letters: Sequence[int]) -> Letters:
     """The letters of the inverse word: reversed, each one inverted."""
     return tuple(-k for k in reversed(letters))
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from .braids import BraidWord, conjugate, linking_number, permutation_of
+from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError
 from .nt import NTOrder, divergence_depth, nt_sign, order_cmp  # order_cmp: re-exported
@@ -168,11 +168,11 @@ def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
         elif image != p:
             return None
     exponents = tuple(linking_number(b, i, i + 1) for i in soul_sorted)
-    # b times the inverse of the candidate word, in one construction
-    check_letters = list(b.letters)
-    for i, e in zip(reversed(soul_sorted), reversed(exponents)):
-        check_letters.extend([-i if e > 0 else i] * abs(e))
-    if not is_trivial_braid(BraidWord(b.n, tuple(check_letters))):
+    candidate_letters: list[int] = []
+    for i, e in zip(soul_sorted, exponents):
+        candidate_letters.extend([i if e > 0 else -i] * abs(e))
+    # b times the candidate's inverse, reduced once
+    if not is_trivial_braid(BraidWord(b.n, b.letters + inverse_letters(candidate_letters))):
         return None
     return exponents
 
