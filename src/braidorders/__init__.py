@@ -59,7 +59,6 @@ from .experiments import (
     agreement_radius,
     converge_conjugates_experiment,
     converge_extensions_experiment,
-    find_disagreement,
     limit_probe_experiment,
     order_distance,
     small_positive_search,

@@ -7,13 +7,15 @@ and surfaced rather than coerced.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .braids import BallSpec, BraidWord
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
+from .freewords import FreeWord
 from .nt import NTOrder
 from .orders import (
     ConjugatedOrder,
@@ -44,11 +46,49 @@ class AgreementReport:
         return self.witness is None
 
 
-def _sign_pair(o1: OrderOracle, o2: OrderOracle, w: BraidWord):
-    try:
-        return o1.sign(w), o2.sign(w)
-    except UndecidedComparisonError:
-        return None
+_UNDECIDED = object()  # a base sign that was taken and came out undecided
+
+
+class _AgreementScan:
+    """Agreement of a family of oracles with one base on one ball.
+
+    The base signs each ball word at most once: the first member to reach a
+    word stores the base's sign there, or its undecided outcome, by ball
+    position, and later members reuse it.  Each member re-enumerates the
+    ball, and on each word the member signs before the base, as a scan of
+    one pair does.  The stored signs live as long as the scan object.
+    """
+
+    def __init__(self, base: OrderOracle, ball: BallSpec):
+        self.base = base
+        self.ball = ball
+        self.base_signs: list = []  # by ball position; None until the base signs the word
+
+    def agreement(self, member: OrderOracle) -> AgreementReport:
+        base, ball, base_signs = self.base, self.ball, self.base_signs
+        if member.n != base.n or ball.n != member.n:
+            raise MalformedInputError("strand counts differ")
+        undecided = 0
+        for pos, w in enumerate(ball.words()):
+            if pos == len(base_signs):
+                base_signs.append(None)
+            try:
+                s1 = member.sign(w)
+            except UndecidedComparisonError:
+                undecided += 1
+                continue
+            s2 = base_signs[pos]
+            if s2 is None:
+                try:
+                    s2 = base.sign(w)
+                except UndecidedComparisonError:
+                    s2 = _UNDECIDED
+                base_signs[pos] = s2
+            if s2 is _UNDECIDED:
+                undecided += 1
+            elif s1 != s2:
+                return AgreementReport(len(w) - 1, ball.max_length, w, (s1, s2), undecided)
+        return AgreementReport(ball.max_length, ball.max_length, None, None, undecided)
 
 
 def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> AgreementReport:
@@ -58,24 +98,7 @@ def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Agreem
     <= L; the witness is the first disagreement in enumeration order, which
     is the length-lex smallest one.
     """
-    if o1.n != o2.n or ball.n != o1.n:
-        raise MalformedInputError("strand counts differ")
-    undecided = 0
-    witness = None
-    witness_signs = None
-    radius = ball.max_length
-
-    for w in ball.words():
-        pair = _sign_pair(o1, o2, w)
-        if pair is None:
-            undecided += 1
-            continue
-        if pair[0] != pair[1]:
-            witness = w
-            witness_signs = pair
-            radius = len(w) - 1
-            break
-    return AgreementReport(radius, ball.max_length, witness, witness_signs, undecided)
+    return _AgreementScan(o2, ball).agreement(o1)
 
 
 def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction:
@@ -88,20 +111,6 @@ def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction
     if report.full_agreement:
         return Fraction(0)
     return Fraction(1, 2 ** report.radius)
-
-
-def find_disagreement(
-    o1: OrderOracle, o2: OrderOracle, candidates: Iterable[BraidWord]
-) -> tuple[BraidWord, int, int] | None:
-    """First candidate on which the oracles' signs differ."""
-    for w in candidates:
-        try:
-            s1, s2 = o1.sign(w), o2.sign(w)
-        except UndecidedComparisonError:
-            continue
-        if s1 != s2:
-            return w, s1, s2
-    return None
 
 
 @dataclass(frozen=True)
@@ -180,9 +189,10 @@ def converge_conjugates_experiment(
 
     Per j: the agreement radius on the ball, plus a distinctness witness
     (ball disagreement if one exists, else the canonical just-past-the-ball
-    candidates).  An explicit conjugator list replaces the pattern, which is
-    how trivial-soul specs run the experiment (their h_j come from a
-    small-element search instead of a soul generator).
+    candidates); the base signs each ball word at most once for all j.  An
+    explicit conjugator list replaces the pattern, which is how trivial-soul
+    specs run the experiment (their h_j come from a small-element search
+    instead of a soul generator).
     """
     if (pattern is None) == (conjugators is None):
         raise MalformedInputError("give exactly one of pattern or conjugators")
@@ -198,16 +208,21 @@ def converge_conjugates_experiment(
             raise MalformedInputError(f"soul generator {s} out of range")
         pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
 
+    scan = _AgreementScan(base, ball)
     rows = []
     for j, h in pairs:
         conj = ConjugatedOrder(base, h)
-        rep = agreement_radius(conj, base, ball)
+        rep = scan.agreement(conj)
         witness, signs = rep.witness, rep.witness_signs
         if witness is None and s is not None:
-            found = find_disagreement(conj, base, _witness_candidates(s, u, j))
-            if found is not None:
-                witness, s1, s2 = found
-                signs = (s1, s2)
+            for w in _witness_candidates(s, u, j):
+                try:
+                    pair = conj.sign(w), base.sign(w)
+                except UndecidedComparisonError:
+                    continue
+                if pair[0] != pair[1]:
+                    witness, signs = w, pair
+                    break
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
     return ConjugatesReport(base.spec.name, ball, tuple(rows))
 
@@ -293,6 +308,15 @@ def _soul_witness(
     return None
 
 
+def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> Iterator[tuple]:
+    """(word, exponent vector, base sign) of each soul member of the ball, in
+    ball order."""
+    for w in ball.words():
+        v = zk_membership(w, soul)
+        if v is not None:
+            yield w, v, base.sign(w)
+
+
 def converge_extensions_experiment(
     base: NTOrder, m_range: Sequence[int], ball: BallSpec
 ) -> ExtensionsReport:
@@ -301,12 +325,18 @@ def converge_extensions_experiment(
     Soul weights (M^(k-1), ..., M, 1) follow the base's own lex priority, so
     growing M forces agreement on ever larger balls while staying distinct.
     Needs soul rank k >= 2 (rank one has no slope family; conjugates apply).
+
+    An extension equals its base outside the soul, so each M is compared
+    with the base on the ball's soul members only, whose membership and base
+    sign are taken once for all M.  A finite-type base has a finite ray and
+    decides every sign, so no row counts an undecided word.
     """
     soul = sorted(base.spec.soul_generators)
     k = len(soul)
-    if base.spec.type_tag != "finite" or k < 2:
+    if base.spec.type_tag != "finite" or not isinstance(base.spec.word, FreeWord) or k < 2:
         raise MalformedInputError("extension experiment needs finite type with soul rank >= 2")
     lex = soul_lex_of_base(base)
+    members = _soul_members(base, soul, ball)
     rows = []
     for M in m_range:
         if M < 2:
@@ -316,18 +346,22 @@ def converge_extensions_experiment(
             weights[pos] = M ** (k - 1 - rank)
         slope = ZkIntegerSlope(k, tuple(weights), lex)
         extension = ConvexExtensionOrder(base, slope)
-        rep = agreement_radius(extension, base, ball)
-        witness, signs, vector = rep.witness, rep.witness_signs, None
-        if witness is not None:
-            vector = zk_membership(witness, soul)
+        if ball.n != base.n:
+            raise MalformedInputError("strand counts differ")
+        radius, witness, signs, vector = ball.max_length, None, None, None
+        # the scan replays the members earlier M read and reads on from there
+        members, scan = itertools.tee(members)
+        for w, v, base_sign in scan:
+            ext_sign = zk_sign(slope, v)
+            if ext_sign != base_sign:
+                radius, witness, signs, vector = len(w) - 1, w, (ext_sign, base_sign), v
+                break
         else:
             found = _soul_witness(extension, base, tuple(weights))
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
-        rows.append(
-            ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector, rep.undecided_count)
-        )
+        rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector, 0))
     return ExtensionsReport(base.spec.name, ball, tuple(rows))
 
 
@@ -425,13 +459,11 @@ def limit_probe_experiment(
             seen.add(p.letters)
             unique_probes.append(p)
 
+    conjugates = [ConjugatedOrder(base, BraidWord(base.n, (-s,) * N + (u,))) for N in n_range]
     rows = []
     for probe in unique_probes:
         base_sign = base.sign(probe)
-        signs = []
-        for N in n_range:
-            h = BraidWord(base.n, (-s,) * N + (u,))
-            signs.append(ConjugatedOrder(base, h).sign(probe))
+        signs = [conj.sign(probe) for conj in conjugates]
         stab, stable = _stabilized(signs)
         rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
     return LimitProbeReport(

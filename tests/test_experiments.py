@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,14 @@ def test_extensions_experiment_rejects_rank_one(specs, conv3):
         converge_extensions_experiment(
             NTOrder(specs["dehornoy_3"], conv3), range(2, 4), BallSpec(3, 3)
         )
+
+
+def test_extensions_experiment_rejects_a_stream_ray(specs):
+    # the soul-only comparison needs every base sign decided: a finite ray
+    base = catalog_order("b4_b")
+    stream = replace(base.spec, word=specs["sturmian_4"].word)
+    with pytest.raises(MalformedInputError):
+        converge_extensions_experiment(replace(base, spec=stream), range(2, 4), BallSpec(4, 2))
 
 
 def test_limit_probe_b6(specs):
