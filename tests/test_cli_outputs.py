@@ -1,16 +1,20 @@
-"""The README's agree, approx and probe commands and the benchmark's
-conjugates jobs print exactly the recorded output in ``cli_outputs/``, byte
-for byte, with the recorded exit code, in every output format.
+"""Every subcommand, the README's agree, approx and probe commands and the
+benchmark's conjugates jobs print exactly the recorded output in
+``cli_outputs/``, byte for byte, with the recorded exit code and nothing on
+stderr, in every output format.
 
-The files were recorded before the approximation experiments shared their
-base signs, so they pin the experiments' reports through that change.  Each
-``<case>.<format>.txt`` holds the stdout of ``braidorders <argv> --format
-<format>``; ``exit_codes.json`` holds the exit code of each.
+The README and benchmark cases were recorded before the approximation
+experiments shared their base signs, and the per-subcommand cases before the
+reports lost their own emitters, so they pin the output through both
+changes.  Each ``<case>.<format>.txt`` holds the stdout of ``braidorders
+<argv> --format <format>``, with the argv split as a shell would split it;
+``exit_codes.json`` holds the exit code of each.
 """
 
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 from braidorders import cli
@@ -27,6 +31,23 @@ CASES = {
     "bench_conjugates_4": "approx conjugates --n 4 --order nt:dehornoy_4 --range 1:4 --ball-length 3",
     "bench_extensions": "approx extensions --n 6 --order nt:b6_cx --range 2:8 --ball-length 3",
     "bench_limit": "probe --kind limit --n 6 --order nt:b6_cx --range 1:8 --ball-length 2 --pattern 3/4",
+    "sign_nt": 'sign --n 4 --order nt:b4_b "3 -1 -3 2"',
+    "sign_conj": 'sign --n 3 --order "conj:nt:dehornoy_3:-2 1" "1 -2"',
+    "sign_ext": 'sign --n 6 --order "ext:nt:b6_cx:slope(4,2,1)" "1 -3 -3"',
+    "cmp": 'cmp --n 4 --order nt:b4_b "1 2" "2 1"',
+    "conrad": "conrad --n 4 --order nt:b4_b --k-max 6 --ball-length 2",
+    "soul_validate": "soul --n 6 --order nt:b6_cx --validate",
+    "chain_b4_b": "chain --n 4 --order nt:b4_b --ball-length 3",
+    # mixed_4 leaves undecided pairs in the ball: exit 2
+    "chain_mixed_4": "chain --n 4 --order nt:mixed_4 --ball-length 3",
+    "catalog": "catalog",
+    # the spec file, whatever the format
+    "catalog_name": "catalog --name b4_b",
+    "calibrate": "calibrate --n 3 --ball-length 3",
+    # no M >= 2 in range: no rows, and the csv is its header alone
+    "extensions_empty": "approx extensions --n 6 --order nt:b6_cx --range 1:1 --ball-length 3",
+    # a one-point window cannot stabilize: exit 2
+    "limit_one_point": "probe --kind limit --n 6 --order nt:b6_cx --range 2:2 --ball-length 2 --pattern 3/4",
 }
 
 
@@ -39,6 +60,6 @@ def test_cli_outputs_match_recording(monkeypatch):
             key = f"{name}.{fmt}"
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(command.split() + ["--format", fmt])
+                code = cli.main(shlex.split(command) + ["--format", fmt])
             assert (code, err.getvalue()) == (exit_codes[key], ""), key
             assert out.getvalue().encode() == (OUTPUTS / f"{key}.txt").read_bytes(), key
