@@ -69,7 +69,6 @@ from .freewords import (
     FreeWord,
     QuadraticIrrational,
     Sturmian,
-    free_word,
     parse_free_word,
     parse_infinite_word,
 )

@@ -2,21 +2,23 @@
 
 Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
 (undecided comparisons, degenerate probes, too-short stabilization windows).
-Output is deterministic for fixed flags; --format picks text, json
-(line-delimited records) or csv.
+Output is deterministic for fixed flags; --format picks text (key=value
+lines), json (one schema-tagged record per line) or csv (a header and rows).
+The commands turn their results, and the experiments' report dataclasses,
+into rows; _emit is the one writer of all three formats.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as csv_module
-import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .braids import BallSpec, parse_braid
+from .braids import BallSpec, BraidWord, parse_braid
 from .catalog import calibrate_conventions, catalog, order_for_spec
 from .errors import (
     BudgetExceededError,
@@ -28,7 +30,6 @@ from .errors import (
     UndecidedComparisonError,
 )
 from .experiments import (
-    SCHEMA,
     agreement_radius,
     converge_conjugates_experiment,
     converge_extensions_experiment,
@@ -56,6 +57,7 @@ from .orders import (
 )
 from .planar import DEFAULT_DEPTH_CAP
 
+SCHEMA = "braidorders.report.v1"
 SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 CMP_NAMES = {-1: "less", 0: "equal", 1: "greater"}
 
@@ -78,7 +80,12 @@ def _load_spec(token: str, depth_cap: int) -> NTOrder:
         return order_for_spec(specs[token], depth_cap)
     path = Path(token)
     if path.exists():
-        return order_for_spec(parse_geodesic_spec(path.read_text()), depth_cap)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            message = f"cannot read spec file {token!r}: {exc.strerror}"
+            raise MalformedInputError(message) from None
+        return order_for_spec(parse_geodesic_spec(text), depth_cap)
     raise MalformedInputError(f"no catalog entry or spec file named {token!r}")
 
 
@@ -144,27 +151,41 @@ def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
     raise MalformedInputError(f"cannot parse order {text!r}")
 
 
-def _emit(args, records: list[dict], csv_rows: list[list] | None = None) -> None:
+def _nt_order(args) -> NTOrder:
+    order = parse_order(args.order, args.n, args.depth_cap)
+    if not isinstance(order, NTOrder):
+        raise MalformedInputError(f"{args.command} needs an nt:<...> order")
+    return order
+
+
+def _fields(row) -> dict:
+    """A report row's fields by name, braid words as their text."""
+    record = {}
+    for field in fields(row):
+        value = getattr(row, field.name)
+        record[field.name] = str(value) if isinstance(value, BraidWord) else value
+    return record
+
+
+def _emit(
+    args, rows: list[dict], json_rows: list[dict] | None = None, csv_header: list | None = None
+) -> None:
+    """Write rows as key=value lines, JSON lines or CSV.
+
+    JSON writes json_rows in place of rows when given; CSV heads the rows'
+    values with csv_header, else with the first row's keys, and writes
+    nothing when it has neither.
+    """
     if args.format == "json":
-        for record in records:
-            payload = {"schema": SCHEMA, **record}
-            print(json.dumps(payload, sort_keys=True))
+        for record in rows if json_rows is None else json_rows:
+            print(json.dumps({"schema": SCHEMA, **record}, sort_keys=True))
     elif args.format == "csv":
-        rows = csv_rows if csv_rows is not None else _records_to_csv(records)
-        buffer = io.StringIO()
-        writer = csv_module.writer(buffer)
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
+        header = csv_header or (list(rows[0]) if rows else None)
+        if header:
+            csv_module.writer(sys.stdout).writerows([header] + [list(r.values()) for r in rows])
     else:
-        for record in records:
+        for record in rows:
             print("  ".join(f"{key}={value}" for key, value in record.items()))
-
-
-def _records_to_csv(records: list[dict]) -> list[list]:
-    if not records:
-        return []
-    keys = list(records[0].keys())
-    return [keys] + [[record.get(k, "") for k in keys] for record in records]
 
 
 # --- commands -----------------------------------------------------------------
@@ -227,18 +248,14 @@ def cmd_conrad(args) -> int:
 
 
 def cmd_soul(args) -> int:
-    order = parse_order(args.order, args.n, args.depth_cap)
-    if not isinstance(order, NTOrder):
-        raise MalformedInputError("soul needs an nt:<...> order")
+    order = _nt_order(args)
     soul = soul_of(order) if args.validate else order.spec.soul_generators
     _emit(args, [{"command": "soul", "spec": order.spec.name, "soul": sorted(soul)}])
     return 0
 
 
 def cmd_chain(args) -> int:
-    order = parse_order(args.order, args.n, args.depth_cap)
-    if not isinstance(order, NTOrder):
-        raise MalformedInputError("chain needs an nt:<...> order")
+    order = _nt_order(args)
     report = convex_chain_report(order, BallSpec(args.n, args.ball_length))
     records = [
         {
@@ -257,11 +274,9 @@ def cmd_chain(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    order = parse_order(args.order, args.n, args.depth_cap)
-    if not isinstance(order, NTOrder):
-        raise MalformedInputError("approx needs an nt:<...> order")
+    order = _nt_order(args)
     ball = BallSpec(args.n, args.ball_length)
-    j_lo, j_hi = _parse_range(args.range)
+    lo, hi = _parse_range(args.range)
     if args.kind == "conjugates":
         soul = sorted(order.spec.soul_generators)
         if args.pattern:
@@ -273,50 +288,27 @@ def cmd_approx(args) -> int:
             s = soul[-1]
             u = small_positive_search(order, soul, BallSpec(args.n, 2))
             pattern = (s, u)
-        report = converge_conjugates_experiment(order, pattern, range(j_lo, j_hi + 1), ball)
-        if args.format == "json":
-            sys.stdout.write(report.to_json_lines())
-        elif args.format == "csv":
-            _emit(args, [], report.to_csv_rows())
-        else:
-            _emit(
-                args,
-                [
-                    {
-                        "j": r.j,
-                        "radius": r.radius,
-                        "witness": "" if r.witness is None else str(r.witness),
-                        "undecided": r.undecided_count,
-                    }
-                    for r in report.rows
-                ],
-            )
-        return 2 if any(r.undecided_count for r in report.rows) else 0
-    report = converge_extensions_experiment(order, range(max(2, j_lo), j_hi + 1), ball)
-    if args.format == "json":
-        sys.stdout.write(report.to_json_lines())
-    elif args.format == "csv":
-        _emit(args, [], report.to_csv_rows())
+        report = converge_conjugates_experiment(order, pattern, range(lo, hi + 1), ball)
+        index = "j"
     else:
-        _emit(
-            args,
-            [
-                {
-                    "M": r.M,
-                    "radius": r.radius,
-                    "witness": "" if r.witness is None else str(r.witness),
-                    "undecided": r.undecided_count,
-                }
-                for r in report.rows
-            ],
-        )
+        report = converge_extensions_experiment(order, range(max(2, lo), hi + 1), ball)
+        index = "M"
+    rows = [
+        {
+            index: getattr(r, index),
+            "radius": r.radius,
+            "witness": "" if r.witness is None else str(r.witness),
+            "undecided": r.undecided_count,
+        }
+        for r in report.rows
+    ]
+    json_rows = [{"kind": args.kind, "name": report.spec_name, **_fields(r)} for r in report.rows]
+    _emit(args, rows, json_rows, ["j_or_M_or_N", "radius", "witness_word", "undecided_count"])
     return 2 if any(r.undecided_count for r in report.rows) else 0
 
 
 def cmd_probe(args) -> int:
-    order = parse_order(args.order, args.n, args.depth_cap)
-    if not isinstance(order, NTOrder):
-        raise MalformedInputError("probe needs an nt:<...> order")
+    order = _nt_order(args)
     if args.kind == "totality":
         report = totality_probe(order, BallSpec(args.n, args.ball_length), args.depth_target)
         _emit(
@@ -339,22 +331,24 @@ def cmd_probe(args) -> int:
     report = limit_probe_experiment(
         order, (int(s_text), int(u_text)), range(lo, hi + 1), BallSpec(args.n, args.ball_length)
     )
-    if args.format == "json":
-        sys.stdout.write(report.to_json_lines())
-    else:
-        _emit(
-            args,
-            [
-                {
-                    "probe": str(r.probe),
-                    "base_sign": r.base_sign,
-                    "signs": "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in r.signs),
-                    "stabilized": r.stabilized,
-                    "differs": r.differs,
-                }
-                for r in report.rows
-            ],
-        )
+    rows = [
+        {
+            "probe": str(r.probe),
+            "base_sign": r.base_sign,
+            "signs": "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in r.signs),
+            "stabilized": r.stabilized,
+            "differs": r.differs,
+        }
+        for r in report.rows
+    ]
+    window = {
+        "kind": "limit_probe",
+        "name": report.spec_name,
+        "conjugator_pattern": report.conjugator_pattern,
+        "N_range": list(report.n_range),
+        "inconclusive_by_design": report.inconclusive_by_design,
+    }
+    _emit(args, rows, [{**window, **_fields(r), "differs": r.differs} for r in report.rows])
     inconclusive = report.window_too_short or not any(r.stabilized for r in report.rows)
     return 2 if inconclusive else 0
 

@@ -1,14 +1,13 @@
 """Space-of-orderings experiments: agreement metrics and convergence scans.
 
-Reports are plain dataclasses with JSON-lines and CSV emitters; every scan is
-deterministic given its inputs, and undecided sign evaluations are counted
-and surfaced rather than coerced.
+Reports are plain dataclasses with no output code (the CLI writes them as
+text, JSON lines or CSV); every scan is deterministic given its inputs, and
+undecided sign evaluations are counted and surfaced rather than coerced.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -27,9 +26,6 @@ from .orders import (
     zk_membership,
     zk_sign,
 )
-
-SCHEMA = "braidorders.report.v1"
-
 
 @dataclass(frozen=True)
 class AgreementReport:
@@ -141,31 +137,6 @@ class ConjugatesReport:
     def all_distinct(self) -> bool:
         return all(r.witness is not None for r in self.rows)
 
-    def to_json_lines(self) -> str:
-        return report_json_lines(
-            "conjugates",
-            self.spec_name,
-            [
-                {
-                    "j": r.j,
-                    "conjugator": str(r.conjugator),
-                    "radius": r.radius,
-                    "witness": None if r.witness is None else str(r.witness),
-                    "witness_signs": r.witness_signs,
-                    "undecided_count": r.undecided_count,
-                }
-                for r in self.rows
-            ],
-        )
-
-    def to_csv_rows(self) -> list[list]:
-        return csv_table(
-            [
-                [r.j, r.radius, "" if r.witness is None else str(r.witness), r.undecided_count]
-                for r in self.rows
-            ]
-        )
-
 
 def _witness_candidates(s: int, u: BraidWord, j: int) -> list[BraidWord]:
     """Deterministic distinctness candidates for the conjugator s^-j u:
@@ -256,34 +227,6 @@ class ExtensionsReport:
     def all_distinct(self) -> bool:
         return all(r.witness is not None for r in self.rows)
 
-    def to_json_lines(self) -> str:
-        return report_json_lines(
-            "extensions",
-            self.spec_name,
-            [
-                {
-                    "M": r.M,
-                    "weights": list(r.weights),
-                    "radius": r.radius,
-                    "witness": None if r.witness is None else str(r.witness),
-                    "witness_signs": r.witness_signs,
-                    "soul_witness_vector": None
-                    if r.soul_witness_vector is None
-                    else list(r.soul_witness_vector),
-                    "undecided_count": r.undecided_count,
-                }
-                for r in self.rows
-            ],
-        )
-
-    def to_csv_rows(self) -> list[list]:
-        return csv_table(
-            [
-                [r.M, r.radius, "" if r.witness is None else str(r.witness), r.undecided_count]
-                for r in self.rows
-            ]
-        )
-
 
 def _soul_witness(
     extension: ConvexExtensionOrder, base: NTOrder, weights: tuple[int, ...]
@@ -335,19 +278,19 @@ def converge_extensions_experiment(
     k = len(soul)
     if base.spec.type_tag != "finite" or not isinstance(base.spec.word, FreeWord) or k < 2:
         raise MalformedInputError("extension experiment needs finite type with soul rank >= 2")
+    if ball.n != base.n:
+        raise MalformedInputError("strand counts differ")
+    if any(M < 2 for M in m_range):
+        raise MalformedInputError("slope parameter M must be >= 2")
     lex = soul_lex_of_base(base)
     members = _soul_members(base, soul, ball)
     rows = []
     for M in m_range:
-        if M < 2:
-            raise MalformedInputError("slope parameter M must be >= 2")
         weights = [0] * k
         for rank, pos in enumerate(lex.axes):
             weights[pos] = M ** (k - 1 - rank)
         slope = ZkIntegerSlope(k, tuple(weights), lex)
         extension = ConvexExtensionOrder(base, slope)
-        if ball.n != base.n:
-            raise MalformedInputError("strand counts differ")
         radius, witness, signs, vector = ball.max_length, None, None, None
         # the scan replays the members earlier M read and reads on from there
         members, scan = itertools.tee(members)
@@ -400,28 +343,6 @@ class LimitProbeReport:
     @property
     def window_too_short(self) -> bool:
         return len(self.n_range) < 2
-
-    def to_json_lines(self) -> str:
-        return report_json_lines(
-            "limit_probe",
-            self.spec_name,
-            [
-                {
-                    "probe": str(r.probe),
-                    "base_sign": r.base_sign,
-                    "signs": list(r.signs),
-                    "stabilized": r.stabilized,
-                    "stable_sign": r.stable_sign,
-                    "differs": r.differs,
-                }
-                for r in self.rows
-            ],
-            extra={
-                "conjugator_pattern": self.conjugator_pattern,
-                "N_range": list(self.n_range),
-                "inconclusive_by_design": self.inconclusive_by_design,
-            },
-        )
 
 
 def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
@@ -494,20 +415,3 @@ def small_positive_search(
         )
     return best
 
-
-# --- report emission ----------------------------------------------------------
-
-
-def report_json_lines(kind: str, name: str, rows: list[dict], extra: dict | None = None) -> str:
-    lines = []
-    for row in rows:
-        record = {"schema": SCHEMA, "kind": kind, "name": name}
-        if extra:
-            record.update(extra)
-        record.update(row)
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def csv_table(rows: list[list]) -> list[list]:
-    return [["j_or_M_or_N", "radius", "witness_word", "undecided_count"]] + rows

@@ -88,10 +88,6 @@ class FreeWord:
         return " ".join(str(k) for k in self.letters)
 
 
-def free_word(n: int, letters: Iterable[int] = ()) -> FreeWord:
-    return FreeWord(n, tuple(letters))
-
-
 def parse_free_word(text: str, n: int) -> FreeWord:
     text = text.strip()
     if not text:

@@ -64,6 +64,13 @@ def test_malformed_input_exit_code(capsys):
         assert code == 1 and out == "" and "error:" in err
 
 
+def test_unreadable_spec_file_is_malformed_input(tmp_path, capsys):
+    # a directory exists but is no spec file: an error line, not a traceback
+    code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{tmp_path}", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read spec file")
+
+
 def test_undecided_exit_code(capsys):
     # a braid-relation trivial word never decides against a stream
     code, _, err = run(

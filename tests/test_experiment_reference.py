@@ -298,10 +298,17 @@ def test_extensions_match_reference(name, m_range, length, in_ball):
 
 def test_extensions_reject_like_reference():
     base = catalog_order("b4_b")
-    for m_range, ball in (([1], BallSpec(4, 2)), ([2], BallSpec(3, 2)), ([], BallSpec(3, 2))):
+    for m_range, ball in (([1], BallSpec(4, 2)), ([2, 1], BallSpec(4, 2)), ([2], BallSpec(3, 2))):
         assert outcome(converge_extensions_experiment, base, m_range, ball) == outcome(
             ref_extensions, base, m_range, ball
         )
+    # the checks come before the loop: a wrong ball raises with no M to scan,
+    # where the reference returns an empty report
+    assert outcome(ref_extensions, base, [], BallSpec(3, 2)).rows == ()
+    assert outcome(converge_extensions_experiment, base, [], BallSpec(3, 2)) == (
+        MalformedInputError,
+        "strand counts differ",
+    )
 
 
 # --- limit probe ------------------------------------------------------------------

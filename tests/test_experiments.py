@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -65,12 +64,6 @@ def test_conjugates_experiment_dehornoy3(specs, conv3):
     radii = report.radii
     assert all(a <= b for a, b in zip(radii, radii[1:]))
     assert radii[-1] == 6
-    # json lines parse back
-    for line in report.to_json_lines().splitlines():
-        record = json.loads(line)
-        assert record["schema"] == "braidorders.report.v1"
-    rows = report.to_csv_rows()
-    assert rows[0] == ["j_or_M_or_N", "radius", "witness_word", "undecided_count"]
 
 
 def test_conjugates_experiment_dehornoy4(specs, conv4):
@@ -125,6 +118,16 @@ def test_extensions_experiment_rejects_a_stream_ray(specs):
     stream = replace(base.spec, word=specs["sturmian_4"].word)
     with pytest.raises(MalformedInputError):
         converge_extensions_experiment(replace(base, spec=stream), range(2, 4), BallSpec(4, 2))
+
+
+def test_extensions_experiment_rejects_a_bad_m_before_scanning(monkeypatch):
+    # the empty-range ball check is in test_experiment_reference
+    def no_scan(*args):
+        raise AssertionError("the ball was read before M was checked")
+
+    monkeypatch.setattr("braidorders.experiments.zk_membership", no_scan)
+    with pytest.raises(MalformedInputError, match="slope parameter M must be >= 2"):
+        converge_extensions_experiment(catalog_order("b4_b"), [2, 3, 1], BallSpec(4, 2))
 
 
 def test_limit_probe_b6(specs):
