@@ -17,22 +17,22 @@ from braidorders import (
     DehornoyOrder,
     act_on_geodesic,
     agreement_radius,
-    apply_map,
-    artin_map_of,
     calibrate_conventions,
     catalog,
     catalog_order,
     frozen_convention,
 )
+from braidorders.nt import braid_image_of_word
 
 # --- the substitution action ---------------------------------------------------
 
-m = artin_map_of(BraidWord(3, (1,)))
-for j, img in enumerate(m.images, start=1):
-    print(f"sigma1: x{j} -> {img}")
+for j in (1, 2, 3):
+    img = braid_image_of_word(BraidWord(3, (1,)), (j,), False)
+    print(f"sigma1: x{j} -> {' '.join(map(str, img))}")
 
-# braid relation holds on the nose as map equality
-assert artin_map_of(BraidWord(3, (1, 2, 1))) == artin_map_of(BraidWord(3, (2, 1, 2)))
+# braid relation holds on the nose: both sides move every generator alike
+lhs, rhs = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
+assert all(braid_image_of_word(lhs, (j,), False) == braid_image_of_word(rhs, (j,), False) for j in (1, 2, 3))
 print("map(s1 s2 s1) == map(s2 s1 s2)")
 
 # --- calibration ---------------------------------------------------------------

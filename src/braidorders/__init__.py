@@ -8,7 +8,6 @@ abelian soul blocks; experiments measure agreement radii between orders on
 balls.
 """
 
-from .artin import ArtinMap, apply_map, artin_map_of, compose
 from .braids import (
     BallSpec,
     BraidWord,
@@ -86,6 +85,7 @@ from .nt import (
     format_geodesic_spec,
     in_convex_subgroup,
     nt_sign,
+    order_cmp,
     parse_geodesic_spec,
     soul_of,
     totality_probe,
@@ -98,7 +98,6 @@ from .orders import (
     ZkIntegerSlope,
     ZkLex,
     ZkQuadraticSlope,
-    order_cmp,
     soul_lex_of_base,
     zk_membership,
     zk_sign,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv as csv_module
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,6 +40,7 @@ from .nt import (
     conrad_witness_search,
     convex_chain_report,
     format_geodesic_spec,
+    order_cmp,
     parse_geodesic_spec,
     soul_of,
     totality_probe,
@@ -53,26 +53,12 @@ from .orders import (
     ZkIntegerSlope,
     ZkLex,
     ZkQuadraticSlope,
-    order_cmp,
 )
 from .planar import DEFAULT_DEPTH_CAP
 
 SCHEMA = "braidorders.report.v1"
 SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 CMP_NAMES = {-1: "less", 0: "equal", 1: "greater"}
-
-DEPTH_CAP_ENV = "BRAIDORDERS_DEPTH_CAP"
-
-
-def _default_depth_cap() -> int:
-    raw = os.environ.get(DEPTH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedInputError(f"{DEPTH_CAP_ENV} must be an integer, got {raw!r}")
-
 
 def _load_spec(token: str, depth_cap: int) -> NTOrder:
     specs = catalog()
@@ -280,8 +266,7 @@ def cmd_approx(args) -> int:
     if args.kind == "conjugates":
         soul = sorted(order.spec.soul_generators)
         if args.pattern:
-            s_text, u_text = args.pattern.split("/", 1)
-            pattern = (int(s_text), parse_braid(u_text, args.n))
+            pattern = _conjugator_pattern(args.pattern, args.n)
         else:
             if not soul:
                 raise MalformedInputError("conjugate pattern needed for trivial-soul specs")
@@ -327,9 +312,8 @@ def cmd_probe(args) -> int:
         )
         return 2 if (report.degenerate or not report.covered) else 0
     lo, hi = _parse_range(args.range)
-    s_text, u_text = (args.pattern or "3/4").split("/", 1)
     report = limit_probe_experiment(
-        order, (int(s_text), int(u_text)), range(lo, hi + 1), BallSpec(args.n, args.ball_length)
+        order, _limit_pattern(args.pattern or "3/4"), range(lo, hi + 1), BallSpec(args.n, args.ball_length)
     )
     rows = [
         {
@@ -406,6 +390,28 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _conjugator_pattern(text: str, n: int) -> tuple[int, BraidWord]:
+    """The --pattern of approx conjugates: s/<braid word>."""
+    s_text, slash, u_text = text.partition("/")
+    try:
+        if not slash:
+            raise ValueError("no '/'")
+        return int(s_text), parse_braid(u_text, n)
+    except ValueError as exc:
+        raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
+
+
+def _limit_pattern(text: str) -> tuple[int, int]:
+    """The --pattern of probe --kind limit: s/u, two generator indices."""
+    s_text, slash, u_text = text.partition("/")
+    try:
+        if not slash:
+            raise ValueError("no '/'")
+        return int(s_text), int(u_text)
+    except ValueError as exc:
+        raise MalformedInputError(f"--pattern must look like s/u, got {text!r} ({exc})") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidorders",
@@ -417,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="strand count")
         if order:
             p.add_argument("--order", required=True, help="dehornoy | nt:<name-or-file> | conj:<order>:<braid> | ext:<order>:<soul-order>")
-        p.add_argument("--depth-cap", type=int, default=_default_depth_cap())
+            p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("sign", help="sign of a braid under an order")
@@ -485,14 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # the parser reads the depth-cap default from the environment
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # keep --help at 0, but usage errors are malformed input, not
-            # the reserved "mathematically inconclusive" code
-            return 0 if exc.code in (0, None) else 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # keep --help at 0, but usage errors are malformed input, not the
+        # reserved "mathematically inconclusive" code
+        return 0 if exc.code in (0, None) else 1
+    try:
         return args.func(args)
     except (
         MalformedInputError,

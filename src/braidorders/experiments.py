@@ -15,13 +15,12 @@ from typing import Iterator, Sequence
 from .braids import BallSpec, BraidWord
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
 from .freewords import FreeWord
-from .nt import NTOrder
+from .nt import NTOrder, order_cmp
 from .orders import (
     ConjugatedOrder,
     ConvexExtensionOrder,
     OrderOracle,
     ZkIntegerSlope,
-    order_cmp,
     soul_lex_of_base,
     zk_membership,
     zk_sign,

@@ -13,7 +13,8 @@ Every word is iterable over its letters, and that iteration is the one way a
 ray is read.  Infinite words over positive letters are reduced for free.  A
 custom word is checked as it is read: a letter that is the inverse of the
 letter before it, or letters that run out, raise MalformedInputError.  The
-letters themselves (their range) are trusted.
+letters themselves (their range) are trusted.  Braids act on these words in
+nt.py, which moves a ray letter by letter.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, count, cycle
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import MalformedInputError
 
@@ -36,22 +37,6 @@ def reduce_free(letters: Iterable[int]) -> FreeLetters:
             out.pop()
         else:
             out.append(k)
-    return tuple(out)
-
-
-def substitute(letters: Iterable[int], images: Mapping[int, FreeLetters]) -> FreeLetters:
-    """The reduced image of a word under a substitution.
-
-    ``images`` gives the image of every signed letter that occurs, inverse
-    letters included, so the inner loop only looks up and cancels.
-    """
-    out: list[int] = []
-    for k in letters:
-        for m in images[k]:
-            if out and out[-1] == -m:
-                out.pop()
-            else:
-                out.append(m)
     return tuple(out)
 
 

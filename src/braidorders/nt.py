@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Literal, Mapping, Sequence
 
-from .artin import SINGLE_LETTER_BOUND, letter_images
 from .braids import BallSpec, BraidWord, inverse_letters, invert, multiply, sigma
 from .errors import (
     MalformedInputError,
@@ -128,14 +129,65 @@ class NTOrder:
         return nt_sign(self, b)
 
 
+# --- the braid action on the free group of puncture loops ------------------
+#
+# Each generator acts by the substitution
+#
+#     sigma_i:      x_i -> x_i x_{i+1} x_i^-1,   x_{i+1} -> x_i
+#     sigma_i^-1:   x_i -> x_{i+1},              x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
+#
+# with all other generators fixed (a "mirrored" convention swaps the two
+# rules).  letter_images holds it as a fixed table over every signed letter.
+#
+# Bounded cancellation (Cooper 1987) for one braid letter: where the reduced
+# images of u and v meet, for a freely reduced product u v, at most this many
+# letters cancel on each side.  Proof, for either rule of either convention:
+#
+# * Each rule is the transposition x_i <-> x_{i+1} followed by one
+#   conjugation y -> c y c^-1 of a generator y by a letter c:
+#   x_{i+1} -> x_i x_{i+1} x_i^-1, or x_i -> x_{i+1}^-1 x_i x_{i+1}.  The
+#   transposition renames letters and cancels nothing.
+# * Write each letter y^e of a reduced word w as c y^e c^-1.  A pair cancels
+#   only where the c^-1 after a y letter meets a c (inserted or of w), or a
+#   c^-1 of w meets the c before a y letter.  Each such pair sits at one pair
+#   of adjacent letters of w (y^e y^e, y^e c or c^-1 y^e), the pairs are
+#   disjoint, and once they are removed a letter y^e faces a letter that is
+#   not y^-e, so nothing cascades: the syllables of y stay intact.
+# * So the reduced image of u v is the reduced images of u and v side by
+#   side, less at most the one pair at the junction: one letter a side.
+#
+# The bound is met: u = v = y cancels c^-1 c.  A transport stage holds back
+# this many letters and passes on the rest, which no later letter of the ray
+# can cancel.
+SINGLE_LETTER_BOUND = 1
+
+
+@lru_cache(maxsize=None)
+def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
+    """Image of every signed letter of F_n under one braid letter (a shared,
+    read-only table)."""
+    i = abs(letter)
+    if (letter > 0) != mirrored:
+        moved = {i: (i, i + 1, -i), i + 1: (i,)}
+    else:
+        moved = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+    images: dict[int, FreeLetters] = {}
+    for j in range(1, n + 1):
+        img = moved.get(j, (j,))
+        images[j] = img
+        images[-j] = tuple(-k for k in reversed(img))
+    return MappingProxyType(images)
+
+
 def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     """The image of a ray under the braid, letter by letter, read lazily.
 
-    One stage per braid letter, the last braid letter acting first: a stage
-    freely reduces the images of the letters it receives through its
-    letter_images table.  By bounded cancellation, where the images of a
+    One stage per braid letter, the last braid letter acting first, so the
+    action is a left action (a b moves the ray as b, then a): a stage freely
+    reduces the images of the letters it receives through its letter_images
+    table.  By bounded cancellation, where the images of a
     reduced prefix and of the rest of the word meet under one braid letter,
-    at most SINGLE_LETTER_BOUND = 1 letter cancels (proved in artin.py), so a
+    at most SINGLE_LETTER_BOUND = 1 letter cancels (proved above), so a
     stage passes a letter on to the next stage once a letter is held behind
     it.  When a finite ray ends, the stages flush from the first to the last.
     The stages live in one loop with a stage pointer: the highest stage that
@@ -200,7 +252,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
 
 def braid_image_of_word(b: BraidWord, letters: FreeLetters, mirrored: bool) -> FreeLetters:
     """The whole image of a finite word under the braid, the lazy transport
-    drained; it equals apply_map(artin_map_of(b, mirrored), .) on the word."""
+    drained."""
     return tuple(_image_letters(b, FreeWord(b.n, letters), mirrored))
 
 

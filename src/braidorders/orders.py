@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError
-from .nt import NTOrder, divergence_depth, nt_sign, order_cmp  # order_cmp: re-exported
+from .nt import NTOrder, divergence_depth, nt_sign
 
 
 @runtime_checkable

@@ -21,8 +21,6 @@ from braidorders import (
     NTOrder,
     UndecidedComparisonError,
     agreement_radius,
-    apply_map,
-    artin_map_of,
     catalog,
     catalog_order,
     conrad_witness_search,
@@ -43,6 +41,7 @@ from braidorders import (
 )
 from braidorders.nt import GeodesicSpec
 
+from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word
 
 

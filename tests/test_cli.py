@@ -192,20 +192,23 @@ def test_parse_order_grammar():
         parse_order("nt:dehornoy_4", 3, 512)
 
 
-def test_depth_cap_env_default(monkeypatch):
-    from braidorders.cli import build_parser
-
-    monkeypatch.setenv("BRAIDORDERS_DEPTH_CAP", "64")
-    args = build_parser().parse_args(["sign", "--n", "3", "--order", "dehornoy", "1"])
-    assert args.depth_cap == 64
-
-
-def test_depth_cap_env_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("BRAIDORDERS_DEPTH_CAP", "abc")
-    for argv in (("catalog",), ("sign", "--n", "3", "--order", "dehornoy", "1")):
+def test_malformed_pattern_names_the_flag(capsys):
+    conjugates = ("approx", "conjugates", "--n", "3", "--order", "nt:dehornoy_3", "--range", "1:2", "--pattern")
+    limit = ("probe", "--kind", "limit", "--n", "6", "--order", "nt:b6_cx", "--range", "1:2", "--pattern")
+    for argv in (
+        conjugates + ("2",),
+        conjugates + ("x/1",),
+        limit + ("x/4",),
+        limit + ("3/1 2",),
+    ):
         code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "BRAIDORDERS_DEPTH_CAP" in err
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: --pattern must look like"), (argv, err)
+
+
+def test_calibrate_takes_no_depth_cap(capsys):
+    code, out, _ = run(capsys, "calibrate", "--n", "3", "--ball-length", "2", "--depth-cap", "0")
+    assert code == 1 and out == ""
 
 
 def test_degenerate_probe_exits_inconclusive(tmp_path, capsys):

@@ -51,8 +51,7 @@ CASES = {
 }
 
 
-def test_cli_outputs_match_recording(monkeypatch):
-    monkeypatch.delenv(cli.DEPTH_CAP_ENV, raising=False)
+def test_cli_outputs_match_recording():
     exit_codes = json.loads((OUTPUTS / "exit_codes.json").read_text())
     assert sorted(exit_codes) == sorted(f"{name}.{fmt}" for name in CASES for fmt in FORMATS)
     for name, command in CASES.items():

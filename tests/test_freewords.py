@@ -7,7 +7,6 @@ from itertools import islice
 import pytest
 
 from braidorders import (
-    ArtinMap,
     BraidWord,
     Custom,
     EventuallyPeriodic,
@@ -19,10 +18,7 @@ from braidorders import (
     StreamGrowthError,
     Sturmian,
     act_on_geodesic,
-    apply_map,
-    artin_map_of,
     catalog,
-    compose,
     invert,
     multiply,
     nt_sign,
@@ -30,9 +26,10 @@ from braidorders import (
     parse_infinite_word,
     random_word,
 )
-from braidorders.artin import SINGLE_LETTER_BOUND, letter_images
-from braidorders.freewords import format_infinite_word, substitute
-from braidorders.nt import GeodesicSpec, braid_image_of_word
+from braidorders.freewords import format_infinite_word
+from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, braid_image_of_word, letter_images
+
+from artin_reference import ArtinMap, apply_map, artin_map_of, compose, substitute
 
 
 def ray_prefix(word, length):

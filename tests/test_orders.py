@@ -2,6 +2,7 @@ import pytest
 
 from braidorders import (
     BallSpec,
+    DEFAULT_DEPTH_CAP,
     BraidWord,
     ConjugatedOrder,
     ConvexExtensionOrder,
@@ -19,6 +20,7 @@ from braidorders import (
     zk_membership,
     zk_sign,
 )
+from braidorders.cli import parse_order
 
 RELATORS = {
     3: [(1, 2, 1, -2, -1, -2)],
@@ -76,6 +78,51 @@ def test_oracle_relator_invariance(rng, oracle_index):
             assert oracle.sign(padded) == oracle.sign(w)
         except UndecidedComparisonError:
             assert is_trivial_braid(w)
+
+
+def random_relator(rng, n):
+    """A braid relation or a far commutation, as a word equal to 1 in B_n."""
+    i = rng.randrange(1, n - 1)
+    far = [j for j in range(1, n) if abs(j - i) >= 2]
+    if far and rng.random() < 0.5:
+        j = rng.choice(far)
+        return (i, j, -i, -j)
+    return (i, i + 1, i, -(i + 1), -i, -(i + 1))
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("nt:sturmian_3", 3),
+        ("nt:sturmian_4", 4),
+        ("nt:sturmian_5", 5),
+        ("nt:sturmian_6", 6),
+        ("nt:mixed_4", 4),
+        ("nt:b4_b", 4),
+        ("nt:b4_c", 4),
+        ("nt:b6_cx", 6),
+        ("ext:nt:b6_cx:slope(4,2,1)", 6),
+        ("conj:nt:sturmian_4:-2 1 3", 4),
+    ],
+)
+def test_order_axioms_on_long_words(rng, text, n):
+    # far past the balls of the other axiom tests: antisymmetry, invariance
+    # under an inserted relator, and closure of the positive cone, on random
+    # reduced words of length 64-256; none of them is trivial, so each sign
+    # must be decided
+    order = parse_order(text, n, DEFAULT_DEPTH_CAP)
+    previous = None
+    for _ in range(40):
+        w = random_word(rng, n, rng.randrange(64, 257))
+        sign = order.sign(w)
+        assert sign != 0 and order.sign(invert(w)) == -sign, w
+        pos = rng.randrange(len(w.letters) + 1)
+        padded = BraidWord(n, w.letters[:pos] + random_relator(rng, n) + w.letters[pos:])
+        assert order.sign(padded) == sign, (w, padded)
+        positive = w if sign > 0 else invert(w)
+        if previous is not None:
+            assert order.sign(multiply(previous, positive)) == 1, (previous, positive)
+        previous = positive
 
 
 def test_zero_only_on_trivial(rng):

@@ -11,8 +11,6 @@ from braidorders import (
     QuadraticIrrational,
     Sturmian,
     UndecidedComparisonError,
-    apply_map,
-    artin_map_of,
     calibrate_conventions,
     common_prefix_length,
     frozen_convention,
@@ -21,6 +19,7 @@ from braidorders import (
 )
 from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
 
+from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word, ray_prefix
 
 

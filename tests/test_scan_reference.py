@@ -28,12 +28,12 @@ from braidorders import (
     frozen_convention,
     random_word,
 )
-from braidorders.artin import letter_images
 from braidorders.catalog import STURMIAN_SLOPE
-from braidorders.freewords import Custom, substitute
-from braidorders.nt import GeodesicSpec
+from braidorders.freewords import Custom
+from braidorders.nt import GeodesicSpec, letter_images
 from braidorders.planar import EQUAL, GREATER, LESS, TERMINAL, divergence
 
+from artin_reference import substitute
 from test_freewords import random_free_word, ray_prefix
 
 # --- reference: prefix formulas and the windowed scan ------------------------

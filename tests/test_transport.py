@@ -1,10 +1,10 @@
 """The lazy letter-by-letter braid transport against independent references.
 
-The whole maps (``artin_map_of``/``apply_map``) check its letters on small
-balls, the same transport holding back three letters a stage (the looser
-bound it used before) checks them on random braids, handle reduction checks
-its signs on long random words, and tracemalloc checks that a sign holds only
-the stage buffers, not the image.
+The whole maps of ``artin_reference`` (``artin_map_of``/``apply_map``) check
+its letters on small balls, the same transport holding back three letters a
+stage (the looser bound it used before) checks them on random braids, handle
+reduction checks its signs on long random words, and tracemalloc checks that
+a sign holds only the stage buffers, not the image.
 """
 
 import random
@@ -17,8 +17,6 @@ from braidorders import (
     BallSpec,
     FreeWord,
     act_on_geodesic,
-    apply_map,
-    artin_map_of,
     catalog,
     catalog_order,
     dehornoy_sign,
@@ -27,9 +25,10 @@ from braidorders import (
     nt_sign,
     random_word,
 )
-from braidorders.artin import SINGLE_LETTER_BOUND
+from braidorders.nt import SINGLE_LETTER_BOUND
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
+from artin_reference import apply_map, artin_map_of
 from test_freewords import ray_prefix
 
 
