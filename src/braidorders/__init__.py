@@ -52,8 +52,7 @@ from .errors import (
 )
 from .experiments import (
     AgreementReport,
-    ConjugatesReport,
-    ExtensionsReport,
+    ApproximationReport,
     LimitProbeReport,
     agreement_radius,
     converge_conjugates_experiment,

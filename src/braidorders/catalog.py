@@ -20,8 +20,7 @@ axiom checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord
 from .dehornoy import dehornoy_sign
@@ -139,8 +138,7 @@ def order_for_spec(spec: GeodesicSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> NT
 # --- calibration --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     convention: GermConvention
     word: FreeWord
     matches: tuple[tuple[FreeWord, GermConvention], ...]

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
 (undecided comparisons, degenerate probes, too-short stabilization windows).
 Output is deterministic for fixed flags; --format picks text (key=value
 lines), json (one schema-tagged record per line) or csv (a header and rows).
-The commands turn their results, and the experiments' report dataclasses,
-into rows; _emit is the one writer of all three formats.
+The commands turn their results, and the experiments' report records (named
+tuples), into rows; _emit is the one writer of all three formats.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv as csv_module
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .braids import BallSpec, BraidWord, parse_braid
@@ -75,33 +74,43 @@ def _load_spec(token: str, depth_cap: int) -> NTOrder:
     raise MalformedInputError(f"no catalog entry or spec file named {token!r}")
 
 
+# each soul-order form as an error message names it
+SOUL_ORDER_FORMS = {"lex": "lex(...)", "slope": "slope(...)", "qslope": "qslope(d; a b, ...)"}
+
+
 def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlope | ZkQuadraticSlope:
     token = token.strip()
     k = len(soul)
-    if token.startswith("lex(") and token.endswith(")"):
-        inner = token[4:-1]
-        axes: list[int] = []
-        signs: list[int] = []  # rank-ordered, paired with axes
-        for part in inner.split(","):
-            v = int(part)
-            gen = abs(v)
-            if gen not in soul:
-                raise MalformedInputError(f"lex axis {gen} is not a soul generator of {soul}")
-            axes.append(soul.index(gen))
-            signs.append(1 if v > 0 else -1)
-        return ZkLex(k, tuple(axes), tuple(signs))
-    if token.startswith("slope(") and token.endswith(")"):
-        weights = tuple(int(p) for p in token[6:-1].split(","))
-        return ZkIntegerSlope(k, weights, ZkLex.standard(k))
-    if token.startswith("qslope(") and token.endswith(")"):
-        inner = token[7:-1]
-        d_text, rest = inner.split(";", 1)
-        weights = []
-        for part in rest.split(","):
-            a_text, b_text = part.split()
-            weights.append((int(a_text), int(b_text)))
-        return ZkQuadraticSlope(k, int(d_text), tuple(weights))
-    raise MalformedInputError(f"cannot parse soul order {token!r}")
+    form, _, inner = token.partition("(")
+    if form not in SOUL_ORDER_FORMS or not inner.endswith(")"):
+        raise MalformedInputError(f"cannot parse soul order {token!r}")
+    inner = inner[:-1]
+    try:
+        if form == "qslope":
+            d_text, rest = inner.split(";", 1)
+            d = int(d_text)
+            pairs = []
+            for part in rest.split(","):
+                a_text, b_text = part.split()
+                pairs.append((int(a_text), int(b_text)))
+        else:
+            values = [int(part) for part in inner.split(",")]
+    except ValueError as exc:
+        message = f"soul order must look like {SOUL_ORDER_FORMS[form]}, got {token!r} ({exc})"
+        raise MalformedInputError(message) from None
+    if form == "qslope":
+        return ZkQuadraticSlope(k, d, tuple(pairs))
+    if form == "slope":
+        return ZkIntegerSlope(k, tuple(values), ZkLex.standard(k))
+    axes: list[int] = []
+    signs: list[int] = []  # rank-ordered, paired with axes
+    for v in values:
+        gen = abs(v)
+        if gen not in soul:
+            raise MalformedInputError(f"lex axis {gen} is not a soul generator of {soul}")
+        axes.append(soul.index(gen))
+        signs.append(1 if v > 0 else -1)
+    return ZkLex(k, tuple(axes), tuple(signs))
 
 
 def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
@@ -146,11 +155,10 @@ def _nt_order(args) -> NTOrder:
 
 def _fields(row) -> dict:
     """A report row's fields by name, braid words as their text."""
-    record = {}
-    for field in fields(row):
-        value = getattr(row, field.name)
-        record[field.name] = str(value) if isinstance(value, BraidWord) else value
-    return record
+    return {
+        name: str(value) if isinstance(value, BraidWord) else value
+        for name, value in row._asdict().items()
+    }
 
 
 def _emit(

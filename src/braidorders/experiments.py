@@ -1,6 +1,6 @@
 """Space-of-orderings experiments: agreement metrics and convergence scans.
 
-Reports are plain dataclasses with no output code (the CLI writes them as
+Reports are plain named tuples with no output code (the CLI writes them as
 text, JSON lines or CSV); every scan is deterministic given its inputs, and
 undecided sign evaluations are counted and surfaced rather than coerced.
 """
@@ -8,9 +8,8 @@ undecided sign evaluations are counted and surfaced rather than coerced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
@@ -26,8 +25,7 @@ from .orders import (
     zk_sign,
 )
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Largest ball radius on which two oracles' signs coincide."""
 
     radius: int
@@ -108,8 +106,7 @@ def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction
     return Fraction(1, 2 ** report.radius)
 
 
-@dataclass(frozen=True)
-class ConjugateRow:
+class ConjugateRow(NamedTuple):
     j: int
     conjugator: BraidWord
     radius: int
@@ -118,15 +115,31 @@ class ConjugateRow:
     undecided_count: int
 
 
-@dataclass(frozen=True)
-class ConjugatesReport:
+class ExtensionRow(NamedTuple):
+    M: int
+    weights: tuple[int, ...]
+    radius: int
+    witness: BraidWord | None
+    witness_signs: tuple[int, int] | None
+    soul_witness_vector: tuple[int, ...] | None
+    undecided_count: int
+
+
+class ApproximationReport(NamedTuple):
+    """Rows of an approximation family (conjugates along j, or convex
+    extensions along M) compared with the base on one ball."""
+
     spec_name: str
     ball: BallSpec
-    rows: tuple[ConjugateRow, ...]
+    rows: tuple[ConjugateRow, ...] | tuple[ExtensionRow, ...]
 
     @property
     def radii(self) -> tuple[int, ...]:
         return tuple(r.radius for r in self.rows)
+
+    @property
+    def radii_nondecreasing(self) -> bool:
+        return all(a <= b for a, b in zip(self.radii, self.radii[1:]))
 
     @property
     def reaches_bound(self) -> bool:
@@ -154,7 +167,7 @@ def converge_conjugates_experiment(
     j_range: Sequence[int],
     ball: BallSpec,
     conjugators: Sequence[BraidWord] | None = None,
-) -> ConjugatesReport:
+) -> ApproximationReport:
     """Agreement of the order with its conjugates by s^-j u along j.
 
     Per j: the agreement radius on the ball, plus a distinctness witness
@@ -194,37 +207,7 @@ def converge_conjugates_experiment(
                     witness, signs = w, pair
                     break
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
-    return ConjugatesReport(base.spec.name, ball, tuple(rows))
-
-
-@dataclass(frozen=True)
-class ExtensionRow:
-    M: int
-    weights: tuple[int, ...]
-    radius: int
-    witness: BraidWord | None
-    witness_signs: tuple[int, int] | None
-    soul_witness_vector: tuple[int, ...] | None
-    undecided_count: int
-
-
-@dataclass(frozen=True)
-class ExtensionsReport:
-    spec_name: str
-    ball: BallSpec
-    rows: tuple[ExtensionRow, ...]
-
-    @property
-    def radii(self) -> tuple[int, ...]:
-        return tuple(r.radius for r in self.rows)
-
-    @property
-    def radii_nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.radii, self.radii[1:]))
-
-    @property
-    def all_distinct(self) -> bool:
-        return all(r.witness is not None for r in self.rows)
+    return ApproximationReport(base.spec.name, ball, tuple(rows))
 
 
 def _soul_witness(
@@ -261,7 +244,7 @@ def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> Iterato
 
 def converge_extensions_experiment(
     base: NTOrder, m_range: Sequence[int], ball: BallSpec
-) -> ExtensionsReport:
+) -> ApproximationReport:
     """Convex extensions by integer-slope soul orders approximating the base.
 
     Soul weights (M^(k-1), ..., M, 1) follow the base's own lex priority, so
@@ -304,11 +287,10 @@ def converge_extensions_experiment(
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
         rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector, 0))
-    return ExtensionsReport(base.spec.name, ball, tuple(rows))
+    return ApproximationReport(base.spec.name, ball, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     probe: BraidWord
     base_sign: int
     signs: tuple[int, ...]
@@ -320,8 +302,7 @@ class ProbeRow:
         return self.stabilized and self.stable_sign != self.base_sign
 
 
-@dataclass(frozen=True)
-class LimitProbeReport:
+class LimitProbeReport(NamedTuple):
     """Signs of probe braids under a sequence of conjugates.
 
     Stabilization is a labeled heuristic (tail agreement with no late flip);

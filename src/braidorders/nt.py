@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, inverse_letters, invert, multiply, sigma
 from .errors import (
@@ -302,8 +302,7 @@ def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     return -oracle.sign(BraidWord(a.n, inverse_letters(a.letters) + b.letters))
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     depth: int
     verdict: Literal["less", "equal", "greater", "undecided"]
 
@@ -340,9 +339,8 @@ def generator_depths(order: NTOrder) -> dict[int, int]:
     }
 
 
-@dataclass(frozen=True)
-class ChainLevel:
-    index: int
+class ChainLevel(NamedTuple):
+    index: int  # the level number; shadows tuple.index, kept as a public field name
     depth: int
     generator_pattern: tuple[int, ...]
     members_in_ball: int
@@ -350,8 +348,7 @@ class ChainLevel:
     violations: int
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     spec_name: str
     ambient_pattern: tuple[int, ...]
     levels: tuple[ChainLevel, ...]
@@ -444,8 +441,7 @@ def soul_of(order: NTOrder) -> frozenset[int]:
     return spec.soul_generators
 
 
-@dataclass(frozen=True)
-class ConradWitness:
+class ConradWitness(NamedTuple):
     """Positive f, g with f g^k < g for every k up to the verified bound."""
 
     f: BraidWord
@@ -487,8 +483,7 @@ def conrad_witness_search(
     )
 
 
-@dataclass(frozen=True)
-class TotalityReport:
+class TotalityReport(NamedTuple):
     spec_name: str
     ball: BallSpec
     tie_words: tuple[BraidWord, ...]
@@ -571,6 +566,15 @@ def format_geodesic_spec(spec: GeodesicSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spec_integers(fields: Mapping[str, str], key: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of one spec field (none if absent)."""
+    text = fields.get(key, "")
+    try:
+        return tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise MalformedInputError(f"spec field {key}= must be integers, got {text!r}") from None
+
+
 def parse_geodesic_spec(text: str) -> GeodesicSpec:
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -583,10 +587,14 @@ def parse_geodesic_spec(text: str) -> GeodesicSpec:
         fields[key.strip()] = value.strip()
     try:
         name = fields["name"]
-        n = int(fields["n"])
+        n_text = fields["n"]
         type_tag = fields["type"]
     except KeyError as exc:
         raise MalformedInputError(f"spec file missing field {exc}") from None
+    try:
+        n = int(n_text)
+    except ValueError:
+        raise MalformedInputError(f"spec field n= must be an integer, got {n_text!r}") from None
     if type_tag not in ("finite", "infinite", "full_infinite"):
         raise MalformedInputError(f"unknown type {type_tag!r}")
     word_text = fields.get("word", "")
@@ -595,8 +603,8 @@ def parse_geodesic_spec(text: str) -> GeodesicSpec:
         word = parse_free_word(word_text, n)
     else:
         word = parse_infinite_word(word_text, n)
-    depths = tuple(int(tok) for tok in fields.get("depths", "").split())
-    soul = frozenset(int(tok) for tok in fields.get("soul", "").split())
+    depths = _spec_integers(fields, "depths")
+    soul = frozenset(_spec_integers(fields, "soul"))
     spec = GeodesicSpec(name, n, word, depths, soul, type_tag)  # type: ignore[arg-type]
     spec.validate()
     return spec

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
@@ -19,7 +19,6 @@ from .errors import MalformedInputError
 from .nt import NTOrder, divergence_depth, nt_sign
 
 
-@runtime_checkable
 class OrderOracle(Protocol):
     n: int
 

@@ -229,3 +229,35 @@ def test_ext_lex_reversed_axis(capsys):
     )
     assert code == 0 and "sign=negative" in out
 
+
+
+def test_malformed_soul_order_names_the_form(capsys):
+    for soul_order, form in (
+        ("qslope(2)", "qslope(d; a b, ...)"),
+        ("qslope(2; 1)", "qslope(d; a b, ...)"),
+        ("qslope(x; 1 0, 0 1, 1 1)", "qslope(d; a b, ...)"),
+        ("lex(x)", "lex(...)"),
+        ("lex()", "lex(...)"),
+        ("slope()", "slope(...)"),
+        ("slope(1,y)", "slope(...)"),
+    ):
+        code, out, err = run(capsys, "sign", "--n", "6", "--order", f"ext:nt:b6_cx:{soul_order}", "1")
+        assert code == 1 and out == "", soul_order
+        assert err.startswith(f"error: soul order must look like {form}, got {soul_order!r}"), err
+
+
+def test_malformed_spec_field_names_the_field(tmp_path, capsys):
+    good = {"name": "t", "n": "3", "type": "finite", "word": "-1 -2", "depths": "1 2", "soul": "2"}
+    path = tmp_path / "t.spec"
+    for key, value, message in (
+        ("n", "x", "spec field n= must be an integer, got 'x'"),
+        ("n", "3 4", "spec field n= must be an integer, got '3 4'"),
+        ("depths", "1 x", "spec field depths= must be integers, got '1 x'"),
+        ("soul", "y", "spec field soul= must be integers, got 'y'"),
+    ):
+        path.write_text("".join(f"{k}={value if k == key else v}\n" for k, v in good.items()))
+        code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
+        assert code == 1 and out == "", (key, value)
+        assert err == f"error: {message}\n"
+    path.write_text("".join(f"{k}={v}\n" for k, v in good.items()))
+    assert run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")[0] == 0

@@ -38,10 +38,9 @@ from braidorders import (
 )
 from braidorders.experiments import (
     AgreementReport,
+    ApproximationReport,
     ConjugateRow,
-    ConjugatesReport,
     ExtensionRow,
-    ExtensionsReport,
     LimitProbeReport,
     ProbeRow,
     _soul_witness,
@@ -110,7 +109,7 @@ def ref_conjugates(base, pattern, j_range, ball, conjugators=None):
                 witness, s1, s2 = found
                 signs = (s1, s2)
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
-    return ConjugatesReport(base.spec.name, ball, tuple(rows))
+    return ApproximationReport(base.spec.name, ball, tuple(rows))
 
 
 def ref_extensions(base, m_range, ball):
@@ -140,7 +139,7 @@ def ref_extensions(base, m_range, ball):
         rows.append(
             ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector, rep.undecided_count)
         )
-    return ExtensionsReport(base.spec.name, ball, tuple(rows))
+    return ApproximationReport(base.spec.name, ball, tuple(rows))
 
 
 def ref_limit_probe(base, pattern, n_range, probe_ball):
