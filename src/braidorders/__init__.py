@@ -12,10 +12,8 @@ from .braids import (
     BallSpec,
     BraidWord,
     Permutation,
-    braid,
     conjugate,
     enumerate_ball,
-    format_braid,
     invert,
     linking_number,
     multiply,
@@ -107,8 +105,6 @@ from .planar import (
     GREATER,
     LESS,
     GermConvention,
-    common_prefix_length,
-    planar_cmp,
 )
 
 __version__ = "0.1.0"

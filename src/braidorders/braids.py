@@ -13,7 +13,7 @@ adjacent ``k, -k`` pair); no braid-relation rewriting happens in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import MalformedInputError
 from .freewords import reduce_free
@@ -41,18 +41,8 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return multiply(self, other)
-
-    def __invert__(self) -> "BraidWord":
-        return invert(self)
-
     def __str__(self) -> str:
-        return format_braid(self)
-
-
-def braid(n: int, letters: Iterable[int] = ()) -> BraidWord:
-    return BraidWord(n, tuple(letters))
+        return " ".join(str(k) for k in self.letters)
 
 
 def sigma(n: int, i: int, power: int = 1) -> BraidWord:
@@ -96,27 +86,8 @@ class Permutation:
         if sorted(self.images) != list(range(1, self.n + 1)):
             raise MalformedInputError(f"images {self.images} are not a bijection of 1..{self.n}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(n, tuple(range(1, n + 1)))
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composition in word order: apply self first, then other."""
-        if self.n != other.n:
-            raise MalformedInputError("permutation sizes differ")
-        return Permutation(self.n, tuple(other.images[self.images[i] - 1] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(self.n, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
 
 def permutation_of(w: BraidWord) -> Permutation:
@@ -178,9 +149,6 @@ class BallSpec:
         """Fresh cursor over the ball in length-then-lexicographic order."""
         return enumerate_ball(self)
 
-    def __iter__(self) -> Iterator[BraidWord]:
-        return self.words()
-
     def count(self) -> int:
         g = 2 * (self.n - 1)
         total = 1
@@ -218,10 +186,6 @@ def parse_braid(text: str, n: int) -> BraidWord:
     except ValueError as exc:
         raise MalformedInputError(f"cannot parse braid word {text!r}: {exc}") from None
     return BraidWord(n, letters)
-
-
-def format_braid(w: BraidWord) -> str:
-    return " ".join(str(k) for k in w.letters)
 
 
 def random_word(rng, n: int, length: int) -> BraidWord:

@@ -347,22 +347,13 @@ def limit_probe_experiment(
     """
     s, u = pattern
     soul = sorted(base.spec.soul_generators)
-    probes: list[BraidWord] = []
-    seen = set()
-    for i in soul:
-        for j in soul:
-            if i != j:
-                probes.append(BraidWord(base.n, (i, -j)))
+    probes = [BraidWord(base.n, (i, -j)) for i in soul for j in soul if i != j]
     probes.extend(w for w in probe_ball.words() if w.letters)
-    unique_probes = []
-    for p in probes:
-        if p.letters not in seen:
-            seen.add(p.letters)
-            unique_probes.append(p)
+    probes = list(dict.fromkeys(probes))
 
     conjugates = [ConjugatedOrder(base, BraidWord(base.n, (-s,) * N + (u,))) for N in n_range]
     rows = []
-    for probe in unique_probes:
+    for probe in probes:
         base_sign = base.sign(probe)
         signs = [conj.sign(probe) for conj in conjugates]
         stab, stable = _stabilized(signs)

@@ -201,18 +201,14 @@ InfiniteWord = Union[EventuallyPeriodic, Sturmian, Custom]
 Ray = Union[FreeWord, EventuallyPeriodic, Sturmian, Custom]
 
 
-def is_infinite(word: Ray) -> bool:
-    return not isinstance(word, FreeWord)
-
-
 def parse_infinite_word(text: str, n: int) -> InfiniteWord:
     """Parse "head | period" or "sturmian d a b p q"."""
     text = text.strip()
     if text.startswith("sturmian"):
-        parts = text.split()
-        if len(parts) != 6:
-            raise MalformedInputError(f"expected 'sturmian d a b p q', got {text!r}")
-        d, a, b, p, q = (int(tok) for tok in parts[1:])
+        try:
+            d, a, b, p, q = (int(tok) for tok in text.split()[1:])
+        except ValueError:
+            raise MalformedInputError(f"expected 'sturmian d a b p q' in integers, got {text!r}") from None
         return Sturmian(n, QuadraticIrrational(d, p, q), a, b)
     if "|" in text:
         head_text, period_text = text.split("|", 1)

@@ -41,7 +41,6 @@ from .freewords import (
     FreeWord,
     Ray,
     format_infinite_word,
-    is_infinite,
     parse_free_word,
     parse_infinite_word,
 )
@@ -510,7 +509,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
     divergence depth, up to depth_target.
     """
     spec = order.spec
-    if not is_infinite(spec.word):
+    if isinstance(spec.word, FreeWord):
         raise MalformedInputError(f"{spec.name}: totality probe needs an infinite-type spec")
     if depth_target < 0:
         raise MalformedInputError(f"depth target must be non-negative, got {depth_target}")

@@ -21,7 +21,6 @@ from itertools import islice, zip_longest
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import UndecidedComparisonError
 from .freewords import FreeWord, Ray
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -59,42 +58,6 @@ class GermConvention:
         return MappingProxyType({g: p for p, g in enumerate(self.cycle())})
 
 
-def _diverge(u: Ray, v: Ray, depth_cap: int | None) -> tuple[int, int, int, int]:
-    """(d, gu, gv, arrival): the length d of the longest common prefix of two
-    rays, the germ each takes next (TERMINAL where a finite word ends) and
-    the germ both arrived by (TERMINAL at the basepoint).
-
-    One forward scan over the letters of both rays: it stops at the first
-    differing germ, at the end of both words (gu == gv == TERMINAL), or after
-    depth_cap common letters, reading no letter past the cap.
-    """
-    d = 0
-    arrival = TERMINAL
-    for gu, gv in islice(zip_longest(u, v, fillvalue=TERMINAL), depth_cap):
-        if gu != gv:
-            return d, gu, gv, arrival
-        d += 1
-        arrival = -gu
-    return d, TERMINAL, TERMINAL, arrival
-
-
-def planar_cmp(
-    u: Ray,
-    v: Ray,
-    conv: GermConvention,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> int:
-    """LESS / EQUAL / GREATER by boundary angle; greater means larger angle.
-
-    Raises UndecidedComparisonError(depth_cap) when two streams agree beyond
-    the cap; two finite words always separate, so the cap never binds them.
-    """
-    _, verdict = divergence(u, v, conv, depth_cap)
-    if verdict is None:
-        raise UndecidedComparisonError(depth_cap)
-    return verdict
-
-
 def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
     """The angle verdict of a settled divergence: the next germs of the two
     rays in the cyclic order cut at the arrival germ."""
@@ -115,26 +78,26 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
 def divergence(
     u: Ray, v: Ray, conv: GermConvention, depth_cap: int | None = DEFAULT_DEPTH_CAP
 ) -> tuple[int, int | None]:
-    """(common prefix length, verdict) from one scan.
+    """(common prefix length, verdict) from one forward scan over the letters
+    of both rays.
 
-    The scan stops after depth_cap common letters (never for a cap of None);
-    the verdict is then None and the length the cap.  Two finite words
+    The scan stops at the first differing germ (TERMINAL where a finite word
+    ends), at the end of both words, or after depth_cap common letters,
+    reading no letter past them; a cap of None never stops it.  Stopped at
+    the cap, the verdict is None and the length the cap.  Two finite words
     always separate, so their scan is uncapped.
     """
     if isinstance(u, FreeWord) and isinstance(v, FreeWord):
         depth_cap = None
-    d, gu, gv, arrival = _diverge(u, v, depth_cap)
-    if depth_cap is not None and d >= depth_cap:
-        return depth_cap, None
+    d = 0
+    arrival = TERMINAL  # the germ both rays arrived by
+    for gu, gv in islice(zip_longest(u, v, fillvalue=TERMINAL), depth_cap):
+        if gu != gv:
+            break
+        d += 1
+        arrival = -gu
+    else:
+        if depth_cap is not None and d >= depth_cap:
+            return depth_cap, None
+        gu = gv = TERMINAL  # both words ended together
     return d, _verdict(gu, gv, arrival, conv)
-
-
-def common_prefix_length(u: Ray, v: Ray, depth_cap: int = DEFAULT_DEPTH_CAP) -> tuple[int, bool]:
-    """(length of the longest common prefix, decided?).
-
-    decided is False when the words agree all the way to the cap.
-    """
-    d, _, _, _ = _diverge(u, v, depth_cap)
-    if d >= depth_cap:
-        return depth_cap, False
-    return d, True

@@ -6,7 +6,6 @@ from braidorders import (
     MalformedInputError,
     Permutation,
     enumerate_ball,
-    format_braid,
     invert,
     linking_number,
     multiply,
@@ -52,7 +51,7 @@ def test_product_length_and_inverse_cancellation(rng):
 
 
 def test_permutation_of_examples():
-    assert permutation_of(BraidWord(3)).is_identity()
+    assert permutation_of(BraidWord(3)).images == (1, 2, 3)
     assert permutation_of(BraidWord(3, (1,))).images == (2, 1, 3)
     assert permutation_of(BraidWord(3, (1, 2, 1))).images == (3, 2, 1)
 
@@ -61,13 +60,16 @@ def test_permutation_homomorphism(rng):
     for _ in range(1000):
         a = random_word(rng, 5, rng.randrange(0, 7))
         b = random_word(rng, 5, rng.randrange(0, 7))
-        assert permutation_of(multiply(a, b)) == permutation_of(a).then(permutation_of(b))
+        pa, pb, pab = permutation_of(a), permutation_of(b), permutation_of(multiply(a, b))
+        # composed in word order: a first, then b
+        assert all(pab(i) == pb(pa(i)) for i in range(1, 6))
 
 
 def test_permutation_inverse(rng):
     for _ in range(100):
         a = random_word(rng, 5, rng.randrange(0, 7))
-        assert permutation_of(invert(a)) == permutation_of(a).inverse()
+        pa, pinv = permutation_of(a), permutation_of(invert(a))
+        assert all(pa(pinv(i)) == pinv(pa(i)) == i for i in range(1, 6))
     with pytest.raises(MalformedInputError):
         Permutation(3, (1, 1, 2))
 
@@ -132,4 +134,4 @@ def test_braid_text_round_trip(rng):
         parse_braid("1 x", 3)
     for _ in range(50):
         w = random_word(rng, 4, rng.randrange(0, 9))
-        assert parse_braid(format_braid(w), 4) == w
+        assert parse_braid(str(w), 4) == w

@@ -246,6 +246,14 @@ def test_malformed_soul_order_names_the_form(capsys):
         assert err.startswith(f"error: soul order must look like {form}, got {soul_order!r}"), err
 
 
+def test_malformed_sturmian_spec_word_names_the_form(tmp_path, capsys):
+    path = tmp_path / "t.spec"
+    path.write_text("name=t\nn=3\ntype=full_infinite\nword=sturmian 7 1 x 3 11\ndepths=\nsoul=\n")
+    code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
+    assert code == 1 and out == ""
+    assert err == "error: expected 'sturmian d a b p q' in integers, got 'sturmian 7 1 x 3 11'\n"
+
+
 def test_malformed_spec_field_names_the_field(tmp_path, capsys):
     good = {"name": "t", "n": "3", "type": "finite", "word": "-1 -2", "depths": "1 2", "soul": "2"}
     path = tmp_path / "t.spec"

@@ -93,6 +93,13 @@ def test_infinite_word_text_round_trip():
     assert parse_free_word("1 -2", 3).letters == (1, -2)
 
 
+def test_malformed_sturmian_text_names_the_form():
+    for text in ("sturmian 7 1 x 3 11", "sturmian 7 1 2 3", "sturmian 7 1 2 3 11 4"):
+        with pytest.raises(MalformedInputError) as info:
+            parse_infinite_word(text, 3)
+        assert str(info.value) == f"expected 'sturmian d a b p q' in integers, got {text!r}"
+
+
 def test_artin_identity_and_inverse_composition():
     assert artin_map_of(BraidWord(3)) == ArtinMap.identity(3)
     assert artin_map_of(BraidWord(3, (1, -1))) == ArtinMap.identity(3)

@@ -69,7 +69,7 @@ def assert_same(w: BraidWord) -> None:
 @pytest.mark.parametrize("n, radius", [(3, 8), (4, 6)])
 def test_same_result_on_whole_balls(n, radius):
     words = 0
-    for w in BallSpec(n, radius):
+    for w in BallSpec(n, radius).words():
         assert_same(w)
         words += 1
     assert words == BallSpec(n, radius).count()

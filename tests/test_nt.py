@@ -11,7 +11,6 @@ from braidorders import (
     SoulValidationError,
     act_on_geodesic,
     catalog_order,
-    common_prefix_length,
     conrad_witness_search,
     convex_chain_report,
     dehornoy_sign,
@@ -24,13 +23,13 @@ from braidorders import (
     nt_sign,
     order_cmp,
     parse_geodesic_spec,
-    planar_cmp,
     random_word,
     soul_of,
     totality_probe,
 )
 from braidorders.catalog import search_chain_words
 from braidorders.nt import GeodesicSpec, NTOrder
+from braidorders.planar import divergence
 
 
 def test_catalog_contents_and_validation(specs):
@@ -173,13 +172,19 @@ def test_divergence_depth_examples(specs):
 
 
 def _two_scan_divergence(order, b):
-    # the divergence report as it was first computed: the common prefix
-    # length from one scan, then the verdict from a planar_cmp scan
+    # the divergence report from the whole image and two scans: the common
+    # prefix length counted here letter by letter, to the cap, then the
+    # verdict from a divergence scan of rays known to separate
+    ray = order.spec.word
     image = act_on_geodesic(b, order.spec, order.convention).word
-    depth, decided = common_prefix_length(order.spec.word, image, order.depth_cap)
-    if not decided:
-        return depth, "undecided"
-    verdict = planar_cmp(order.spec.word, image, order.convention, order.depth_cap)
+    depth = 0
+    for x, y in itertools.zip_longest(ray, image):
+        if depth == order.depth_cap or x != y:
+            break
+        depth += 1
+    if depth >= order.depth_cap:
+        return order.depth_cap, "undecided"
+    verdict = divergence(ray, image, order.convention, None)[1]
     return depth, {-1: "less", 0: "equal", 1: "greater"}[verdict]
 
 

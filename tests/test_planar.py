@@ -10,17 +10,20 @@ from braidorders import (
     GermConvention,
     QuadraticIrrational,
     Sturmian,
-    UndecidedComparisonError,
     calibrate_conventions,
-    common_prefix_length,
     frozen_convention,
-    planar_cmp,
     random_word,
 )
 from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
+from braidorders.planar import DEFAULT_DEPTH_CAP, divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word, ray_prefix
+
+
+def planar_verdict(u, v, conv, depth_cap=DEFAULT_DEPTH_CAP):
+    """The angle verdict of the divergence scan: -1, 0, 1, or None past the cap."""
+    return divergence(u, v, conv, depth_cap)[1]
 
 
 def test_germ_cycle_contents():
@@ -37,16 +40,16 @@ def test_default_convention_basepoint_cut():
         conv = GermConvention(n)
         u = FreeWord(n, (n, 1))
         v = FreeWord(n, (1, n))
-        assert planar_cmp(u, v, conv) == -1
-        assert planar_cmp(v, u, conv) == 1
+        assert planar_verdict(u, v, conv) == -1
+        assert planar_verdict(v, u, conv) == 1
 
 
 def test_equal_and_prefix_words(conv3):
     u = FreeWord(3, (1, -2))
-    assert planar_cmp(u, u, conv3) == 0
+    assert planar_verdict(u, u, conv3) == 0
     v = FreeWord(3, (1, -2, 3))
-    assert planar_cmp(u, v, conv3) != 0
-    assert planar_cmp(u, v, conv3) == -planar_cmp(v, u, conv3)
+    assert planar_verdict(u, v, conv3) != 0
+    assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3)
 
 
 def test_comparator_exhaustive_total_order_small_words(conv3):
@@ -63,12 +66,12 @@ def test_comparator_exhaustive_total_order_small_words(conv3):
             if b != -a:
                 words.append(FreeWord(3, (a, b)))
     for u, v in itertools.combinations(words, 2):
-        assert planar_cmp(u, v, conv3) == -planar_cmp(v, u, conv3) != 0
-    ordered = sorted(words, key=functools.cmp_to_key(lambda u, v: planar_cmp(u, v, conv3)))
+        assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3) != 0
+    ordered = sorted(words, key=functools.cmp_to_key(lambda u, v: planar_verdict(u, v, conv3)))
     for u, v in zip(ordered, ordered[1:]):
-        assert planar_cmp(u, v, conv3) == -1
+        assert planar_verdict(u, v, conv3) == -1
     for u, w in zip(ordered, ordered[2:]):
-        assert planar_cmp(u, w, conv3) == -1
+        assert planar_verdict(u, w, conv3) == -1
 
 
 def test_comparator_total_antisymmetric_transitive(rng, conv3):
@@ -76,11 +79,11 @@ def test_comparator_total_antisymmetric_transitive(rng, conv3):
         words = [random_free_word(rng, 3, rng.randrange(0, 7)) for _ in range(3)]
         u, v, w = words
         if u != v:
-            assert planar_cmp(u, v, conv3) != 0
-            assert planar_cmp(u, v, conv3) == -planar_cmp(v, u, conv3)
+            assert planar_verdict(u, v, conv3) != 0
+            assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3)
         if u != v and v != w and u != w:
-            if planar_cmp(u, v, conv3) < 0 and planar_cmp(v, w, conv3) < 0:
-                assert planar_cmp(u, w, conv3) < 0
+            if planar_verdict(u, v, conv3) < 0 and planar_verdict(v, w, conv3) < 0:
+                assert planar_verdict(u, w, conv3) < 0
 
 
 def test_order_equivariance_under_braid_action(rng, conv4):
@@ -92,8 +95,8 @@ def test_order_equivariance_under_braid_action(rng, conv4):
         if u == v:
             continue
         m = artin_map_of(beta, conv4.artin_mirrored)
-        before = planar_cmp(u, v, conv4)
-        after = planar_cmp(apply_map(m, u), apply_map(m, v), conv4)
+        before = planar_verdict(u, v, conv4)
+        after = planar_verdict(apply_map(m, u), apply_map(m, v), conv4)
         assert before == after
 
 
@@ -102,30 +105,32 @@ def test_finite_words_decide_past_the_cap(conv3):
     base = (1, 2) * 300
     u = FreeWord(3, base + (1,))
     v = FreeWord(3, base + (-2,))
-    assert planar_cmp(u, v, conv3, depth_cap=64) == -planar_cmp(v, u, conv3, depth_cap=64)
-    assert planar_cmp(FreeWord(3, base), u, conv3, depth_cap=64) != 0
+    assert divergence(u, v, conv3, depth_cap=64)[0] > 64
+    assert planar_verdict(u, v, conv3, 64) == -planar_verdict(v, u, conv3, 64) != 0
+    assert planar_verdict(FreeWord(3, base), u, conv3, 64) != 0
 
 
-def test_streams_agreeing_beyond_cap_raise(conv3):
+def test_streams_agreeing_beyond_cap_undecided(conv3):
     ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    with pytest.raises(UndecidedComparisonError) as info:
-        planar_cmp(ep, ep, conv3, depth_cap=64)
-    assert info.value.depth == 64
+    assert divergence(ep, ep, conv3, depth_cap=64) == (64, None)
+    st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
+    assert divergence(st, st, conv3, depth_cap=100) == (100, None)
 
 
 def test_stream_vs_finite_decided(conv3):
     st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
     head = FreeWord(3, ray_prefix(st, 5))
-    assert planar_cmp(head, st, conv3) != 0
+    assert planar_verdict(head, st, conv3) != 0
 
 
 def test_common_prefix_length(conv3):
     u = FreeWord(3, (1, 2, 1))
     v = FreeWord(3, (1, 2, -1))
-    assert common_prefix_length(u, v) == (2, True)
+    depth, verdict = divergence(u, v, conv3)
+    assert depth == 2 and verdict in (-1, 1)
     ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    assert common_prefix_length(ep, ep, depth_cap=32) == (32, False)
-    assert common_prefix_length(u, u) == (3, True)
+    assert divergence(ep, ep, conv3, depth_cap=32) == (32, None)
+    assert divergence(u, u, conv3) == (3, 0)
 
 
 def test_calibration_recovers_frozen_convention():

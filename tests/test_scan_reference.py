@@ -24,7 +24,6 @@ from braidorders import (
     GermConvention,
     Sturmian,
     act_on_geodesic,
-    common_prefix_length,
     frozen_convention,
     random_word,
 )
@@ -263,8 +262,6 @@ def test_divergence_matches_window_scan(specs, depth_cap):
             got = divergence(u, v, conv, depth_cap)
             assert got == ref_divergence(ref_u, ref_v, conv, depth_cap), (label, u, v)
             seen.add((label.split()[0], got[1]))
-        got = common_prefix_length(u, v, depth_cap)
-        assert got == ref_common_prefix_length(ref_u, ref_v, depth_cap), (label, u, v)
     kinds = {kind for kind, _ in seen}
     assert {"finite/finite", "finite/mixed_4", "sturmian_4/image", "periodic/sturmian_3"} <= kinds
     verdicts = {verdict for _, verdict in seen}
@@ -279,4 +276,3 @@ def test_scan_reads_no_letter_past_cap(specs):
         u = Custom(3, lambda: iter(letters), label="short")
         v = Custom(3, lambda: iter(letters), label="short")
         assert divergence(u, v, frozen_convention(3), depth_cap) == (depth_cap, None)
-        assert common_prefix_length(u, v, depth_cap) == (depth_cap, False)
