@@ -8,6 +8,8 @@ same direction.
 
 Everything here is exact and immutable.  Words are kept freely reduced (no
 adjacent ``k, -k`` pair); no braid-relation rewriting happens in this module.
+The public constructor checks every letter and reduces; ball enumeration and
+the products here reduce at most once and skip the check (``_trusted_word``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class BraidWord:
         if self.n < 2:
             raise MalformedInputError(f"strand count must be >= 2, got {self.n}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
+            if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
                 raise MalformedInputError(
                     f"letter {k!r} out of range for B_{self.n} (need 1 <= |k| <= {self.n - 1})"
                 )
@@ -43,6 +45,13 @@ class BraidWord:
 
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters)
+
+
+def _trusted_word(n: int, letters: Letters) -> BraidWord:
+    """A word from letters known to be in range and freely reduced: no check."""
+    word = object.__new__(BraidWord)
+    word.__dict__.update(n=n, letters=letters)
+    return word
 
 
 def sigma(n: int, i: int, power: int = 1) -> BraidWord:
@@ -56,7 +65,7 @@ def sigma(n: int, i: int, power: int = 1) -> BraidWord:
 def multiply(a: BraidWord, b: BraidWord) -> BraidWord:
     if a.n != b.n:
         raise MalformedInputError(f"strand counts differ: {a.n} vs {b.n}")
-    return BraidWord(a.n, a.letters + b.letters)
+    return _trusted_word(a.n, reduce_free(a.letters + b.letters))
 
 
 def inverse_letters(letters: Sequence[int]) -> Letters:
@@ -65,14 +74,14 @@ def inverse_letters(letters: Sequence[int]) -> Letters:
 
 
 def invert(a: BraidWord) -> BraidWord:
-    return BraidWord(a.n, inverse_letters(a.letters))
+    return _trusted_word(a.n, inverse_letters(a.letters))
 
 
 def conjugate(b: BraidWord, h: BraidWord) -> BraidWord:
     """h^-1 * b * h, freely reduced once."""
     if h.n != b.n:
         raise MalformedInputError(f"strand counts differ: {h.n} vs {b.n}")
-    return BraidWord(b.n, inverse_letters(h.letters) + b.letters + h.letters)
+    return _trusted_word(b.n, reduce_free(inverse_letters(h.letters) + b.letters + h.letters))
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,7 @@ def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
     """Yield every freely reduced word of length <= max_length exactly once,
     in length-then-lexicographic order (letters ranked 1 < -1 < 2 < -2 < ...)."""
     alphabet = spec.alphabet()
-    yield BraidWord(spec.n)
+    yield BraidWord(spec.n)  # checks the strand count once for the ball
     frontier: list[Letters] = [()]
     for _ in range(spec.max_length):
         new_frontier: list[Letters] = []
@@ -172,7 +181,7 @@ def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
                     continue
                 new_frontier.append(prefix + (k,))
         for letters in new_frontier:
-            yield BraidWord(spec.n, letters)
+            yield _trusted_word(spec.n, letters)
         frontier = new_frontier
 
 

@@ -51,7 +51,7 @@ class FreeWord:
         if self.n < 1:
             raise MalformedInputError(f"rank must be >= 1, got {self.n}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.n:
+            if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n:
                 raise MalformedInputError(f"letter {k!r} out of range for F_{self.n}")
         object.__setattr__(self, "letters", reduce_free(self.letters))
 
@@ -169,6 +169,9 @@ class Sturmian:
             raise MalformedInputError("Sturmian letters must differ")
         if max(self.letter_a, self.letter_b) > self.n:
             raise MalformedInputError("Sturmian letters out of range")
+        s = self.slope  # 0 < p + sqrt(d) < q, with q > 0 and sqrt(d) irrational
+        if not _le_sqrt(-s.p, s.d) or _le_sqrt(s.q - s.p, s.d):
+            raise MalformedInputError(f"Sturmian slope ({s.p} + sqrt({s.d}))/{s.q} is not in (0, 1)")
 
     def __iter__(self) -> Iterator[int]:
         prev = 0
@@ -204,9 +207,10 @@ Ray = Union[FreeWord, EventuallyPeriodic, Sturmian, Custom]
 def parse_infinite_word(text: str, n: int) -> InfiniteWord:
     """Parse "head | period" or "sturmian d a b p q"."""
     text = text.strip()
-    if text.startswith("sturmian"):
+    tokens = text.split()
+    if tokens[:1] == ["sturmian"]:
         try:
-            d, a, b, p, q = (int(tok) for tok in text.split()[1:])
+            d, a, b, p, q = (int(tok) for tok in tokens[1:])
         except ValueError:
             raise MalformedInputError(f"expected 'sturmian d a b p q' in integers, got {text!r}") from None
         return Sturmian(n, QuadraticIrrational(d, p, q), a, b)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .braids import BallSpec, BraidWord, inverse_letters, invert, multiply, sigma
+from .braids import BallSpec, BraidWord, _trusted_word, inverse_letters, invert, multiply, sigma
 from .errors import (
     MalformedInputError,
     SearchFailureError,
@@ -43,6 +43,7 @@ from .freewords import (
     format_infinite_word,
     parse_free_word,
     parse_infinite_word,
+    reduce_free,
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
@@ -136,7 +137,8 @@ class NTOrder:
 #     sigma_i^-1:   x_i -> x_{i+1},              x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
 #
 # with all other generators fixed (a "mirrored" convention swaps the two
-# rules).  letter_images holds it as a fixed table over every signed letter.
+# rules).  _letter_tables holds it as one plain dict per braid letter, which
+# the transport indexes; letter_images is a read-only view of one of them.
 #
 # Bounded cancellation (Cooper 1987) for one braid letter: where the reduced
 # images of u and v meet, for a freely reduced product u v, at most this many
@@ -162,20 +164,27 @@ SINGLE_LETTER_BOUND = 1
 
 
 @lru_cache(maxsize=None)
+def _letter_tables(n: int, mirrored: bool) -> dict[int, dict[int, FreeLetters]]:
+    """Braid letter -> image of every signed letter of F_n under it, for
+    every braid letter of B_n (shared: callers must not mutate)."""
+    tables: dict[int, dict[int, FreeLetters]] = {}
+    for letter in (k for i in range(1, n) for k in (i, -i)):
+        i = abs(letter)
+        if (letter > 0) != mirrored:
+            moved = {i: (i, i + 1, -i), i + 1: (i,)}
+        else:
+            moved = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+        images = tables[letter] = {}
+        for j in range(1, n + 1):
+            images[j] = img = moved.get(j, (j,))
+            images[-j] = inverse_letters(img)
+    return tables
+
+
 def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
-    """Image of every signed letter of F_n under one braid letter (a shared,
-    read-only table)."""
-    i = abs(letter)
-    if (letter > 0) != mirrored:
-        moved = {i: (i, i + 1, -i), i + 1: (i,)}
-    else:
-        moved = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
-    images: dict[int, FreeLetters] = {}
-    for j in range(1, n + 1):
-        img = moved.get(j, (j,))
-        images[j] = img
-        images[-j] = tuple(-k for k in reversed(img))
-    return MappingProxyType(images)
+    """Image of every signed letter of F_n under one braid letter: a
+    read-only view of the table the transport reads."""
+    return MappingProxyType(_letter_tables(n, mirrored)[letter])
 
 
 def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
@@ -183,23 +192,24 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
 
     One stage per braid letter, the last braid letter acting first, so the
     action is a left action (a b moves the ray as b, then a): a stage freely
-    reduces the images of the letters it receives through its letter_images
-    table.  By bounded cancellation, where the images of a
-    reduced prefix and of the rest of the word meet under one braid letter,
-    at most SINGLE_LETTER_BOUND = 1 letter cancels (proved above), so a
-    stage passes a letter on to the next stage once a letter is held behind
-    it.  When a finite ray ends, the stages flush from the first to the last.
-    The stages live in one loop with a stage pointer: the highest stage that
-    can pass a letter on does so, and the ray is read only when none can.  A
-    stage receives a letter only when it holds at most SINGLE_LETTER_BOUND,
-    and a letter's image has at most 3 letters, so no stage holds more than
-    SINGLE_LETTER_BOUND + 3 letters.
+    reduces the images of the letters it receives through its braid letter's
+    dict from _letter_tables, looked up once per transport.  By bounded
+    cancellation, where the images of a reduced prefix and of the rest of the
+    word meet under one braid letter, at most SINGLE_LETTER_BOUND = 1 letter
+    cancels (proved above), so a stage passes a letter on to the next stage
+    once a letter is held behind it.  When a finite ray ends, the stages
+    flush from the first to the last.  The stages live in one loop with a
+    stage pointer: the highest stage that can pass a letter on does so, and
+    the ray is read only when none can.  A stage receives a letter only when
+    it holds at most SINGLE_LETTER_BOUND, and a letter's image has at most 3
+    letters, so no stage holds more than SINGLE_LETTER_BOUND + 3 letters.
 
     A stage that would cancel a letter it has already passed on raises
     MalformedInputError: the ray was not freely reduced.  A stream raises
     StreamGrowthError after (3 |b| + 16) 2^10 letters without an image letter.
     """
-    tables = [letter_images(b.n, letter, mirrored) for letter in reversed(b.letters)]
+    table = _letter_tables(b.n, mirrored)
+    tables = [table[letter] for letter in reversed(b.letters)]
     top = len(tables)
     patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
     # stage s: the letter it passed on last (0 before the first), then the
@@ -298,7 +308,7 @@ def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     a > b; a < b iff a^-1 b is positive, by left invariance."""
     if a.n != b.n:
         raise MalformedInputError(f"strand counts differ: {a.n} vs {b.n}")
-    return -oracle.sign(BraidWord(a.n, inverse_letters(a.letters) + b.letters))
+    return -oracle.sign(_trusted_word(a.n, reduce_free(inverse_letters(a.letters) + b.letters)))
 
 
 class DivergenceReport(NamedTuple):

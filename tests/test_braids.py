@@ -32,6 +32,11 @@ def test_letter_out_of_range_rejected():
         BraidWord(3, (3,))
     with pytest.raises(MalformedInputError):
         BraidWord(3, (0,))
+    # bool is an int subclass, so True would otherwise read as the letter 1
+    for letters in ((True, 2), (True, -1), (False,)):
+        with pytest.raises(MalformedInputError) as info:
+            BraidWord(3, letters)
+        assert str(info.value) == f"letter {letters[0]!r} out of range for B_3 (need 1 <= |k| <= 2)"
 
 
 def test_multiply_and_invert():

@@ -248,10 +248,15 @@ def test_malformed_soul_order_names_the_form(capsys):
 
 def test_malformed_sturmian_spec_word_names_the_form(tmp_path, capsys):
     path = tmp_path / "t.spec"
-    path.write_text("name=t\nn=3\ntype=full_infinite\nword=sturmian 7 1 x 3 11\ndepths=\nsoul=\n")
-    code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
-    assert code == 1 and out == ""
-    assert err == "error: expected 'sturmian d a b p q' in integers, got 'sturmian 7 1 x 3 11'\n"
+    for word, message in (
+        ("sturmian 7 1 x 3 11", "expected 'sturmian d a b p q' in integers, got 'sturmian 7 1 x 3 11'"),
+        ("sturmianx 7 1 2 3 11", "cannot parse infinite word 'sturmianx 7 1 2 3 11'"),
+        ("sturmian 7 1 2 3 2", "Sturmian slope (3 + sqrt(7))/2 is not in (0, 1)"),
+    ):
+        path.write_text(f"name=t\nn=3\ntype=full_infinite\nword={word}\ndepths=\nsoul=\n")
+        code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
+        assert code == 1 and out == "", word
+        assert err == f"error: {message}\n"
 
 
 def test_malformed_spec_field_names_the_field(tmp_path, capsys):

@@ -24,6 +24,7 @@ CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benc
 EXEMPT = {
     "random_word": "public helper that draws the random words of the property and long-word tests",
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
+    "letter_images": "public read-only view of one braid letter's table in the transport's tables",
     "ChainReport.patterns": "public reading of a chain report as its distinct generator patterns",
     "ApproximationReport.radii_nondecreasing": "public check that agreement radii grow with N",
     "ApproximationReport.reaches_bound": "public check that some agreement radius reaches the ball bound",

@@ -52,6 +52,10 @@ def test_free_word_reduction_and_inverse():
     assert (w * ~w).letters == ()
     with pytest.raises(MalformedInputError):
         FreeWord(3, (4,))
+    for letters, bad in (((True, 2), True), ((2, False), False)):
+        with pytest.raises(MalformedInputError) as info:
+            FreeWord(3, letters)
+        assert str(info.value) == f"letter {bad!r} out of range for F_3"
 
 
 def test_quadratic_irrational_exact_floor():
@@ -98,6 +102,25 @@ def test_malformed_sturmian_text_names_the_form():
         with pytest.raises(MalformedInputError) as info:
             parse_infinite_word(text, 3)
         assert str(info.value) == f"expected 'sturmian d a b p q' in integers, got {text!r}"
+
+
+def test_sturmian_form_needs_the_exact_keyword():
+    for text in ("sturmianx 7 1 2 3 11", "sturmian7 1 2 3 11", "Sturmian 7 1 2 3 11"):
+        with pytest.raises(MalformedInputError) as info:
+            parse_infinite_word(text, 3)
+        assert str(info.value) == f"cannot parse infinite word {text!r}"
+
+
+def test_sturmian_slope_must_lie_in_the_unit_interval():
+    # (p + sqrt d)/q for d = 7: sqrt 7 ~ 2.6458
+    for p, q in ((3, 2), (-3, 2), (-3, 1), (3, 5), (-3, 11), (0, 2)):
+        with pytest.raises(MalformedInputError) as info:
+            Sturmian(3, QuadraticIrrational(7, p, q), 1, 2)
+        assert str(info.value) == f"Sturmian slope ({p} + sqrt(7))/{q} is not in (0, 1)"
+    for p, q in ((3, 11), (-2, 1), (0, 3), (3, 6), (-1, 2)):
+        slope = QuadraticIrrational(7, p, q)
+        assert 0 < float(slope) < 1
+        assert set(ray_prefix(Sturmian(3, slope, 1, 2), 200)) == {1, 2}
 
 
 def test_artin_identity_and_inverse_composition():

@@ -2,8 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so the checks that guard a sign are
 written as explicit raises.  A subprocess under ``-O`` builds a handle-free
-result with mixed signs on its main index and a settled divergence on two
-equal germs; both must still raise.
+result with mixed signs on its main index, a settled divergence on two equal
+germs, a braid word with a ``bool`` letter and a Sturmian word whose slope is
+outside (0, 1); all must still raise.
 """
 
 import os
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import sys
-from braidorders import frozen_convention
+from braidorders import BraidWord, MalformedInputError, QuadraticIrrational, Sturmian, frozen_convention
 from braidorders.dehornoy import HandleFreeWord
 from braidorders.planar import _verdict
 
@@ -29,6 +30,14 @@ try:
     _verdict(2, 2, 1, frozen_convention(3))
 except AssertionError as exc:
     print("verdict:", exc)
+try:
+    BraidWord(3, (True, 2))
+except MalformedInputError as exc:
+    print("letter:", exc)
+try:
+    Sturmian(3, QuadraticIrrational(7, 3, 2), 1, 2)
+except MalformedInputError as exc:
+    print("slope:", exc)
 """
 
 
@@ -42,4 +51,6 @@ def test_checks_raise_under_python_O():
         "optimize 1",
         "main_sign: handle-free word has mixed signs on its main index",
         "verdict: divergence scan stopped on equal letters",
+        "letter: letter True out of range for B_3 (need 1 <= |k| <= 2)",
+        "slope: Sturmian slope (3 + sqrt(7))/2 is not in (0, 1)",
     ]
