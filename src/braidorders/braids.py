@@ -31,6 +31,8 @@ class BraidWord:
     letters: Letters = ()
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise MalformedInputError(f"strand count must be an integer, got {self.n!r}")
         if self.n < 2:
             raise MalformedInputError(f"strand count must be >= 2, got {self.n}")
         for k in self.letters:
@@ -169,8 +171,8 @@ class BallSpec:
 def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
     """Yield every freely reduced word of length <= max_length exactly once,
     in length-then-lexicographic order (letters ranked 1 < -1 < 2 < -2 < ...)."""
-    alphabet = spec.alphabet()
     yield BraidWord(spec.n)  # checks the strand count once for the ball
+    alphabet = spec.alphabet()
     frontier: list[Letters] = [()]
     for _ in range(spec.max_length):
         new_frontier: list[Letters] = []

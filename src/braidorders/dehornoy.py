@@ -10,6 +10,13 @@ leaves a word in which the lowest occurring index appears with a single sign.
 Convention: a braid is Dehornoy-positive when that lowest index occurs only
 positively.  The sign is constant on braid elements, which makes this the
 independent cross-check oracle for every other ordering in the package.
+
+A word whose lowest index i already occurs with one sign only is settled:
+dehornoy_sign reads that sign without reducing, since reduction would keep
+every sigma_i letter as it is and return the same sign.
+  * a sigma_i-handle needs both sigma_i and sigma_i^-1;
+  * a sigma_j-handle with j > i writes only letters of index j and j+1;
+  * free reduction cannot remove a sigma_i whose inverse never occurs.
 """
 
 from __future__ import annotations
@@ -110,7 +117,19 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
 
 
 def dehornoy_sign(w: BraidWord) -> int:
-    """-1, 0 or +1; zero exactly on trivial braids."""
+    """-1, 0 or +1; zero exactly on trivial braids.
+
+    A settled word (see the module docstring) is signed in linear time,
+    without handle reduction, so it never exhausts the step budget.
+    """
+    letters = w.letters
+    if not letters:
+        return ZERO
+    i = min(map(abs, letters))
+    if -i not in letters:
+        return POSITIVE
+    if i not in letters:
+        return NEGATIVE
     return handle_reduce(w).main_sign
 
 

@@ -20,6 +20,7 @@ nt.py, which moves a ray letter by letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count, cycle
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Union
@@ -184,15 +185,25 @@ class Sturmian:
 @dataclass(frozen=True)
 class Custom:
     """An infinite word given by a function that returns a fresh iterator
-    over its letters; each call starts again from the first letter."""
+    over its letters; each call starts again from the first letter.  Each
+    letter is checked as it is read: a letter of F_n, not cancelling the
+    one before."""
 
     n: int
     letters: Callable[[], Iterable[int]]
     label: str = "custom"
 
+    @cached_property
+    def _alphabet(self) -> frozenset[int]:
+        """Every letter of F_n and its inverse, built once per stream."""
+        return frozenset(k for j in range(1, self.n + 1) for k in (j, -j))
+
     def __iter__(self) -> Iterator[int]:
         prev = 0
+        alphabet = self._alphabet
         for k in self.letters():
+            if k not in alphabet:
+                raise MalformedInputError(f"custom stream {self.label!r} has letter {k!r} out of range for F_{self.n}")
             if k == -prev:
                 raise MalformedInputError(f"custom stream {self.label!r} is not freely reduced")
             yield k

@@ -138,7 +138,8 @@ class NTOrder:
 #
 # with all other generators fixed (a "mirrored" convention swaps the two
 # rules).  _letter_tables holds it as one plain dict per braid letter, which
-# the transport indexes; letter_images is a read-only view of one of them.
+# _stage_tables recasts for the transport; letter_images is a read-only view
+# of one of those dicts.
 #
 # Bounded cancellation (Cooper 1987) for one braid letter: where the reduced
 # images of u and v meet, for a freely reduced product u v, at most this many
@@ -159,7 +160,8 @@ class NTOrder:
 #
 # The bound is met: u = v = y cancels c^-1 c.  A transport stage holds back
 # this many letters and passes on the rest, which no later letter of the ray
-# can cancel.
+# can cancel.  It also makes one comparison per junction: the first letter
+# of the incoming image against the stage's last letter (_stage_tables).
 SINGLE_LETTER_BOUND = 1
 
 
@@ -181,9 +183,22 @@ def _letter_tables(n: int, mirrored: bool) -> dict[int, dict[int, FreeLetters]]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _stage_tables(
+    n: int, mirrored: bool
+) -> dict[int, dict[int, tuple[int, FreeLetters, FreeLetters]]]:
+    """_letter_tables with each image as the triple a transport stage reads:
+    (the stage letter the image's first letter would cancel, the image, the
+    image less its first letter).  Shared: callers must not mutate."""
+    return {
+        letter: {k: (-img[0], img, img[1:]) for k, img in images.items()}
+        for letter, images in _letter_tables(n, mirrored).items()
+    }
+
+
 def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
     """Image of every signed letter of F_n under one braid letter: a
-    read-only view of the table the transport reads."""
+    read-only view of the table the transport's stage tables are built from."""
     return MappingProxyType(_letter_tables(n, mirrored)[letter])
 
 
@@ -191,13 +206,14 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     """The image of a ray under the braid, letter by letter, read lazily.
 
     One stage per braid letter, the last braid letter acting first, so the
-    action is a left action (a b moves the ray as b, then a): a stage freely
-    reduces the images of the letters it receives through its braid letter's
-    dict from _letter_tables, looked up once per transport.  By bounded
-    cancellation, where the images of a reduced prefix and of the rest of the
-    word meet under one braid letter, at most SINGLE_LETTER_BOUND = 1 letter
-    cancels (proved above), so a stage passes a letter on to the next stage
-    once a letter is held behind it.  When a finite ray ends, the stages
+    action is a left action (a b moves the ray as b, then a): a stage appends
+    the images of the letters it receives through its braid letter's dict
+    from _stage_tables, looked up once per transport.  By bounded
+    cancellation, where the images of a reduced prefix and of the next letter
+    meet under one braid letter, at most SINGLE_LETTER_BOUND = 1 letter
+    cancels on each side (proved above): so a stage compares only the image's
+    first letter with its own last letter, and passes a letter on to the next
+    stage once a letter is held behind it.  When a finite ray ends, the stages
     flush from the first to the last.  The stages live in one loop with a
     stage pointer: the highest stage that can pass a letter on does so, and
     the ray is read only when none can.  A stage receives a letter only when
@@ -208,7 +224,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     MalformedInputError: the ray was not freely reduced.  A stream raises
     StreamGrowthError after (3 |b| + 16) 2^10 letters without an image letter.
     """
-    table = _letter_tables(b.n, mirrored)
+    table = _stage_tables(b.n, mirrored)
     tables = [table[letter] for letter in reversed(b.letters)]
     top = len(tables)
     patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
@@ -241,13 +257,14 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
         s += 1
         while s < top:
             stage = stages[s]
-            for m in tables[s][letter]:
-                if stage[-1] == -m:
-                    stage.pop()
-                    if not stage:
-                        raise MalformedInputError("the transported ray is not freely reduced")
-                else:
-                    stage.append(m)
+            cancels, image, rest = tables[s][letter]
+            if stage[-1] == cancels:
+                stage.pop()
+                if not stage:
+                    raise MalformedInputError("the transported ray is not freely reduced")
+                stage += rest
+            else:
+                stage += image
             if len(stage) <= full:
                 break
             del stage[0]

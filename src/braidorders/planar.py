@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, zip_longest
-from types import MappingProxyType
-from typing import Mapping
 
 from .freewords import FreeWord, Ray
 
@@ -53,9 +51,13 @@ class GermConvention:
         return tuple(germs)
 
     @cached_property
-    def positions(self) -> Mapping[int, int]:
-        """Place of each germ in the cycle, built once per convention."""
-        return MappingProxyType({g: p for p, g in enumerate(self.cycle())})
+    def _places(self) -> tuple[int, ...]:
+        """Place of each germ in the cycle, indexed by germ + n: read-only,
+        built once per convention, read by the verdict of every sign."""
+        places = [0] * (2 * self.n + 1)
+        for p, g in enumerate(self.cycle()):
+            places[g + self.n] = p
+        return tuple(places)
 
 
 def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
@@ -68,10 +70,10 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
     # at the basepoint the arrival is TERMINAL, at position 0: the cycle is
     # then cut at the boundary west germ, just before it, and positions read
     # as listed
-    pos = conv.positions
-    size = len(pos)
-    a = pos[arrival]
-    verdict = LESS if (pos[gu] - a) % size < (pos[gv] - a) % size else GREATER
+    places, n = conv._places, conv.n
+    size = len(places)
+    a = places[arrival + n]
+    verdict = LESS if (places[gu + n] - a) % size < (places[gv + n] - a) % size else GREATER
     return -verdict if conv.angle_flipped else verdict
 
 

@@ -39,6 +39,20 @@ def test_letter_out_of_range_rejected():
         assert str(info.value) == f"letter {letters[0]!r} out of range for B_3 (need 1 <= |k| <= 2)"
 
 
+def test_strand_count_must_be_an_integer():
+    # a float or bool count used to build a word that failed later, in
+    # permutation_of, with a TypeError
+    for n in (3.5, 3.0, "3", None, True):
+        with pytest.raises(MalformedInputError) as info:
+            BraidWord(n, (1, 2) if n is not True else ())
+        assert str(info.value) == f"strand count must be an integer, got {n!r}"
+    with pytest.raises(MalformedInputError, match="strand count must be >= 2, got 1"):
+        BraidWord(1)
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        list(BallSpec(3.0, 2).words())
+    assert permutation_of(BraidWord(3, (1, 2))).images == (3, 1, 2)
+
+
 def test_multiply_and_invert():
     assert multiply(BraidWord(3, (1,)), BraidWord(3, (-1,))).letters == ()
     assert invert(BraidWord(3, (1, -2))).letters == (2, -1)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from braidorders import (
+    BallSpec,
     BraidWord,
     BudgetExceededError,
     DehornoyOrder,
@@ -12,6 +15,7 @@ from braidorders import (
     order_cmp,
     random_word,
 )
+from braidorders import dehornoy
 
 RELATORS_B4 = [
     (1, 2, 1, -2, -1, -2),
@@ -192,3 +196,63 @@ def test_default_budget_handles_b4_length_12(rng):
     for _ in range(300):
         w = random_word(rng, 4, 12)
         handle_reduce(w)
+
+
+def _settled(letters) -> bool:
+    """The lowest index occurs with one sign only (the empty word is not)."""
+    if not letters:
+        return False
+    main = min(abs(k) for k in letters)
+    return len({k for k in letters if abs(k) == main}) == 1
+
+
+def _differential_words():
+    rng = random.Random(20240817)
+    words = [w for n, length in ((3, 8), (4, 6), (5, 4)) for w in BallSpec(n, length).words()]
+    for n in (3, 4, 5, 6):
+        words.extend(random_word(rng, n, rng.randrange(257)) for _ in range(12))
+        words.extend(random_word(rng, n, 256) for _ in range(3))
+    return words
+
+
+def test_settled_shortcut_matches_handle_reduction(monkeypatch):
+    # dehornoy_sign reads a settled word's sign without handle reduction;
+    # the result must be handle reduction's on the whole B3 L8, B4 L6 and
+    # B5 L4 balls and on random words to length 256, both branches taken
+    words = _differential_words()
+    expected = [handle_reduce(w).main_sign for w in words]
+    reduced = []
+
+    def spy(w, *args):
+        reduced.append(w)
+        return handle_reduce(w, *args)
+
+    monkeypatch.setattr(dehornoy, "handle_reduce", spy)
+    assert [dehornoy_sign(w) for w in words] == expected
+    settled = sum(_settled(w.letters) for w in words)
+    empty = sum(not w.letters for w in words)
+    assert 0 < settled < len(words) - empty
+    assert len(reduced) == len(words) - settled - empty
+    assert not any(_settled(w.letters) or not w.letters for w in reduced)
+
+
+def test_settled_words_signed_without_handle_reduction(monkeypatch):
+    words = [w for w in _differential_words() if _settled(w.letters)]
+    expected = [handle_reduce(w).main_sign for w in words]
+
+    def refuse(w, *args):
+        raise AssertionError(f"handle reduction called on {w}")
+
+    monkeypatch.setattr(dehornoy, "handle_reduce", refuse)
+    assert [dehornoy_sign(w) for w in words] == expected
+    with pytest.raises(AssertionError, match="handle reduction called"):
+        dehornoy_sign(BraidWord(3, (1, 2, -1)))
+
+
+def test_settled_word_never_exhausts_the_budget():
+    # sigma_1 then a word that needs many sigma_2-handle steps: reduction
+    # runs out of a small budget, the settled sign does not need it
+    w = BraidWord(4, (1,) + (2, 3, -2, -3) * 6)
+    with pytest.raises(BudgetExceededError):
+        handle_reduce(w, budget=2)
+    assert handle_reduce(w).main_sign == dehornoy_sign(w) == 1

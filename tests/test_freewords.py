@@ -28,6 +28,7 @@ from braidorders import (
 )
 from braidorders.freewords import format_infinite_word
 from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, braid_image_of_word, letter_images
+from braidorders.planar import divergence
 
 from artin_reference import ArtinMap, apply_map, artin_map_of, compose, substitute
 
@@ -249,6 +250,15 @@ def test_custom_supplier_checked():
     bad = Custom(3, lambda: iter((1,) * 5), label="bad")
     with pytest.raises(MalformedInputError):
         ray_prefix(bad, 10)
+    # letters outside F_3, read by the scan or by the transport, where an
+    # unchecked -4 would index past the germ places and read a wrong verdict
+    for letters in ((4, 1), (-4, 1), (0, 1), (1, 2, 2.5)):
+        far = Custom(3, lambda letters=letters: itertools.cycle(letters), label="far")
+        near = Custom(3, lambda letters=letters: itertools.cycle(letters[:-1] + (3,)), label="near")
+        with pytest.raises(MalformedInputError, match="out of range for F_3"):
+            divergence(far, near, GermConvention(3))
+        with pytest.raises(MalformedInputError, match="out of range for F_3"):
+            nt_sign(NTOrder(GeodesicSpec("far", 3, far), GermConvention(3)), BraidWord(3, (1,)))
 
 
 def test_growth_failure_on_degenerate_stream():

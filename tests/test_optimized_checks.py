@@ -3,8 +3,9 @@
 ``-O`` strips ``assert`` statements, so the checks that guard a sign are
 written as explicit raises.  A subprocess under ``-O`` builds a handle-free
 result with mixed signs on its main index, a settled divergence on two equal
-germs, a braid word with a ``bool`` letter and a Sturmian word whose slope is
-outside (0, 1); all must still raise.
+germs, a braid word with a ``bool`` letter, one with a non-integer strand
+count and a Sturmian word whose slope is outside (0, 1); all must still
+raise.
 """
 
 import os
@@ -35,6 +36,10 @@ try:
 except MalformedInputError as exc:
     print("letter:", exc)
 try:
+    BraidWord(3.5, (1, 2))
+except MalformedInputError as exc:
+    print("strands:", exc)
+try:
     Sturmian(3, QuadraticIrrational(7, 3, 2), 1, 2)
 except MalformedInputError as exc:
     print("slope:", exc)
@@ -52,5 +57,6 @@ def test_checks_raise_under_python_O():
         "main_sign: handle-free word has mixed signs on its main index",
         "verdict: divergence scan stopped on equal letters",
         "letter: letter True out of range for B_3 (need 1 <= |k| <= 2)",
+        "strands: strand count must be an integer, got 3.5",
         "slope: Sturmian slope (3 + sqrt(7))/2 is not in (0, 1)",
     ]

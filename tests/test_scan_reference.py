@@ -140,7 +140,7 @@ def ref_verdict(d, pu, pv, conv):
     gv = pv[d] if d < len(pv) else TERMINAL
     if gu == gv == TERMINAL:
         return EQUAL
-    pos = conv.positions
+    pos = {g: p for p, g in enumerate(conv.cycle())}
     if d == 0:
         pu_pos, pv_pos = pos[gu], pos[gv]
     else:

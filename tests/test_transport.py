@@ -2,7 +2,9 @@
 
 The whole maps of ``artin_reference`` (``artin_map_of``/``apply_map``) check
 its letters on small balls, the same transport holding back three letters a
-stage (the looser bound it used before) checks them on random braids, handle
+stage (the looser bound it used before) checks them on random braids, as does
+``cascading_image_letters``, the stage loop that cancels letter by letter,
+kept here as the reference for the one comparison per junction; handle
 reduction checks its signs on long random words, and tracemalloc checks that
 a sign holds only the stage buffers, not the image.
 """
@@ -25,11 +27,66 @@ from braidorders import (
     nt_sign,
     random_word,
 )
-from braidorders.nt import SINGLE_LETTER_BOUND
+from braidorders.errors import MalformedInputError, StreamGrowthError
+from braidorders.nt import SINGLE_LETTER_BOUND, _letter_tables
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import ray_prefix
+
+
+def cascading_image_letters(b, ray, mirrored, bound):
+    """The transport as it was before a stage compared one letter per
+    junction: each image letter is cancelled against the stage's last letter
+    in turn, so cancellation may cascade; a stage holds back ``bound``
+    letters."""
+    table = _letter_tables(b.n, mirrored)
+    tables = [table[letter] for letter in reversed(b.letters)]
+    top = len(tables)
+    patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
+    stages = [[0] for _ in tables]
+    full = bound + 1
+    limits = [full] * top
+    letters = iter(ray)
+    flushing = -1
+    idle = 0
+    s = top - 1
+    while True:
+        while s >= 0 and len(stages[s]) <= limits[s]:
+            s -= 1
+        if s >= 0:
+            del stages[s][0]
+            letter = stages[s][0]
+        elif flushing < 0 and (letter := next(letters, None)) is not None:
+            idle += 1
+            if patience is not None and idle > patience:
+                raise StreamGrowthError(f"no image letter after {idle} stream letters")
+        else:
+            flushing += 1
+            if flushing == top:
+                return
+            s = flushing
+            limits[s] = 1
+            continue
+        s += 1
+        while s < top:
+            stage = stages[s]
+            for m in tables[s][letter]:
+                if stage[-1] == -m:
+                    stage.pop()
+                    if not stage:
+                        raise MalformedInputError("the transported ray is not freely reduced")
+                else:
+                    stage.append(m)
+            if len(stage) <= full:
+                break
+            del stage[0]
+            letter = stage[0]
+            s += 1
+        else:
+            idle = 0
+            yield letter
+            s = top - 1
 
 
 def certified_image(b, letters, mirrored, length):
@@ -90,6 +147,31 @@ def test_one_letter_stages_match_three_letter_stages(monkeypatch):
     monkeypatch.setattr(nt, "SINGLE_LETTER_BOUND", 3)
     for case, image in zip(cases, images):
         assert tuple(islice(nt._image_letters(*case), 300)) == image, case
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_one_comparison_per_junction_matches_cascading_stages(monkeypatch, bound):
+    # random braids of length 0-40 on every catalog ray, both conventions:
+    # the same image letters, or the same error, as the cascading loop
+    monkeypatch.setattr(nt, "SINGLE_LETTER_BOUND", bound)
+    rng = random.Random(20240819)
+    compared = 0
+    for spec in catalog().values():
+        for _ in range(20):
+            b = random_word(rng, spec.n, rng.randrange(41))
+            for mirrored in (False, True):
+                outcomes = []
+                for image in (
+                    nt._image_letters(b, spec.word, mirrored),
+                    cascading_image_letters(b, spec.word, mirrored, bound),
+                ):
+                    try:
+                        outcomes.append(tuple(islice(image, 300)))
+                    except (MalformedInputError, StreamGrowthError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], (spec.name, b, mirrored)
+                compared += len(outcomes[0])
+    assert compared > 90_000
 
 
 def test_long_words_match_handle_reduction():
