@@ -31,10 +31,7 @@ class BraidWord:
     letters: Letters = ()
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise MalformedInputError(f"strand count must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise MalformedInputError(f"strand count must be >= 2, got {self.n}")
+        _check_strand_count(self.n)
         for k in self.letters:
             if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
                 raise MalformedInputError(
@@ -47,6 +44,13 @@ class BraidWord:
 
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters)
+
+
+def _check_strand_count(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise MalformedInputError(f"strand count must be an integer, got {n!r}")
+    if n < 2:
+        raise MalformedInputError(f"strand count must be >= 2, got {n}")
 
 
 def _trusted_word(n: int, letters: Letters) -> BraidWord:
@@ -147,6 +151,9 @@ class BallSpec:
     max_length: int = 0
 
     def __post_init__(self):
+        _check_strand_count(self.n)
+        if isinstance(self.max_length, bool) or not isinstance(self.max_length, int):
+            raise MalformedInputError(f"max_length must be an integer, got {self.max_length!r}")
         if self.max_length < 0:
             raise MalformedInputError("max_length must be >= 0")
 
@@ -171,7 +178,7 @@ class BallSpec:
 def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
     """Yield every freely reduced word of length <= max_length exactly once,
     in length-then-lexicographic order (letters ranked 1 < -1 < 2 < -2 < ...)."""
-    yield BraidWord(spec.n)  # checks the strand count once for the ball
+    yield _trusted_word(spec.n, ())
     alphabet = spec.alphabet()
     frontier: list[Letters] = [()]
     for _ in range(spec.max_length):

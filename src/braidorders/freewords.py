@@ -11,9 +11,9 @@ reduced.  Infinite words come in three flavours:
 
 Every word is iterable over its letters, and that iteration is the one way a
 ray is read.  Infinite words over positive letters are reduced for free.  A
-custom word is checked as it is read: a letter that is the inverse of the
-letter before it, or letters that run out, raise MalformedInputError.  The
-letters themselves (their range) are trusted.  Braids act on these words in
+custom word is checked as it is read: a letter outside F_n (a bool
+included), a letter that is the inverse of the letter before it, or letters
+that run out, raise MalformedInputError.  Braids act on these words in
 nt.py, which moves a ray letter by letter.
 """
 
@@ -186,8 +186,8 @@ class Sturmian:
 class Custom:
     """An infinite word given by a function that returns a fresh iterator
     over its letters; each call starts again from the first letter.  Each
-    letter is checked as it is read: a letter of F_n, not cancelling the
-    one before."""
+    letter is checked as it is read: a letter of F_n (an int, not a bool),
+    not cancelling the one before."""
 
     n: int
     letters: Callable[[], Iterable[int]]
@@ -202,7 +202,7 @@ class Custom:
         prev = 0
         alphabet = self._alphabet
         for k in self.letters():
-            if k not in alphabet:
+            if k not in alphabet or type(k) is bool:
                 raise MalformedInputError(f"custom stream {self.label!r} has letter {k!r} out of range for F_{self.n}")
             if k == -prev:
                 raise MalformedInputError(f"custom stream {self.label!r} is not freely reduced")

@@ -162,6 +162,36 @@ class NTOrder:
 # this many letters and passes on the rest, which no later letter of the ray
 # can cancel.  It also makes one comparison per junction: the first letter
 # of the incoming image against the stage's last letter (_stage_tables).
+#
+# Often the held letter is final as well, and the stage passes it at once.
+# Let u be the stage's input so far: it is freely reduced (the ray is checked
+# as it is read, and each stage passes on a reduced image).  By the bound for
+# u and any continuation v, the last letter of u's reduced image can only be
+# cancelled by the first letter of v's.  Among the images of single letters,
+# y^+-1 stands only inside c y^+-1 c^-1; every other image is one letter
+# (c^+-1 or a fixed generator), and two one-letter images are inverse only
+# for inverse letters.  Hence:
+#
+# * no image starts or ends with y^+-1;
+# * in v's image, a one-letter image(v_1) cancels only if it is c^-1 and
+#   image(v_2) is c y^+-1 c^-1, which leaves y^+-1 first;
+# * so v's reduced image starts with image(v_1)[0], or with y^+-1 after
+#   image(v_1) = c^-1.
+#
+# Say the stage has just received z.  Its last letter is then either
+#
+# * h = image(z)[-1], which is not y^+-1, while v_1 != z^-1: so h is final
+#   unless the image of some z' != z^-1 starts with h^-1.  That is the
+#   "safe" flag of _stage_tables; or
+# * y^e, when image(z) is one letter that cancelled the held letter.  That
+#   letter was the last of an image or a y^+-1 (by induction), and a
+#   one-letter image is no y^+-1, nor the inverse of the one-letter image of
+#   the letter before z; so it was the c^-1 ending c y^e c^-1, and
+#   image(z) = c.  Only v_1 = z^-1 has the image c^-1, so y^e is final; and
+#   z is flagged safe, as no image but c^-1 starts with c^-1.
+#
+# So after a receipt flagged safe the stage may pass every letter it holds,
+# and no case needs a guard.
 SINGLE_LETTER_BOUND = 1
 
 
@@ -186,14 +216,20 @@ def _letter_tables(n: int, mirrored: bool) -> dict[int, dict[int, FreeLetters]]:
 @lru_cache(maxsize=None)
 def _stage_tables(
     n: int, mirrored: bool
-) -> dict[int, dict[int, tuple[int, FreeLetters, FreeLetters]]]:
-    """_letter_tables with each image as the triple a transport stage reads:
+) -> dict[int, dict[int, tuple[int, FreeLetters, FreeLetters, bool]]]:
+    """_letter_tables with each image as the entry a transport stage reads:
     (the stage letter the image's first letter would cancel, the image, the
-    image less its first letter).  Shared: callers must not mutate."""
-    return {
-        letter: {k: (-img[0], img, img[1:]) for k, img in images.items()}
-        for letter, images in _letter_tables(n, mirrored).items()
-    }
+    image less its first letter, whether the stage may pass every letter it
+    holds once it has received this one: no image of a letter other than its
+    inverse starts with the inverse of its image's last letter, see above
+    SINGLE_LETTER_BOUND).  Shared: callers must not mutate."""
+    stage_tables = {}
+    for letter, images in _letter_tables(n, mirrored).items():
+        stage_tables[letter] = {
+            k: (-img[0], img, img[1:], all(other[0] != -img[-1] for j, other in images.items() if j != -k))
+            for k, img in images.items()
+        }
+    return stage_tables
 
 
 def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
@@ -213,12 +249,15 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     meet under one braid letter, at most SINGLE_LETTER_BOUND = 1 letter
     cancels on each side (proved above): so a stage compares only the image's
     first letter with its own last letter, and passes a letter on to the next
-    stage once a letter is held behind it.  When a finite ray ends, the stages
-    flush from the first to the last.  The stages live in one loop with a
-    stage pointer: the highest stage that can pass a letter on does so, and
-    the ray is read only when none can.  A stage receives a letter only when
-    it holds at most SINGLE_LETTER_BOUND, and a letter's image has at most 3
-    letters, so no stage holds more than SINGLE_LETTER_BOUND + 3 letters.
+    stage once a letter is held behind it.  After a receipt whose stage
+    table entry is safe, no next image can cancel the stage's last letter
+    (proved above), so the stage passes on every letter it holds.  When a
+    finite ray ends, the stages flush from the first to the last.  The stages
+    live in one loop with a stage pointer: the highest stage that can pass a
+    letter on does so, and the ray is read only when none can.  A stage
+    receives a letter only when it holds at most SINGLE_LETTER_BOUND, and a
+    letter's image has at most 3 letters, so no stage holds more than
+    SINGLE_LETTER_BOUND + 3 letters.
 
     A stage that would cancel a letter it has already passed on raises
     MalformedInputError: the ray was not freely reduced.  A stream raises
@@ -229,7 +268,8 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     top = len(tables)
     patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
     # stage s: the letter it passed on last (0 before the first), then the
-    # letters it holds back; it passes one on once its length exceeds limits[s]
+    # letters it holds back; it passes one on while its length exceeds
+    # limits[s], which its last receipt sets (1 once the stage is flushing)
     stages = [[0] for _ in tables]
     full = SINGLE_LETTER_BOUND + 1
     limits = [full] * top
@@ -257,7 +297,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
         s += 1
         while s < top:
             stage = stages[s]
-            cancels, image, rest = tables[s][letter]
+            cancels, image, rest, safe = tables[s][letter]
             if stage[-1] == cancels:
                 stage.pop()
                 if not stage:
@@ -265,7 +305,8 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
                 stage += rest
             else:
                 stage += image
-            if len(stage) <= full:
+            limits[s] = limit = 1 if safe else full
+            if len(stage) <= limit:
                 break
             del stage[0]
             letter = stage[0]

@@ -53,6 +53,24 @@ def test_strand_count_must_be_an_integer():
     assert permutation_of(BraidWord(3, (1, 2))).images == (3, 1, 2)
 
 
+def test_ball_spec_checks_its_fields():
+    # a float length used to fail in count() with a TypeError, a float strand
+    # count to count 22.0 words, and a bool to pass for an integer
+    for n, max_length in ((3, 2.5), (3, "2"), (3, True), (3, None)):
+        with pytest.raises(MalformedInputError) as info:
+            BallSpec(n, max_length)
+        assert str(info.value) == f"max_length must be an integer, got {max_length!r}"
+    for n in (2.5, 3.0, True, "3"):
+        with pytest.raises(MalformedInputError) as info:
+            BallSpec(n, 3)
+        assert str(info.value) == f"strand count must be an integer, got {n!r}"
+    with pytest.raises(MalformedInputError, match="strand count must be >= 2, got 1"):
+        BallSpec(1, 3)
+    with pytest.raises(MalformedInputError, match="max_length must be >= 0"):
+        BallSpec(3, -1)
+    assert BallSpec(2, 3).count() == len(list(BallSpec(2, 3).words())) == 7
+
+
 def test_multiply_and_invert():
     assert multiply(BraidWord(3, (1,)), BraidWord(3, (-1,))).letters == ()
     assert invert(BraidWord(3, (1, -2))).letters == (2, -1)

@@ -261,6 +261,16 @@ def test_custom_supplier_checked():
             nt_sign(NTOrder(GeodesicSpec("far", 3, far), GermConvention(3)), BraidWord(3, (1,)))
 
 
+def test_custom_rejects_bool_letters():
+    # True equals the letter 1 and hashes like it, so the range check alone
+    # let it through
+    for letters, bad in (((True, 2), True), ((1, False), False), ((-2, True), True)):
+        stream = Custom(3, lambda letters=letters: itertools.cycle(letters), label="bools")
+        with pytest.raises(MalformedInputError, match=f"has letter {bad} out of range for F_3"):
+            ray_prefix(stream, 4)
+    assert ray_prefix(Custom(3, lambda: itertools.cycle((1, 2))), 4) == (1, 2, 1, 2)
+
+
 def test_growth_failure_on_degenerate_stream():
     # (x1 x1^-1)^omega is not reduced: every image of it collapses, so it
     # must be refused as it is read, not signed or left to hang

@@ -4,23 +4,27 @@ The whole maps of ``artin_reference`` (``artin_map_of``/``apply_map``) check
 its letters on small balls, the same transport holding back three letters a
 stage (the looser bound it used before) checks them on random braids, as does
 ``cascading_image_letters``, the stage loop that cancels letter by letter,
-kept here as the reference for the one comparison per junction; handle
-reduction checks its signs on long random words, and tracemalloc checks that
+kept here as the reference for the one comparison per junction and for the
+letters a stage passes at once; brute force checks those "safe" flags of the
+stage tables; handle reduction checks its signs on long random words, and
+conjugation checks them on orders with no oracle; and tracemalloc checks that
 a sign holds only the stage buffers, not the image.
 """
 
 import random
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice, product
 
 import pytest
 
 from braidorders import (
     BallSpec,
     FreeWord,
+    NTOrder,
     act_on_geodesic,
     catalog,
     catalog_order,
+    conjugate,
     dehornoy_sign,
     divergence_depth,
     nt,
@@ -28,7 +32,8 @@ from braidorders import (
     random_word,
 )
 from braidorders.errors import MalformedInputError, StreamGrowthError
-from braidorders.nt import SINGLE_LETTER_BOUND, _letter_tables
+from braidorders.freewords import reduce_free
+from braidorders.nt import SINGLE_LETTER_BOUND, _letter_tables, _stage_tables
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
 from artin_reference import apply_map, artin_map_of
@@ -149,29 +154,121 @@ def test_one_letter_stages_match_three_letter_stages(monkeypatch):
         assert tuple(islice(nt._image_letters(*case), 300)) == image, case
 
 
-@pytest.mark.parametrize("bound", [1, 3])
-def test_one_comparison_per_junction_matches_cascading_stages(monkeypatch, bound):
-    # random braids of length 0-40 on every catalog ray, both conventions:
-    # the same image letters, or the same error, as the cascading loop
-    monkeypatch.setattr(nt, "SINGLE_LETTER_BOUND", bound)
+def transport_outcome(image):
+    """The first 300 letters of an image, or the error that reading them
+    raised."""
+    try:
+        return tuple(islice(image, 300))
+    except (MalformedInputError, StreamGrowthError) as exc:
+        return (type(exc), str(exc))
+
+
+def junction_cases(specs):
+    """Random braids of length 0-40, 20 a ray, each in both conventions."""
     rng = random.Random(20240819)
-    compared = 0
-    for spec in catalog().values():
+    for spec in specs:
         for _ in range(20):
             b = random_word(rng, spec.n, rng.randrange(41))
             for mirrored in (False, True):
-                outcomes = []
-                for image in (
-                    nt._image_letters(b, spec.word, mirrored),
-                    cascading_image_letters(b, spec.word, mirrored, bound),
-                ):
-                    try:
-                        outcomes.append(tuple(islice(image, 300)))
-                    except (MalformedInputError, StreamGrowthError) as exc:
-                        outcomes.append((type(exc), str(exc)))
-                assert outcomes[0] == outcomes[1], (spec.name, b, mirrored)
-                compared += len(outcomes[0])
+                yield spec, b, mirrored
+
+
+def matches_cascading_stages(spec, b, mirrored, bound):
+    """The transport's outcome and the cascading loop's, when they agree."""
+    outcome = transport_outcome(nt._image_letters(b, spec.word, mirrored))
+    if outcome == transport_outcome(cascading_image_letters(b, spec.word, mirrored, bound)):
+        return outcome
+    return None
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_one_comparison_per_junction_matches_cascading_stages(monkeypatch, bound):
+    # random braids on every catalog ray, both conventions: the same image
+    # letters, or the same error, as the cascading loop
+    monkeypatch.setattr(nt, "SINGLE_LETTER_BOUND", bound)
+    compared = 0
+    for spec, b, mirrored in junction_cases(catalog().values()):
+        outcome = matches_cascading_stages(spec, b, mirrored, bound)
+        assert outcome is not None, (spec.name, b, mirrored)
+        compared += len(outcome)
     assert compared > 90_000
+
+
+def test_a_wrongly_safe_entry_breaks_the_cascading_comparison(monkeypatch):
+    # each unsafe entry of the B_3 stage tables, flagged safe on its own,
+    # makes a stage pass a letter that a later image cancels: the transport
+    # then differs from the cascading loop on some catalog ray
+    real = _stage_tables
+    specs = [spec for spec in catalog().values() if spec.n == 3]
+    mutants = 0
+    for mirrored in (False, True):
+        cases = [(spec, b) for spec, b, m in junction_cases(specs) if m == mirrored]
+        for letter, entries in real(3, mirrored).items():
+            for k, entry in entries.items():
+                if entry[3]:
+                    continue
+                wrong = {j: dict(row) for j, row in real(3, mirrored).items()}
+                wrong[letter][k] = entry[:3] + (True,)
+                monkeypatch.setattr(
+                    nt,
+                    "_stage_tables",
+                    lambda n, m, wrong=wrong, mirrored=mirrored: wrong if (n, m) == (3, mirrored) else real(n, m),
+                )
+                assert any(
+                    matches_cascading_stages(spec, b, mirrored, SINGLE_LETTER_BOUND) is None
+                    for spec, b in cases
+                ), (mirrored, letter, k)
+                mutants += 1
+    assert mutants == 24
+
+
+@pytest.mark.parametrize("n, safe", [(3, 12), (4, 30), (5, 56), (6, 90)])
+def test_stage_table_safe_flags_match_brute_force(n, safe):
+    # an entry is safe iff the image of no letter but its inverse cancels
+    # into the end of its image
+    for mirrored in (False, True):
+        count = entries_seen = 0
+        for letter, images in _letter_tables(n, mirrored).items():
+            entries = _stage_tables(n, mirrored)[letter]
+            for k, img in images.items():
+                flag = all(
+                    reduce_free(img + other)[: len(img)] == img
+                    for j, other in images.items()
+                    if j != -k
+                )
+                assert entries[k] == (-img[0], img, img[1:], flag), (letter, k)
+                count += flag
+                entries_seen += 1
+        assert (count, entries_seen) == (safe, 4 * n * (n - 1)), mirrored
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_safe_receipt_leaves_a_final_last_letter(n):
+    # the argument above SINGLE_LETTER_BOUND by brute force: after a stage
+    # receives a letter flagged safe, no continuation of its reduced input
+    # cancels into the reduced image so far, not even where a one-letter
+    # image has just cancelled the letter held before it.  The last letter
+    # of the image depends on the last two input letters at most, and the
+    # first letter of the continuation's image on its first two.
+    words = [(k,) for k in range(-n, n + 1) if k]
+    words += [u + (k,) for u in words for (k,) in words if k != -u[-1]]
+    one_letter_cancels = 0
+    for mirrored in (False, True):
+        for letter, images in _letter_tables(n, mirrored).items():
+            entries = _stage_tables(n, mirrored)[letter]
+
+            def image(word):
+                return reduce_free(chain.from_iterable(images[k] for k in word))
+
+            for u in words:
+                if not entries[u[-1]][3]:
+                    continue
+                head = image(u)
+                one_letter_cancels += len(images[u[-1]]) == 1 and len(head) < len(image(u[:-1]))
+                for v in words:
+                    if v[0] != -u[-1]:
+                        assert image(u + v)[: len(head)] == head, (mirrored, letter, u, v)
+    assert one_letter_cancels > 0
 
 
 def test_long_words_match_handle_reduction():
@@ -183,6 +280,22 @@ def test_long_words_match_handle_reduction():
         for length in lengths:
             w = random_word(rng, n, length)
             assert nt_sign(order, w) == dehornoy_sign(w), (n, length)
+
+
+@pytest.mark.parametrize("name", ["b4_b", "b4_c", "b6_cx", "dehornoy_5"])
+def test_conjugating_the_braid_moves_the_ray(name):
+    # orders with no oracle at length, checked by an exact identity of
+    # finite rays: h^-1 b h is positive for the ray iff b is positive for
+    # the ray moved by h; the two sides transport different braids along
+    # different rays
+    base = catalog_order(name)
+    conv = base.convention
+    rng = random.Random(20240820)
+    for length, h_length, _ in product((64, 128, 256), range(1, 7), range(6)):
+        b = random_word(rng, base.n, length)
+        h = random_word(rng, base.n, h_length)
+        moved = NTOrder(act_on_geodesic(h, base.spec, conv), conv)
+        assert base.sign(conjugate(b, h)) == moved.sign(b), (b, h)
 
 
 @pytest.mark.parametrize("name, n, length", [("dehornoy_4", 4, 60), ("sturmian_3", 3, 40)])
