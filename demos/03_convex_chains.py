@@ -38,7 +38,7 @@ for name in ("dehornoy_4", "b4_a", "b4_b", "b4_c", "b6_cx"):
         "{" + ",".join(f"s{j}" for j in lv.generator_pattern) + "}" for lv in report.levels
     )
     print(f"{name}: levels {chain}  violations {report.total_violations}")
-    print(f"   soul (validated): {sorted(soul_of(order))}")
+    print(f"   soul (validated): {list(soul_of(order))}")
 
 # --- the search that produced the committed words ---------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, check_integer
 from .freewords import reduce_free
 
 Letters = tuple[int, ...]
@@ -31,7 +31,7 @@ class BraidWord:
     letters: Letters = ()
 
     def __post_init__(self):
-        _check_strand_count(self.n)
+        check_integer(self.n, "strand count", 2)
         for k in self.letters:
             if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
                 raise MalformedInputError(
@@ -44,13 +44,6 @@ class BraidWord:
 
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters)
-
-
-def _check_strand_count(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise MalformedInputError(f"strand count must be an integer, got {n!r}")
-    if n < 2:
-        raise MalformedInputError(f"strand count must be >= 2, got {n}")
 
 
 def _trusted_word(n: int, letters: Letters) -> BraidWord:
@@ -151,11 +144,8 @@ class BallSpec:
     max_length: int = 0
 
     def __post_init__(self):
-        _check_strand_count(self.n)
-        if isinstance(self.max_length, bool) or not isinstance(self.max_length, int):
-            raise MalformedInputError(f"max_length must be an integer, got {self.max_length!r}")
-        if self.max_length < 0:
-            raise MalformedInputError("max_length must be >= 0")
+        check_integer(self.n, "strand count", 2)
+        check_integer(self.max_length, "max_length", 0)
 
     def alphabet(self) -> list[int]:
         letters = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .braids import BallSpec, BraidWord
+from .braids import BallSpec
 from .dehornoy import dehornoy_sign
 from .errors import CalibrationError, MalformedInputError
 from .freewords import (
@@ -32,7 +32,7 @@ from .freewords import (
     QuadraticIrrational,
     Sturmian,
 )
-from .nt import GeodesicSpec, NTOrder, divergence_depth, nt_sign
+from .nt import GeodesicSpec, NTOrder, _letter_depths, nt_sign
 from .planar import DEFAULT_DEPTH_CAP, GermConvention
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
@@ -51,14 +51,7 @@ def dehornoy_word(n: int) -> FreeWord:
 
 
 def _dehornoy_spec(n: int, name: str | None = None) -> GeodesicSpec:
-    return GeodesicSpec(
-        name or f"dehornoy_{n}",
-        n,
-        dehornoy_word(n),
-        tuple(range(1, n)),
-        frozenset({n - 1}),
-        "finite",
-    )
+    return GeodesicSpec(name or f"dehornoy_{n}", n, dehornoy_word(n), tuple(range(1, n)), (n - 1,))
 
 
 def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: FreeLetters, label: str) -> Custom:
@@ -86,7 +79,7 @@ def _sturmian_spec(n: int) -> GeodesicSpec:
         word = _blocks_stream(
             n, (), tuple(range(1, n + 1)), tuple(range(n, 0, -1)), f"sturmian_{n}_blocks"
         )
-    return GeodesicSpec(f"sturmian_{n}", n, word, (), frozenset(), "full_infinite")
+    return GeodesicSpec(f"sturmian_{n}", n, word)
 
 
 def _mixed_4_spec() -> GeodesicSpec:
@@ -96,28 +89,17 @@ def _mixed_4_spec() -> GeodesicSpec:
     # block keeps x_2 x_3 products from aligning, which would hand sigma_2 a
     # stabilizer.
     word = _blocks_stream(4, (-1,), (2, 3, 4), (3, 2, 4), "mixed_4_tail")
-    return GeodesicSpec("mixed_4", 4, word, (1,), frozenset(), "infinite")
+    return GeodesicSpec("mixed_4", 4, word, (1,))
 
 
 def catalog() -> dict[str, GeodesicSpec]:
     """All built-in specs by name."""
     entries = [_dehornoy_spec(n) for n in (3, 4, 5, 6)]
     entries.append(_dehornoy_spec(4, "b4_a"))
+    entries.append(GeodesicSpec("b4_b", 4, FreeWord(4, (3, 4, -1, -3)), (2, 3, 4), (1, 3)))
+    entries.append(GeodesicSpec("b4_c", 4, FreeWord(4, (-2, -1, -3, -1)), (2, 3, 4), (1, 3)))
     entries.append(
-        GeodesicSpec("b4_b", 4, FreeWord(4, (3, 4, -1, -3)), (2, 3, 4), frozenset({1, 3}), "finite")
-    )
-    entries.append(
-        GeodesicSpec("b4_c", 4, FreeWord(4, (-2, -1, -3, -1)), (2, 3, 4), frozenset({1, 3}), "finite")
-    )
-    entries.append(
-        GeodesicSpec(
-            "b6_cx",
-            6,
-            FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5)),
-            (4, 6, 7, 8, 9),
-            frozenset({1, 3, 5}),
-            "finite",
-        )
+        GeodesicSpec("b6_cx", 6, FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5)), (4, 6, 7, 8, 9), (1, 3, 5))
     )
     entries.append(_mixed_4_spec())
     entries.extend(_sturmian_spec(n) for n in (3, 4, 5, 6))
@@ -159,7 +141,7 @@ def calibrate_conventions(n: int, max_length: int, oracle=None) -> CalibrationRe
     matches: list[tuple[FreeWord, GermConvention]] = []
     for signs in itertools.product((-1, 1), repeat=n - 1):
         word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))
-        spec = GeodesicSpec("calibration", n, word, tuple(range(1, n)), frozenset({n - 1}), "finite")
+        spec = GeodesicSpec("calibration", n, word, tuple(range(1, n)), (n - 1,))
         for rev, mir, flip in itertools.product((False, True), repeat=3):
             conv = GermConvention(n, rev, mir, flip)
             order = NTOrder(spec, conv)
@@ -203,12 +185,7 @@ def search_chain_words(
         for tup in itertools.product(alphabet, repeat=L):
             if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
                 continue
-            order = order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup)))
-            deaths = {
-                s: divergence_depth(order, BraidWord(n, (s,))).depth
-                for j in range(1, n)
-                for s in (j, -j)
-            }
+            deaths = _letter_depths(order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup))))
             if any(deaths[j] != deaths[-j] for j in range(1, n)):
                 continue
             seq = [deaths[j] for j in death_order]

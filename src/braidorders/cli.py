@@ -141,8 +141,7 @@ def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
         base = parse_order(base_text, n, depth_cap)
         if not isinstance(base, NTOrder):
             raise MalformedInputError("ext base must be an nt:<...> order")
-        soul = tuple(sorted(base.spec.soul_generators))
-        return ConvexExtensionOrder(base, _parse_soul_order(soul_text, soul))
+        return ConvexExtensionOrder(base, _parse_soul_order(soul_text, base.spec.soul_generators))
     raise MalformedInputError(f"cannot parse order {text!r}")
 
 
@@ -244,7 +243,7 @@ def cmd_conrad(args) -> int:
 def cmd_soul(args) -> int:
     order = _nt_order(args)
     soul = soul_of(order) if args.validate else order.spec.soul_generators
-    _emit(args, [{"command": "soul", "spec": order.spec.name, "soul": sorted(soul)}])
+    _emit(args, [{"command": "soul", "spec": order.spec.name, "soul": list(soul)}])
     return 0
 
 
@@ -272,7 +271,7 @@ def cmd_approx(args) -> int:
     ball = BallSpec(args.n, args.ball_length)
     lo, hi = _parse_range(args.range)
     if args.kind == "conjugates":
-        soul = sorted(order.spec.soul_generators)
+        soul = order.spec.soul_generators
         if args.pattern:
             pattern = _conjugator_pattern(args.pattern, args.n)
         else:
@@ -358,7 +357,7 @@ def cmd_catalog(args) -> int:
             "n": spec.n,
             "type": spec.type_tag,
             "depths": list(spec.separating_depths),
-            "soul": sorted(spec.soul_generators),
+            "soul": list(spec.soul_generators),
         }
         for _, spec in sorted(specs.items())
     ]

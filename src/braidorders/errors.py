@@ -1,10 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check of
+every rank, strand count and length."""
 
 from __future__ import annotations
 
 
 class MalformedInputError(ValueError):
     """A braid word, free word, or spec value violates its basic contract."""
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """Raise MalformedInputError unless value is an int (a bool is not) of at
+    least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise MalformedInputError(f"{name} must be >= {minimum}, got {value}")
 
 
 class BudgetExceededError(RuntimeError):

@@ -7,19 +7,18 @@ undecided sign evaluations are counted and surfaced rather than coerced.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
-from .freewords import FreeWord
 from .nt import NTOrder, order_cmp
 from .orders import (
     ConjugatedOrder,
     ConvexExtensionOrder,
     OrderOracle,
     ZkIntegerSlope,
+    ZkLex,
     soul_lex_of_base,
     zk_membership,
     zk_sign,
@@ -211,12 +210,11 @@ def converge_conjugates_experiment(
 
 
 def _soul_witness(
-    extension: ConvexExtensionOrder, base: NTOrder, weights: tuple[int, ...]
+    extension: ConvexExtensionOrder, lex: ZkLex, weights: tuple[int, ...]
 ) -> tuple[BraidWord, tuple[int, ...]] | None:
-    """A soul element on which slope and base lex priority disagree: an axis
-    against a large multiple of a lower-priority axis."""
-    soul = extension.soul
-    lex = soul_lex_of_base(base)
+    """A soul element on which slope and base lex priority (soul_lex_of_base)
+    disagree: an axis against a large multiple of a lower-priority axis."""
+    soul = extension.base.spec.soul_generators
     k = len(soul)
     for hi_pos in range(k):
         for lo_pos in range(k):
@@ -229,17 +227,14 @@ def _soul_witness(
             v[lo_pos] = -t
             if zk_sign(extension.soul_order, v) != zk_sign(lex, v):
                 letters = (soul[hi_pos],) + (-soul[lo_pos],) * t
-                return BraidWord(base.n, letters), tuple(v)
+                return BraidWord(extension.n, letters), tuple(v)
     return None
 
 
-def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> Iterator[tuple]:
+def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> list[tuple]:
     """(word, exponent vector, base sign) of each soul member of the ball, in
     ball order."""
-    for w in ball.words():
-        v = zk_membership(w, soul)
-        if v is not None:
-            yield w, v, base.sign(w)
+    return [(w, v, base.sign(w)) for w in ball.words() if (v := zk_membership(w, soul)) is not None]
 
 
 def converge_extensions_experiment(
@@ -256,16 +251,16 @@ def converge_extensions_experiment(
     sign are taken once for all M.  A finite-type base has a finite ray and
     decides every sign, so no row counts an undecided word.
     """
-    soul = sorted(base.spec.soul_generators)
+    soul = base.spec.soul_generators
     k = len(soul)
-    if base.spec.type_tag != "finite" or not isinstance(base.spec.word, FreeWord) or k < 2:
+    if base.spec.type_tag != "finite" or k < 2:
         raise MalformedInputError("extension experiment needs finite type with soul rank >= 2")
     if ball.n != base.n:
         raise MalformedInputError("strand counts differ")
     if any(M < 2 for M in m_range):
         raise MalformedInputError("slope parameter M must be >= 2")
     lex = soul_lex_of_base(base)
-    members = _soul_members(base, soul, ball)
+    members = _soul_members(base, soul, ball) if m_range else []  # read once for every M
     rows = []
     for M in m_range:
         weights = [0] * k
@@ -274,15 +269,13 @@ def converge_extensions_experiment(
         slope = ZkIntegerSlope(k, tuple(weights), lex)
         extension = ConvexExtensionOrder(base, slope)
         radius, witness, signs, vector = ball.max_length, None, None, None
-        # the scan replays the members earlier M read and reads on from there
-        members, scan = itertools.tee(members)
-        for w, v, base_sign in scan:
+        for w, v, base_sign in members:
             ext_sign = zk_sign(slope, v)
             if ext_sign != base_sign:
                 radius, witness, signs, vector = len(w) - 1, w, (ext_sign, base_sign), v
                 break
         else:
-            found = _soul_witness(extension, base, tuple(weights))
+            found = _soul_witness(extension, lex, tuple(weights))
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
@@ -346,7 +339,7 @@ def limit_probe_experiment(
     pattern = (s, u) as generator indices (conjugator word sigma_s^-N sigma_u).
     """
     s, u = pattern
-    soul = sorted(base.spec.soul_generators)
+    soul = base.spec.soul_generators
     probes = [BraidWord(base.n, (i, -j)) for i in soul for j in soul if i != j]
     probes.extend(w for w in probe_ball.words() if w.letters)
     probes = list(dict.fromkeys(probes))

@@ -25,7 +25,7 @@ from itertools import chain, count, cycle
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, check_integer
 
 FreeLetters = tuple[int, ...]
 
@@ -49,8 +49,7 @@ class FreeWord:
     letters: FreeLetters = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise MalformedInputError(f"rank must be >= 1, got {self.n}")
+        check_integer(self.n, "rank", 1)
         for k in self.letters:
             if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n:
                 raise MalformedInputError(f"letter {k!r} out of range for F_{self.n}")
@@ -164,6 +163,7 @@ class Sturmian:
     letter_b: int
 
     def __post_init__(self):
+        check_integer(self.n, "rank", 1)
         if self.letter_a <= 0 or self.letter_b <= 0:
             raise MalformedInputError("Sturmian letters must be positive generators")
         if self.letter_a == self.letter_b:
@@ -192,6 +192,9 @@ class Custom:
     n: int
     letters: Callable[[], Iterable[int]]
     label: str = "custom"
+
+    def __post_init__(self):
+        check_integer(self.n, "rank", 1)
 
     @cached_property
     def _alphabet(self) -> frozenset[int]:

@@ -21,7 +21,6 @@ convexity are all checked by tests and by convex_chain_report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -34,6 +33,7 @@ from .errors import (
     SoulValidationError,
     StreamGrowthError,
     UndecidedComparisonError,
+    check_integer,
 )
 from .freewords import (
     Custom,
@@ -54,57 +54,63 @@ from .planar import (
     divergence,
 )
 
-TypeTag = Literal["finite", "infinite", "full_infinite"]
-
-
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """A named ray plus separating depths, soul generators and type tag."""
+    """A named ray plus separating depths and soul generators.  The soul is
+    kept ascending, the order of its Z^k axes; the type follows from the ray
+    and the depths."""
 
     name: str
     n: int
     word: Ray
     separating_depths: tuple[int, ...] = ()
-    soul_generators: frozenset[int] = frozenset()
-    type_tag: TypeTag = "finite"
+    soul_generators: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "soul_generators", frozenset(self.soul_generators))
-        object.__setattr__(self, "separating_depths", tuple(self.separating_depths))
-        depths = self.separating_depths
-        if any(d <= 0 for d in depths) or list(depths) != sorted(set(depths)):
-            raise MalformedInputError("separating depths must be strictly increasing positives")
-        for i, j in itertools.combinations(sorted(self.soul_generators), 2):
-            if abs(i - j) < 2:
-                raise MalformedInputError(f"soul generators {i}, {j} are adjacent")
+        check_integer(self.n, "strand count", 2)
+        if self.word.n != self.n:
+            raise MalformedInputError(f"ray rank {self.word.n} differs from strand count {self.n}")
+        for d in self.separating_depths:
+            check_integer(d, "separating depth", 1)
         for i in self.soul_generators:
-            if not 1 <= i <= self.n - 1:
-                raise MalformedInputError(f"soul generator {i} out of range")
+            check_integer(i, "soul generator", 1)
+        object.__setattr__(self, "separating_depths", tuple(self.separating_depths))
+        object.__setattr__(self, "soul_generators", tuple(sorted(set(self.soul_generators))))
+        depths = self.separating_depths
+        if list(depths) != sorted(set(depths)):
+            raise MalformedInputError("separating depths must be strictly increasing positives")
+        soul = self.soul_generators
+        for i, j in zip(soul, soul[1:]):
+            if j - i < 2:
+                raise MalformedInputError(f"soul generators {i}, {j} are adjacent")
+        if soul and soul[-1] > self.n - 1:
+            raise MalformedInputError(f"soul generator {soul[-1]} out of range")
 
     @property
     def m(self) -> int:
         return len(self.separating_depths)
 
+    @property
+    def type_tag(self) -> str:
+        """finite for a finite ray; for a stream, infinite with separating
+        depths and full_infinite without."""
+        if isinstance(self.word, FreeWord):
+            return "finite"
+        return "infinite" if self.separating_depths else "full_infinite"
+
     def validate(self) -> None:
         """Structural invariants for catalog-grade specs."""
         if self.type_tag == "finite":
-            if not isinstance(self.word, FreeWord):
-                raise MalformedInputError(f"{self.name}: finite type needs a finite word")
             if self.m != self.n - 1:
                 raise MalformedInputError(f"{self.name}: finite type needs n-1 separating depths")
             if self.separating_depths and self.separating_depths[-1] > len(self.word):
                 raise MalformedInputError(f"{self.name}: separating depth beyond word length")
             if not self.soul_generators:
                 raise MalformedInputError(f"{self.name}: finite type has a nonempty soul")
-        else:
-            if isinstance(self.word, FreeWord):
-                raise MalformedInputError(f"{self.name}: infinite type needs a stream")
-            if self.soul_generators:
-                raise MalformedInputError(f"{self.name}: infinite type has a trivial soul")
-            if self.type_tag == "full_infinite" and self.m != 0:
-                raise MalformedInputError(f"{self.name}: full infinite type has no depths")
-            if self.type_tag == "infinite" and not 0 < self.m < self.n - 1:
-                raise MalformedInputError(f"{self.name}: mixed type needs 0 < m < n-1")
+        elif self.soul_generators:
+            raise MalformedInputError(f"{self.name}: infinite type has a trivial soul")
+        elif self.m >= self.n - 1:
+            raise MalformedInputError(f"{self.name}: mixed type needs 0 < m < n-1")
 
 
 @dataclass(frozen=True)
@@ -398,12 +404,23 @@ def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
     return report.depth >= spec.separating_depths[i - 1]
 
 
-def generator_depths(order: NTOrder) -> dict[int, int]:
-    """For each generator j, the smaller divergence depth of sigma_j and sigma_j^-1."""
+def _letter_depths(order: NTOrder) -> dict[int, int]:
+    """The divergence depth of each generator letter sigma_j^+-1, by letter."""
     return {
-        j: min(divergence_depth(order, BraidWord(order.n, (s,))).depth for s in (j, -j))
+        s: divergence_depth(order, BraidWord(order.n, (s,))).depth
         for j in range(1, order.n)
+        for s in (j, -j)
     }
+
+
+def _level_patterns(order: NTOrder) -> list[tuple[int, ...]]:
+    """For each separating depth, the generators j whose letters sigma_j and
+    sigma_j^-1 both diverge at that depth or deeper."""
+    depths = _letter_depths(order)
+    return [
+        tuple(j for j in range(1, order.n) if min(depths[j], depths[-j]) >= d)
+        for d in order.spec.separating_depths
+    ]
 
 
 class ChainLevel(NamedTuple):
@@ -458,10 +475,8 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
             undecided += 1
         depths[w] = report.depth
 
-    gen_depths = generator_depths(order)
     levels = []
-    for i, d in enumerate(spec.separating_depths, start=1):
-        pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]
+    for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
         members = [w for w in words if depths[w] >= d]
         outside = [w for w in words if depths[w] < d]
         violations = 0
@@ -481,29 +496,25 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
                 except UndecidedComparisonError:
                     undecided += 1
         levels.append(
-            ChainLevel(i, d, tuple(pattern), len(members), checked, violations)
+            ChainLevel(i, d, pattern, len(members), checked, violations)
         )
     ambient = tuple(range(1, spec.n))
     return ChainReport(spec.name, ambient, tuple(levels), undecided)
 
 
-def soul_of(order: NTOrder) -> frozenset[int]:
+def soul_of(order: NTOrder) -> tuple[int, ...]:
     """The soul generators, recomputed from the chain as the outermost level
     whose nonempty pattern is pairwise non-adjacent, and checked against the
     stored value."""
     spec = order.spec
-    gen_depths = generator_depths(order)
-    recomputed: frozenset[int] = frozenset()
-    for d in spec.separating_depths:
-        pattern = [j for j in range(1, spec.n) if gen_depths[j] >= d]
-        if pattern and all(
-            abs(a - b) >= 2 for a, b in itertools.combinations(pattern, 2)
-        ):
-            recomputed = frozenset(pattern)
+    recomputed: tuple[int, ...] = ()
+    for pattern in _level_patterns(order):
+        if pattern and all(b - a >= 2 for a, b in zip(pattern, pattern[1:])):
+            recomputed = pattern
             break
     if recomputed != spec.soul_generators:
         raise SoulValidationError(
-            f"{spec.name}: recomputed soul {sorted(recomputed)} != stored {sorted(spec.soul_generators)}"
+            f"{spec.name}: recomputed soul {list(recomputed)} != stored {list(spec.soul_generators)}"
         )
     return spec.soul_generators
 
@@ -628,7 +639,7 @@ def format_geodesic_spec(spec: GeodesicSpec) -> str:
         f"type={spec.type_tag}",
         f"word={word_text}",
         f"depths={' '.join(str(d) for d in spec.separating_depths)}",
-        f"soul={' '.join(str(i) for i in sorted(spec.soul_generators))}",
+        f"soul={' '.join(str(i) for i in spec.soul_generators)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -665,13 +676,10 @@ def parse_geodesic_spec(text: str) -> GeodesicSpec:
     if type_tag not in ("finite", "infinite", "full_infinite"):
         raise MalformedInputError(f"unknown type {type_tag!r}")
     word_text = fields.get("word", "")
-    word: Ray
-    if type_tag == "finite":
-        word = parse_free_word(word_text, n)
-    else:
-        word = parse_infinite_word(word_text, n)
-    depths = _spec_integers(fields, "depths")
-    soul = frozenset(_spec_integers(fields, "soul"))
-    spec = GeodesicSpec(name, n, word, depths, soul, type_tag)  # type: ignore[arg-type]
+    word = parse_free_word(word_text, n) if type_tag == "finite" else parse_infinite_word(word_text, n)
+    spec = GeodesicSpec(name, n, word, _spec_integers(fields, "depths"), _spec_integers(fields, "soul"))
+    if spec.type_tag != type_tag:
+        message = f"spec field type={type_tag} does not match its word and depths ({spec.type_tag})"
+        raise MalformedInputError(message)
     spec.validate()
     return spec

@@ -9,14 +9,14 @@ of Z^k while leaving everything outside untouched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import isqrt
 from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError
-from .nt import NTOrder, divergence_depth, nt_sign
+from .nt import NTOrder, _letter_depths, nt_sign
 
 
 class OrderOracle(Protocol):
@@ -101,12 +101,23 @@ class ZkQuadraticSlope:
     weights: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        from math import isqrt
-
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise MalformedInputError("d must be a positive non-square")
         if len(self.weights) != self.k:
             raise MalformedInputError("weight dimension mismatch")
+        # Q(sqrt d) has dimension 2 over Q: the order is total only when no
+        # nonzero vector has weight sum 0
+        if self.k == 1:
+            total = self.weights[0] != (0, 0)
+        elif self.k == 2:
+            (a1, b1), (a2, b2) = self.weights
+            total = a1 * b2 != a2 * b1
+        else:
+            total = False
+        if not total:
+            raise MalformedInputError(
+                "qslope needs k = 1 with a nonzero weight or k = 2 with independent weights"
+            )
 
 
 ZkOrderSpec = ZkLex | ZkIntegerSlope | ZkQuadraticSlope
@@ -146,29 +157,29 @@ def zk_sign(spec: ZkOrderSpec, v: Sequence[int]) -> int:
 
 
 def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
-    """Exponent vector of b in <sigma_i : i in soul>, or None when outside.
+    """Exponent vector of b in <sigma_i : i in soul>, or None when outside;
+    the soul lists its generators in axis order, ascending, as a spec's does.
 
     The permutation must move nothing outside the soul's transposition pairs,
     candidate exponents are read off linking numbers, and the candidate word
     is verified against b by an exact triviality check.
     """
-    soul_sorted = sorted(set(soul))
-    for i, j in itertools.combinations(soul_sorted, 2):
-        if abs(i - j) < 2:
-            raise MalformedInputError(f"soul generators {i}, {j} are adjacent")
+    for i, j in zip(soul, soul[1:]):
+        if j - i < 2:
+            raise MalformedInputError(f"soul generators {i}, {j} are adjacent or out of order")
     perm = permutation_of(b)
-    pair_points = {p for i in soul_sorted for p in (i, i + 1)}
+    pair_points = {p for i in soul for p in (i, i + 1)}
     for p in range(1, b.n + 1):
         image = perm(p)
         if p in pair_points:
-            i = p if p in soul_sorted else p - 1
+            i = p if p in soul else p - 1
             if image not in (i, i + 1):
                 return None
         elif image != p:
             return None
-    exponents = tuple(linking_number(b, i, i + 1) for i in soul_sorted)
+    exponents = tuple(linking_number(b, i, i + 1) for i in soul)
     candidate_letters: list[int] = []
-    for i, e in zip(soul_sorted, exponents):
+    for i, e in zip(soul, exponents):
         candidate_letters.extend([i if e > 0 else -i] * abs(e))
     # b times the candidate's inverse, reduced once
     if not is_trivial_braid(BraidWord(b.n, b.letters + inverse_letters(candidate_letters))):
@@ -184,24 +195,20 @@ class ConvexExtensionOrder:
     soul_order: ZkOrderSpec
 
     def __post_init__(self):
-        soul = sorted(self.base.spec.soul_generators)
-        if not soul:
+        spec = self.base.spec
+        if not spec.soul_generators:
             raise MalformedInputError("convex extension needs a base with nonempty soul")
-        if self.base.spec.type_tag != "finite":
+        if spec.type_tag != "finite":
             raise MalformedInputError("convex extension needs a finite-type base")
-        if self.soul_order.k != len(soul):
+        if self.soul_order.k != len(spec.soul_generators):
             raise MalformedInputError("soul order rank differs from soul rank")
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    @property
-    def soul(self) -> tuple[int, ...]:
-        return tuple(sorted(self.base.spec.soul_generators))
-
     def sign(self, b: BraidWord) -> int:
-        v = zk_membership(b, self.soul)
+        v = zk_membership(b, self.base.spec.soul_generators)
         if v is not None:
             return zk_sign(self.soul_order, v)
         return nt_sign(self.base, b)
@@ -214,7 +221,7 @@ def soul_lex_of_base(base: NTOrder) -> ZkLex:
     earliest dominates.  Every axis is positively oriented because positive
     half-twists are positive in every ray order.
     """
-    soul = sorted(base.spec.soul_generators)
-    depths = {i: divergence_depth(base, BraidWord(base.n, (i,))).depth for i in soul}
+    soul = base.spec.soul_generators
+    depths = _letter_depths(base)
     order = sorted(range(len(soul)), key=lambda pos: depths[soul[pos]])
     return ZkLex(len(soul), tuple(order), (1,) * len(soul))

@@ -108,15 +108,15 @@ def test_criterion_5_souls_and_conradian_failure():
     started = time.monotonic()
     specs = catalog()
     expected = {
-        "dehornoy_3": {2}, "dehornoy_4": {3}, "dehornoy_5": {4}, "dehornoy_6": {5},
-        "b4_a": {3}, "b4_b": {1, 3}, "b4_c": {1, 3}, "b6_cx": {1, 3, 5},
-        "sturmian_3": set(), "sturmian_4": set(), "sturmian_5": set(), "sturmian_6": set(),
+        "dehornoy_3": (2,), "dehornoy_4": (3,), "dehornoy_5": (4,), "dehornoy_6": (5,),
+        "b4_a": (3,), "b4_b": (1, 3), "b4_c": (1, 3), "b6_cx": (1, 3, 5),
+        "sturmian_3": (), "sturmian_4": (), "sturmian_5": (), "sturmian_6": (),
     }
     for name, soul in expected.items():
         spec = specs[name]
         conv = frozen_convention(spec.n)
-        assert soul_of(NTOrder(spec, conv)) == frozenset(soul), name
-    assert soul_of(NTOrder(specs["mixed_4"], frozen_convention(4))) == frozenset()
+        assert soul_of(NTOrder(spec, conv)) == soul, name
+    assert soul_of(NTOrder(specs["mixed_4"], frozen_convention(4))) == ()
 
     pairs = {
         "dehornoy_3": ((-2, 1), (1,)),
@@ -178,7 +178,6 @@ def test_criterion_7_totality_probe():
     control = GeodesicSpec(
         "control", 3,
         EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))),
-        (), frozenset(), "full_infinite",
     )
     control_report = totality_probe(NTOrder(control, conv), BallSpec(3, 3), 5)
     assert control_report.degenerate

@@ -274,3 +274,23 @@ def test_malformed_spec_field_names_the_field(tmp_path, capsys):
         assert err == f"error: {message}\n"
     path.write_text("".join(f"{k}={v}\n" for k, v in good.items()))
     assert run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")[0] == 0
+
+
+def test_spec_type_must_match_its_word_and_depths(tmp_path, capsys):
+    path = tmp_path / "t.spec"
+    for type_line, depths, derived in (("infinite", "", "full_infinite"), ("full_infinite", "1", "infinite")):
+        path.write_text(f"name=t\nn=3\ntype={type_line}\nword=1 | 2 1\ndepths={depths}\nsoul=\n")
+        code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
+        assert code == 1 and out == "", type_line
+        assert err == f"error: spec field type={type_line} does not match its word and depths ({derived})\n"
+
+
+def test_degenerate_qslope_is_malformed(capsys):
+    # b6_cx has a soul of rank 3, on which every qslope vanishes somewhere:
+    # this one called the nontrivial braid 1 3 -5 zero
+    for soul_order in ("qslope(2; 1 0, 0 1, 1 1)", "qslope(2; 1 0, 0 1, 0 0)"):
+        code, out, err = run(capsys, "sign", "--n", "6", "--order", f"ext:nt:b6_cx:{soul_order}", "1 3 -5")
+        assert (code, out) == (1, ""), soul_order
+        assert err.startswith("error: qslope needs k = 1 with a nonzero weight or k = 2"), err
+    code, out, _ = run(capsys, "sign", "--n", "4", "--order", "ext:nt:b4_b:qslope(2; 1 0, 0 1)", "1 -3")
+    assert code == 0 and "sign=" in out

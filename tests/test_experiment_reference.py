@@ -132,7 +132,7 @@ def ref_extensions(base, m_range, ball):
         if witness is not None:
             vector = zk_membership(witness, soul)
         else:
-            found = _soul_witness(extension, base, tuple(weights))
+            found = _soul_witness(extension, lex, tuple(weights))
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
@@ -240,7 +240,7 @@ def test_base_that_raises_mid_scan():
     # and the trivial commutator [sigma_1, sigma_3] reads past the end
     letters = tuple(itertools.islice(catalog_order("mixed_4").spec.word, 64))
     spec = GeodesicSpec(
-        "short", 4, Custom(4, lambda: iter(letters), label="short"), (1,), frozenset(), "infinite"
+        "short", 4, Custom(4, lambda: iter(letters), label="short"), (1,)
     )
     base = NTOrder(spec, frozen_convention(4))
     ball = BallSpec(4, 4)

@@ -46,6 +46,24 @@ def random_free_word(rng, n, length):
     return FreeWord(n, tuple(letters))
 
 
+def test_ranks_are_integers():
+    # a float or bool rank used to build, and a Custom stream raised
+    # TypeError when read
+    slope = QuadraticIrrational(7, 3, 11)
+    for n in (2.5, 3.0, True, "3"):
+        for build in (
+            lambda: FreeWord(n, (1, 2)),
+            lambda: Sturmian(n, slope, 1, 2),
+            lambda: Custom(n, lambda: iter((1, 2)), label="c"),
+        ):
+            with pytest.raises(MalformedInputError) as info:
+                build()
+            assert str(info.value) == f"rank must be an integer, got {n!r}"
+    for build in (lambda: FreeWord(0), lambda: Custom(0, lambda: iter(()))):
+        with pytest.raises(MalformedInputError, match="rank must be >= 1, got 0"):
+            build()
+
+
 def test_free_word_reduction_and_inverse():
     assert FreeWord(3, (1, -1, 2)).letters == (2,)
     w = FreeWord(3, (1, -2, 3))
@@ -219,7 +237,7 @@ def test_stream_prefix_image_coherence(rng):
     ]
     for stream in streams:
         n = stream.n
-        spec = GeodesicSpec("stream", n, stream, type_tag="full_infinite")
+        spec = GeodesicSpec("stream", n, stream)
         long_input = FreeWord(n, ray_prefix(stream, 600))
         for _ in range(30):
             b = random_word(rng, n, rng.randrange(0, 6))
@@ -286,7 +304,7 @@ def test_growth_budget_on_slow_reduced_stream():
     # but each image letter needs about 2.6^12 stream letters
     b = BraidWord(3, (1, -2) * 12)
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    base = GeodesicSpec("periodic", 3, periodic, type_tag="full_infinite")
+    base = GeodesicSpec("periodic", 3, periodic)
     pulled = act_on_geodesic(invert(b), base, GermConvention(3))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
         nt_sign(NTOrder(pulled, GermConvention(3)), b)

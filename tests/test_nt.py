@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -42,19 +43,70 @@ def test_catalog_contents_and_validation(specs):
     for spec in specs.values():
         spec.validate()
     assert specs["dehornoy_3"].separating_depths == (1, 2)
-    assert specs["b6_cx"].soul_generators == frozenset({1, 3, 5})
+    assert specs["b6_cx"].soul_generators == (1, 3, 5)
     assert specs["sturmian_4"].separating_depths == ()
     assert specs["mixed_4"].type_tag == "infinite"
 
 
 def test_spec_invariant_enforcement():
     with pytest.raises(MalformedInputError):
-        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1, 1), frozenset(), "finite")
+        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1, 1))
     with pytest.raises(MalformedInputError):
-        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1,), frozenset({1, 2}), "finite")
-    spec = GeodesicSpec("bad", 4, FreeWord(4, (-1, -2)), (1, 2), frozenset({3}), "finite")
+        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1,), (1, 2))
+    spec = GeodesicSpec("bad", 4, FreeWord(4, (-1, -2)), (1, 2), (3,))
     with pytest.raises(MalformedInputError):
         spec.validate()  # finite type needs n-1 depths
+
+
+def test_type_follows_the_ray_and_the_depths(specs):
+    stream = specs["sturmian_3"].word
+    assert GeodesicSpec("f", 3, FreeWord(3, (-1, -2)), (1, 2), (2,)).type_tag == "finite"
+    assert GeodesicSpec("f", 3, FreeWord(3, (-1, -2))).type_tag == "finite"
+    assert GeodesicSpec("i", 3, stream, (1,)).type_tag == "infinite"
+    assert GeodesicSpec("full", 3, stream).type_tag == "full_infinite"
+    # a stream with a soul is infinite type, however it is built, and fails
+    # catalog validation
+    with_soul = GeodesicSpec("s", 3, stream, (1,), (1,))
+    assert with_soul.type_tag == "infinite"
+    with pytest.raises(MalformedInputError, match="infinite type has a trivial soul"):
+        with_soul.validate()
+
+
+def test_spec_fields_hold_no_type():
+    # the type is read off the ray and the depths, so it cannot be stored
+    # apart from them
+    names = [field.name for field in dataclasses.fields(GeodesicSpec)]
+    assert names == ["name", "n", "word", "separating_depths", "soul_generators"]
+
+
+def test_soul_is_kept_in_axis_order():
+    word = FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5))
+    for soul in ([5, 1, 3], (3, 5, 1, 3), {1, 3, 5}, frozenset({5, 3, 1})):
+        spec = GeodesicSpec("b6", 6, word, (4, 6, 7, 8, 9), soul)
+        assert spec.soul_generators == (1, 3, 5)
+    with pytest.raises(MalformedInputError, match="soul generators 2, 3 are adjacent"):
+        GeodesicSpec("b6", 6, word, (4, 6, 7, 8, 9), (3, 5, 2))
+
+
+def test_spec_checks_its_integers_and_ray_rank():
+    for n in (3.0, 2.5, True, "3"):
+        with pytest.raises(MalformedInputError) as info:
+            GeodesicSpec("x", n, FreeWord(3, (1,)))
+        assert str(info.value) == f"strand count must be an integer, got {n!r}"
+    for depths, soul, message in (
+        ((1.0, 2), (2,), "separating depth must be an integer, got 1.0"),
+        ((0, 2), (2,), "separating depth must be >= 1, got 0"),
+        ((1, 2), (2.0,), "soul generator must be an integer, got 2.0"),
+        ((1, 2), (0,), "soul generator must be >= 1, got 0"),
+        ((1, 2), (3,), "soul generator 3 out of range"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            GeodesicSpec("x", 3, FreeWord(3, (-1, -2)), depths, soul)
+        assert str(info.value) == message
+    # a rank-4 ray under a B_3 spec used to build, and its signs then raised
+    # IndexError or KeyError
+    with pytest.raises(MalformedInputError, match="ray rank 4 differs from strand count 3"):
+        GeodesicSpec("x", 3, FreeWord(4, (1, 4, 2)), (1, 2, 3), {2})
 
 
 def test_generator_signs_positive_everywhere(specs):
@@ -267,23 +319,23 @@ def test_three_b4_classes_distinct(specs, conv4):
 
 def test_soul_validation_on_catalog(specs):
     for name, expected in [
-        ("dehornoy_3", {2}),
-        ("dehornoy_4", {3}),
-        ("dehornoy_5", {4}),
-        ("dehornoy_6", {5}),
-        ("b4_b", {1, 3}),
-        ("b4_c", {1, 3}),
-        ("b6_cx", {1, 3, 5}),
-        ("sturmian_3", set()),
+        ("dehornoy_3", (2,)),
+        ("dehornoy_4", (3,)),
+        ("dehornoy_5", (4,)),
+        ("dehornoy_6", (5,)),
+        ("b4_b", (1, 3)),
+        ("b4_c", (1, 3)),
+        ("b6_cx", (1, 3, 5)),
+        ("sturmian_3", ()),
     ]:
         spec = specs[name]
         conv = frozen_convention(spec.n)
-        assert soul_of(NTOrder(spec, conv)) == frozenset(expected)
+        assert soul_of(NTOrder(spec, conv)) == expected
 
 
 def test_soul_validation_mismatch_raises(specs, conv3):
     broken = GeodesicSpec(
-        "broken", 3, specs["dehornoy_3"].word, (1, 2), frozenset({1}), "finite"
+        "broken", 3, specs["dehornoy_3"].word, (1, 2), (1,)
     )
     with pytest.raises(SoulValidationError):
         soul_of(NTOrder(broken, conv3))
@@ -371,7 +423,6 @@ def test_totality_probe_periodic_control(conv3):
     control = GeodesicSpec(
         "control", 3,
         EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))),
-        (), frozenset(), "full_infinite",
     )
     report = totality_probe(NTOrder(control, conv3), BallSpec(3, 3), 5)
     assert report.degenerate

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from braidorders import (
@@ -7,6 +9,7 @@ from braidorders import (
     ConjugatedOrder,
     ConvexExtensionOrder,
     DehornoyOrder,
+    GeodesicSpec,
     MalformedInputError,
     ZkIntegerSlope,
     ZkLex,
@@ -210,6 +213,31 @@ def test_zk_quadratic_slope_exact():
                     assert zk_sign(s, (a, b)) != 0
 
 
+def test_zk_quadratic_slope_must_be_total():
+    # Q(sqrt d) has dimension 2 over Q: a weight sum vanishes on a nonzero
+    # vector for every rank-3 form, and for rank 2 with dependent weights
+    assert zk_sign(ZkQuadraticSlope(1, 2, ((0, -1),)), (3,)) == -1
+    for k, weights in (
+        (3, ((1, 0), (0, 1), (1, 1))),
+        (2, ((1, 2), (2, 4))),
+        (2, ((0, 0), (0, 1))),
+        (1, ((0, 0),)),
+        (0, ()),
+    ):
+        with pytest.raises(MalformedInputError, match="qslope needs k = 1 with a nonzero weight"):
+            ZkQuadraticSlope(k, 2, weights)
+
+
+def test_convex_extension_needs_a_finite_ray():
+    # a stream base with a nonempty soul is infinite type, whatever it names
+    base = catalog_order("b4_b")
+    stream = GeodesicSpec("s", 4, catalog_order("sturmian_4").spec.word, (2, 3, 4), (1, 3))
+    lex = ZkLex.standard(2)
+    ConvexExtensionOrder(base, lex)
+    with pytest.raises(MalformedInputError, match="convex extension needs a finite-type base"):
+        ConvexExtensionOrder(replace(base, spec=stream), lex)
+
+
 def test_zk_membership_examples():
     w = BraidWord(5, (1, 1, 1, -3, -3))
     assert zk_membership(w, (1, 3)) == (3, -2)
@@ -217,6 +245,9 @@ def test_zk_membership_examples():
     assert zk_membership(BraidWord(4), (1, 3)) == (0, 0)
     with pytest.raises(MalformedInputError):
         zk_membership(BraidWord(4, (1,)), (1, 2))
+    # the soul comes in axis order, as a spec keeps it
+    with pytest.raises(MalformedInputError, match="soul generators 3, 1 are adjacent or out of order"):
+        zk_membership(BraidWord(4, (1,)), (3, 1))
 
 
 def test_zk_membership_conjugates(rng):

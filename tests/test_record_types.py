@@ -19,9 +19,9 @@ import pytest
 import braidorders
 
 # value types that stay dataclasses with nothing to validate: the convention
-# holds a cached_property, the stream iterates over its letters (a tuple
-# cannot), and the oracle must not equal a plain tuple of its strand count
-KEPT_DATACLASSES = {"GermConvention", "Custom", "DehornoyOrder"}
+# holds a cached_property, and the oracle must not equal a plain tuple of its
+# strand count
+KEPT_DATACLASSES = {"GermConvention", "DehornoyOrder"}
 
 RECORD_FIELDS = {
     "braidorders.catalog.CalibrationResult": ("convention", "word", "matches"),
