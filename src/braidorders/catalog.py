@@ -58,12 +58,14 @@ def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: Fre
     """head then Sturmian-driven blocks; aperiodic, positive past the head.
 
     The blocks follow the letters of the Sturmian word of STURMIAN_SLOPE:
-    block_a for a 1, block_b for a 2."""
+    block_a for a 1, block_b for a 2, read from its source: the Custom's
+    own prefix keeps the blocks, so a second prefix of the choices would
+    only hold them twice."""
     choices = Sturmian(2, STURMIAN_SLOPE, 1, 2)
 
     def letters() -> Iterator[int]:
         yield from head
-        for k in choices:
+        for k in choices._source():
             yield from block_a if k == 1 else block_b
 
     return Custom(n, letters, label=label)

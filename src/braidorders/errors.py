@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one integer check of
-every rank, strand count and length."""
+every rank, strand count, length and exact coefficient."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ class MalformedInputError(ValueError):
     """A braid word, free word, or spec value violates its basic contract."""
 
 
-def check_integer(value, name: str, minimum: int) -> None:
+def check_integer(value, name: str, minimum: int | None = None) -> None:
     """Raise MalformedInputError unless value is an int (a bool is not) of at
-    least minimum."""
+    least minimum, when one is given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedInputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise MalformedInputError(f"{name} must be >= {minimum}, got {value}")
 
 

@@ -13,8 +13,10 @@ Every word is iterable over its letters, and that iteration is the one way a
 ray is read.  Infinite words over positive letters are reduced for free.  A
 custom word is checked as it is read: a letter outside F_n (a bool
 included), a letter that is the inverse of the letter before it, or letters
-that run out, raise MalformedInputError.  Braids act on these words in
-nt.py, which moves a ray letter by letter.
+that run out, raise MalformedInputError.  A Sturmian or custom word computes
+each letter once: its readers share one growing prefix (_Prefix), kept on
+the word object.  Braids act on these words in nt.py, which moves a ray
+letter by letter.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class QuadraticIrrational:
     q: int
 
     def __post_init__(self):
+        for value, name in ((self.d, "d"), (self.p, "p"), (self.q, "q")):
+            check_integer(value, name)
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise MalformedInputError(f"d must be a positive non-square, got {self.d}")
         if self.q <= 0:
@@ -149,12 +153,68 @@ class EventuallyPeriodic:
         return chain(self.head.letters, cycle(self.period.letters))
 
 
+class _Prefix:
+    """The letters of a stream read so far, shared by all its readers.
+
+    Each reader walks the stored letters, then extends them from the one
+    source iterator, so interleaved readers see the same letters and each
+    letter is computed once.  An exception from the source is stored at the
+    index where it rose: every later read that reaches that index raises it
+    again.  The list holds as many letters as the longest single read took.
+    """
+
+    __slots__ = ("letters", "source", "error")
+
+    def __init__(self, source: Iterator[int]):
+        self.letters: list[int] = []
+        self.source = source
+        self.error: Exception | None = None
+
+    def __iter__(self) -> Iterator[int]:
+        letters = self.letters
+        i = 0
+        while True:
+            if i < len(letters):
+                yield letters[i]
+            elif self.error is not None:
+                # a fresh traceback: the stored one would grow by each replay
+                raise self.error.with_traceback(None)
+            else:
+                try:
+                    k = next(self.source)
+                except Exception as exc:  # whatever a fresh read would raise here
+                    self.error = exc
+                    raise
+                letters.append(k)
+                yield k
+            i += 1
+
+
+class _PrefixedStream:
+    """A stream read through one _Prefix of its _source(), made on the first
+    read; a copy or an unpickled word starts a prefix of its own."""
+
+    @cached_property
+    def _prefix(self) -> _Prefix:
+        return _Prefix(self._source())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._prefix)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_prefix", None)  # it holds the source iterator
+        return state
+
+
 @dataclass(frozen=True)
-class Sturmian:
+class Sturmian(_PrefixedStream):
     """The Sturmian word over two positive letters cut by an irrational slope.
 
     Position k carries letter_b when floor((k+1) slope) - floor(k slope) = 1,
     letter_a otherwise; the slope must lie in (0, 1) for both to occur.
+    Each letter is computed once per word object: its readers share one
+    growing prefix, which lasts as long as the word.
     """
 
     n: int
@@ -164,6 +224,10 @@ class Sturmian:
 
     def __post_init__(self):
         check_integer(self.n, "rank", 1)
+        if not isinstance(self.slope, QuadraticIrrational):
+            raise MalformedInputError(f"Sturmian slope must be a QuadraticIrrational, got {self.slope!r}")
+        check_integer(self.letter_a, "Sturmian letter")
+        check_integer(self.letter_b, "Sturmian letter")
         if self.letter_a <= 0 or self.letter_b <= 0:
             raise MalformedInputError("Sturmian letters must be positive generators")
         if self.letter_a == self.letter_b:
@@ -174,7 +238,8 @@ class Sturmian:
         if not _le_sqrt(-s.p, s.d) or _le_sqrt(s.q - s.p, s.d):
             raise MalformedInputError(f"Sturmian slope ({s.p} + sqrt({s.d}))/{s.q} is not in (0, 1)")
 
-    def __iter__(self) -> Iterator[int]:
+    def _source(self) -> Iterator[int]:
+        """The letters computed afresh from the slope."""
         prev = 0
         for k in count(1):
             cur = self.slope.floor_times(k)
@@ -183,11 +248,16 @@ class Sturmian:
 
 
 @dataclass(frozen=True)
-class Custom:
+class Custom(_PrefixedStream):
     """An infinite word given by a function that returns a fresh iterator
-    over its letters; each call starts again from the first letter.  Each
-    letter is checked as it is read: a letter of F_n (an int, not a bool),
-    not cancelling the one before."""
+    over its letters; each call must start again from the first letter and
+    yield the same letters.  The function is called once per word object:
+    its letters are read once, into a growing prefix that every reader of
+    the word shares and that lasts as long as the word.  Each letter is
+    checked as it is read: a letter of F_n (an int, not a bool), not
+    cancelling the one before.  An error (a bad letter, letters that run
+    out, or one the function raised) is raised again by every read that
+    reaches it."""
 
     n: int
     letters: Callable[[], Iterable[int]]
@@ -201,7 +271,8 @@ class Custom:
         """Every letter of F_n and its inverse, built once per stream."""
         return frozenset(k for j in range(1, self.n + 1) for k in (j, -j))
 
-    def __iter__(self) -> Iterator[int]:
+    def _source(self) -> Iterator[int]:
+        """The letters of a fresh call of the function, checked."""
         prev = 0
         alphabet = self._alphabet
         for k in self.letters():

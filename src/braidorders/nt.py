@@ -330,9 +330,11 @@ def braid_image_of_word(b: BraidWord, letters: FreeLetters, mirrored: bool) -> F
 
 
 def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
-    """The spec for the image ray: a finite word whole, a stream as a stream
-    whose letters are transported as they are read.  Only the name is
-    recomputed."""
+    """The spec for the image ray: a finite word whole, a stream as a Custom
+    stream whose letters are transported as they are read.  Its letters
+    function yields the same letters on every call, and the Custom calls it
+    once: each image letter is transported once per image spec, whatever
+    reads it.  Only the name is recomputed."""
     if b.n != spec.n:
         raise MalformedInputError("strand counts differ")
 

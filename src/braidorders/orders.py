@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
-from .errors import MalformedInputError
+from .errors import MalformedInputError, check_integer
 from .nt import NTOrder, _letter_depths, nt_sign
 
 
@@ -69,6 +69,11 @@ class ZkLex:
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        check_integer(self.k, "Z^k rank")
+        for axis in self.axes:
+            check_integer(axis, "lex axis")
+        for s in self.signs:
+            check_integer(s, "lex sign")
         if sorted(self.axes) != list(range(self.k)):
             raise MalformedInputError("axes must be a permutation of 0..k-1")
         if len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs):
@@ -88,6 +93,9 @@ class ZkIntegerSlope:
     tie_break: ZkLex
 
     def __post_init__(self):
+        check_integer(self.k, "Z^k rank")
+        for w in self.weights:
+            check_integer(w, "slope weight")
         if len(self.weights) != self.k or self.tie_break.k != self.k:
             raise MalformedInputError("weight/tie-break dimension mismatch")
 
@@ -101,6 +109,13 @@ class ZkQuadraticSlope:
     weights: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        check_integer(self.k, "Z^k rank")
+        check_integer(self.d, "qslope d")
+        for w in self.weights:
+            if not isinstance(w, tuple) or len(w) != 2:
+                raise MalformedInputError(f"qslope weight must be a pair (a, b), got {w!r}")
+            for c in w:
+                check_integer(c, "qslope weight")
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise MalformedInputError("d must be a positive non-square")
         if len(self.weights) != self.k:

@@ -64,6 +64,25 @@ def test_ranks_are_integers():
             build()
 
 
+def test_stream_fields_are_integers():
+    # a float coefficient used to build and give float floors, a float d
+    # raised TypeError, and a bool letter was yielded as a letter
+    for d, p, q, bad in (
+        (7, 3.0, 11, "p must be an integer, got 3.0"),
+        (7.0, 3, 11, "d must be an integer, got 7.0"),
+        (7, 3, True, "q must be an integer, got True"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            QuadraticIrrational(d, p, q)
+        assert str(info.value) == bad
+    slope = QuadraticIrrational(7, 3, 11)
+    for a, b in ((True, 2), (1, 2.0)):
+        with pytest.raises(MalformedInputError, match="Sturmian letter must be an integer"):
+            Sturmian(3, slope, a, b)
+    with pytest.raises(MalformedInputError, match="Sturmian slope must be a QuadraticIrrational"):
+        Sturmian(3, 0.5, 1, 2)
+
+
 def test_free_word_reduction_and_inverse():
     assert FreeWord(3, (1, -1, 2)).letters == (2,)
     w = FreeWord(3, (1, -2, 3))
@@ -308,6 +327,9 @@ def test_growth_budget_on_slow_reduced_stream():
     pulled = act_on_geodesic(invert(b), base, GermConvention(3))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
         nt_sign(NTOrder(pulled, GermConvention(3)), b)
+    # the stream's prefix holds its longest read: one letter that passed an
+    # image letter on, then the 90113 that did not
+    assert len(pulled.word._prefix.letters) == 90114
 
 
 def test_non_reduced_stream_rejected():

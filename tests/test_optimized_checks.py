@@ -4,8 +4,8 @@
 written as explicit raises.  A subprocess under ``-O`` builds a handle-free
 result with mixed signs on its main index, a settled divergence on two equal
 germs, a braid word with a ``bool`` letter, one with a non-integer strand
-count and a Sturmian word whose slope is outside (0, 1); all must still
-raise.
+count, a Sturmian word whose slope is outside (0, 1), and streams and Z^k
+orders with a non-integer field; all must still raise.
 """
 
 import os
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import sys
 from braidorders import BraidWord, MalformedInputError, QuadraticIrrational, Sturmian, frozen_convention
+from braidorders import ZkIntegerSlope, ZkLex, ZkQuadraticSlope
 from braidorders.dehornoy import HandleFreeWord
 from braidorders.planar import _verdict
 
@@ -43,6 +44,18 @@ try:
     Sturmian(3, QuadraticIrrational(7, 3, 2), 1, 2)
 except MalformedInputError as exc:
     print("slope:", exc)
+for build in (
+    lambda: QuadraticIrrational(7, 3.0, 11),
+    lambda: QuadraticIrrational(7.0, 3, 11),
+    lambda: Sturmian(3, QuadraticIrrational(7, 3, 11), True, 2),
+    lambda: ZkIntegerSlope(2, (0.5, 1.5), ZkLex.standard(2)),
+    lambda: ZkLex(1, (0,), (1.0,)),
+    lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)),
+):
+    try:
+        build()
+    except MalformedInputError as exc:
+        print("integer:", exc)
 """
 
 
@@ -59,4 +72,10 @@ def test_checks_raise_under_python_O():
         "letter: letter True out of range for B_3 (need 1 <= |k| <= 2)",
         "strands: strand count must be an integer, got 3.5",
         "slope: Sturmian slope (3 + sqrt(7))/2 is not in (0, 1)",
+        "integer: p must be an integer, got 3.0",
+        "integer: d must be an integer, got 7.0",
+        "integer: Sturmian letter must be an integer, got True",
+        "integer: slope weight must be an integer, got 0.5",
+        "integer: lex sign must be an integer, got 1.0",
+        "integer: qslope d must be an integer, got 2.0",
     ]

@@ -190,6 +190,24 @@ def test_zk_lex_examples():
     assert zk_sign(reversed_first, (1, 0)) == -1
 
 
+def test_zk_fields_are_integers():
+    # float fields used to build and compare in float arithmetic (a float
+    # sign came back as the sign), or raise TypeError
+    lex = ZkLex.standard(2)
+    for build, message in (
+        (lambda: ZkIntegerSlope(2, (0.5, 1.5), lex), "slope weight must be an integer, got 0.5"),
+        (lambda: ZkIntegerSlope(2.0, (1, 1), lex), "Z^k rank must be an integer, got 2.0"),
+        (lambda: ZkLex(1, (0,), (1.0,)), "lex sign must be an integer, got 1.0"),
+        (lambda: ZkLex(1, (0.0,), (1,)), "lex axis must be an integer, got 0.0"),
+        (lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)), "qslope d must be an integer, got 2.0"),
+        (lambda: ZkQuadraticSlope(1, 2, ((1, 0.5),)), "qslope weight must be an integer, got 0.5"),
+        (lambda: ZkQuadraticSlope(1, 2, ((1, 0, 3),)), "qslope weight must be a pair (a, b), got (1, 0, 3)"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_zk_integer_slope_with_tie_break():
     slope = ZkIntegerSlope(2, (2, 1), ZkLex.standard(2))
     assert zk_sign(slope, (1, -2)) == 0 + zk_sign(ZkLex.standard(2), (1, -2))
