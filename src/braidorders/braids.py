@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import MalformedInputError, check_integer
-from .freewords import reduce_free
+from .freewords import parse_letters, reduce_free
 
 Letters = tuple[int, ...]
 
@@ -186,14 +186,7 @@ def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
 
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse the whitespace-separated integer syntax, e.g. "1 -2 1"."""
-    text = text.strip()
-    if not text:
-        return BraidWord(n)
-    try:
-        letters = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise MalformedInputError(f"cannot parse braid word {text!r}: {exc}") from None
-    return BraidWord(n, letters)
+    return BraidWord(n, parse_letters(text, "braid word"))
 
 
 def random_word(rng, n: int, length: int) -> BraidWord:

@@ -32,7 +32,7 @@ from .freewords import (
     QuadraticIrrational,
     Sturmian,
 )
-from .nt import GeodesicSpec, NTOrder, _letter_depths, nt_sign
+from .nt import GeodesicSpec, NTOrder, letter_depths, nt_sign
 from .planar import DEFAULT_DEPTH_CAP, GermConvention
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
@@ -187,7 +187,7 @@ def search_chain_words(
         for tup in itertools.product(alphabet, repeat=L):
             if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
                 continue
-            deaths = _letter_depths(order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup))))
+            deaths = letter_depths(order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup))))
             if any(deaths[j] != deaths[-j] for j in range(1, n)):
                 continue
             seq = [deaths[j] for j in death_order]

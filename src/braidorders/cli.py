@@ -273,7 +273,7 @@ def cmd_approx(args) -> int:
     if args.kind == "conjugates":
         soul = order.spec.soul_generators
         if args.pattern:
-            pattern = _conjugator_pattern(args.pattern, args.n)
+            pattern = _slash_pattern(args.pattern, "s/<braid word>", lambda u: parse_braid(u, args.n))
         else:
             if not soul:
                 raise MalformedInputError("conjugate pattern needed for trivial-soul specs")
@@ -319,9 +319,8 @@ def cmd_probe(args) -> int:
         )
         return 2 if (report.degenerate or not report.covered) else 0
     lo, hi = _parse_range(args.range)
-    report = limit_probe_experiment(
-        order, _limit_pattern(args.pattern or "3/4"), range(lo, hi + 1), BallSpec(args.n, args.ball_length)
-    )
+    pattern = _slash_pattern(args.pattern or "3/4", "s/u", int)
+    report = limit_probe_experiment(order, pattern, range(lo, hi + 1), BallSpec(args.n, args.ball_length))
     rows = [
         {
             "probe": str(r.probe),
@@ -397,26 +396,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _conjugator_pattern(text: str, n: int) -> tuple[int, BraidWord]:
-    """The --pattern of approx conjugates: s/<braid word>."""
+def _slash_pattern(text: str, form: str, read_u) -> tuple:
+    """A --pattern s/<u>: s an integer, u read by read_u; the error names the
+    form, s/<braid word> for approx conjugates and s/u for probe --kind limit."""
     s_text, slash, u_text = text.partition("/")
     try:
         if not slash:
             raise ValueError("no '/'")
-        return int(s_text), parse_braid(u_text, n)
+        return int(s_text), read_u(u_text)
     except ValueError as exc:
-        raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
-
-
-def _limit_pattern(text: str) -> tuple[int, int]:
-    """The --pattern of probe --kind limit: s/u, two generator indices."""
-    s_text, slash, u_text = text.partition("/")
-    try:
-        if not slash:
-            raise ValueError("no '/'")
-        return int(s_text), int(u_text)
-    except ValueError as exc:
-        raise MalformedInputError(f"--pattern must look like s/u, got {text!r} ({exc})") from None
+        raise MalformedInputError(f"--pattern must look like {form}, got {text!r} ({exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

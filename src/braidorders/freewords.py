@@ -75,15 +75,17 @@ class FreeWord:
         return " ".join(str(k) for k in self.letters)
 
 
-def parse_free_word(text: str, n: int) -> FreeWord:
-    text = text.strip()
-    if not text:
-        return FreeWord(n)
+def parse_letters(text: str, what: str) -> tuple[int, ...]:
+    """The whitespace-separated integer letters of text, e.g. "1 -2 1";
+    what names the word in the error message."""
     try:
-        letters = tuple(int(tok) for tok in text.split())
+        return tuple(int(tok) for tok in text.split())
     except ValueError as exc:
-        raise MalformedInputError(f"cannot parse free word {text!r}: {exc}") from None
-    return FreeWord(n, letters)
+        raise MalformedInputError(f"cannot parse {what} {text.strip()!r}: {exc}") from None
+
+
+def parse_free_word(text: str, n: int) -> FreeWord:
+    return FreeWord(n, parse_letters(text, "free word"))
 
 
 @dataclass(frozen=True)
@@ -103,20 +105,13 @@ class QuadraticIrrational:
             raise MalformedInputError("q must be positive")
 
     def floor_times(self, k: int) -> int:
-        """floor(k * (p + sqrt(d)) / q), exactly, for k >= 0."""
-        if k < 0:
-            raise MalformedInputError("floor_times needs k >= 0")
-        if k == 0:
-            return 0
-        # floor((k p + sqrt(k^2 d)) / q): start from the isqrt estimate and
-        # correct by the defining inequalities s q - k p <= sqrt(k^2 d) < ...
-        m = k * k * self.d
-        s = (k * self.p + isqrt(m)) // self.q
-        while _le_sqrt(self.q * (s + 1) - k * self.p, m):
-            s += 1
-        while not _le_sqrt(self.q * s - k * self.p, m):
-            s -= 1
-        return s
+        """floor(k * (p + sqrt(d)) / q), exactly, for integer k >= 0.
+
+        X = k p + isqrt(k^2 d) is an integer with X <= k p + sqrt(k^2 d) < X + 1,
+        so no multiple of q lies strictly between them: both floor to X // q.
+        """
+        check_integer(k, "k", 0)
+        return (k * self.p + isqrt(k * k * self.d)) // self.q
 
     def __float__(self) -> float:  # display only
         return (self.p + self.d ** 0.5) / self.q

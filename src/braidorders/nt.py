@@ -26,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .braids import BallSpec, BraidWord, _trusted_word, inverse_letters, invert, multiply, sigma
+from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
 from .errors import (
     MalformedInputError,
     SearchFailureError,
@@ -43,7 +43,6 @@ from .freewords import (
     format_infinite_word,
     parse_free_word,
     parse_infinite_word,
-    reduce_free,
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
@@ -124,8 +123,7 @@ class NTOrder:
     def __post_init__(self):
         if self.convention.n != self.spec.n:
             raise MalformedInputError("convention rank must match the spec strand count")
-        if self.depth_cap < 1:
-            raise MalformedInputError(f"depth cap must be at least 1, got {self.depth_cap}")
+        check_integer(self.depth_cap, "depth cap", 1)
 
     @property
     def n(self) -> int:
@@ -372,9 +370,7 @@ def nt_sign(order: NTOrder, b: BraidWord) -> int:
 def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
     a > b; a < b iff a^-1 b is positive, by left invariance."""
-    if a.n != b.n:
-        raise MalformedInputError(f"strand counts differ: {a.n} vs {b.n}")
-    return -oracle.sign(_trusted_word(a.n, reduce_free(inverse_letters(a.letters) + b.letters)))
+    return -oracle.sign(multiply(invert(a), b))
 
 
 class DivergenceReport(NamedTuple):
@@ -406,7 +402,7 @@ def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
     return report.depth >= spec.separating_depths[i - 1]
 
 
-def _letter_depths(order: NTOrder) -> dict[int, int]:
+def letter_depths(order: NTOrder) -> dict[int, int]:
     """The divergence depth of each generator letter sigma_j^+-1, by letter."""
     return {
         s: divergence_depth(order, BraidWord(order.n, (s,))).depth
@@ -418,7 +414,7 @@ def _letter_depths(order: NTOrder) -> dict[int, int]:
 def _level_patterns(order: NTOrder) -> list[tuple[int, ...]]:
     """For each separating depth, the generators j whose letters sigma_j and
     sigma_j^-1 both diverge at that depth or deeper."""
-    depths = _letter_depths(order)
+    depths = letter_depths(order)
     return [
         tuple(j for j in range(1, order.n) if min(depths[j], depths[-j]) >= d)
         for d in order.spec.separating_depths
@@ -467,20 +463,13 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
         raise MalformedInputError(f"{spec.name}: chain report needs at least one depth")
     if sample.n != spec.n:
         raise MalformedInputError("ball strand count differs from spec")
-    undecided = 0
-
-    words = list(sample.words())
-    depths: dict[BraidWord, int] = {}
-    for w in words:
-        report = divergence_depth(order, w)
-        if report.verdict == "undecided":
-            undecided += 1
-        depths[w] = report.depth
+    reports = [(w, divergence_depth(order, w)) for w in sample.words()]
+    undecided = sum(report.verdict == "undecided" for _, report in reports)
 
     levels = []
     for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
-        members = [w for w in words if depths[w] >= d]
-        outside = [w for w in words if depths[w] < d]
+        members = [w for w, report in reports if report.depth >= d]
+        outside = [w for w, report in reports if report.depth < d]
         violations = 0
         checked = 0
         if members:
@@ -620,7 +609,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
                 break
             for i in range(1, spec.n):
                 for e in (1, -1, 2, -2):
-                    consider(multiply(multiply(g, sigma(spec.n, i, e)), invert(g)), tie_eligible=False)
+                    consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
 
     return TotalityReport(
         spec.name, ball, tuple(ties), tuple(records), best, depth_target

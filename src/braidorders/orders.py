@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError, check_integer
-from .nt import NTOrder, _letter_depths, nt_sign
+from .nt import NTOrder, letter_depths, nt_sign
 
 
 class OrderOracle(Protocol):
@@ -96,6 +96,8 @@ class ZkIntegerSlope:
         check_integer(self.k, "Z^k rank")
         for w in self.weights:
             check_integer(w, "slope weight")
+        if not isinstance(self.tie_break, ZkLex):
+            raise MalformedInputError(f"slope tie break must be a ZkLex, got {self.tie_break!r}")
         if len(self.weights) != self.k or self.tie_break.k != self.k:
             raise MalformedInputError("weight/tie-break dimension mismatch")
 
@@ -237,6 +239,6 @@ def soul_lex_of_base(base: NTOrder) -> ZkLex:
     half-twists are positive in every ray order.
     """
     soul = base.spec.soul_generators
-    depths = _letter_depths(base)
+    depths = letter_depths(base)
     order = sorted(range(len(soul)), key=lambda pos: depths[soul[pos]])
     return ZkLex(len(soul), tuple(order), (1,) * len(soul))

@@ -50,18 +50,42 @@ def test_malformed_input_exit_code(capsys):
     assert code == 1
     code, _, _ = run(capsys, "--help")
     assert code == 0
-    # a search with nothing to check, a depth target below 0, and depth caps below 1
-    for argv in (
-        ("conrad", "--n", "3", "--order", "dehornoy", "--k-max", "-3", "--ball-length", "1"),
+    # a search with nothing to check, a depth target below 0, depth caps below
+    # 1, malformed orders, ranges and names, and a missing conjugate pattern
+    for argv, message in (
+        (("conrad", "--n", "3", "--order", "dehornoy", "--k-max", "-3", "--ball-length", "1"),
+         "k_max must be non-negative, got -3"),
         (
-            "probe", "--kind", "totality", "--n", "3", "--order", "nt:sturmian_3",
-            "--ball-length", "2", "--depth-target", "-4",
+            (
+                "probe", "--kind", "totality", "--n", "3", "--order", "nt:sturmian_3",
+                "--ball-length", "2", "--depth-target", "-4",
+            ),
+            "depth target must be non-negative, got -4",
         ),
-        ("sign", "--n", "3", "--order", "nt:sturmian_3", "--depth-cap", "-5", "1"),
-        ("chain", "--n", "4", "--order", "nt:dehornoy_4", "--ball-length", "1", "--depth-cap", "-2"),
+        (("sign", "--n", "3", "--order", "nt:sturmian_3", "--depth-cap", "-5", "1"), "depth cap must be >= 1, got -5"),
+        (
+            ("chain", "--n", "4", "--order", "nt:dehornoy_4", "--ball-length", "1", "--depth-cap", "-2"),
+            "depth cap must be >= 1, got -2",
+        ),
+        (("sign", "--n", "3", "--order", "conj:dehornoy", "1"), "conj needs conj:<order>:<braid>, got 'conj:dehornoy'"),
+        (("sign", "--n", "3", "--order", "ext:dehornoy:lex(1)", "1"), "ext base must be an nt:<...> order"),
+        (("sign", "--n", "6", "--order", "ext:nt:b6_cx:lex(2)", "1"), "lex axis 2 is not a soul generator of (1, 3, 5)"),
+        (("sign", "--n", "3", "--order", "ext:nt:dehornoy_3:wat(1)", "1"), "cannot parse soul order 'wat(1)'"),
+        (("sign", "--n", "3", "--order", "foo", "1"), "cannot parse order 'foo'"),
+        (("soul", "--n", "3", "--order", "dehornoy"), "soul needs an nt:<...> order"),
+        (("approx", "conjugates", "--n", "3", "--order", "nt:dehornoy_3", "--range", "5:1"), "empty range '5:1'"),
+        (
+            ("approx", "conjugates", "--n", "3", "--order", "nt:dehornoy_3", "--range", "5"),
+            "range must look like lo:hi, got '5'",
+        ),
+        (("catalog", "--name", "nope"), "unknown catalog entry 'nope'"),
+        (
+            ("approx", "conjugates", "--n", "3", "--order", "nt:sturmian_3"),
+            "conjugate pattern needed for trivial-soul specs",
+        ),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 1 and out == "" and "error:" in err
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 def test_unreadable_spec_file_is_malformed_input(tmp_path, capsys):
@@ -262,15 +286,20 @@ def test_malformed_sturmian_spec_word_names_the_form(tmp_path, capsys):
 def test_malformed_spec_field_names_the_field(tmp_path, capsys):
     good = {"name": "t", "n": "3", "type": "finite", "word": "-1 -2", "depths": "1 2", "soul": "2"}
     path = tmp_path / "t.spec"
-    for key, value, message in (
-        ("n", "x", "spec field n= must be an integer, got 'x'"),
-        ("n", "3 4", "spec field n= must be an integer, got '3 4'"),
-        ("depths", "1 x", "spec field depths= must be integers, got '1 x'"),
-        ("soul", "y", "spec field soul= must be integers, got 'y'"),
+    # each case replaces the line of one key, or drops it (None)
+    for key, line, message in (
+        ("n", "n=x", "spec field n= must be an integer, got 'x'"),
+        ("n", "n=3 4", "spec field n= must be an integer, got '3 4'"),
+        ("depths", "depths=1 x", "spec field depths= must be integers, got '1 x'"),
+        ("soul", "soul=y", "spec field soul= must be integers, got 'y'"),
+        ("word", "-1 -2", "bad spec line '-1 -2'"),
+        ("name", None, "spec file missing field 'name'"),
+        ("type", "type=bogus", "unknown type 'bogus'"),
     ):
-        path.write_text("".join(f"{k}={value if k == key else v}\n" for k, v in good.items()))
+        lines = [line if k == key else f"{k}={v}" for k, v in good.items()]
+        path.write_text("".join(f"{text}\n" for text in lines if text is not None))
         code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")
-        assert code == 1 and out == "", (key, value)
+        assert code == 1 and out == "", (key, line)
         assert err == f"error: {message}\n"
     path.write_text("".join(f"{k}={v}\n" for k, v in good.items()))
     assert run(capsys, "sign", "--n", "3", "--order", f"nt:{path}", "1")[0] == 0

@@ -103,6 +103,15 @@ def test_quadratic_irrational_exact_floor():
         assert qi.floor_times(k) == math.floor(k * value)
     with pytest.raises(MalformedInputError):
         QuadraticIrrational(9, 1, 2)
+    # 2.5 used to raise TypeError, and True was read as k = 1
+    for k, message in (
+        (2.5, "k must be an integer, got 2.5"),
+        (True, "k must be an integer, got True"),
+        (-1, "k must be >= 0, got -1"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            qi.floor_times(k)
+        assert str(info.value) == message
 
 
 def test_sturmian_prefix_coherent_and_balanced():

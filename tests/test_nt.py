@@ -109,6 +109,20 @@ def test_spec_checks_its_integers_and_ray_rank():
         GeodesicSpec("x", 3, FreeWord(4, (1, 4, 2)), (1, 2, 3), {2})
 
 
+def test_depth_cap_is_a_positive_integer(specs):
+    # 2.5 used to build and its first stream sign raised a bare ValueError;
+    # True built and reported "words agree beyond depth cap True"
+    for cap, message in (
+        (2.5, "depth cap must be an integer, got 2.5"),
+        (True, "depth cap must be an integer, got True"),
+        (0, "depth cap must be >= 1, got 0"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            NTOrder(specs["sturmian_3"], frozen_convention(3), cap)
+        assert str(info.value) == message
+    assert NTOrder(specs["sturmian_3"], frozen_convention(3), 1).depth_cap == 1
+
+
 def test_generator_signs_positive_everywhere(specs):
     for name in ("dehornoy_3", "dehornoy_4", "dehornoy_5", "dehornoy_6", "b4_b", "b4_c", "b6_cx"):
         order = catalog_order(name)

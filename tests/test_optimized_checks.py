@@ -4,8 +4,10 @@
 written as explicit raises.  A subprocess under ``-O`` builds a handle-free
 result with mixed signs on its main index, a settled divergence on two equal
 germs, a braid word with a ``bool`` letter, one with a non-integer strand
-count, a Sturmian word whose slope is outside (0, 1), and streams and Z^k
-orders with a non-integer field; all must still raise.
+count, a Sturmian word whose slope is outside (0, 1), streams and Z^k
+orders with a non-integer field, a slope whose tie break is no ZkLex, a
+non-integer floor_times argument and a non-integer depth cap; all must still
+raise.
 """
 
 import os
@@ -18,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import sys
 from braidorders import BraidWord, MalformedInputError, QuadraticIrrational, Sturmian, frozen_convention
-from braidorders import ZkIntegerSlope, ZkLex, ZkQuadraticSlope
+from braidorders import NTOrder, ZkIntegerSlope, ZkLex, ZkQuadraticSlope, catalog
 from braidorders.dehornoy import HandleFreeWord
 from braidorders.planar import _verdict
 
@@ -51,11 +53,17 @@ for build in (
     lambda: ZkIntegerSlope(2, (0.5, 1.5), ZkLex.standard(2)),
     lambda: ZkLex(1, (0,), (1.0,)),
     lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)),
+    lambda: QuadraticIrrational(7, 3, 11).floor_times(2.5),
+    lambda: NTOrder(catalog()["sturmian_3"], frozen_convention(3), 2.5),
 ):
     try:
         build()
     except MalformedInputError as exc:
         print("integer:", exc)
+try:
+    ZkIntegerSlope(1, (1,), None)
+except MalformedInputError as exc:
+    print("tie break:", exc)
 """
 
 
@@ -78,4 +86,7 @@ def test_checks_raise_under_python_O():
         "integer: slope weight must be an integer, got 0.5",
         "integer: lex sign must be an integer, got 1.0",
         "integer: qslope d must be an integer, got 2.0",
+        "integer: k must be an integer, got 2.5",
+        "integer: depth cap must be an integer, got 2.5",
+        "tie break: slope tie break must be a ZkLex, got None",
     ]

@@ -197,6 +197,9 @@ def test_zk_fields_are_integers():
     for build, message in (
         (lambda: ZkIntegerSlope(2, (0.5, 1.5), lex), "slope weight must be an integer, got 0.5"),
         (lambda: ZkIntegerSlope(2.0, (1, 1), lex), "Z^k rank must be an integer, got 2.0"),
+        # a tie break that is no ZkLex used to raise AttributeError
+        (lambda: ZkIntegerSlope(1, (1,), None), "slope tie break must be a ZkLex, got None"),
+        (lambda: ZkIntegerSlope(1, (1,), (0,)), "slope tie break must be a ZkLex, got (0,)"),
         (lambda: ZkLex(1, (0,), (1.0,)), "lex sign must be an integer, got 1.0"),
         (lambda: ZkLex(1, (0.0,), (1,)), "lex axis must be an integer, got 0.0"),
         (lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)), "qslope d must be an integer, got 2.0"),

@@ -1,0 +1,301 @@
+"""Each rule written once agrees with the second copy it replaced.
+
+The replaced code lives on here as the reference: the Sturmian floor with its
+two correction loops, the two letter parsers with their empty-text branches,
+the two ``--pattern`` readers, the order comparison on a hand-made product,
+the totality probe with its twice-multiplied conjugates, and the chain report
+that kept a word list beside a dict of depths.
+"""
+
+import random
+from math import isqrt
+
+import pytest
+
+from braidorders import (
+    BallSpec,
+    BraidWord,
+    DehornoyOrder,
+    FreeWord,
+    MalformedInputError,
+    QuadraticIrrational,
+    UndecidedComparisonError,
+    catalog_order,
+    conjugate,
+    convex_chain_report,
+    invert,
+    multiply,
+    order_cmp,
+    parse_braid,
+    parse_free_word,
+    sigma,
+    totality_probe,
+)
+from braidorders.braids import _trusted_word, inverse_letters
+from braidorders.catalog import STURMIAN_SLOPE
+from braidorders.cli import _slash_pattern
+from braidorders.freewords import reduce_free
+from braidorders.nt import ChainLevel, ChainReport, TotalityReport, _level_patterns, divergence_depth
+from braidorders.orders import ConjugatedOrder
+from braidorders.planar import GREATER, LESS
+
+
+# --- the Sturmian floor -------------------------------------------------------
+
+
+def _le_sqrt(a, m):
+    return a <= 0 or a * a <= m
+
+
+def floor_times_with_loops(qi, k):
+    """The floor as it was: the isqrt estimate, corrected by the defining
+    inequalities s q - k p <= sqrt(k^2 d) < (s + 1) q - k p."""
+    if k == 0:
+        return 0
+    m = k * k * qi.d
+    s = (k * qi.p + isqrt(m)) // qi.q
+    while _le_sqrt(qi.q * (s + 1) - k * qi.p, m):
+        s += 1
+    while not _le_sqrt(qi.q * s - k * qi.p, m):
+        s -= 1
+    return s
+
+
+def random_irrational(rng):
+    scale = rng.choice((10, 10**3, 10**6, 10**12))
+    while True:
+        d = rng.randint(2, scale)
+        if isqrt(d) ** 2 != d:
+            break
+    p = rng.randint(-scale, scale)
+    q = rng.randint(1, rng.choice((2, 10**3, 10**9)))
+    return QuadraticIrrational(d, p, q)
+
+
+def test_floor_times_matches_correction_loops():
+    rng = random.Random(20261019)
+    cases = 0
+    for _ in range(2500):
+        qi = random_irrational(rng)
+        ks = [rng.randint(0, 10**9) for _ in range(15)]
+        ks += [rng.randint(0, 100) for _ in range(15)]
+        ks += [rng.randint(0, 10**18) for _ in range(10)]
+        ks += [0, 1, 10**9]
+        for k in ks:
+            assert qi.floor_times(k) == floor_times_with_loops(qi, k), (qi, k)
+            cases += 1
+    for k in range(10**4):
+        assert STURMIAN_SLOPE.floor_times(k) == floor_times_with_loops(STURMIAN_SLOPE, k), k
+        cases += 1
+    assert cases >= 10**5
+
+
+def test_floor_times_on_slopes_just_off_an_integer():
+    # p + sqrt(d) just below or above a multiple of q: the estimate has no
+    # slack on either side
+    for root in (10, 1000, 10**6, 10**9):
+        for d in (root * root - 1, root * root + 1):
+            for q in (1, 2, 3, root, root + 1):
+                for p in (-root, -root + 1, 0, 1, q - root):
+                    qi = QuadraticIrrational(d, p, q)
+                    for k in (0, 1, 2, 3, q, q + 1, 10**9, 10**9 + 7):
+                        assert qi.floor_times(k) == floor_times_with_loops(qi, k), (qi, k)
+
+
+# --- the letter readers -------------------------------------------------------
+
+
+def parse_braid_as_it_was(text, n):
+    text = text.strip()
+    if not text:
+        return BraidWord(n)
+    try:
+        letters = tuple(int(tok) for tok in text.split())
+    except ValueError as exc:
+        raise MalformedInputError(f"cannot parse braid word {text!r}: {exc}") from None
+    return BraidWord(n, letters)
+
+
+def parse_free_word_as_it_was(text, n):
+    text = text.strip()
+    if not text:
+        return FreeWord(n)
+    try:
+        letters = tuple(int(tok) for tok in text.split())
+    except ValueError as exc:
+        raise MalformedInputError(f"cannot parse free word {text!r}: {exc}") from None
+    return FreeWord(n, letters)
+
+
+def outcome(read, *args):
+    """What a reader returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+READER_TEXTS = (
+    "", "   ", "\t\n", "1", " 1 -2 1 ", "1 -1", "2 1 -1 -2", "3", "-3", "0", "1 x", " x 1 ",
+    "1.5", "1,2", "+2 -1", "1\t-2\n1", "4 -4", "0x1", "١", "--1", "1 2 3 4",
+)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 2.5, True))
+def test_letter_readers_match_their_old_copies(n):
+    for text in READER_TEXTS:
+        assert outcome(parse_braid, text, n) == outcome(parse_braid_as_it_was, text, n), text
+        assert outcome(parse_free_word, text, n) == outcome(parse_free_word_as_it_was, text, n), text
+
+
+# --- the --pattern readers ----------------------------------------------------
+
+
+def conjugator_pattern_as_it_was(text, n):
+    s_text, slash, u_text = text.partition("/")
+    try:
+        if not slash:
+            raise ValueError("no '/'")
+        return int(s_text), parse_braid(u_text, n)
+    except ValueError as exc:
+        raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
+
+
+def limit_pattern_as_it_was(text):
+    s_text, slash, u_text = text.partition("/")
+    try:
+        if not slash:
+            raise ValueError("no '/'")
+        return int(s_text), int(u_text)
+    except ValueError as exc:
+        raise MalformedInputError(f"--pattern must look like s/u, got {text!r} ({exc})") from None
+
+
+PATTERN_TEXTS = (
+    "3/4", "2/1 -2", "2/", "/1", "2", "", "x/1", "2/x", "3/1 2", "1/1/2", " 2 / 1 ", "2/5", "-1/-2", "2/0",
+)
+
+
+def test_slash_pattern_matches_both_old_readers():
+    for text in PATTERN_TEXTS:
+        braid = outcome(_slash_pattern, text, "s/<braid word>", lambda u: parse_braid(u, 3))
+        assert braid == outcome(conjugator_pattern_as_it_was, text, 3), text
+        assert outcome(_slash_pattern, text, "s/u", int) == outcome(limit_pattern_as_it_was, text), text
+
+
+# --- products from braids -----------------------------------------------------
+
+
+def order_cmp_as_it_was(oracle, a, b):
+    if a.n != b.n:
+        raise MalformedInputError(f"strand counts differ: {a.n} vs {b.n}")
+    return -oracle.sign(_trusted_word(a.n, reduce_free(inverse_letters(a.letters) + b.letters)))
+
+
+def test_order_cmp_matches_the_hand_made_product():
+    words = list(BallSpec(3, 3).words())
+    for oracle in (
+        DehornoyOrder(3),
+        catalog_order("dehornoy_3"),
+        ConjugatedOrder(catalog_order("b4_b"), BraidWord(4, (2, -1))),
+    ):
+        ball = words if oracle.n == 3 else list(BallSpec(4, 2).words())
+        for a in ball:
+            for b in ball:
+                assert order_cmp(oracle, a, b) == order_cmp_as_it_was(oracle, a, b), (a, b)
+    a, b = BraidWord(3, (1,)), BraidWord(4, (1,))
+    assert outcome(order_cmp, DehornoyOrder(3), a, b) == outcome(order_cmp_as_it_was, DehornoyOrder(3), a, b)
+
+
+def test_one_conjugate_call_matches_two_products():
+    for n in (3, 4):
+        for g in BallSpec(n, 4).words():
+            for i in range(1, n):
+                for e in (1, -1, 2, -2):
+                    s = sigma(n, i, e)
+                    once = conjugate(s, invert(g))
+                    assert once.letters == multiply(multiply(g, s), invert(g)).letters, (g, i, e)
+
+
+def totality_probe_as_it_was(order, ball, depth_target):
+    ties, records, best = [], [], -1
+
+    def consider(w, tie_eligible):
+        nonlocal best
+        if not w.letters:
+            return
+        report = divergence_depth(order, w)
+        if report.verdict == "undecided":
+            if tie_eligible:
+                ties.append(w)
+            return
+        if report.depth > best:
+            best = report.depth
+            records.append((report.depth, w))
+
+    for w in ball.words():
+        consider(w, tie_eligible=True)
+    if best < depth_target:
+        for g in ball.words():
+            if best >= depth_target:
+                break
+            for i in range(1, order.n):
+                for e in (1, -1, 2, -2):
+                    consider(multiply(multiply(g, sigma(order.n, i, e)), invert(g)), tie_eligible=False)
+    return TotalityReport(order.spec.name, ball, tuple(ties), tuple(records), best, depth_target)
+
+
+@pytest.mark.parametrize("name, n, length", [("sturmian_3", 3, 2), ("sturmian_4", 4, 2), ("mixed_4", 4, 2)])
+def test_totality_probe_matches_the_two_product_conjugates(name, n, length):
+    order = catalog_order(name, 64)
+    for target in (5, 12, 40):
+        ball = BallSpec(n, length)
+        assert totality_probe(order, ball, target) == totality_probe_as_it_was(order, ball, target), target
+
+
+# --- the chain report ---------------------------------------------------------
+
+
+def convex_chain_report_as_it_was(order, sample):
+    spec = order.spec
+    undecided = 0
+    words = list(sample.words())
+    depths = {}
+    for w in words:
+        report = divergence_depth(order, w)
+        if report.verdict == "undecided":
+            undecided += 1
+        depths[w] = report.depth
+    levels = []
+    for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
+        members = [w for w in words if depths[w] >= d]
+        outside = [w for w in words if depths[w] < d]
+        violations = 0
+        checked = 0
+        if members:
+            lo = hi = members[0]
+            for w in members[1:]:
+                if order_cmp(order, w, lo) == LESS:
+                    lo = w
+                if order_cmp(order, w, hi) == GREATER:
+                    hi = w
+            for g in outside:
+                checked += 1
+                try:
+                    if order_cmp(order, lo, g) == LESS and order_cmp(order, g, hi) == LESS:
+                        violations += 1
+                except UndecidedComparisonError:
+                    undecided += 1
+        levels.append(ChainLevel(i, d, pattern, len(members), checked, violations))
+    return ChainReport(spec.name, tuple(range(1, spec.n)), tuple(levels), undecided)
+
+
+@pytest.mark.parametrize(
+    "name, n, length, cap",
+    [("dehornoy_4", 4, 3, 512), ("b4_b", 4, 3, 512), ("b6_cx", 6, 2, 512), ("mixed_4", 4, 2, 512), ("b4_c", 4, 3, 3)],
+)
+def test_chain_report_matches_the_dict_version(name, n, length, cap):
+    order = catalog_order(name, cap)
+    ball = BallSpec(n, length)
+    assert convex_chain_report(order, ball) == convex_chain_report_as_it_was(order, ball)
+
