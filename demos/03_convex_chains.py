@@ -3,9 +3,9 @@
 
 A braid lies in the i-th convex level of a ray order when its action fixes
 the ray's word past the i-th separating depth.  For the catalog entries the
-levels form the full chain of proper convex subgroups: nested generator
-patterns, closed under products and inverses, with no sampled convexity
-violations.
+levels are nested generator patterns with no sampled convexity violations.
+They are not always subgroups: in b4_b level 1, sigma_3^-2 and
+sigma_3^2 sigma_2^-1 are members but their product sigma_2^-1 is not.
 """
 
 from braidorders import (

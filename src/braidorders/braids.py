@@ -53,7 +53,7 @@ def _trusted_word(n: int, letters: Letters) -> BraidWord:
     return word
 
 
-def sigma(n: int, i: int, power: int = 1) -> BraidWord:
+def sigma(n: int, i: int, power: int) -> BraidWord:
     """The generator sigma_i of B_n raised to an integer power."""
     if not 1 <= i <= n - 1:
         raise MalformedInputError(f"generator index {i} out of range for B_{n}")

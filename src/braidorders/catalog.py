@@ -128,18 +128,18 @@ class CalibrationResult(NamedTuple):
     matches: tuple[tuple[FreeWord, GermConvention], ...]
 
 
-def calibrate_conventions(n: int, max_length: int, oracle=None) -> CalibrationResult:
-    """Search flags x sign patterns for exact ball agreement with the oracle.
+def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
+    """Search flags x sign patterns for exact ball agreement with handle
+    reduction.
 
-    The oracle defaults to handle reduction.  All matches must agree with each
-    other on the ball (they are equivalent there); no match at all means the
-    comparator or the action is broken, so this raises CalibrationError.
+    All matches must agree with each other on the ball (they are equivalent
+    there); no match at all means the comparator or the action is broken, so
+    this raises CalibrationError.
     """
     if n < 3:
         raise MalformedInputError("calibration needs n >= 3")
-    sign_fn = oracle.sign if oracle is not None else dehornoy_sign
     ball = list(BallSpec(n, max_length).words())
-    targets = [sign_fn(w) for w in ball]
+    targets = [dehornoy_sign(w) for w in ball]
     matches: list[tuple[FreeWord, GermConvention]] = []
     for signs in itertools.product((-1, 1), repeat=n - 1):
         word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))

@@ -78,13 +78,17 @@ def _load_spec(token: str, depth_cap: int) -> NTOrder:
 SOUL_ORDER_FORMS = {"lex": "lex(...)", "slope": "slope(...)", "qslope": "qslope(d; a b, ...)"}
 
 
-def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlope | ZkQuadraticSlope:
-    token = token.strip()
-    k = len(soul)
+def _soul_order_form(token: str) -> tuple[str, str]:
+    """The form of a soul order and the text inside its parentheses."""
     form, _, inner = token.partition("(")
     if form not in SOUL_ORDER_FORMS or not inner.endswith(")"):
         raise MalformedInputError(f"cannot parse soul order {token!r}")
-    inner = inner[:-1]
+    return form, inner[:-1]
+
+
+def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlope | ZkQuadraticSlope:
+    form, inner = _soul_order_form(token)
+    k = len(soul)
     try:
         if form == "qslope":
             d_text, rest = inner.split(";", 1)
@@ -131,13 +135,15 @@ def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
         if ":" not in body:
             raise MalformedInputError(f"conj needs conj:<order>:<braid>, got {text!r}")
         base_text, braid_text = body.rsplit(":", 1)
-        base = parse_order(base_text, n, depth_cap)
-        return ConjugatedOrder(base, parse_braid(braid_text, n))
+        braid = parse_braid(braid_text, n)  # names a bad last segment, not the base it would cut
+        return ConjugatedOrder(parse_order(base_text, n, depth_cap), braid)
     if text.startswith("ext:"):
         body = text[4:]
         if ":" not in body:
             raise MalformedInputError(f"ext needs ext:<order>:<soul-order>, got {text!r}")
         base_text, soul_text = body.rsplit(":", 1)
+        soul_text = soul_text.strip()
+        _soul_order_form(soul_text)  # names a bad last segment, not the base it would cut
         base = parse_order(base_text, n, depth_cap)
         if not isinstance(base, NTOrder):
             raise MalformedInputError("ext base must be an nt:<...> order")

@@ -161,42 +161,27 @@ def _witness_candidates(s: int, u: BraidWord, j: int) -> list[BraidWord]:
 
 
 def converge_conjugates_experiment(
-    base: NTOrder,
-    pattern: tuple[int, BraidWord] | None,
-    j_range: Sequence[int],
-    ball: BallSpec,
-    conjugators: Sequence[BraidWord] | None = None,
+    base: NTOrder, pattern: tuple[int, BraidWord], j_range: Sequence[int], ball: BallSpec
 ) -> ApproximationReport:
     """Agreement of the order with its conjugates by s^-j u along j.
 
     Per j: the agreement radius on the ball, plus a distinctness witness
     (ball disagreement if one exists, else the canonical just-past-the-ball
-    candidates); the base signs each ball word at most once for all j.  An
-    explicit conjugator list replaces the pattern, which is how trivial-soul
-    specs run the experiment (their h_j come from a small-element search
-    instead of a soul generator).
+    candidates); the base signs each ball word at most once for all j.
     """
-    if (pattern is None) == (conjugators is None):
-        raise MalformedInputError("give exactly one of pattern or conjugators")
-
-    if conjugators is not None:
-        hs = list(conjugators)
-        js = list(j_range)[: len(hs)] or list(range(1, len(hs) + 1))
-        pairs = list(zip(js, hs))
-        s = u = None
-    else:
-        s, u = pattern
-        if not 1 <= s <= base.n - 1:
-            raise MalformedInputError(f"soul generator {s} out of range")
-        pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
-
+    s, u = pattern
+    if not 1 <= s <= base.n - 1:
+        raise MalformedInputError(f"soul generator {s} out of range")
+    if u.n != base.n:
+        raise MalformedInputError(f"strand counts differ: {base.n} vs {u.n}")
+    pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
     scan = _AgreementScan(base, ball)
     rows = []
     for j, h in pairs:
         conj = ConjugatedOrder(base, h)
         rep = scan.agreement(conj)
         witness, signs = rep.witness, rep.witness_signs
-        if witness is None and s is not None:
+        if witness is None:
             for w in _witness_candidates(s, u, j):
                 try:
                     pair = conj.sign(w), base.sign(w)

@@ -117,13 +117,6 @@ class QuadraticIrrational:
         return (self.p + self.d ** 0.5) / self.q
 
 
-def _le_sqrt(a: int, m: int) -> bool:
-    """a <= sqrt(m) for integers, m >= 0."""
-    if a <= 0:
-        return True
-    return a * a <= m
-
-
 @dataclass(frozen=True)
 class EventuallyPeriodic:
     """head . period^omega; concatenations must stay reduced."""
@@ -229,8 +222,8 @@ class Sturmian(_PrefixedStream):
             raise MalformedInputError("Sturmian letters must differ")
         if max(self.letter_a, self.letter_b) > self.n:
             raise MalformedInputError("Sturmian letters out of range")
-        s = self.slope  # 0 < p + sqrt(d) < q, with q > 0 and sqrt(d) irrational
-        if not _le_sqrt(-s.p, s.d) or _le_sqrt(s.q - s.p, s.d):
+        s = self.slope  # irrational, so in (0, 1) iff its floor is 0
+        if s.floor_times(1) != 0:
             raise MalformedInputError(f"Sturmian slope ({s.p} + sqrt({s.d}))/{s.q} is not in (0, 1)")
 
     def _source(self) -> Iterator[int]:

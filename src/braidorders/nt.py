@@ -14,16 +14,15 @@ sign, a divergence depth, a convex level) reads one transport and one
 divergence scan, _divergence; the scan of a finite ray is uncapped, that of a
 stream stops at the order's depth cap.
 
-The equivalence of depth membership with the geometric stabilizers is an
-assumption validated on the catalog: membership tables, nesting, closure and
-convexity are all checked by tests and by convex_chain_report.
+Depth membership is not always a subgroup: nesting and convexity hold on the
+sampled balls (tests, convex_chain_report), but in b4_b level 1 sigma_3^-2
+and sigma_3^2 sigma_2^-1 are members and their product sigma_2^-1 is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
@@ -142,8 +141,7 @@ class NTOrder:
 #
 # with all other generators fixed (a "mirrored" convention swaps the two
 # rules).  _letter_tables holds it as one plain dict per braid letter, which
-# _stage_tables recasts for the transport; letter_images is a read-only view
-# of one of those dicts.
+# _stage_tables recasts for the transport.
 #
 # Bounded cancellation (Cooper 1987) for one braid letter: where the reduced
 # images of u and v meet, for a freely reduced product u v, at most this many
@@ -234,12 +232,6 @@ def _stage_tables(
             for k, img in images.items()
         }
     return stage_tables
-
-
-def letter_images(n: int, letter: int, mirrored: bool) -> Mapping[int, FreeLetters]:
-    """Image of every signed letter of F_n under one braid letter: a
-    read-only view of the table the transport's stage tables are built from."""
-    return MappingProxyType(_letter_tables(n, mirrored)[letter])
 
 
 def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
@@ -439,16 +431,6 @@ class ChainReport(NamedTuple):
     @property
     def total_violations(self) -> int:
         return sum(lv.violations for lv in self.levels)
-
-    def patterns(self) -> list[tuple[int, ...]]:
-        """Distinct nonempty membership patterns, innermost first, ambient last."""
-        seen: list[tuple[int, ...]] = []
-        for lv in sorted(self.levels, key=lambda lv: lv.index, reverse=True):
-            if lv.generator_pattern and lv.generator_pattern not in seen:
-                seen.append(lv.generator_pattern)
-        if self.ambient_pattern not in seen:
-            seen.append(self.ambient_pattern)
-        return seen
 
 
 def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:

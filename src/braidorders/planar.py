@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, zip_longest
 
-from .freewords import FreeWord, Ray
+from .freewords import Ray
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -77,20 +77,16 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
     return -verdict if conv.angle_flipped else verdict
 
 
-def divergence(
-    u: Ray, v: Ray, conv: GermConvention, depth_cap: int | None = DEFAULT_DEPTH_CAP
-) -> tuple[int, int | None]:
+def divergence(u: Ray, v: Ray, conv: GermConvention, depth_cap: int | None) -> tuple[int, int | None]:
     """(common prefix length, verdict) from one forward scan over the letters
     of both rays.
 
     The scan stops at the first differing germ (TERMINAL where a finite word
     ends), at the end of both words, or after depth_cap common letters,
-    reading no letter past them; a cap of None never stops it.  Stopped at
-    the cap, the verdict is None and the length the cap.  Two finite words
-    always separate, so their scan is uncapped.
+    reading no letter past them; a cap of None never stops it, as for two
+    finite words, which always separate.  Stopped at the cap, the verdict is
+    None and the length the cap.
     """
-    if isinstance(u, FreeWord) and isinstance(v, FreeWord):
-        depth_cap = None
     d = 0
     arrival = TERMINAL  # the germ both rays arrived by
     for gu, gv in islice(zip_longest(u, v, fillvalue=TERMINAL), depth_cap):

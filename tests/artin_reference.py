@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from braidorders.braids import BraidWord
 from braidorders.errors import MalformedInputError
 from braidorders.freewords import FreeLetters, FreeWord
-from braidorders.nt import letter_images
+from braidorders.nt import _letter_tables
 
 
 def substitute(letters: Iterable[int], images: Mapping[int, FreeLetters]) -> FreeLetters:
@@ -67,7 +67,7 @@ def artin_map_of(b: BraidWord, mirrored: bool = False) -> ArtinMap:
     """The map of a braid word, composed left to right from its letters."""
     m = ArtinMap.identity(b.n)
     for letter in b.letters:
-        images = letter_images(b.n, letter, mirrored)
+        images = _letter_tables(b.n, mirrored)[letter]
         m = ArtinMap(b.n, tuple(FreeWord(b.n, m.apply_letters(images[j])) for j in range(1, b.n + 1)))
     return m
 

@@ -238,7 +238,7 @@ def test_criterion_10_property_suites():
         if u == v:
             continue
         m = artin_map_of(beta, conv.artin_mirrored)
-        assert divergence(u, v, conv)[1] == divergence(apply_map(m, u), apply_map(m, v), conv)[1]
+        assert divergence(u, v, conv, None)[1] == divergence(apply_map(m, u), apply_map(m, v), conv, None)[1]
         done += 1
 
     # order axioms, 1000 random words per oracle implementation

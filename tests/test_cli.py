@@ -72,6 +72,12 @@ def test_malformed_input_exit_code(capsys):
         (("sign", "--n", "6", "--order", "ext:nt:b6_cx:lex(2)", "1"), "lex axis 2 is not a soul generator of (1, 3, 5)"),
         (("sign", "--n", "3", "--order", "ext:nt:dehornoy_3:wat(1)", "1"), "cannot parse soul order 'wat(1)'"),
         (("sign", "--n", "3", "--order", "foo", "1"), "cannot parse order 'foo'"),
+        # a missing last segment: the error names the segment read in its place
+        (("sign", "--n", "6", "--order", "ext:nt:b6_cx", "1"), "cannot parse soul order 'b6_cx'"),
+        (
+            ("sign", "--n", "6", "--order", "conj:nt:b6_cx", "1"),
+            "cannot parse braid word 'b6_cx': invalid literal for int() with base 10: 'b6_cx'",
+        ),
         (("soul", "--n", "3", "--order", "dehornoy"), "soul needs an nt:<...> order"),
         (("approx", "conjugates", "--n", "3", "--order", "nt:dehornoy_3", "--range", "5:1"), "empty range '5:1'"),
         (

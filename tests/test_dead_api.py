@@ -1,4 +1,5 @@
-"""Every library definition has a caller in the program.
+"""Every library definition has a caller in the program, and every default
+is both overridden and relied on there.
 
 A top-level function or class of a library module, or a public method of a
 top-level class, must be referenced in ``src/`` (outside ``__init__.py``,
@@ -11,6 +12,14 @@ References are matched by identifier: a name or attribute spelled like the
 definition counts, strings do not.  So a dead name that shares its spelling
 with some other attribute can slip through, but a name in use is never
 flagged.
+
+The same callers must turn every knob: a defaulted parameter of a top-level
+function, or of a public method of a top-level class, must be passed by some
+call (by keyword, or by enough positional arguments) and left out by some
+other.  A default that no call overrides is a knob only tests turn; one that
+every call overrides is a default only tests use.  ``KNOBS`` lists the
+exceptions with a reason.  Calls are matched by identifier too, and a call
+with ``*args`` or ``**kwargs`` counts as passing every parameter.
 """
 
 import ast
@@ -24,8 +33,6 @@ CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benc
 EXEMPT = {
     "random_word": "public helper that draws the random words of the property and long-word tests",
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
-    "letter_images": "public read-only view of one braid letter's table in the transport's tables",
-    "ChainReport.patterns": "public reading of a chain report as its distinct generator patterns",
     "ApproximationReport.radii_nondecreasing": "public check that agreement radii grow with N",
     "ApproximationReport.reaches_bound": "public check that some agreement radius reaches the ball bound",
     "ApproximationReport.all_distinct": "public check that every approximant has a distinctness witness",
@@ -86,3 +93,93 @@ def test_every_definition_has_a_caller():
     # an exemption whose name has gained a caller, or is gone, is stale
     assert [name for name in EXEMPT if name not in found] == []
 
+
+
+KNOBS = {
+    "handle_reduce.budget": "the safety budget on reduction steps, which tests exhaust on purpose",
+    "catalog_order.depth_cap": "the depth cap of a catalog order by name, which tests set per stream",
+}
+
+
+def defaulted(source: str) -> dict[str, tuple[str, str, int | None]]:
+    """Qualified parameter name -> (callee identifier, parameter, place
+    among the positional arguments of a call, or None if keyword-only) of
+    each defaulted parameter of a top-level function or public method."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node, False))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    functions.append((f"{node.name}.{item.name}", item, not static))
+    found = {}
+    for qualified, node, bound in functions:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[int(bound):]
+        for place, arg in enumerate(positional[len(positional) - len(args.defaults):], len(positional) - len(args.defaults)):
+            found[f"{qualified}.{arg.arg}"] = (node.name, arg.arg, place)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{qualified}.{arg.arg}"] = (node.name, arg.arg, None)
+    return found
+
+
+def calls(source: str) -> list[tuple[str, int, set[str], bool]]:
+    """(callee identifier, positional count, keywords, starred) of each call."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            starred = starred or any(k.arg is None for k in node.keywords)
+            out.append((name, len(node.args), {k.arg for k in node.keywords}, starred))
+    return out
+
+
+def unturned(knobs: dict[str, tuple[str, str, int | None]], found: list) -> list[str]:
+    """Knobs that no call passes, or that every call passes."""
+    flagged = []
+    for qualified, (name, param, place) in knobs.items():
+        passes = [
+            starred or param in keywords or (place is not None and count > place)
+            for callee, count, keywords, starred in found
+            if callee == name
+        ]
+        if all(passes) or not any(passes):
+            flagged.append(qualified)
+    return sorted(flagged)
+
+
+def test_checker_finds_unturned_knobs():
+    source = (
+        "def never(a, b=1): pass\n"
+        "def always(a, b=1): pass\n"
+        "def both(a, b=1, *, c=2): pass\n"
+        "class Box:\n"
+        "    def open(self, wide=False): pass\n"
+        "    def _shut(self, hard=False): pass\n"
+        "never(0)\n"
+        "always(0, 2)\n"
+        "always(0, b=2)\n"
+        "both(0)\n"
+        "both(0, 3, c=4)\n"
+        "Box().open(True)\n"
+        "Box().open()\n"
+    )
+    assert unturned(defaulted(source), calls(source)) == ["always.b", "never.b"]
+    assert unturned(defaulted("def f(a=1): pass\n"), calls("f(*args)\nf()\n")) == []
+
+
+def test_every_default_is_turned_and_relied_on():
+    knobs = {}
+    for path in MODULES:
+        knobs.update(defaulted(path.read_text()))
+    found = []
+    for path in CALLERS:
+        found += calls(path.read_text())
+    flagged = unturned(knobs, found)
+    assert [name for name in flagged if name not in KNOBS] == []
+    # a listed knob that some call now turns, or that is gone, is stale
+    assert [name for name in KNOBS if name not in flagged] == []

@@ -85,25 +85,17 @@ def ref_find_disagreement(o1, o2, candidates):
     return None
 
 
-def ref_conjugates(base, pattern, j_range, ball, conjugators=None):
-    if (pattern is None) == (conjugators is None):
-        raise MalformedInputError("give exactly one of pattern or conjugators")
-    if conjugators is not None:
-        hs = list(conjugators)
-        js = list(j_range)[: len(hs)] or list(range(1, len(hs) + 1))
-        pairs = list(zip(js, hs))
-        s = u = None
-    else:
-        s, u = pattern
-        if not 1 <= s <= base.n - 1:
-            raise MalformedInputError(f"soul generator {s} out of range")
-        pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
+def ref_conjugates(base, pattern, j_range, ball):
+    s, u = pattern
+    if not 1 <= s <= base.n - 1:
+        raise MalformedInputError(f"soul generator {s} out of range")
+    pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
     rows = []
     for j, h in pairs:
         conj = ConjugatedOrder(base, h)
         rep = ref_agreement_radius(conj, base, ball)
         witness, signs = rep.witness, rep.witness_signs
-        if witness is None and s is not None:
+        if witness is None:
             found = ref_find_disagreement(conj, base, _witness_candidates(s, u, j))
             if found is not None:
                 witness, s1, s2 = found
@@ -177,9 +169,9 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def assert_same_conjugates(base, pattern, j_range, ball, conjugators=None):
-    new = outcome(converge_conjugates_experiment, base, pattern, j_range, ball, conjugators)
-    ref = outcome(ref_conjugates, base, pattern, j_range, ball, conjugators)
+def assert_same_conjugates(base, pattern, j_range, ball):
+    new = outcome(converge_conjugates_experiment, base, pattern, j_range, ball)
+    ref = outcome(ref_conjugates, base, pattern, j_range, ball)
     assert new == ref
     return new
 
@@ -205,22 +197,20 @@ def test_conjugates_match_reference_finite(name, pattern, j_range, length):
 
 @pytest.mark.parametrize(
     "name, length, conjugators",
-    [
-        ("sturmian_3", 3, [(1, 2), (-2,), (2, 2, -1)]),
-        # the identity twice: the second scan reads every base sign stored
-        ("mixed_4", 4, [(), (1,), ()]),
-    ],
+    [("sturmian_3", 3, [(1, 2), (-2,), (2, 2, -1)]), ("mixed_4", 4, [(), (1,), ()])],
 )
 @pytest.mark.parametrize("depth_cap", [8, 16])
 def test_conjugates_match_reference_undecided(name, length, conjugators, depth_cap):
     base = catalog_order(name, depth_cap)
     n = base.n
     ball = BallSpec(n, length)
-    pattern_report = assert_same_conjugates(base, (2, BraidWord(n, (2,))), range(1, 4), ball)
-    hs = [BraidWord(n, h) for h in conjugators]
-    listed_report = assert_same_conjugates(base, None, range(1, 4), ball, conjugators=hs)
-    for report in (pattern_report, listed_report):
-        assert any(r.undecided_count for r in report.rows)
+    report = assert_same_conjugates(base, (2, BraidWord(n, (2,))), range(1, 4), ball)
+    assert any(r.undecided_count for r in report.rows)
+    # a list of conjugators runs as one agreement scan per conjugator
+    orders = [ConjugatedOrder(base, BraidWord(n, h)) for h in conjugators]
+    listed = [agreement_radius(conj, base, ball) for conj in orders]
+    assert listed == [ref_agreement_radius(conj, base, ball) for conj in orders]
+    assert any(r.undecided_count for r in listed)
 
 
 def test_agreement_radius_matches_reference():
@@ -247,8 +237,7 @@ def test_base_that_raises_mid_scan():
     raised = (MalformedInputError, "custom stream 'short' ran out of letters")
     assert base.sign(BraidWord(4, (1, 3))) in (-1, 1)
     assert outcome(base.sign, BraidWord(4, (1, 3, -1, -3))) == raised
-    for pattern, hs in (((2, BraidWord(4, (2,))), None), (None, [BraidWord(4, (2, 1)), BraidWord(4)])):
-        assert assert_same_conjugates(base, pattern, range(1, 4), ball, hs) == raised
+    assert assert_same_conjugates(base, (2, BraidWord(4, (2,))), range(1, 4), ball) == raised
     # members that sign as the whole ray's order, except on the trivial
     # braids: one decides them, so the base is asked and raises; the other is
     # undecided on them, so the base is never asked there

@@ -76,20 +76,25 @@ def test_conjugates_experiment_dehornoy4(specs, conv4):
 
 
 def test_conjugates_experiment_infinite_type(specs, conv3):
-    # trivial soul: conjugators come from the small-element records, passed
-    # to the experiment explicitly; radii stay nondecreasing along them
+    # trivial soul: conjugators come from the small-element records, each
+    # compared with the base; radii stay nondecreasing along them
     from braidorders import totality_probe
 
-    spec = specs["sturmian_3"]
-    probe = totality_probe(NTOrder(spec, conv3), BallSpec(3, 3), 8)
-    hs = [w for _, w in probe.records][:3]
-    report = converge_conjugates_experiment(
-        NTOrder(spec, conv3), None, range(1, len(hs) + 1), BallSpec(3, 3), conjugators=hs
-    )
-    radii = report.radii
-    assert radii == tuple(sorted(radii))
-    with pytest.raises(MalformedInputError):
-        converge_conjugates_experiment(NTOrder(spec, conv3), None, range(1, 3), BallSpec(3, 3))
+    base = NTOrder(specs["sturmian_3"], conv3)
+    ball = BallSpec(3, 3)
+    hs = [w for _, w in totality_probe(base, ball, 8).records][:3]
+    radii = [agreement_radius(ConjugatedOrder(base, h), base, ball).radius for h in hs]
+    assert radii and radii == sorted(radii)
+
+
+def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv3):
+    def no_scan(*args):
+        raise AssertionError("the ball was read before u was checked")
+
+    monkeypatch.setattr("braidorders.experiments._AgreementScan", no_scan)
+    base = NTOrder(specs["dehornoy_3"], conv3)
+    with pytest.raises(MalformedInputError, match="strand counts differ: 3 vs 6"):
+        converge_conjugates_experiment(base, (2, BraidWord(6, (1,))), range(1, 4), BallSpec(3, 3))
 
 
 def test_extensions_experiment_b6(specs):

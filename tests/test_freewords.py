@@ -27,7 +27,7 @@ from braidorders import (
     random_word,
 )
 from braidorders.freewords import format_infinite_word
-from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, braid_image_of_word, letter_images
+from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, _letter_tables, braid_image_of_word
 from braidorders.planar import divergence
 
 from artin_reference import ArtinMap, apply_map, artin_map_of, compose, substitute
@@ -226,7 +226,7 @@ def test_single_letter_cancellation_bound_is_exact():
     for n, s in cases:
         words = all_reduced(n, 3)
         for mirrored in (False, True):
-            table = letter_images(n, s, mirrored)
+            table = _letter_tables(n, mirrored)[s]
             images = [substitute(w, table) for w in words]
             worst = 0
             for u, image_u in zip(words, images):
@@ -302,7 +302,7 @@ def test_custom_supplier_checked():
         far = Custom(3, lambda letters=letters: itertools.cycle(letters), label="far")
         near = Custom(3, lambda letters=letters: itertools.cycle(letters[:-1] + (3,)), label="near")
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
-            divergence(far, near, GermConvention(3))
+            divergence(far, near, GermConvention(3), 64)
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
             nt_sign(NTOrder(GeodesicSpec("far", 3, far), GermConvention(3)), BraidWord(3, (1,)))
 

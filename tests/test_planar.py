@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -11,6 +12,9 @@ from braidorders import (
     QuadraticIrrational,
     Sturmian,
     calibrate_conventions,
+    catalog_order,
+    dehornoy_sign,
+    divergence_depth,
     frozen_convention,
     random_word,
 )
@@ -101,13 +105,19 @@ def test_order_equivariance_under_braid_action(rng, conv4):
 
 
 def test_finite_words_decide_past_the_cap(conv3):
-    # the depth cap is for streams; finite words always separate
+    # finite words always separate, so their scan may go uncapped; a cap
+    # stops any two rays, and a finite ray order scans with none
     base = (1, 2) * 300
     u = FreeWord(3, base + (1,))
     v = FreeWord(3, base + (-2,))
-    assert divergence(u, v, conv3, depth_cap=64)[0] > 64
-    assert planar_verdict(u, v, conv3, 64) == -planar_verdict(v, u, conv3, 64) != 0
-    assert planar_verdict(FreeWord(3, base), u, conv3, 64) != 0
+    assert divergence(u, v, conv3, None)[0] > 64
+    assert divergence(u, v, conv3, 64) == (64, None)
+    assert planar_verdict(u, v, conv3, None) == -planar_verdict(v, u, conv3, None) != 0
+    assert planar_verdict(FreeWord(3, base), u, conv3, None) != 0
+    order = catalog_order("dehornoy_4", 1)
+    top = BraidWord(4, (3,))
+    assert divergence_depth(order, top).verdict == "undecided"
+    assert order.sign(top) == dehornoy_sign(top) == 1
 
 
 def test_streams_agreeing_beyond_cap_undecided(conv3):
@@ -126,11 +136,11 @@ def test_stream_vs_finite_decided(conv3):
 def test_common_prefix_length(conv3):
     u = FreeWord(3, (1, 2, 1))
     v = FreeWord(3, (1, 2, -1))
-    depth, verdict = divergence(u, v, conv3)
+    depth, verdict = divergence(u, v, conv3, None)
     assert depth == 2 and verdict in (-1, 1)
     ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
     assert divergence(ep, ep, conv3, depth_cap=32) == (32, None)
-    assert divergence(u, u, conv3) == (3, 0)
+    assert divergence(u, u, conv3, None) == (3, 0)
 
 
 def test_calibration_recovers_frozen_convention():
@@ -158,15 +168,8 @@ def test_calibration_same_flags_at_n4():
     assert flags == FROZEN_CONVENTION_FLAGS
 
 
-def test_calibration_rejects_broken_oracle():
-    class Constant:
-        n = 3
-
-        def sign(self, w):
-            return 1
-
-        def describe(self):
-            return "constant"
-
+def test_calibration_rejects_broken_oracle(monkeypatch):
+    # a sign that no ray order reproduces: every word positive
+    monkeypatch.setattr(importlib.import_module("braidorders.catalog"), "dehornoy_sign", lambda w: 1)
     with pytest.raises(CalibrationError):
-        calibrate_conventions(3, 2, oracle=Constant())
+        calibrate_conventions(3, 2)

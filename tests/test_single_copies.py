@@ -1,7 +1,8 @@
 """Each rule written once agrees with the second copy it replaced.
 
 The replaced code lives on here as the reference: the Sturmian floor with its
-two correction loops, the two letter parsers with their empty-text branches,
+two correction loops, the Sturmian slope bound read off square roots in place
+of that floor, the two letter parsers with their empty-text branches,
 the two ``--pattern`` readers, the order comparison on a hand-made product,
 the totality probe with its twice-multiplied conjugates, and the chain report
 that kept a word list beside a dict of depths.
@@ -19,6 +20,7 @@ from braidorders import (
     FreeWord,
     MalformedInputError,
     QuadraticIrrational,
+    Sturmian,
     UndecidedComparisonError,
     catalog_order,
     conjugate,
@@ -100,6 +102,38 @@ def test_floor_times_on_slopes_just_off_an_integer():
                     qi = QuadraticIrrational(d, p, q)
                     for k in (0, 1, 2, 3, q, q + 1, 10**9, 10**9 + 7):
                         assert qi.floor_times(k) == floor_times_with_loops(qi, k), (qi, k)
+
+
+def slope_check_as_it_was(qi):
+    """The Sturmian slope bound as it was: 0 < p + sqrt(d) < q."""
+    return _le_sqrt(-qi.p, qi.d) and not _le_sqrt(qi.q - qi.p, qi.d)
+
+
+def sturmian_accepts(qi):
+    try:
+        Sturmian(3, qi, 1, 2)
+    except MalformedInputError as exc:
+        assert str(exc) == f"Sturmian slope ({qi.p} + sqrt({qi.d}))/{qi.q} is not in (0, 1)"
+        return False
+    return True
+
+
+def test_sturmian_slope_check_matches_square_root_rule():
+    # p at and around both ends of the interval, -isqrt(d) and q - isqrt(d),
+    # and anywhere in a window around it
+    rng = random.Random(20261020)
+    verdicts = []
+    for _ in range(4000):
+        qi = random_irrational(rng)
+        d, q, root = qi.d, qi.q, isqrt(qi.d)
+        ps = [-root + e for e in (-1, 0, 1)] + [q - root + e for e in (-1, 0, 1)]
+        ps += [rng.randint(-root - 2, q - root + 2) for _ in range(4)]
+        for p in ps:
+            slope = QuadraticIrrational(d, p, q)
+            verdict = slope_check_as_it_was(slope)
+            assert sturmian_accepts(slope) == verdict, slope
+            verdicts.append(verdict)
+    assert len(verdicts) == 40000 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
 # --- the letter readers -------------------------------------------------------

@@ -128,13 +128,13 @@ def test_lazy_transport_matches_whole_maps_on_balls(name, max_length):
         if isinstance(spec.word, FreeWord):
             whole = apply_map(artin_map_of(b, mirrored), spec.word)
             assert act_on_geodesic(b, spec, conv).word == whole, b
-            depth, verdict = divergence(spec.word, whole, conv)
+            depth, verdict = divergence(spec.word, whole, conv, None)
         else:
             # a stream's scan reads its image to the divergence depth only
             read = min(report.depth + 1, order.depth_cap)
             whole = certified_image(b, letters, mirrored, read)[:read]
             assert ray_prefix(act_on_geodesic(b, spec, conv).word, read) == whole, b
-            depth, verdict = divergence(FreeWord(n, letters[:read]), FreeWord(n, whole), conv)
+            depth, verdict = divergence(FreeWord(n, letters[:read]), FreeWord(n, whole), conv, None)
         expected = "undecided" if depth >= order.depth_cap else names[verdict]
         assert (report.depth, report.verdict) == (depth, expected), b
 

@@ -5,8 +5,7 @@ against the code they replace.
 inside ``order_cmp`` build their words through ``braids._trusted_word``; each
 must equal the word the checked constructor makes from the same letters.  The
 transport reads ``nt._letter_tables``; each dict must equal the per-letter
-table the library built before (kept here as ``reference_letter_images``) and
-the public read-only view ``letter_images``.
+table the library built before (kept here as ``reference_letter_images``).
 """
 
 import itertools
@@ -26,7 +25,7 @@ from braidorders import (
 )
 from braidorders.braids import inverse_letters
 from braidorders.freewords import reduce_free
-from braidorders.nt import _letter_tables, letter_images, order_cmp
+from braidorders.nt import _letter_tables, order_cmp
 
 
 def reference_letter_images(n, letter, mirrored):
@@ -136,14 +135,3 @@ def test_dict_tables_equal_the_per_letter_tables():
                 assert type(table) is dict
                 reference = reference_letter_images(n, letter, mirrored)
                 assert table == reference and list(table) == list(reference)
-                view = letter_images(n, letter, mirrored)
-                assert dict(view) == reference
-
-
-def test_letter_images_is_read_only():
-    view = letter_images(3, 1, False)
-    with pytest.raises(TypeError):
-        view[1] = (2,)
-    with pytest.raises(TypeError):
-        del view[1]
-    assert view[1] == (1, 2, -1)
