@@ -11,7 +11,6 @@ balls.
 from .braids import (
     BallSpec,
     BraidWord,
-    Permutation,
     conjugate,
     enumerate_ball,
     invert,

@@ -83,24 +83,10 @@ def conjugate(b: BraidWord, h: BraidWord) -> BraidWord:
     return _trusted_word(b.n, reduce_free(inverse_letters(h.letters) + b.letters + h.letters))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}, stored as the tuple of images of 1..n."""
-
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, self.n + 1)):
-            raise MalformedInputError(f"images {self.images} are not a bijection of 1..{self.n}")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-
-def permutation_of(w: BraidWord) -> Permutation:
+def permutation_of(w: BraidWord) -> tuple[int, ...]:
     """Image of the word in the symmetric group, sigma_i -> (i, i+1),
-    composed left to right along the word: strand label to final position."""
+    composed left to right along the word: the final positions of the strands
+    labelled 1..n, so strand p ends at permutation_of(w)[p - 1]."""
     at = list(range(1, w.n + 1))  # at[p] = label currently in position p+1
     for k in w.letters:
         i = abs(k)
@@ -109,7 +95,7 @@ def permutation_of(w: BraidWord) -> Permutation:
     images = [0] * w.n
     for p, label in enumerate(at):
         images[label - 1] = p + 1
-    return Permutation(w.n, tuple(images))
+    return tuple(images)
 
 
 def linking_number(w: BraidWord, i: int, j: int) -> int:

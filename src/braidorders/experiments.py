@@ -15,7 +15,6 @@ from .errors import MalformedInputError, SearchFailureError, UndecidedComparison
 from .nt import NTOrder, order_cmp
 from .orders import (
     ConjugatedOrder,
-    ConvexExtensionOrder,
     OrderOracle,
     ZkIntegerSlope,
     ZkLex,
@@ -195,11 +194,12 @@ def converge_conjugates_experiment(
 
 
 def _soul_witness(
-    extension: ConvexExtensionOrder, lex: ZkLex, weights: tuple[int, ...]
+    base: NTOrder, slope: ZkIntegerSlope, lex: ZkLex, weights: tuple[int, ...]
 ) -> tuple[BraidWord, tuple[int, ...]] | None:
-    """A soul element on which slope and base lex priority (soul_lex_of_base)
-    disagree: an axis against a large multiple of a lower-priority axis."""
-    soul = extension.base.spec.soul_generators
+    """A soul element of the base on which the slope and the base's lex
+    priority (soul_lex_of_base) disagree, with its exponent vector: an axis
+    against a large multiple of a lower-priority axis."""
+    soul = base.spec.soul_generators
     k = len(soul)
     for hi_pos in range(k):
         for lo_pos in range(k):
@@ -210,9 +210,9 @@ def _soul_witness(
             v = [0] * k
             v[hi_pos] = 1
             v[lo_pos] = -t
-            if zk_sign(extension.soul_order, v) != zk_sign(lex, v):
+            if zk_sign(slope, v) != zk_sign(lex, v):
                 letters = (soul[hi_pos],) + (-soul[lo_pos],) * t
-                return BraidWord(extension.n, letters), tuple(v)
+                return BraidWord(base.n, letters), tuple(v)
     return None
 
 
@@ -252,7 +252,6 @@ def converge_extensions_experiment(
         for rank, pos in enumerate(lex.axes):
             weights[pos] = M ** (k - 1 - rank)
         slope = ZkIntegerSlope(k, tuple(weights), lex)
-        extension = ConvexExtensionOrder(base, slope)
         radius, witness, signs, vector = ball.max_length, None, None, None
         for w, v, base_sign in members:
             ext_sign = zk_sign(slope, v)
@@ -260,10 +259,10 @@ def converge_extensions_experiment(
                 radius, witness, signs, vector = len(w) - 1, w, (ext_sign, base_sign), v
                 break
         else:
-            found = _soul_witness(extension, lex, tuple(weights))
+            found = _soul_witness(base, slope, lex, tuple(weights))
             if found is not None:
                 witness, vector = found
-                signs = (extension.sign(witness), base.sign(witness))
+                signs = (zk_sign(slope, vector), base.sign(witness))
         rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector, 0))
     return ApproximationReport(base.spec.name, ball, tuple(rows))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
 from .errors import (
@@ -45,7 +45,6 @@ from .freewords import (
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
-    EQUAL,
     GREATER,
     LESS,
     GermConvention,
@@ -367,20 +366,15 @@ def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
 
 class DivergenceReport(NamedTuple):
     depth: int
-    verdict: Literal["less", "equal", "greater", "undecided"]
+    verdict: int | None
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> DivergenceReport:
-    """Longest common prefix of the ray and its image, with the angle verdict.
-
-    A depth at or beyond the order's depth cap, finite rays included, is
-    reported as undecided at the cap.
+    """Longest common prefix of the ray and its image, with the angle verdict
+    LESS, EQUAL or GREATER.  The scan of a finite ray is uncapped; a stream
+    that agrees with its image up to the depth cap gives (cap, None).
     """
-    depth, verdict = _divergence(order, b)
-    if verdict is None or depth >= order.depth_cap:
-        return DivergenceReport(order.depth_cap, "undecided")
-    names = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
-    return DivergenceReport(depth, names[verdict])
+    return DivergenceReport(*_divergence(order, b))
 
 
 def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
@@ -388,10 +382,10 @@ def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
     spec = order.spec
     if not 1 <= i <= spec.m:
         raise MalformedInputError(f"level {i} out of range (spec has {spec.m})")
-    report = divergence_depth(order, b)
-    if report.verdict == "undecided" and report.depth < spec.separating_depths[i - 1]:
+    depth, verdict = divergence_depth(order, b)
+    if verdict is None and depth < spec.separating_depths[i - 1]:
         raise UndecidedComparisonError(order.depth_cap)
-    return report.depth >= spec.separating_depths[i - 1]
+    return depth >= spec.separating_depths[i - 1]
 
 
 def letter_depths(order: NTOrder) -> dict[int, int]:
@@ -446,7 +440,7 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     if sample.n != spec.n:
         raise MalformedInputError("ball strand count differs from spec")
     reports = [(w, divergence_depth(order, w)) for w in sample.words()]
-    undecided = sum(report.verdict == "undecided" for _, report in reports)
+    undecided = sum(report.verdict is None for _, report in reports)
 
     levels = []
     for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
@@ -556,9 +550,9 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
 
     (a) every nontrivial ball word must diverge from the ray before the cap
     (words that do not are reported as ties / degeneracy);
-    (b) small elements: a deterministic candidate family (ball words, powers,
-    and conjugated generators) is scanned for braids of ever larger
-    divergence depth, up to depth_target.
+    (b) small elements: a deterministic candidate family (the ball words,
+    then the generators sigma_i^+-1 and sigma_i^+-2 conjugated by ball words)
+    is scanned for braids of ever larger divergence depth, up to depth_target.
     """
     spec = order.spec
     if isinstance(spec.word, FreeWord):
@@ -574,7 +568,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
         if not w.letters:
             return
         report = divergence_depth(order, w)
-        if report.verdict == "undecided":
+        if report.verdict is None:
             if tie_eligible:
                 ties.append(w)
             return

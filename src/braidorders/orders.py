@@ -184,10 +184,8 @@ def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
     for i, j in zip(soul, soul[1:]):
         if j - i < 2:
             raise MalformedInputError(f"soul generators {i}, {j} are adjacent or out of order")
-    perm = permutation_of(b)
     pair_points = {p for i in soul for p in (i, i + 1)}
-    for p in range(1, b.n + 1):
-        image = perm(p)
+    for p, image in enumerate(permutation_of(b), 1):
         if p in pair_points:
             i = p if p in soul else p - 1
             if image not in (i, i + 1):

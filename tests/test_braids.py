@@ -4,7 +4,6 @@ from braidorders import (
     BallSpec,
     BraidWord,
     MalformedInputError,
-    Permutation,
     enumerate_ball,
     invert,
     linking_number,
@@ -50,7 +49,7 @@ def test_strand_count_must_be_an_integer():
         BraidWord(1)
     with pytest.raises(MalformedInputError, match="must be an integer"):
         list(BallSpec(3.0, 2).words())
-    assert permutation_of(BraidWord(3, (1, 2))).images == (3, 1, 2)
+    assert permutation_of(BraidWord(3, (1, 2))) == (3, 1, 2)
 
 
 def test_ball_spec_checks_its_fields():
@@ -88,9 +87,9 @@ def test_product_length_and_inverse_cancellation(rng):
 
 
 def test_permutation_of_examples():
-    assert permutation_of(BraidWord(3)).images == (1, 2, 3)
-    assert permutation_of(BraidWord(3, (1,))).images == (2, 1, 3)
-    assert permutation_of(BraidWord(3, (1, 2, 1))).images == (3, 2, 1)
+    assert permutation_of(BraidWord(3)) == (1, 2, 3)
+    assert permutation_of(BraidWord(3, (1,))) == (2, 1, 3)
+    assert permutation_of(BraidWord(3, (1, 2, 1))) == (3, 2, 1)
 
 
 def test_permutation_homomorphism(rng):
@@ -98,17 +97,16 @@ def test_permutation_homomorphism(rng):
         a = random_word(rng, 5, rng.randrange(0, 7))
         b = random_word(rng, 5, rng.randrange(0, 7))
         pa, pb, pab = permutation_of(a), permutation_of(b), permutation_of(multiply(a, b))
+        assert sorted(pa) == [1, 2, 3, 4, 5]
         # composed in word order: a first, then b
-        assert all(pab(i) == pb(pa(i)) for i in range(1, 6))
+        assert all(pab[i - 1] == pb[pa[i - 1] - 1] for i in range(1, 6))
 
 
 def test_permutation_inverse(rng):
     for _ in range(100):
         a = random_word(rng, 5, rng.randrange(0, 7))
         pa, pinv = permutation_of(a), permutation_of(invert(a))
-        assert all(pa(pinv(i)) == pinv(pa(i)) == i for i in range(1, 6))
-    with pytest.raises(MalformedInputError):
-        Permutation(3, (1, 1, 2))
+        assert all(pa[pinv[i - 1] - 1] == pinv[pa[i - 1] - 1] == i for i in range(1, 6))
 
 
 def test_linking_number_examples():

@@ -131,6 +131,21 @@ def test_soul_and_chain(capsys):
     assert all(lv["violations"] == 0 for lv in levels)
 
 
+def test_depth_cap_leaves_finite_orders_exact(capsys):
+    # the cap bounds stream scans only: a small cap changes no finite report
+    code, out, err = run(capsys, "soul", "--n", "6", "--order", "nt:b6_cx", "--validate", "--depth-cap", "5")
+    assert (code, out, err) == (0, "command=soul  spec=b6_cx  soul=[1, 3, 5]\n", "")
+    code, out, err = run(
+        capsys, "chain", "--n", "4", "--order", "nt:b4_c", "--ball-length", "3", "--depth-cap", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "command=chain  level=1  depth=2  pattern=[1, 3]  members_in_ball=54  checked=133  violations=0\n"
+        "command=chain  level=2  depth=3  pattern=[1]  members_in_ball=11  checked=176  violations=0\n"
+        "command=chain  level=3  depth=4  pattern=[]  members_in_ball=1  checked=186  violations=0\n"
+    )
+
+
 def test_catalog_listing_and_dump(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "b6_cx" in out

@@ -1,12 +1,14 @@
-"""Every subcommand, the README's agree, approx and probe commands and the
-benchmark's conjugates jobs print exactly the recorded output in
+"""Every subcommand, every command line of the README and the benchmark's
+conjugates jobs print exactly the recorded output in
 ``cli_outputs/``, byte for byte, with the recorded exit code and nothing on
 stderr, in every output format.
 
-The README and benchmark cases were recorded before the approximation
-experiments shared their base signs, and the per-subcommand cases before the
-reports lost their own emitters, so they pin the output through both
-changes.  Each ``<case>.<format>.txt`` holds the stdout of ``braidorders
+The README's approx, probe and agree cases and the benchmark cases were
+recorded before the approximation experiments shared their base signs, the
+per-subcommand cases before the reports lost their own emitters, and the
+README's sign, cmp, conrad, chain and calibrate cases before the depth cap
+stopped cutting finite rays, so they pin the output through those changes.
+Each ``<case>.<format>.txt`` holds the stdout of ``braidorders
 <argv> --format <format>``, with the argv split as a shell would split it;
 ``exit_codes.json`` holds the exit code of each.
 """
@@ -44,6 +46,13 @@ CASES = {
     # the spec file, whatever the format
     "catalog_name": "catalog --name b4_b",
     "calibrate": "calibrate --n 3 --ball-length 3",
+    # the README's other command lines; its soul and catalog --name lines
+    # are soul_validate and catalog_name above
+    "readme_sign": 'sign --n 3 --order dehornoy "1"',
+    "readme_cmp": 'cmp --n 3 --order dehornoy "" ""',
+    "readme_conrad": "conrad --n 4 --order nt:b4_b --k-max 20 --ball-length 2",
+    "readme_chain": "chain --n 4 --order nt:dehornoy_4 --ball-length 4",
+    "readme_calibrate": "calibrate --n 3 --ball-length 4",
     # no M >= 2 in range: no rows, and the csv is its header alone
     "extensions_empty": "approx extensions --n 6 --order nt:b6_cx --range 1:1 --ball-length 3",
     # a one-point window cannot stabilize: exit 2

@@ -124,7 +124,7 @@ def ref_extensions(base, m_range, ball):
         if witness is not None:
             vector = zk_membership(witness, soul)
         else:
-            found = _soul_witness(extension, lex, tuple(weights))
+            found = _soul_witness(base, slope, lex, tuple(weights))
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))

@@ -15,6 +15,7 @@ from braidorders import (
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
+    divergence_depth,
     limit_probe_experiment,
     order_distance,
     small_positive_search,
@@ -76,15 +77,20 @@ def test_conjugates_experiment_dehornoy4(specs, conv4):
 
 
 def test_conjugates_experiment_infinite_type(specs, conv3):
-    # trivial soul: conjugators come from the small-element records, each
-    # compared with the base; radii stay nondecreasing along them
-    from braidorders import totality_probe
-
+    # trivial soul: the conjugators are the first nonempty B_3 L4 words at
+    # each divergence depth; the deeper a conjugator diverges, the closer its
+    # conjugate order is to the base, so the radii grow with the depth
     base = NTOrder(specs["sturmian_3"], conv3)
-    ball = BallSpec(3, 3)
-    hs = [w for _, w in totality_probe(base, ball, 8).records][:3]
-    radii = [agreement_radius(ConjugatedOrder(base, h), base, ball).radius for h in hs]
-    assert radii and radii == sorted(radii)
+    by_depth = {}
+    for w in BallSpec(3, 4).words():
+        report = divergence_depth(base, w)
+        if w.letters and report.verdict is not None:
+            by_depth.setdefault(report.depth, w)
+    ball = BallSpec(3, 5)
+    reports = [agreement_radius(ConjugatedOrder(base, by_depth[d]), base, ball) for d in sorted(by_depth)]
+    radii = [r.radius for r in reports]
+    assert radii == sorted(radii) and len(set(radii)) >= 3, radii
+    assert all(r.undecided_count == 0 for r in reports)
 
 
 def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv3):

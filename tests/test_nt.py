@@ -29,8 +29,8 @@ from braidorders import (
     totality_probe,
 )
 from braidorders.catalog import search_chain_words
-from braidorders.nt import GeodesicSpec, NTOrder
-from braidorders.planar import divergence
+from braidorders.nt import GeodesicSpec, NTOrder, letter_depths
+from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
 
 def test_catalog_contents_and_validation(specs):
@@ -228,7 +228,7 @@ def test_divergence_depth_examples(specs):
         spec = specs[f"dehornoy_{n}"]
         conv = frozen_convention(n)
         full = divergence_depth(NTOrder(spec, conv), BraidWord(n))
-        assert full.verdict == "equal" and full.depth == len(spec.word.letters)
+        assert full == (len(spec.word.letters), EQUAL)
         # the top generator survives every separation but the last
         top = divergence_depth(NTOrder(spec, conv), BraidWord(n, (n - 1,)))
         assert top.depth >= spec.separating_depths[n - 3]
@@ -239,19 +239,20 @@ def test_divergence_depth_examples(specs):
 
 def _two_scan_divergence(order, b):
     # the divergence report from the whole image and two scans: the common
-    # prefix length counted here letter by letter, to the cap, then the
-    # verdict from a divergence scan of rays known to separate
+    # prefix length counted here letter by letter, to the cap for a stream
+    # (a finite ray is never capped), then the verdict from a divergence scan
+    # of rays known to separate
     ray = order.spec.word
+    cap = None if isinstance(ray, FreeWord) else order.depth_cap
     image = act_on_geodesic(b, order.spec, order.convention).word
     depth = 0
     for x, y in itertools.zip_longest(ray, image):
-        if depth == order.depth_cap or x != y:
+        if depth == cap or x != y:
             break
         depth += 1
-    if depth >= order.depth_cap:
-        return order.depth_cap, "undecided"
-    verdict = divergence(ray, image, order.convention, None)[1]
-    return depth, {-1: "less", 0: "equal", 1: "greater"}[verdict]
+    if depth == cap:
+        return cap, None
+    return depth, divergence(ray, image, order.convention, None)[1]
 
 
 @pytest.mark.parametrize("depth_cap", [512, 16, 4])
@@ -261,9 +262,9 @@ def test_divergence_depth_matches_two_scans(depth_cap):
         order = catalog_order(name, depth_cap)
         for w in BallSpec(order.n, ball_l).words():
             report = divergence_depth(order, w)
-            assert (report.depth, report.verdict) == _two_scan_divergence(order, w), (name, w)
+            assert report == _two_scan_divergence(order, w), (name, w)
             verdicts.add(report.verdict)
-    assert verdicts == {"less", "equal", "greater", "undecided"}
+    assert verdicts == {LESS, EQUAL, GREATER, None}
 
 
 def test_ray_sign_matches_handle_reduction_on_long_words():
@@ -361,6 +362,20 @@ def test_soul_validation_mismatch_raises(specs, conv3):
     )
     with pytest.raises(SoulValidationError):
         soul_of(NTOrder(broken, conv3))
+
+
+def test_depth_cap_leaves_finite_reports_unchanged(specs):
+    # the cap bounds a stream's scan only: a finite ray decides every depth,
+    # so its letter depths, soul and chain are those of the default cap
+    for name, spec in specs.items():
+        if spec.type_tag != "finite":
+            continue
+        ball = BallSpec(spec.n, 2 if name == "b6_cx" else 3)
+        default = catalog_order(name)
+        expected = (letter_depths(default), soul_of(default), convex_chain_report(default, ball))
+        for cap in (1, 3, 5, 512):
+            order = catalog_order(name, cap)
+            assert (letter_depths(order), soul_of(order), convex_chain_report(order, ball)) == expected, (name, cap)
 
 
 def test_conrad_witness_canonical_pairs(specs):

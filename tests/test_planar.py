@@ -106,7 +106,8 @@ def test_order_equivariance_under_braid_action(rng, conv4):
 
 def test_finite_words_decide_past_the_cap(conv3):
     # finite words always separate, so their scan may go uncapped; a cap
-    # stops any two rays, and a finite ray order scans with none
+    # stops any two rays, and a finite ray order scans with none, for its
+    # signs and its divergence reports alike
     base = (1, 2) * 300
     u = FreeWord(3, base + (1,))
     v = FreeWord(3, base + (-2,))
@@ -116,7 +117,9 @@ def test_finite_words_decide_past_the_cap(conv3):
     assert planar_verdict(FreeWord(3, base), u, conv3, None) != 0
     order = catalog_order("dehornoy_4", 1)
     top = BraidWord(4, (3,))
-    assert divergence_depth(order, top).verdict == "undecided"
+    report = divergence_depth(order, top)
+    assert report == divergence_depth(catalog_order("dehornoy_4"), top)
+    assert report.depth > 1 and report.verdict is not None
     assert order.sign(top) == dehornoy_sign(top) == 1
 
 
