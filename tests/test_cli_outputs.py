@@ -57,6 +57,10 @@ CASES = {
     "extensions_empty": "approx extensions --n 6 --order nt:b6_cx --range 1:1 --ball-length 3",
     # a one-point window cannot stabilize: exit 2
     "limit_one_point": "probe --kind limit --n 6 --order nt:b6_cx --range 2:2 --ball-length 2 --pattern 3/4",
+    # j = 0, and a u that cancels against sigma_s^-j
+    "conjugates_cancelling_u": 'approx conjugates --n 3 --order nt:dehornoy_3 --range 0:3 --ball-length 4 --pattern "2/2 1"',
+    # N = 0 conjugates by u alone
+    "limit_from_zero": "probe --kind limit --n 6 --order nt:b6_cx --range 0:3 --ball-length 1 --pattern 3/4",
 }
 
 
