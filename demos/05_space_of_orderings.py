@@ -53,7 +53,9 @@ for row in ext.rows:
 
 # --- where do conjugates of b6_cx converge? -----------------------------------------
 
-probe = limit_probe_experiment(catalog_order("b6_cx"), (3, 4), range(1, 13), BallSpec(6, 2))
+probe = limit_probe_experiment(
+    catalog_order("b6_cx"), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
+)
 print("limit probe, conjugating b6_cx by s3^-N s4 (evidence only, inconclusive by design):")
 for row in probe.differing_probes[:4]:
     trail = "".join("+" if s > 0 else "-" for s in row.signs)

@@ -279,7 +279,7 @@ def cmd_approx(args) -> int:
     if args.kind == "conjugates":
         soul = order.spec.soul_generators
         if args.pattern:
-            pattern = _slash_pattern(args.pattern, "s/<braid word>", lambda u: parse_braid(u, args.n))
+            pattern = _slash_pattern(args.pattern, args.n)
         else:
             if not soul:
                 raise MalformedInputError("conjugate pattern needed for trivial-soul specs")
@@ -325,7 +325,7 @@ def cmd_probe(args) -> int:
         )
         return 2 if (report.degenerate or not report.covered) else 0
     lo, hi = _parse_range(args.range)
-    pattern = _slash_pattern(args.pattern or "3/4", "s/u", int)
+    pattern = _slash_pattern(args.pattern or "3/4", args.n)
     report = limit_probe_experiment(order, pattern, range(lo, hi + 1), BallSpec(args.n, args.ball_length))
     rows = [
         {
@@ -402,16 +402,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _slash_pattern(text: str, form: str, read_u) -> tuple:
-    """A --pattern s/<u>: s an integer, u read by read_u; the error names the
-    form, s/<braid word> for approx conjugates and s/u for probe --kind limit."""
+def _slash_pattern(text: str, n: int) -> tuple[int, BraidWord]:
+    """A --pattern s/<braid word>: s an integer, u a braid word of B_n."""
     s_text, slash, u_text = text.partition("/")
     try:
         if not slash:
             raise ValueError("no '/'")
-        return int(s_text), read_u(u_text)
+        return int(s_text), parse_braid(u_text, n)
     except ValueError as exc:
-        raise MalformedInputError(f"--pattern must look like {form}, got {text!r} ({exc})") from None
+        raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--range", default="1:8", help="lo:hi for j or M")
     p.add_argument("--ball-length", type=int, default=4)
-    p.add_argument("--pattern", default=None, help="conjugator pattern s/<braid word>")
+    p.add_argument("--pattern", default=None, help="conjugator pattern s/<braid word>: sigma_s^-j u")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("probe", help="totality probe or limit probe")
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball-length", type=int, default=4)
     p.add_argument("--depth-target", type=int, default=20)
     p.add_argument("--range", default="1:12", help="lo:hi for N (limit probe)")
-    p.add_argument("--pattern", default=None, help="limit conjugator s/u (generator indices)")
+    p.add_argument("--pattern", default=None, help="limit conjugator s/<braid word>: sigma_s^-N u (default 3/4, n >= 5)")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("catalog", help="list catalog entries or dump one")

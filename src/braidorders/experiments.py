@@ -10,14 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .braids import BallSpec, BraidWord
+from .braids import BallSpec, BraidWord, multiply, sigma
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
 from .nt import NTOrder, order_cmp
 from .orders import (
     ConjugatedOrder,
     OrderOracle,
     ZkIntegerSlope,
-    ZkLex,
     soul_lex_of_base,
     zk_membership,
     zk_sign,
@@ -148,40 +147,34 @@ class ApproximationReport(NamedTuple):
         return all(r.witness is not None for r in self.rows)
 
 
-def _witness_candidates(s: int, u: BraidWord, j: int) -> list[BraidWord]:
-    """Deterministic distinctness candidates for the conjugator s^-j u:
-    the words s^-(j+c) u s^(j+c-1) for c = 1..6, which sit just past the
-    agreement ball."""
-    out = []
-    for c in range(1, 7):
-        letters = (-s,) * (j + c) + u.letters + (s,) * (j + c - 1)
-        out.append(BraidWord(u.n, letters))
-    return out
+def _conjugator(n: int, pattern: tuple[int, BraidWord], j: int) -> BraidWord:
+    """sigma_s^-j u for pattern = (s, u): the j-th conjugator of the family."""
+    s, u = pattern
+    return multiply(sigma(n, s, -j), u)
 
 
 def converge_conjugates_experiment(
     base: NTOrder, pattern: tuple[int, BraidWord], j_range: Sequence[int], ball: BallSpec
 ) -> ApproximationReport:
-    """Agreement of the order with its conjugates by s^-j u along j.
+    """Agreement of the order with its conjugates by sigma_s^-j u along j.
 
     Per j: the agreement radius on the ball, plus a distinctness witness
-    (ball disagreement if one exists, else the canonical just-past-the-ball
-    candidates); the base signs each ball word at most once for all j.
+    (ball disagreement if one exists, else the canonical candidates
+    sigma_s^-(j+c) u sigma_s^(j+c-1), c = 1..6, just past the ball); the base
+    signs each ball word at most once for all j.
     """
-    s, u = pattern
-    if not 1 <= s <= base.n - 1:
-        raise MalformedInputError(f"soul generator {s} out of range")
-    if u.n != base.n:
-        raise MalformedInputError(f"strand counts differ: {base.n} vs {u.n}")
-    pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
+    n, s = base.n, pattern[0]
+    _conjugator(n, pattern, 0)  # checks s and u, also for an empty range
+    family = [(j, _conjugator(n, pattern, j)) for j in j_range]
     scan = _AgreementScan(base, ball)
     rows = []
-    for j, h in pairs:
+    for j, h in family:
         conj = ConjugatedOrder(base, h)
         rep = scan.agreement(conj)
         witness, signs = rep.witness, rep.witness_signs
         if witness is None:
-            for w in _witness_candidates(s, u, j):
+            for c in range(1, 7):
+                w = multiply(_conjugator(n, pattern, j + c), sigma(n, s, j + c - 1))
                 try:
                     pair = conj.sign(w), base.sign(w)
                 except UndecidedComparisonError:
@@ -193,12 +186,11 @@ def converge_conjugates_experiment(
     return ApproximationReport(base.spec.name, ball, tuple(rows))
 
 
-def _soul_witness(
-    base: NTOrder, slope: ZkIntegerSlope, lex: ZkLex, weights: tuple[int, ...]
-) -> tuple[BraidWord, tuple[int, ...]] | None:
-    """A soul element of the base on which the slope and the base's lex
-    priority (soul_lex_of_base) disagree, with its exponent vector: an axis
-    against a large multiple of a lower-priority axis."""
+def _soul_witness(base: NTOrder, slope: ZkIntegerSlope) -> tuple[BraidWord, tuple[int, ...]] | None:
+    """A soul element of the base on which the slope and its tie break, the
+    base's lex priority (soul_lex_of_base), disagree, with its exponent
+    vector: an axis against a large multiple of a lower-priority axis."""
+    lex, weights = slope.tie_break, slope.weights
     soul = base.spec.soul_generators
     k = len(soul)
     for hi_pos in range(k):
@@ -259,7 +251,7 @@ def converge_extensions_experiment(
                 radius, witness, signs, vector = len(w) - 1, w, (ext_sign, base_sign), v
                 break
         else:
-            found = _soul_witness(base, slope, lex, tuple(weights))
+            found = _soul_witness(base, slope)
             if found is not None:
                 witness, vector = found
                 signs = (zk_sign(slope, vector), base.sign(witness))
@@ -316,19 +308,18 @@ def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
 
 
 def limit_probe_experiment(
-    base: NTOrder, pattern: tuple[int, int], n_range: Sequence[int], probe_ball: BallSpec
+    base: NTOrder, pattern: tuple[int, BraidWord], n_range: Sequence[int], probe_ball: BallSpec
 ) -> LimitProbeReport:
-    """Conjugate by s^-N u for N in range and watch which probe signs settle.
-
-    pattern = (s, u) as generator indices (conjugator word sigma_s^-N sigma_u).
-    """
+    """Conjugate by sigma_s^-N u for N in range, pattern = (s, u), and watch
+    which probe signs settle."""
     s, u = pattern
+    _conjugator(base.n, pattern, 0)  # checks s and u, also for an empty range
+    conjugates = [ConjugatedOrder(base, _conjugator(base.n, pattern, N)) for N in n_range]
     soul = base.spec.soul_generators
     probes = [BraidWord(base.n, (i, -j)) for i in soul for j in soul if i != j]
     probes.extend(w for w in probe_ball.words() if w.letters)
     probes = list(dict.fromkeys(probes))
 
-    conjugates = [ConjugatedOrder(base, BraidWord(base.n, (-s,) * N + (u,))) for N in n_range]
     rows = []
     for probe in probes:
         base_sign = base.sign(probe)

@@ -63,14 +63,6 @@ class FreeWord:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.n != other.n:
-            raise MalformedInputError("ranks differ")
-        return FreeWord(self.n, self.letters + other.letters)
-
-    def __invert__(self) -> "FreeWord":
-        return FreeWord(self.n, tuple(-k for k in reversed(self.letters)))
-
     def __str__(self) -> str:
         return " ".join(str(k) for k in self.letters)
 
@@ -112,9 +104,6 @@ class QuadraticIrrational:
         """
         check_integer(k, "k", 0)
         return (k * self.p + isqrt(k * k * self.d)) // self.q
-
-    def __float__(self) -> float:  # display only
-        return (self.p + self.d ** 0.5) / self.q
 
 
 @dataclass(frozen=True)

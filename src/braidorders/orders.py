@@ -223,6 +223,8 @@ class ConvexExtensionOrder:
         return self.base.n
 
     def sign(self, b: BraidWord) -> int:
+        if b.n != self.n:
+            raise MalformedInputError("strand counts differ")
         v = zk_membership(b, self.base.spec.soul_generators)
         if v is not None:
             return zk_sign(self.soul_order, v)

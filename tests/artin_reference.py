@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from braidorders.braids import BraidWord
+from braidorders.braids import BraidWord, inverse_letters
 from braidorders.errors import MalformedInputError
 from braidorders.freewords import FreeLetters, FreeWord
 from braidorders.nt import _letter_tables
@@ -56,7 +56,7 @@ class ArtinMap:
         table: dict[int, FreeLetters] = {}
         for j, img in enumerate(self.images, start=1):
             table[j] = img.letters
-            table[-j] = (~img).letters
+            table[-j] = inverse_letters(img.letters)
         return table
 
     def apply_letters(self, letters: FreeLetters) -> FreeLetters:

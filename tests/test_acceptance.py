@@ -207,7 +207,7 @@ def test_criterion_9_limit_probe():
     started = time.monotonic()
     specs = catalog()
     report = limit_probe_experiment(
-        NTOrder(specs["b6_cx"], frozen_convention(6)), (3, 4), range(1, 13), BallSpec(6, 2)
+        NTOrder(specs["b6_cx"], frozen_convention(6)), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
     )
     assert report.inconclusive_by_design
     assert len(report.differing_probes) >= 1

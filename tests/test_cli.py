@@ -244,7 +244,7 @@ def test_malformed_pattern_names_the_flag(capsys):
         conjugates + ("2",),
         conjugates + ("x/1",),
         limit + ("x/4",),
-        limit + ("3/1 2",),
+        limit + ("3/9",),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

@@ -7,7 +7,9 @@ The README's approx, probe and agree cases and the benchmark cases were
 recorded before the approximation experiments shared their base signs, the
 per-subcommand cases before the reports lost their own emitters, and the
 README's sign, cmp, conrad, chain and calibrate cases before the depth cap
-stopped cutting finite rays, so they pin the output through those changes.
+stopped cutting finite rays, and the cancelling-u and N = 0 cases before
+both conjugate families came to be built by one function, so they pin the
+output through those changes.
 Each ``<case>.<format>.txt`` holds the stdout of ``braidorders
 <argv> --format <format>``, with the argv split as a shell would split it;
 ``exit_codes.json`` holds the exit code of each.

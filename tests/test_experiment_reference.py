@@ -5,10 +5,13 @@ member of a conjugate family ran its own agreement scan, which signed each
 ball word under both the member and the base, and fell back on the
 just-past-the-ball candidates; every convex extension ran its own agreement
 scan over the whole ball; the limit probe built each conjugate once per probe.
-The library now signs each ball word under the base at most once per
-experiment, compares extensions with the base on the soul members only, and
-builds the limit probe's conjugates once.  Reports must match field for
-field, and a base that raises mid-scan must raise the same exception.
+The conjugators and candidates were written out letter by letter, for j >= 0
+and, in the limit probe, a one-letter u.  The library now signs each ball
+word under the base at most once per experiment, compares extensions with the
+base on the soul members only, builds the limit probe's conjugates once, and
+builds every conjugator of both families as sigma_s^-j u with one function.
+Reports must match field for field, and a base that raises mid-scan must
+raise the same exception.
 """
 
 import itertools
@@ -33,6 +36,8 @@ from braidorders import (
     frozen_convention,
     is_trivial_braid,
     limit_probe_experiment,
+    multiply,
+    sigma,
     soul_lex_of_base,
     zk_membership,
 )
@@ -43,9 +48,9 @@ from braidorders.experiments import (
     ExtensionRow,
     LimitProbeReport,
     ProbeRow,
+    _conjugator,
     _soul_witness,
     _stabilized,
-    _witness_candidates,
 )
 from braidorders.freewords import Custom
 from braidorders.nt import GeodesicSpec
@@ -85,10 +90,21 @@ def ref_find_disagreement(o1, o2, candidates):
     return None
 
 
+def ref_witness_candidates(s, u, j):
+    """The words s^-(j+c) u s^(j+c-1) for c = 1..6, just past the ball."""
+    return [BraidWord(u.n, (-s,) * (j + c) + u.letters + (s,) * (j + c - 1)) for c in range(1, 7)]
+
+
+def ref_limit_conjugator(n, s, u, N):
+    """s^-N u for a one-letter u, the only u the limit probe read."""
+    (letter,) = u.letters
+    return BraidWord(n, (-s,) * N + (letter,))
+
+
 def ref_conjugates(base, pattern, j_range, ball):
     s, u = pattern
     if not 1 <= s <= base.n - 1:
-        raise MalformedInputError(f"soul generator {s} out of range")
+        raise MalformedInputError(f"generator index {s} out of range for B_{base.n}")
     pairs = [(j, BraidWord(base.n, (-s,) * j + u.letters)) for j in j_range]
     rows = []
     for j, h in pairs:
@@ -96,7 +112,7 @@ def ref_conjugates(base, pattern, j_range, ball):
         rep = ref_agreement_radius(conj, base, ball)
         witness, signs = rep.witness, rep.witness_signs
         if witness is None:
-            found = ref_find_disagreement(conj, base, _witness_candidates(s, u, j))
+            found = ref_find_disagreement(conj, base, ref_witness_candidates(s, u, j))
             if found is not None:
                 witness, s1, s2 = found
                 signs = (s1, s2)
@@ -124,7 +140,7 @@ def ref_extensions(base, m_range, ball):
         if witness is not None:
             vector = zk_membership(witness, soul)
         else:
-            found = _soul_witness(base, slope, lex, tuple(weights))
+            found = _soul_witness(base, slope)
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
@@ -154,8 +170,7 @@ def ref_limit_probe(base, pattern, n_range, probe_ball):
         base_sign = base.sign(probe)
         signs = []
         for N in n_range:
-            h = BraidWord(base.n, (-s,) * N + (u,))
-            signs.append(ConjugatedOrder(base, h).sign(probe))
+            signs.append(ConjugatedOrder(base, ref_limit_conjugator(base.n, s, u, N)).sign(probe))
         stab, stable = _stabilized(signs)
         rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
     return LimitProbeReport(base.spec.name, f"{-s}^N {u}", tuple(n_range), tuple(rows))
@@ -304,11 +319,37 @@ def test_extensions_reject_like_reference():
 
 @pytest.mark.parametrize(
     "name, pattern, depth_cap",
-    [("dehornoy_3", (2, 1), 512), ("b6_cx", (3, 4), 512), ("sturmian_3", (2, 1), 8)],
+    [("dehornoy_3", (2, 1), 512), ("b6_cx", (3, 4), 512), ("sturmian_3", (2, 1), 8), ("b6_cx", (3, 3), 512)],
 )
 def test_limit_probe_matches_reference(name, pattern, depth_cap):
-    # N from 0: the signs at N = 0 differ from the later ones on some probes
+    # N from 0: the signs at N = 0 differ from the later ones on some probes;
+    # u = sigma_3 cancels the whole of sigma_3^-1 at N = 1
     base = catalog_order(name, depth_cap)
     ball = BallSpec(base.n, 2)
+    pattern = (pattern[0], BraidWord(base.n, (pattern[1],)))
     new = outcome(limit_probe_experiment, base, pattern, range(0, 6), ball)
     assert new == outcome(ref_limit_probe, base, pattern, range(0, 6), ball)
+
+
+# --- one builder for both conjugate families -----------------------------------
+
+
+@pytest.mark.parametrize("n, s, u", [(3, 2, (1,)), (3, 2, (2, 1)), (4, 3, (2,)), (4, 1, (3, -1)), (6, 3, (4,))])
+def test_conjugator_matches_the_hand_built_letters(n, s, u):
+    # u = sigma_2 sigma_1 cancels against sigma_2^-j on its left, and
+    # u = sigma_3 sigma_1^-1 against the candidates' sigma_1^(j+c-1) on its right
+    u = BraidWord(n, u)
+    pattern = (s, u)
+    for j in range(7):
+        assert _conjugator(n, pattern, j) == BraidWord(n, (-s,) * j + u.letters), j
+        candidates = [multiply(_conjugator(n, pattern, j + c), sigma(n, s, j + c - 1)) for c in range(1, 7)]
+        assert candidates == ref_witness_candidates(s, u, j), j
+        if len(u) == 1:
+            assert _conjugator(n, pattern, j) == ref_limit_conjugator(n, s, u, j), j
+
+
+@pytest.mark.parametrize("name, s, u", [("dehornoy_3", 2, (2, 1)), ("dehornoy_3", 1, (2, -1)), ("b4_b", 3, (1, 3))])
+def test_conjugates_match_reference_with_a_longer_u(name, s, u):
+    base = catalog_order(name)
+    report = assert_same_conjugates(base, (s, BraidWord(base.n, u)), range(0, 7), BallSpec(base.n, 3))
+    assert [r.j for r in report.rows] == list(range(7))

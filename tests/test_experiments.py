@@ -103,6 +103,41 @@ def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv
         converge_conjugates_experiment(base, (2, BraidWord(6, (1,))), range(1, 4), BallSpec(3, 3))
 
 
+def test_conjugator_rows_for_negative_j(specs, conv3):
+    # sigma_s^-j u for every j: a negative j conjugates by sigma_s^|j| u
+    base = NTOrder(specs["dehornoy_3"], conv3)
+    report = converge_conjugates_experiment(base, (2, BraidWord(3, (1,))), range(-3, 4), BallSpec(3, 3))
+    for row in report.rows:
+        power = (2,) * -row.j if row.j < 0 else (-2,) * row.j
+        assert row.conjugator == BraidWord(3, power + (1,)), row.j
+    assert [str(r.conjugator) for r in report.rows[1:3]] == ["2 2 1", "2 1"]
+
+
+class UnreadBall(BallSpec):
+    """A ball that fails when its words are read."""
+
+    def words(self):
+        raise AssertionError("a ball word was read before the pattern was checked")
+
+
+BAD_PATTERNS = [
+    ((-3, (4,)), "generator index -3 out of range for B_6"),
+    ((0, (4,)), "generator index 0 out of range for B_6"),
+    ((6, (4,)), "generator index 6 out of range for B_6"),
+    ((3, None), "strand counts differ: 6 vs 3"),
+]
+
+
+@pytest.mark.parametrize("pattern, message", BAD_PATTERNS)
+@pytest.mark.parametrize("experiment", [converge_conjugates_experiment, limit_probe_experiment])
+@pytest.mark.parametrize("window", [range(1, 4), range(0)])
+def test_bad_patterns_raise_before_any_ball_word(experiment, pattern, message, window):
+    s, u = pattern
+    u = BraidWord(3, (1,)) if u is None else BraidWord(6, u)
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        experiment(catalog_order("b6_cx"), (s, u), window, UnreadBall(6, 2))
+
+
 def test_extensions_experiment_b6(specs):
     report = converge_extensions_experiment(
         catalog_order("b6_cx"), range(2, 13), BallSpec(6, 3)
@@ -143,7 +178,7 @@ def test_extensions_experiment_rejects_a_bad_m_before_scanning(monkeypatch):
 
 def test_limit_probe_b6(specs):
     report = limit_probe_experiment(
-        catalog_order("b6_cx"), (3, 4), range(1, 13), BallSpec(6, 2)
+        catalog_order("b6_cx"), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
     )
     assert report.inconclusive_by_design
     differing = report.differing_probes
@@ -157,7 +192,7 @@ def test_limit_probe_b6(specs):
 
 def test_limit_probe_short_window_inconclusive(specs):
     report = limit_probe_experiment(
-        catalog_order("b6_cx"), (3, 4), range(1, 2), BallSpec(6, 1)
+        catalog_order("b6_cx"), (3, BraidWord(6, (4,))), range(1, 2), BallSpec(6, 1)
     )
     assert report.window_too_short
     assert all(not row.stabilized for row in report.rows)

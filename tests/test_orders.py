@@ -358,3 +358,18 @@ def test_sign_oracles_reject_other_strand_counts():
     for oracle in (DehornoyOrder(3), catalog_order("dehornoy_3")):
         with pytest.raises(MalformedInputError, match="strand counts differ"):
             oracle.sign(word)
+
+
+def test_b6_oracles_reject_more_and_fewer_strands():
+    # the extension read an 8-strand word's soul exponents and signed it
+    b6 = catalog_order("b6_cx")
+    oracles = (
+        DehornoyOrder(6),
+        b6,
+        ConjugatedOrder(b6, BraidWord(6, (-3, 4))),
+        ConvexExtensionOrder(b6, ZkLex.standard(3)),
+    )
+    for oracle in oracles:
+        for word in (BraidWord(8, (1,)), BraidWord(4, (1,))):
+            with pytest.raises(MalformedInputError, match="strand counts differ"):
+                oracle.sign(word)

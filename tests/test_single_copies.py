@@ -3,7 +3,9 @@
 The replaced code lives on here as the reference: the Sturmian floor with its
 two correction loops, the Sturmian slope bound read off square roots in place
 of that floor, the two letter parsers with their empty-text branches,
-the two ``--pattern`` readers, the order comparison on a hand-made product,
+the two ``--pattern`` readers (an s/u reader of two generator indices beside
+the s/<braid word> one that now serves both commands), the order comparison
+on a hand-made product,
 the totality probe with its twice-multiplied conjugates, and the chain report
 that kept a word list beside a dict of depths.
 """
@@ -212,9 +214,23 @@ PATTERN_TEXTS = (
 
 def test_slash_pattern_matches_both_old_readers():
     for text in PATTERN_TEXTS:
-        braid = outcome(_slash_pattern, text, "s/<braid word>", lambda u: parse_braid(u, 3))
-        assert braid == outcome(conjugator_pattern_as_it_was, text, 3), text
-        assert outcome(_slash_pattern, text, "s/u", int) == outcome(limit_pattern_as_it_was, text), text
+        assert outcome(_slash_pattern, text, 3) == outcome(conjugator_pattern_as_it_was, text, 3), text
+    # each s/u text reads as s and the one-letter word u; u = 0 and u = 9 were
+    # accepted as indices and failed later, as conjugator letters, and now
+    # fail in the reader
+    accepted = 0
+    for text in PATTERN_TEXTS + ("3/9", "3/-5"):
+        try:
+            s, u = limit_pattern_as_it_was(text)
+        except MalformedInputError:
+            continue
+        accepted += 1
+        if 1 <= abs(u) <= 5:
+            assert _slash_pattern(text, 6) == (s, BraidWord(6, (u,))), text
+        else:
+            with pytest.raises(MalformedInputError, match="^--pattern must look like s/<braid word>, got "):
+                _slash_pattern(text, 6)
+    assert accepted == 7
 
 
 # --- products from braids -----------------------------------------------------
