@@ -18,7 +18,6 @@ from .braids import (
     multiply,
     parse_braid,
     permutation_of,
-    random_word,
     sigma,
 )
 from .catalog import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import MalformedInputError, check_integer
-from .freewords import parse_letters, reduce_free
+from .freewords import is_letter, parse_letters, reduce_free
 
 Letters = tuple[int, ...]
 
@@ -33,7 +33,7 @@ class BraidWord:
     def __post_init__(self):
         check_integer(self.n, "strand count", 2)
         for k in self.letters:
-            if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
+            if not is_letter(k, self.n - 1):
                 raise MalformedInputError(
                     f"letter {k!r} out of range for B_{self.n} (need 1 <= |k| <= {self.n - 1})"
                 )
@@ -127,7 +127,7 @@ class BallSpec:
     """
 
     n: int
-    max_length: int = 0
+    max_length: int
 
     def __post_init__(self):
         check_integer(self.n, "strand count", 2)
@@ -173,13 +173,3 @@ def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse the whitespace-separated integer syntax, e.g. "1 -2 1"."""
     return BraidWord(n, parse_letters(text, "braid word"))
-
-
-def random_word(rng, n: int, length: int) -> BraidWord:
-    """A uniformly random freely reduced word of exactly the given length."""
-    alphabet = [k for i in range(1, n) for k in (i, -i)]
-    letters: list[int] = []
-    for _ in range(length):
-        choices = [k for k in alphabet if not letters or k != -letters[-1]]
-        letters.append(rng.choice(choices))
-    return BraidWord(n, tuple(letters))

@@ -108,11 +108,11 @@ def catalog() -> dict[str, GeodesicSpec]:
     return {spec.name: spec for spec in entries}
 
 
-def catalog_order(name: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> NTOrder:
+def catalog_order(name: str) -> NTOrder:
     specs = catalog()
     if name not in specs:
         raise MalformedInputError(f"unknown catalog entry {name!r} (have {sorted(specs)})")
-    return order_for_spec(specs[name], depth_cap)
+    return order_for_spec(specs[name])
 
 
 def order_for_spec(spec: GeodesicSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> NTOrder:

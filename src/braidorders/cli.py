@@ -403,12 +403,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _slash_pattern(text: str, n: int) -> tuple[int, BraidWord]:
-    """A --pattern s/<braid word>: s an integer, u a braid word of B_n."""
+    """A --pattern s/<braid word>: u a braid word of B_n, read first, then s in 1..n-1."""
     s_text, slash, u_text = text.partition("/")
     try:
         if not slash:
             raise ValueError("no '/'")
-        return int(s_text), parse_braid(u_text, n)
+        u = parse_braid(u_text, n)
+        s = int(s_text)
+        if not 1 <= s <= n - 1:
+            raise ValueError(f"generator index {s} out of range for B_{n}")
+        return s, u
     except ValueError as exc:
         raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
 

@@ -162,6 +162,11 @@ def converge_conjugates_experiment(
     (ball disagreement if one exists, else the canonical candidates
     sigma_s^-(j+c) u sigma_s^(j+c-1), c = 1..6, just past the ball); the base
     signs each ball word at most once for all j.
+
+    Known defect: the candidates shift when the first letters of u cancel
+    against sigma_s^-(j+c), so they depend on how u is written: on
+    dehornoy_3, u = 2 1 over j = 4..6 finds none where u = 1 over j = 3..5,
+    the same conjugators, finds one for each j.
     """
     n, s = base.n, pattern[0]
     _conjugator(n, pattern, 0)  # checks s and u, also for an empty range
@@ -283,7 +288,7 @@ class LimitProbeReport(NamedTuple):
     conjugator_pattern: str
     n_range: tuple[int, ...]
     rows: tuple[ProbeRow, ...]
-    inconclusive_by_design: bool = True
+    inconclusive_by_design = True
 
     @property
     def differing_probes(self) -> tuple[ProbeRow, ...]:

@@ -43,17 +43,22 @@ def reduce_free(letters: Iterable[int]) -> FreeLetters:
     return tuple(out)
 
 
+def is_letter(k, bound: int) -> bool:
+    """Whether k is a letter of rank bound: an int, not a bool, 1 <= |k| <= bound."""
+    return isinstance(k, int) and not isinstance(k, bool) and 1 <= abs(k) <= bound
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in F_n."""
 
     n: int
-    letters: FreeLetters = ()
+    letters: FreeLetters
 
     def __post_init__(self):
         check_integer(self.n, "rank", 1)
         for k in self.letters:
-            if isinstance(k, bool) or not isinstance(k, int) or k == 0 or abs(k) > self.n:
+            if not is_letter(k, self.n):
                 raise MalformedInputError(f"letter {k!r} out of range for F_{self.n}")
         object.__setattr__(self, "letters", reduce_free(self.letters))
 
@@ -238,22 +243,16 @@ class Custom(_PrefixedStream):
 
     n: int
     letters: Callable[[], Iterable[int]]
-    label: str = "custom"
+    label: str
 
     def __post_init__(self):
         check_integer(self.n, "rank", 1)
 
-    @cached_property
-    def _alphabet(self) -> frozenset[int]:
-        """Every letter of F_n and its inverse, built once per stream."""
-        return frozenset(k for j in range(1, self.n + 1) for k in (j, -j))
-
     def _source(self) -> Iterator[int]:
         """The letters of a fresh call of the function, checked."""
         prev = 0
-        alphabet = self._alphabet
         for k in self.letters():
-            if k not in alphabet or type(k) is bool:
+            if not is_letter(k, self.n):
                 raise MalformedInputError(f"custom stream {self.label!r} has letter {k!r} out of range for F_{self.n}")
             if k == -prev:
                 raise MalformedInputError(f"custom stream {self.label!r} is not freely reduced")

@@ -417,8 +417,6 @@ class ChainLevel(NamedTuple):
 
 
 class ChainReport(NamedTuple):
-    spec_name: str
-    ambient_pattern: tuple[int, ...]
     levels: tuple[ChainLevel, ...]
     undecided_skipped: int
 
@@ -462,11 +460,8 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
                         violations += 1
                 except UndecidedComparisonError:
                     undecided += 1
-        levels.append(
-            ChainLevel(i, d, pattern, len(members), checked, violations)
-        )
-    ambient = tuple(range(1, spec.n))
-    return ChainReport(spec.name, ambient, tuple(levels), undecided)
+        levels.append(ChainLevel(i, d, pattern, len(members), checked, violations))
+    return ChainReport(tuple(levels), undecided)
 
 
 def soul_of(order: NTOrder) -> tuple[int, ...]:
@@ -529,8 +524,6 @@ def conrad_witness_search(
 
 
 class TotalityReport(NamedTuple):
-    spec_name: str
-    ball: BallSpec
     tie_words: tuple[BraidWord, ...]
     records: tuple[tuple[int, BraidWord], ...]
     max_depth: int
@@ -587,9 +580,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
                 for e in (1, -1, 2, -2):
                     consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
 
-    return TotalityReport(
-        spec.name, ball, tuple(ties), tuple(records), best, depth_target
-    )
+    return TotalityReport(tuple(ties), tuple(records), best, depth_target)
 
 
 # --- spec file round trip ---------------------------------------------------

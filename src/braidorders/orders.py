@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Protocol, Sequence
 
-from .braids import BraidWord, conjugate, inverse_letters, linking_number, permutation_of
+from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError, check_integer
 from .nt import NTOrder, letter_depths, nt_sign
@@ -196,8 +196,7 @@ def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
     candidate_letters: list[int] = []
     for i, e in zip(soul, exponents):
         candidate_letters.extend([i if e > 0 else -i] * abs(e))
-    # b times the candidate's inverse, reduced once
-    if not is_trivial_braid(BraidWord(b.n, b.letters + inverse_letters(candidate_letters))):
+    if not is_trivial_braid(multiply(b, invert(BraidWord(b.n, tuple(candidate_letters))))):
         return None
     return exponents
 

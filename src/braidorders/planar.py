@@ -39,9 +39,9 @@ class GermConvention:
     """
 
     n: int
-    germ_order_reversed: bool = False
-    artin_mirrored: bool = False
-    angle_flipped: bool = False
+    germ_order_reversed: bool
+    artin_mirrored: bool
+    angle_flipped: bool
 
     def cycle(self) -> tuple[int, ...]:
         germs: list[int] = [TERMINAL]

@@ -33,7 +33,6 @@ from braidorders import (
     is_trivial_braid,
     limit_probe_experiment,
     multiply,
-    random_word,
     soul_lex_of_base,
     soul_of,
     totality_probe,
@@ -43,6 +42,7 @@ from braidorders.planar import divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word
+from words import random_word
 
 
 def _report(number: int, budget: float, started: float, detail: str):

@@ -10,8 +10,9 @@ from braidorders import (
     multiply,
     parse_braid,
     permutation_of,
-    random_word,
 )
+
+from words import random_word
 
 
 def test_free_reduction_cancels_inverse_pairs():

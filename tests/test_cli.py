@@ -243,8 +243,10 @@ def test_malformed_pattern_names_the_flag(capsys):
     for argv in (
         conjugates + ("2",),
         conjugates + ("x/1",),
+        conjugates + ("5/1",),
         limit + ("x/4",),
         limit + ("3/9",),
+        limit[:-1] + ("--pattern=-3/4",),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

@@ -1,21 +1,24 @@
 """Every library definition has a caller in the program, and every default
 is both overridden and relied on there.
 
-A top-level function or class of a library module, or a public method of a
-top-level class, must be referenced in ``src/`` (outside ``__init__.py``,
-whose imports are only the package's exports), ``demos/`` or
-``benchmarks/``.  A name that only tests call is test code, and a second
-name for one job is a duplicate; both fail here unless ``EXEMPT`` gives a
-reason to keep them.
+A top-level function or class of a library module, or a public method or
+annotated field of a top-level class, must be referenced in ``src/``
+(outside ``__init__.py``, whose imports are only the package's exports),
+``demos/`` or ``benchmarks/``.  A name that only tests call is test code, a
+field that only tests read restates what the program knows elsewhere, and
+a second name for one job is a duplicate; all fail here unless ``EXEMPT``
+gives a reason to keep them.
 
 References are matched by identifier: a name or attribute spelled like the
-definition counts, strings do not.  So a dead name that shares its spelling
-with some other attribute can slip through, but a name in use is never
-flagged.
+definition counts, strings, keyword arguments and a field's own declaration
+do not.  So a dead name that shares its spelling with some other attribute
+can slip through, but a name in use is never flagged.
 
 The same callers must turn every knob: a defaulted parameter of a top-level
-function, or of a public method of a top-level class, must be passed by some
-call (by keyword, or by enough positional arguments) and left out by some
+function, or of a public method of a top-level class, and a defaulted field
+of a top-level class, must be passed by some call (by keyword, or by enough
+positional arguments; a field's place is its place among the class's
+annotated fields, and calls match it by the class name) and left out by some
 other.  A default that no call overrides is a knob only tests turn; one that
 every call overrides is a default only tests use.  ``KNOBS`` lists the
 exceptions with a reason.  Calls are matched by identifier too, and a call
@@ -31,7 +34,6 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
 
 EXEMPT = {
-    "random_word": "public helper that draws the random words of the property and long-word tests",
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
     "ApproximationReport.radii_nondecreasing": "public check that agreement radii grow with N",
     "ApproximationReport.reaches_bound": "public check that some agreement radius reaches the ball bound",
@@ -39,9 +41,14 @@ EXEMPT = {
 }
 
 
+def fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The annotated fields of a class, in declaration order."""
+    return [item for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
 def definitions(source: str) -> dict[str, str]:
     """Qualified name -> identifier of each top-level function and class,
-    and of each public method of a top-level class."""
+    and of each public method and annotated field of a top-level class."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -50,12 +57,19 @@ def definitions(source: str) -> dict[str, str]:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     found[f"{node.name}.{item.name}"] = item.name
+            for item in fields(node):
+                found[f"{node.name}.{item.target.id}"] = item.target.id
     return found
 
 
 def references(source: str) -> set[str]:
+    tree = ast.parse(source)
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    declared = {id(item.target) for node in classes for item in fields(node)}
     refs = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if id(node) in declared:
+            continue
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -72,13 +86,15 @@ def test_checker_finds_unreferenced_definitions():
         "def used(): pass\n"
         "def unused(): pass\n"
         "class Box:\n"
+        "    side: int\n"
+        "    colour: str\n"
         "    def open(self): pass\n"
         "    def shut(self): pass\n"
         "    def __len__(self): return 0\n"
-        "Box().open(used)\n"
+        "Box(1, colour='red').open(used).side\n"
         "label = 'unused'\n"
     )
-    assert unreferenced(definitions(source), references(source)) == ["Box.shut", "unused"]
+    assert unreferenced(definitions(source), references(source)) == ["Box.colour", "Box.shut", "unused"]
 
 
 def test_every_definition_has_a_caller():
@@ -97,24 +113,27 @@ def test_every_definition_has_a_caller():
 
 KNOBS = {
     "handle_reduce.budget": "the safety budget on reduction steps, which tests exhaust on purpose",
-    "catalog_order.depth_cap": "the depth cap of a catalog order by name, which tests set per stream",
 }
 
 
 def defaulted(source: str) -> dict[str, tuple[str, str, int | None]]:
     """Qualified parameter name -> (callee identifier, parameter, place
     among the positional arguments of a call, or None if keyword-only) of
-    each defaulted parameter of a top-level function or public method."""
+    each defaulted parameter of a top-level function or public method, and
+    of each defaulted field of a top-level class."""
     functions = []
+    found = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
             functions.append((node.name, node, False))
         if isinstance(node, ast.ClassDef):
+            for place, item in enumerate(fields(node)):
+                if item.value is not None:
+                    found[f"{node.name}.{item.target.id}"] = (node.name, item.target.id, place)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
                     functions.append((f"{node.name}.{item.name}", item, not static))
-    found = {}
     for qualified, node, bound in functions:
         args = node.args
         positional = (args.posonlyargs + args.args)[int(bound):]
@@ -160,6 +179,10 @@ def test_checker_finds_unturned_knobs():
         "class Box:\n"
         "    def open(self, wide=False): pass\n"
         "    def _shut(self, hard=False): pass\n"
+        "class Cell:\n"
+        "    row: int\n"
+        "    col: int = 0\n"
+        "    wide: bool = False\n"
         "never(0)\n"
         "always(0, 2)\n"
         "always(0, b=2)\n"
@@ -167,8 +190,10 @@ def test_checker_finds_unturned_knobs():
         "both(0, 3, c=4)\n"
         "Box().open(True)\n"
         "Box().open()\n"
+        "Cell(0)\n"
+        "Cell(0, 1)\n"
     )
-    assert unturned(defaulted(source), calls(source)) == ["always.b", "never.b"]
+    assert unturned(defaulted(source), calls(source)) == ["Cell.wide", "always.b", "never.b"]
     assert unturned(defaulted("def f(a=1): pass\n"), calls("f(*args)\nf()\n")) == []
 
 

@@ -13,9 +13,10 @@ from braidorders import (
     is_trivial_braid,
     multiply,
     order_cmp,
-    random_word,
 )
 from braidorders import dehornoy
+
+from words import random_word
 
 RELATORS_B4 = [
     (1, 2, 1, -2, -1, -2),

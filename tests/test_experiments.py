@@ -113,6 +113,32 @@ def test_conjugator_rows_for_negative_j(specs, conv3):
     assert [str(r.conjugator) for r in report.rows[1:3]] == ["2 2 1", "2 1"]
 
 
+def rewritten_u_reports():
+    """One family written two ways: sigma_2^-j (sigma_2 sigma_1) for j = 4..6
+    and sigma_2^-j sigma_1 for j = 3..5."""
+    base, ball = catalog_order("dehornoy_3"), BallSpec(3, 4)
+    cancelling = converge_conjugates_experiment(base, (2, BraidWord(3, (2, 1))), range(4, 7), ball)
+    plain = converge_conjugates_experiment(base, (2, BraidWord(3, (1,))), range(3, 6), ball)
+    return cancelling, plain
+
+
+def test_rewritten_u_gives_the_same_conjugators():
+    cancelling, plain = rewritten_u_reports()
+    assert [r.conjugator for r in cancelling.rows] == [r.conjugator for r in plain.rows]
+    assert cancelling.radii == plain.radii
+    assert plain.all_distinct
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the fallback witnesses sigma_s^-(j+c) u sigma_s^(j+c-1) shift when the first letters "
+    "of u cancel, so they depend on how u is written",
+)
+def test_rewritten_u_gives_the_same_witnesses():
+    cancelling, plain = rewritten_u_reports()
+    assert [r.witness for r in cancelling.rows] == [r.witness for r in plain.rows]
+
+
 class UnreadBall(BallSpec):
     """A ball that fails when its words are read."""
 

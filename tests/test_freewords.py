@@ -24,7 +24,6 @@ from braidorders import (
     nt_sign,
     parse_free_word,
     parse_infinite_word,
-    random_word,
 )
 from braidorders.braids import inverse_letters
 from braidorders.freewords import format_infinite_word
@@ -32,6 +31,7 @@ from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, _letter_tables, br
 from braidorders.planar import divergence
 
 from artin_reference import ArtinMap, apply_map, artin_map_of, compose, substitute
+from words import random_word
 
 
 def approximate(qi):
@@ -65,7 +65,7 @@ def test_ranks_are_integers():
             with pytest.raises(MalformedInputError) as info:
                 build()
             assert str(info.value) == f"rank must be an integer, got {n!r}"
-    for build in (lambda: FreeWord(0), lambda: Custom(0, lambda: iter(()))):
+    for build in (lambda: FreeWord(0, ()), lambda: Custom(0, lambda: iter(()), "c")):
         with pytest.raises(MalformedInputError, match="rank must be >= 1, got 0"):
             build()
 
@@ -135,7 +135,7 @@ def test_eventually_periodic_prefix_and_validation():
     ep = EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1)))
     assert ray_prefix(ep, 5) == (1, 2, 1, 2, 1)
     with pytest.raises(MalformedInputError):
-        EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3))
+        EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, ()))
     with pytest.raises(MalformedInputError):
         EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (-1, 2)))
 
@@ -277,7 +277,7 @@ def test_stream_prefix_image_coherence(rng):
         for _ in range(30):
             b = random_word(rng, n, rng.randrange(0, 6))
             for mirrored in (False, True):
-                conv = GermConvention(n, artin_mirrored=mirrored)
+                conv = GermConvention(n, False, mirrored, False)
                 reference = apply_map(artin_map_of(b, mirrored), long_input).letters
                 image = act_on_geodesic(b, spec, conv).word
                 prefixes = {length: ray_prefix(image, length) for length in (25, 10, 80, 40)}
@@ -294,7 +294,8 @@ def test_stream_prefix_image_coherence(rng):
                 assert tuple(certified) == reference[: len(certified)]
                 assert len(certified) >= 80
     # the identity braid on (x1 x2)^omega
-    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", 3, streams[0]), GermConvention(3)).word
+    plain = GermConvention(3, False, False, False)
+    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", 3, streams[0]), plain).word
     assert ray_prefix(image, 6) == (1, 2, 1, 2, 1, 2)
     assert ray_prefix(image, 0) == ()
 
@@ -304,14 +305,16 @@ def test_custom_supplier_checked():
     with pytest.raises(MalformedInputError):
         ray_prefix(bad, 10)
     # letters outside F_3, read by the scan or by the transport, where an
-    # unchecked -4 would index past the germ places and read a wrong verdict
-    for letters in ((4, 1), (-4, 1), (0, 1), (1, 2, 2.5)):
+    # unchecked -4 would index past the germ places and read a wrong verdict;
+    # 1.0 equals the letter 1 but is not an int
+    conv = GermConvention(3, False, False, False)
+    for letters in ((4, 1), (-4, 1), (0, 1), (1, 2, 2.5), (1.0, 2)):
         far = Custom(3, lambda letters=letters: itertools.cycle(letters), label="far")
         near = Custom(3, lambda letters=letters: itertools.cycle(letters[:-1] + (3,)), label="near")
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
-            divergence(far, near, GermConvention(3), 64)
+            divergence(far, near, conv, 64)
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
-            nt_sign(NTOrder(GeodesicSpec("far", 3, far), GermConvention(3)), BraidWord(3, (1,)))
+            nt_sign(NTOrder(GeodesicSpec("far", 3, far), conv), BraidWord(3, (1,)))
 
 
 def test_custom_rejects_bool_letters():
@@ -321,14 +324,14 @@ def test_custom_rejects_bool_letters():
         stream = Custom(3, lambda letters=letters: itertools.cycle(letters), label="bools")
         with pytest.raises(MalformedInputError, match=f"has letter {bad} out of range for F_3"):
             ray_prefix(stream, 4)
-    assert ray_prefix(Custom(3, lambda: itertools.cycle((1, 2))), 4) == (1, 2, 1, 2)
+    assert ray_prefix(Custom(3, lambda: itertools.cycle((1, 2)), "ints"), 4) == (1, 2, 1, 2)
 
 
 def test_growth_failure_on_degenerate_stream():
     # (x1 x1^-1)^omega is not reduced: every image of it collapses, so it
     # must be refused as it is read, not signed or left to hang
     stream = Custom(3, lambda: itertools.cycle((1, -1)), label="collapsing")
-    order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3))
+    order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3, False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
         nt_sign(order, BraidWord(3, (1,)))
 
@@ -340,9 +343,9 @@ def test_growth_budget_on_slow_reduced_stream():
     b = BraidWord(3, (1, -2) * 12)
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
     base = GeodesicSpec("periodic", 3, periodic)
-    pulled = act_on_geodesic(invert(b), base, GermConvention(3))
+    pulled = act_on_geodesic(invert(b), base, GermConvention(3, False, False, False))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
-        nt_sign(NTOrder(pulled, GermConvention(3)), b)
+        nt_sign(NTOrder(pulled, GermConvention(3, False, False, False)), b)
     # the stream's prefix holds its longest read: one letter that passed an
     # image letter on, then the 90113 that did not
     assert len(pulled.word._prefix.letters) == 90114
@@ -355,6 +358,6 @@ def test_non_reduced_stream_rejected():
     stream = Custom(
         3, lambda: itertools.chain((1,) * 8, (-1,) * 8, itertools.cycle((1, 2))), label="unreduced"
     )
-    order = NTOrder(GeodesicSpec("unreduced", 3, stream), GermConvention(3))
+    order = NTOrder(GeodesicSpec("unreduced", 3, stream), GermConvention(3, False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
         nt_sign(order, BraidWord(3, (2,)))

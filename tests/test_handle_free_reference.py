@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from braidorders import BallSpec, BraidWord, BudgetExceededError, handle_reduce, random_word
+from braidorders import BallSpec, BraidWord, BudgetExceededError, handle_reduce
 from braidorders.dehornoy import DEFAULT_BUDGET, ZERO, _find_handle, _reduce_handle
+
+from words import random_word
+
 
 # --- reference: the BraidWord-wrapping result --------------------------------
 

@@ -18,12 +18,13 @@ from braidorders import (
     invert,
     multiply,
     order_cmp,
-    random_word,
     soul_lex_of_base,
     zk_membership,
     zk_sign,
 )
 from braidorders.cli import parse_order
+
+from words import random_word
 
 RELATORS = {
     3: [(1, 2, 1, -2, -1, -2)],

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 
@@ -16,13 +17,13 @@ from braidorders import (
     dehornoy_sign,
     divergence_depth,
     frozen_convention,
-    random_word,
 )
 from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
 from braidorders.planar import DEFAULT_DEPTH_CAP, divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word, ray_prefix
+from words import random_word
 
 
 def planar_verdict(u, v, conv, depth_cap=DEFAULT_DEPTH_CAP):
@@ -31,9 +32,9 @@ def planar_verdict(u, v, conv, depth_cap=DEFAULT_DEPTH_CAP):
 
 
 def test_germ_cycle_contents():
-    conv = GermConvention(3)
+    conv = GermConvention(3, False, False, False)
     assert conv.cycle() == (0, 3, -3, 2, -2, 1, -1)
-    rev = GermConvention(3, germ_order_reversed=True)
+    rev = GermConvention(3, True, False, False)
     assert rev.cycle() == (0, 1, -1, 2, -2, 3, -3)
 
 
@@ -41,7 +42,7 @@ def test_default_convention_basepoint_cut():
     # with the default (unreversed, unflipped) table the x_n-starting word
     # leaves at a smaller angle than the x_1-starting word
     for n in (3, 5):
-        conv = GermConvention(n)
+        conv = GermConvention(n, False, False, False)
         u = FreeWord(n, (n, 1))
         v = FreeWord(n, (1, n))
         assert planar_verdict(u, v, conv) == -1
@@ -115,7 +116,7 @@ def test_finite_words_decide_past_the_cap(conv3):
     assert divergence(u, v, conv3, 64) == (64, None)
     assert planar_verdict(u, v, conv3, None) == -planar_verdict(v, u, conv3, None) != 0
     assert planar_verdict(FreeWord(3, base), u, conv3, None) != 0
-    order = catalog_order("dehornoy_4", 1)
+    order = dataclasses.replace(catalog_order("dehornoy_4"), depth_cap=1)
     top = BraidWord(4, (3,))
     report = divergence_depth(order, top)
     assert report == divergence_depth(catalog_order("dehornoy_4"), top)

@@ -24,11 +24,12 @@ from braidorders import (
     linking_number,
     multiply,
     order_cmp,
-    random_word,
     zk_membership,
 )
 from braidorders import orders
 from braidorders.braids import inverse_letters
+
+from words import random_word
 
 # --- reference: the multiply/invert compositions -----------------------------
 

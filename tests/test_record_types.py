@@ -39,18 +39,14 @@ RECORD_FIELDS = {
     "braidorders.experiments.ProbeRow": (
         "probe", "base_sign", "signs", "stabilized", "stable_sign",
     ),
-    "braidorders.experiments.LimitProbeReport": (
-        "spec_name", "conjugator_pattern", "n_range", "rows", "inconclusive_by_design",
-    ),
+    "braidorders.experiments.LimitProbeReport": ("spec_name", "conjugator_pattern", "n_range", "rows"),
     "braidorders.nt.DivergenceReport": ("depth", "verdict"),
     "braidorders.nt.ChainLevel": (
         "index", "depth", "generator_pattern", "members_in_ball", "checked", "violations",
     ),
-    "braidorders.nt.ChainReport": ("spec_name", "ambient_pattern", "levels", "undecided_skipped"),
+    "braidorders.nt.ChainReport": ("levels", "undecided_skipped"),
     "braidorders.nt.ConradWitness": ("f", "g", "k_verified"),
-    "braidorders.nt.TotalityReport": (
-        "spec_name", "ball", "tie_words", "records", "max_depth", "depth_target",
-    ),
+    "braidorders.nt.TotalityReport": ("tie_words", "records", "max_depth", "depth_target"),
 }
 
 MODULES = [

@@ -10,6 +10,7 @@ the totality probe with its twice-multiplied conjugates, and the chain report
 that kept a word list beside a dict of depths.
 """
 
+import dataclasses
 import random
 from math import isqrt
 
@@ -155,7 +156,7 @@ def parse_braid_as_it_was(text, n):
 def parse_free_word_as_it_was(text, n):
     text = text.strip()
     if not text:
-        return FreeWord(n)
+        return FreeWord(n, ())
     try:
         letters = tuple(int(tok) for tok in text.split())
     except ValueError as exc:
@@ -213,11 +214,22 @@ PATTERN_TEXTS = (
 
 
 def test_slash_pattern_matches_both_old_readers():
+    # the old readers accepted any s, which failed later, as a generator
+    # index; an s outside 1..n-1 now fails in the reader, after u
+    bad_s = []
+    s_error = r"^--pattern must look like s/<braid word>, got .* \(generator index"
     for text in PATTERN_TEXTS:
-        assert outcome(_slash_pattern, text, 3) == outcome(conjugator_pattern_as_it_was, text, 3), text
+        old = outcome(conjugator_pattern_as_it_was, text, 3)
+        if isinstance(old[0], int) and not 1 <= old[0] <= 2:
+            bad_s.append(text)
+            with pytest.raises(MalformedInputError, match=s_error):
+                _slash_pattern(text, 3)
+        else:
+            assert outcome(_slash_pattern, text, 3) == old, text
+    assert bad_s == ["3/1 2", "-1/-2"]
     # each s/u text reads as s and the one-letter word u; u = 0 and u = 9 were
     # accepted as indices and failed later, as conjugator letters, and now
-    # fail in the reader
+    # fail in the reader, as s = -1 does
     accepted = 0
     for text in PATTERN_TEXTS + ("3/9", "3/-5"):
         try:
@@ -225,7 +237,7 @@ def test_slash_pattern_matches_both_old_readers():
         except MalformedInputError:
             continue
         accepted += 1
-        if 1 <= abs(u) <= 5:
+        if 1 <= abs(u) <= 5 and 1 <= s <= 5:
             assert _slash_pattern(text, 6) == (s, BraidWord(6, (u,))), text
         else:
             with pytest.raises(MalformedInputError, match="^--pattern must look like s/<braid word>, got "):
@@ -292,12 +304,12 @@ def totality_probe_as_it_was(order, ball, depth_target):
             for i in range(1, order.n):
                 for e in (1, -1, 2, -2):
                     consider(multiply(multiply(g, sigma(order.n, i, e)), invert(g)), tie_eligible=False)
-    return TotalityReport(order.spec.name, ball, tuple(ties), tuple(records), best, depth_target)
+    return TotalityReport(tuple(ties), tuple(records), best, depth_target)
 
 
 @pytest.mark.parametrize("name, n, length", [("sturmian_3", 3, 2), ("sturmian_4", 4, 2), ("mixed_4", 4, 2)])
 def test_totality_probe_matches_the_two_product_conjugates(name, n, length):
-    order = catalog_order(name, 64)
+    order = dataclasses.replace(catalog_order(name), depth_cap=64)
     for target in (5, 12, 40):
         ball = BallSpec(n, length)
         assert totality_probe(order, ball, target) == totality_probe_as_it_was(order, ball, target), target
@@ -337,7 +349,7 @@ def convex_chain_report_as_it_was(order, sample):
                 except UndecidedComparisonError:
                     undecided += 1
         levels.append(ChainLevel(i, d, pattern, len(members), checked, violations))
-    return ChainReport(spec.name, tuple(range(1, spec.n)), tuple(levels), undecided)
+    return ChainReport(tuple(levels), undecided)
 
 
 @pytest.mark.parametrize(
@@ -345,7 +357,7 @@ def convex_chain_report_as_it_was(order, sample):
     [("dehornoy_4", 4, 3, 512), ("b4_b", 4, 3, 512), ("b6_cx", 6, 2, 512), ("mixed_4", 4, 2, 512), ("b4_c", 4, 3, 3)],
 )
 def test_chain_report_matches_the_dict_version(name, n, length, cap):
-    order = catalog_order(name, cap)
+    order = dataclasses.replace(catalog_order(name), depth_cap=cap)
     ball = BallSpec(n, length)
     report = convex_chain_report(order, ball)
     assert report == convex_chain_report_as_it_was(order, ball)

@@ -27,9 +27,10 @@ from braidorders import (
     frozen_convention,
     nt_sign,
     parse_infinite_word,
-    random_word,
 )
 from braidorders.nt import _image_letters
+
+from words import random_word
 
 LENGTH = 2000
 STREAMS = ("sturmian_3", "sturmian_4", "sturmian_5", "sturmian_6", "mixed_4")

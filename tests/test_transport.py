@@ -29,7 +29,6 @@ from braidorders import (
     divergence_depth,
     nt,
     nt_sign,
-    random_word,
 )
 from braidorders.errors import MalformedInputError, StreamGrowthError
 from braidorders.freewords import reduce_free
@@ -38,6 +37,7 @@ from braidorders.planar import divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import ray_prefix
+from words import random_word
 
 
 def cascading_image_letters(b, ray, mirrored, bound):

@@ -21,11 +21,12 @@ from braidorders import (
     enumerate_ball,
     invert,
     multiply,
-    random_word,
 )
 from braidorders.braids import inverse_letters
 from braidorders.freewords import reduce_free
 from braidorders.nt import _letter_tables, order_cmp
+
+from words import random_word
 
 
 def reference_letter_images(n, letter, mirrored):
