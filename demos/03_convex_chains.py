@@ -24,7 +24,7 @@ for name in ("dehornoy_4", "b4_b", "b4_c", "b6_cx"):
     order = catalog_order(name)
     spec = order.spec
     deaths = {
-        j: divergence_depth(order, BraidWord(spec.n, (j,))).depth
+        j: divergence_depth(order, BraidWord(spec.n, (j,)))[0]
         for j in range(1, spec.n)
     }
     print(f"{name}: word [{spec.word}]  depths {spec.separating_depths}  generator deaths {deaths}")

@@ -26,12 +26,13 @@ PAIRS = {
     "b4_c": ((-3, 2), (2,)),
     "b6_cx": ((-3, 4), (4,)),
 }
+K_MAX = 20
 
 for name, (f_letters, g_letters) in PAIRS.items():
     order = catalog_order(name)
     hint = [(BraidWord(order.n, f_letters), BraidWord(order.n, g_letters))]
-    w = conrad_witness_search(order, 20, BallSpec(order.n, 2), priority_pairs=hint)
-    print(f"{name}: f = [{w.f}], g = [{w.g}] with f g^k < g for all k <= {w.k_verified}")
+    w = conrad_witness_search(order, K_MAX, BallSpec(order.n, 2), priority_pairs=hint)
+    print(f"{name}: f = [{w.f}], g = [{w.g}] with f g^k < g for all k <= {K_MAX}")
 
 # inside the soul of b6_cx no such pair exists: f g > g whenever f, g positive
 order = catalog_order("b6_cx")

@@ -37,27 +37,27 @@ print(f"smallest positive outside <s2> in ball L=3: [{small}]")
 
 # --- conjugate convergence records --------------------------------------------------
 
-report = converge_conjugates_experiment(
+rows = converge_conjugates_experiment(
     catalog_order("dehornoy_3"), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
 )
 print("conjugates of dehornoy_3:")
-for row in report.rows:
+for row in rows:
     print(f"  j={row.j}: radius {row.radius}, distinctness witness [{row.witness}]")
 
 # --- extension families for rank >= 2 souls -----------------------------------------
 
-ext = converge_extensions_experiment(catalog_order("b6_cx"), range(2, 8), BallSpec(6, 3))
+ext_rows = converge_extensions_experiment(catalog_order("b6_cx"), range(2, 8), BallSpec(6, 3))
 print("slope extensions of b6_cx (soul rank 3):")
-for row in ext.rows:
+for row in ext_rows:
     print(f"  M={row.M}: weights {row.weights}, radius {row.radius}, soul witness {row.soul_witness_vector}")
 
 # --- where do conjugates of b6_cx converge? -----------------------------------------
 
-probe = limit_probe_experiment(
+probe_rows = limit_probe_experiment(
     catalog_order("b6_cx"), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
 )
 print("limit probe, conjugating b6_cx by s3^-N s4 (evidence only, inconclusive by design):")
-for row in probe.differing_probes[:4]:
+for row in [r for r in probe_rows if r.differs][:4]:
     trail = "".join("+" if s > 0 else "-" for s in row.signs)
     print(f"  probe [{row.probe}]: base {row.base_sign:+d}, conjugate signs {trail} -> settles at {row.stable_sign:+d}")
 

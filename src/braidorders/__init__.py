@@ -48,8 +48,6 @@ from .errors import (
 )
 from .experiments import (
     AgreementReport,
-    ApproximationReport,
-    LimitProbeReport,
     agreement_radius,
     converge_conjugates_experiment,
     converge_extensions_experiment,
@@ -69,7 +67,6 @@ from .freewords import (
 from .nt import (
     ChainReport,
     ConradWitness,
-    DivergenceReport,
     GeodesicSpec,
     NTOrder,
     TotalityReport,

@@ -58,14 +58,12 @@ def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: Fre
     """head then Sturmian-driven blocks; aperiodic, positive past the head.
 
     The blocks follow the letters of the Sturmian word of STURMIAN_SLOPE:
-    block_a for a 1, block_b for a 2, read from its source: the Custom's
-    own prefix keeps the blocks, so a second prefix of the choices would
-    only hold them twice."""
+    block_a for a 1, block_b for a 2."""
     choices = Sturmian(2, STURMIAN_SLOPE, 1, 2)
 
     def letters() -> Iterator[int]:
         yield from head
-        for k in choices._source():
+        for k in choices:
             yield from block_a if k == 1 else block_b
 
     return Custom(n, letters, label=label)

@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
 (undecided comparisons, degenerate probes, too-short stabilization windows).
 Output is deterministic for fixed flags; --format picks text (key=value
 lines), json (one schema-tagged record per line) or csv (a header and rows).
-The commands turn their results, and the experiments' report records (named
-tuples), into rows; _emit is the one writer of all three formats.
+The commands turn their results, and the experiments' reports and rows
+(named tuples), into output rows, adding the inputs they parsed (ball
+length, k_max, depth target, spec name, conjugator pattern, window); _emit is
+the one writer of all three formats.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def cmd_agree(args) -> int:
             {
                 "command": "agree",
                 "radius": report.radius,
-                "max_length": report.max_length,
+                "max_length": args.ball_length,
                 "witness": "" if report.witness is None else str(report.witness),
                 "witness_signs": ""
                 if report.witness_signs is None
@@ -239,7 +241,7 @@ def cmd_conrad(args) -> int:
                 "command": "conrad",
                 "f": str(witness.f),
                 "g": str(witness.g),
-                "k_verified": witness.k_verified,
+                "k_verified": args.k_max,
             }
         ],
     )
@@ -259,7 +261,7 @@ def cmd_chain(args) -> int:
     records = [
         {
             "command": "chain",
-            "level": lv.index,
+            "level": lv.level,
             "depth": lv.depth,
             "pattern": list(lv.generator_pattern),
             "members_in_ball": lv.members_in_ball,
@@ -286,29 +288,30 @@ def cmd_approx(args) -> int:
             s = soul[-1]
             u = small_positive_search(order, soul, BallSpec(args.n, 2))
             pattern = (s, u)
-        report = converge_conjugates_experiment(order, pattern, range(lo, hi + 1), ball)
+        rows = converge_conjugates_experiment(order, pattern, range(lo, hi + 1), ball)
         index = "j"
     else:
-        report = converge_extensions_experiment(order, range(max(2, lo), hi + 1), ball)
+        rows = converge_extensions_experiment(order, range(max(2, lo), hi + 1), ball)
         index = "M"
-    rows = [
+    records = [
         {
             index: getattr(r, index),
             "radius": r.radius,
             "witness": "" if r.witness is None else str(r.witness),
             "undecided": r.undecided_count,
         }
-        for r in report.rows
+        for r in rows
     ]
-    json_rows = [{"kind": args.kind, "name": report.spec_name, **_fields(r)} for r in report.rows]
-    _emit(args, rows, json_rows, ["j_or_M_or_N", "radius", "witness_word", "undecided_count"])
-    return 2 if any(r.undecided_count for r in report.rows) else 0
+    json_rows = [{"kind": args.kind, "name": order.spec.name, **_fields(r)} for r in rows]
+    _emit(args, records, json_rows, ["j_or_M_or_N", "radius", "witness_word", "undecided_count"])
+    return 2 if any(r.undecided_count for r in rows) else 0
 
 
 def cmd_probe(args) -> int:
     order = _nt_order(args)
     if args.kind == "totality":
         report = totality_probe(order, BallSpec(args.n, args.ball_length), args.depth_target)
+        covered = report.max_depth >= args.depth_target
         _emit(
             args,
             [
@@ -318,16 +321,17 @@ def cmd_probe(args) -> int:
                     "spec": order.spec.name,
                     "ties": [str(w) for w in report.tie_words],
                     "max_depth": report.max_depth,
-                    "depth_target": report.depth_target,
-                    "covered": report.covered,
+                    "depth_target": args.depth_target,
+                    "covered": covered,
                 }
             ],
         )
-        return 2 if (report.degenerate or not report.covered) else 0
+        return 2 if (report.degenerate or not covered) else 0
     lo, hi = _parse_range(args.range)
     pattern = _slash_pattern(args.pattern or "3/4", args.n)
-    report = limit_probe_experiment(order, pattern, range(lo, hi + 1), BallSpec(args.n, args.ball_length))
-    rows = [
+    n_range = range(lo, hi + 1)
+    rows = limit_probe_experiment(order, pattern, n_range, BallSpec(args.n, args.ball_length))
+    records = [
         {
             "probe": str(r.probe),
             "base_sign": r.base_sign,
@@ -335,17 +339,17 @@ def cmd_probe(args) -> int:
             "stabilized": r.stabilized,
             "differs": r.differs,
         }
-        for r in report.rows
+        for r in rows
     ]
     window = {
         "kind": "limit_probe",
-        "name": report.spec_name,
-        "conjugator_pattern": report.conjugator_pattern,
-        "N_range": list(report.n_range),
-        "inconclusive_by_design": report.inconclusive_by_design,
+        "name": order.spec.name,
+        "conjugator_pattern": f"{-pattern[0]}^N {pattern[1]}",
+        "N_range": list(n_range),
+        "inconclusive_by_design": True,
     }
-    _emit(args, rows, [{**window, **_fields(r), "differs": r.differs} for r in report.rows])
-    inconclusive = report.window_too_short or not any(r.stabilized for r in report.rows)
+    _emit(args, records, [{**window, **_fields(r), "differs": r.differs} for r in rows])
+    inconclusive = hi == lo or not any(r.stabilized for r in rows)
     return 2 if inconclusive else 0
 
 

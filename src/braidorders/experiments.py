@@ -1,8 +1,12 @@
 """Space-of-orderings experiments: agreement metrics and convergence scans.
 
-Reports are plain named tuples with no output code (the CLI writes them as
-text, JSON lines or CSV); every scan is deterministic given its inputs, and
-undecided sign evaluations are counted and surfaced rather than coerced.
+An agreement scan returns one report; the convergence scans and the limit
+probe return a tuple of rows, one per member of the family or per probe.
+Reports and rows are plain named tuples holding only what the scan
+computed, with no output code (the CLI writes them as text, JSON lines or
+CSV, with the inputs it parsed); every scan is deterministic given its
+inputs, and undecided sign evaluations are counted and surfaced rather than
+coerced.
 """
 
 from __future__ import annotations
@@ -26,14 +30,9 @@ class AgreementReport(NamedTuple):
     """Largest ball radius on which two oracles' signs coincide."""
 
     radius: int
-    max_length: int
     witness: BraidWord | None
     witness_signs: tuple[int, int] | None
     undecided_count: int
-
-    @property
-    def full_agreement(self) -> bool:
-        return self.witness is None
 
 
 _UNDECIDED = object()  # a base sign that was taken and came out undecided
@@ -77,8 +76,8 @@ class _AgreementScan:
             if s2 is _UNDECIDED:
                 undecided += 1
             elif s1 != s2:
-                return AgreementReport(len(w) - 1, ball.max_length, w, (s1, s2), undecided)
-        return AgreementReport(ball.max_length, ball.max_length, None, None, undecided)
+                return AgreementReport(len(w) - 1, w, (s1, s2), undecided)
+        return AgreementReport(ball.max_length, None, None, undecided)
 
 
 def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> AgreementReport:
@@ -98,7 +97,7 @@ def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction
     distance is then at most 2^-max_length but may be positive.
     """
     report = agreement_radius(o1, o2, ball)
-    if report.full_agreement:
+    if report.witness is None:
         return Fraction(0)
     return Fraction(1, 2 ** report.radius)
 
@@ -122,31 +121,6 @@ class ExtensionRow(NamedTuple):
     undecided_count: int
 
 
-class ApproximationReport(NamedTuple):
-    """Rows of an approximation family (conjugates along j, or convex
-    extensions along M) compared with the base on one ball."""
-
-    spec_name: str
-    ball: BallSpec
-    rows: tuple[ConjugateRow, ...] | tuple[ExtensionRow, ...]
-
-    @property
-    def radii(self) -> tuple[int, ...]:
-        return tuple(r.radius for r in self.rows)
-
-    @property
-    def radii_nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.radii, self.radii[1:]))
-
-    @property
-    def reaches_bound(self) -> bool:
-        return any(r.radius >= self.ball.max_length for r in self.rows)
-
-    @property
-    def all_distinct(self) -> bool:
-        return all(r.witness is not None for r in self.rows)
-
-
 def _conjugator(n: int, pattern: tuple[int, BraidWord], j: int) -> BraidWord:
     """sigma_s^-j u for pattern = (s, u): the j-th conjugator of the family."""
     s, u = pattern
@@ -155,10 +129,10 @@ def _conjugator(n: int, pattern: tuple[int, BraidWord], j: int) -> BraidWord:
 
 def converge_conjugates_experiment(
     base: NTOrder, pattern: tuple[int, BraidWord], j_range: Sequence[int], ball: BallSpec
-) -> ApproximationReport:
+) -> tuple[ConjugateRow, ...]:
     """Agreement of the order with its conjugates by sigma_s^-j u along j.
 
-    Per j: the agreement radius on the ball, plus a distinctness witness
+    One row per j: the agreement radius on the ball, plus a distinctness witness
     (ball disagreement if one exists, else the canonical candidates
     sigma_s^-(j+c) u sigma_s^(j+c-1), c = 1..6, just past the ball); the base
     signs each ball word at most once for all j.
@@ -188,7 +162,7 @@ def converge_conjugates_experiment(
                     witness, signs = w, pair
                     break
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
-    return ApproximationReport(base.spec.name, ball, tuple(rows))
+    return tuple(rows)
 
 
 def _soul_witness(base: NTOrder, slope: ZkIntegerSlope) -> tuple[BraidWord, tuple[int, ...]] | None:
@@ -221,8 +195,9 @@ def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> list[tu
 
 def converge_extensions_experiment(
     base: NTOrder, m_range: Sequence[int], ball: BallSpec
-) -> ApproximationReport:
-    """Convex extensions by integer-slope soul orders approximating the base.
+) -> tuple[ExtensionRow, ...]:
+    """Convex extensions by integer-slope soul orders approximating the base,
+    one row per M.
 
     Soul weights (M^(k-1), ..., M, 1) follow the base's own lex priority, so
     growing M forces agreement on ever larger balls while staying distinct.
@@ -261,7 +236,7 @@ def converge_extensions_experiment(
                 witness, vector = found
                 signs = (zk_sign(slope, vector), base.sign(witness))
         rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector, 0))
-    return ApproximationReport(base.spec.name, ball, tuple(rows))
+    return tuple(rows)
 
 
 class ProbeRow(NamedTuple):
@@ -274,29 +249,6 @@ class ProbeRow(NamedTuple):
     @property
     def differs(self) -> bool:
         return self.stabilized and self.stable_sign != self.base_sign
-
-
-class LimitProbeReport(NamedTuple):
-    """Signs of probe braids under a sequence of conjugates.
-
-    Stabilization is a labeled heuristic (tail agreement with no late flip);
-    the report never claims anything about the true limit order beyond the
-    computed window, hence inconclusive_by_design.
-    """
-
-    spec_name: str
-    conjugator_pattern: str
-    n_range: tuple[int, ...]
-    rows: tuple[ProbeRow, ...]
-    inconclusive_by_design = True
-
-    @property
-    def differing_probes(self) -> tuple[ProbeRow, ...]:
-        return tuple(r for r in self.rows if r.differs)
-
-    @property
-    def window_too_short(self) -> bool:
-        return len(self.n_range) < 2
 
 
 def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
@@ -314,10 +266,14 @@ def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
 
 def limit_probe_experiment(
     base: NTOrder, pattern: tuple[int, BraidWord], n_range: Sequence[int], probe_ball: BallSpec
-) -> LimitProbeReport:
+) -> tuple[ProbeRow, ...]:
     """Conjugate by sigma_s^-N u for N in range, pattern = (s, u), and watch
-    which probe signs settle."""
-    s, u = pattern
+    which probe signs settle: one row per probe.
+
+    Stabilization is a labeled heuristic (tail agreement with no late flip);
+    the rows claim nothing about the true limit order beyond the computed
+    window, so the probe is inconclusive by design.
+    """
     _conjugator(base.n, pattern, 0)  # checks s and u, also for an empty range
     conjugates = [ConjugatedOrder(base, _conjugator(base.n, pattern, N)) for N in n_range]
     soul = base.spec.soul_generators
@@ -331,9 +287,7 @@ def limit_probe_experiment(
         signs = [conj.sign(probe) for conj in conjugates]
         stab, stable = _stabilized(signs)
         rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
-    return LimitProbeReport(
-        base.spec.name, f"{-s}^N {u}", tuple(n_range), tuple(rows)
-    )
+    return tuple(rows)
 
 
 def small_positive_search(

@@ -11,8 +11,9 @@ the one letter that bounded cancellation may still remove, so the scan pulls
 image letters as it needs them and a sign costs memory linear in the braid
 length, finite ray or stream alike.  Every question about the ordering (a
 sign, a divergence depth, a convex level) reads one transport and one
-divergence scan, _divergence; the scan of a finite ray is uncapped, that of a
-stream stops at the order's depth cap.
+divergence scan, divergence_depth, which returns the pair (depth, verdict);
+the scan of a finite ray is uncapped, that of a stream stops at the order's
+depth cap.
 
 Depth membership is not always a subgroup: nesting and convexity hold on the
 sampled balls (tests, convex_chain_report), but in b4_b level 1 sigma_3^-2
@@ -336,10 +337,11 @@ def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention
     return replace(spec, name=name, word=word)
 
 
-def _divergence(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
-    """(common prefix length, verdict) of the ray against its image under b,
-    from one transport and one scan: uncapped for a finite ray, to the depth
-    cap for a stream (verdict None when they agree that far)."""
+def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
+    """(depth, verdict): the longest common prefix of the ray and its image
+    under b, with the angle verdict LESS, EQUAL or GREATER, from one
+    transport and one scan.  The scan of a finite ray is uncapped; a stream
+    that agrees with its image up to the depth cap gives (cap, None)."""
     word = order.spec.word
     image = _image_letters(b, word, order.convention.artin_mirrored)
     cap = None if isinstance(word, FreeWord) else order.depth_cap
@@ -352,7 +354,7 @@ def nt_sign(order: NTOrder, b: BraidWord) -> int:
         raise MalformedInputError("strand counts differ")
     if not b.letters:
         return 0
-    _, verdict = _divergence(order, b)
+    _, verdict = divergence_depth(order, b)
     if verdict is None:
         raise UndecidedComparisonError(order.depth_cap)
     return -verdict
@@ -362,19 +364,6 @@ def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
     a > b; a < b iff a^-1 b is positive, by left invariance."""
     return -oracle.sign(multiply(invert(a), b))
-
-
-class DivergenceReport(NamedTuple):
-    depth: int
-    verdict: int | None
-
-
-def divergence_depth(order: NTOrder, b: BraidWord) -> DivergenceReport:
-    """Longest common prefix of the ray and its image, with the angle verdict
-    LESS, EQUAL or GREATER.  The scan of a finite ray is uncapped; a stream
-    that agrees with its image up to the depth cap gives (cap, None).
-    """
-    return DivergenceReport(*_divergence(order, b))
 
 
 def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
@@ -391,7 +380,7 @@ def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
 def letter_depths(order: NTOrder) -> dict[int, int]:
     """The divergence depth of each generator letter sigma_j^+-1, by letter."""
     return {
-        s: divergence_depth(order, BraidWord(order.n, (s,))).depth
+        s: divergence_depth(order, BraidWord(order.n, (s,)))[0]
         for j in range(1, order.n)
         for s in (j, -j)
     }
@@ -408,7 +397,7 @@ def _level_patterns(order: NTOrder) -> list[tuple[int, ...]]:
 
 
 class ChainLevel(NamedTuple):
-    index: int  # the level number; shadows tuple.index, kept as a public field name
+    level: int
     depth: int
     generator_pattern: tuple[int, ...]
     members_in_ball: int
@@ -437,13 +426,13 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
         raise MalformedInputError(f"{spec.name}: chain report needs at least one depth")
     if sample.n != spec.n:
         raise MalformedInputError("ball strand count differs from spec")
-    reports = [(w, divergence_depth(order, w)) for w in sample.words()]
-    undecided = sum(report.verdict is None for _, report in reports)
+    scans = [(w, *divergence_depth(order, w)) for w in sample.words()]
+    undecided = sum(verdict is None for _, _, verdict in scans)
 
     levels = []
     for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
-        members = [w for w, report in reports if report.depth >= d]
-        outside = [w for w, report in reports if report.depth < d]
+        members = [w for w, depth, _ in scans if depth >= d]
+        outside = [w for w, depth, _ in scans if depth < d]
         violations = 0
         checked = 0
         if members:
@@ -482,11 +471,10 @@ def soul_of(order: NTOrder) -> tuple[int, ...]:
 
 
 class ConradWitness(NamedTuple):
-    """Positive f, g with f g^k < g for every k up to the verified bound."""
+    """Positive f, g with f g^k < g for every k up to the search's k_max."""
 
     f: BraidWord
     g: BraidWord
-    k_verified: int
 
 
 def conrad_witness_search(
@@ -512,12 +500,12 @@ def conrad_witness_search(
 
     for f, g in priority_pairs:
         if is_witness(f, g):
-            return ConradWitness(f, g, k_max)
+            return ConradWitness(f, g)
     words = list(ball.words())
     for f in words:
         for g in words:
             if is_witness(f, g):
-                return ConradWitness(f, g, k_max)
+                return ConradWitness(f, g)
     raise SearchFailureError(
         f"no Conradian-failure witness in ball L={ball.max_length} with k_max={k_max}"
     )
@@ -527,15 +515,10 @@ class TotalityReport(NamedTuple):
     tie_words: tuple[BraidWord, ...]
     records: tuple[tuple[int, BraidWord], ...]
     max_depth: int
-    depth_target: int
 
     @property
     def degenerate(self) -> bool:
         return bool(self.tie_words)
-
-    @property
-    def covered(self) -> bool:
-        return self.max_depth >= self.depth_target
 
 
 def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> TotalityReport:
@@ -560,14 +543,14 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
         nonlocal best
         if not w.letters:
             return
-        report = divergence_depth(order, w)
-        if report.verdict is None:
+        depth, verdict = divergence_depth(order, w)
+        if verdict is None:
             if tie_eligible:
                 ties.append(w)
             return
-        if report.depth > best:
-            best = report.depth
-            records.append((report.depth, w))
+        if depth > best:
+            best = depth
+            records.append((depth, w))
 
     for w in ball.words():
         consider(w, tie_eligible=True)
@@ -580,7 +563,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
                 for e in (1, -1, 2, -2):
                     consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
 
-    return TotalityReport(tuple(ties), tuple(records), best, depth_target)
+    return TotalityReport(tuple(ties), tuple(records), best)
 
 
 # --- spec file round trip ---------------------------------------------------

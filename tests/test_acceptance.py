@@ -190,29 +190,28 @@ def test_criterion_8_not_isolated():
     ext = converge_extensions_experiment(
         NTOrder(specs["b6_cx"], frozen_convention(6)), range(2, 13), BallSpec(6, 3)
     )
-    assert ext.radii_nondecreasing
-    assert ext.all_distinct
+    assert all(a.radius <= b.radius for a, b in zip(ext, ext[1:]))
+    assert all(r.witness is not None for r in ext)
     conj3 = converge_conjugates_experiment(
         NTOrder(specs["dehornoy_3"], frozen_convention(3)), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
     )
-    assert conj3.reaches_bound and conj3.all_distinct
+    assert any(r.radius >= 6 for r in conj3) and all(r.witness is not None for r in conj3)
     conj4 = converge_conjugates_experiment(
         NTOrder(specs["dehornoy_4"], frozen_convention(4)), (3, BraidWord(4, (2,))), range(1, 8), BallSpec(4, 4)
     )
-    assert conj4.reaches_bound and conj4.all_distinct
+    assert any(r.radius >= 4 for r in conj4) and all(r.witness is not None for r in conj4)
     _report(8, 600, started, "extension radii nondecreasing with witnesses; conjugate radii reach ball bounds")
 
 
 def test_criterion_9_limit_probe():
     started = time.monotonic()
     specs = catalog()
-    report = limit_probe_experiment(
+    rows = limit_probe_experiment(
         NTOrder(specs["b6_cx"], frozen_convention(6)), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
     )
-    assert report.inconclusive_by_design
-    assert len(report.differing_probes) >= 1
-    _report(9, 600, started,
-            f"{len(report.differing_probes)} probes stabilize away from the base order (evidence only)")
+    differing = [r for r in rows if r.differs]
+    assert len(differing) >= 1
+    _report(9, 600, started, f"{len(differing)} probes stabilize away from the base order (evidence only)")
 
 
 def test_criterion_10_property_suites():

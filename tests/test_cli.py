@@ -205,6 +205,35 @@ def test_probe_totality_and_limit(capsys):
     assert code == 2
 
 
+def test_reports_of_a_spec_file_carry_the_inputs_the_cli_parsed(tmp_path, capsys):
+    # the spec name, conjugator pattern and window in the JSON come from the
+    # CLI's own inputs; a spec file outside the catalog names its own ray
+    _, dump, _ = run(capsys, "catalog", "--name", "dehornoy_3")
+    path = tmp_path / "renamed.spec"
+    path.write_text(dump.replace("name=dehornoy_3", "name=renamed_3"))
+    order = f"nt:{path}"
+    code, out, _ = run(
+        capsys, "approx", "conjugates", "--n", "3", "--order", order,
+        "--range", "1:3", "--ball-length", "2", "--format", "json",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["j"]) for r in rows] == [("renamed_3", 1), ("renamed_3", 2), ("renamed_3", 3)]
+    limit = ["probe", "--kind", "limit", "--n", "3", "--order", order, "--pattern", "1/2", "--ball-length", "1"]
+    code, out, _ = run(capsys, *limit, "--range", "1:4", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 4
+    for r in rows:
+        assert r["name"] == "renamed_3"
+        assert r["conjugator_pattern"] == "-1^N 2"
+        assert r["N_range"] == [1, 2, 3, 4]
+        assert r["inconclusive_by_design"] is True
+    code, out, _ = run(capsys, *limit, "--range", "2:2", "--format", "json")
+    assert code == 2
+    assert {json.loads(line)["N_range"] == [2] for line in out.splitlines()} == {True}
+
+
 def test_calibrate_command(capsys):
     code, out, _ = run(capsys, "calibrate", "--n", "3", "--ball-length", "3", "--format", "json")
     assert code == 0

@@ -35,9 +35,6 @@ CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benc
 
 EXEMPT = {
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
-    "ApproximationReport.radii_nondecreasing": "public check that agreement radii grow with N",
-    "ApproximationReport.reaches_bound": "public check that some agreement radius reaches the ball bound",
-    "ApproximationReport.all_distinct": "public check that every approximant has a distinctness witness",
 }
 
 

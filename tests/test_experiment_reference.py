@@ -10,8 +10,8 @@ and, in the limit probe, a one-letter u.  The library now signs each ball
 word under the base at most once per experiment, compares extensions with the
 base on the soul members only, builds the limit probe's conjugates once, and
 builds every conjugator of both families as sigma_s^-j u with one function.
-Reports must match field for field, and a base that raises mid-scan must
-raise the same exception.
+Reports and rows must match field for field, and a base that raises
+mid-scan must raise the same exception.
 """
 
 import dataclasses
@@ -44,10 +44,8 @@ from braidorders import (
 )
 from braidorders.experiments import (
     AgreementReport,
-    ApproximationReport,
     ConjugateRow,
     ExtensionRow,
-    LimitProbeReport,
     ProbeRow,
     _conjugator,
     _soul_witness,
@@ -77,7 +75,7 @@ def ref_agreement_radius(o1, o2, ball):
             witness_signs = pair
             radius = len(w) - 1
             break
-    return AgreementReport(radius, ball.max_length, witness, witness_signs, undecided)
+    return AgreementReport(radius, witness, witness_signs, undecided)
 
 
 def ref_find_disagreement(o1, o2, candidates):
@@ -118,7 +116,7 @@ def ref_conjugates(base, pattern, j_range, ball):
                 witness, s1, s2 = found
                 signs = (s1, s2)
         rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
-    return ApproximationReport(base.spec.name, ball, tuple(rows))
+    return tuple(rows)
 
 
 def ref_extensions(base, m_range, ball):
@@ -148,7 +146,7 @@ def ref_extensions(base, m_range, ball):
         rows.append(
             ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector, rep.undecided_count)
         )
-    return ApproximationReport(base.spec.name, ball, tuple(rows))
+    return tuple(rows)
 
 
 def ref_limit_probe(base, pattern, n_range, probe_ball):
@@ -174,11 +172,11 @@ def ref_limit_probe(base, pattern, n_range, probe_ball):
             signs.append(ConjugatedOrder(base, ref_limit_conjugator(base.n, s, u, N)).sign(probe))
         stab, stable = _stabilized(signs)
         rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
-    return LimitProbeReport(base.spec.name, f"{-s}^N {u}", tuple(n_range), tuple(rows))
+    return tuple(rows)
 
 
 def outcome(fn, *args, **kwargs):
-    """The report, or the type and message of the exception raised."""
+    """The result, or the type and message of the exception raised."""
     try:
         return fn(*args, **kwargs)
     except Exception as exc:  # compared, not handled
@@ -205,10 +203,10 @@ def assert_same_conjugates(base, pattern, j_range, ball):
 def test_conjugates_match_reference_finite(name, pattern, j_range, length):
     base = catalog_order(name)
     s, u = pattern
-    report = assert_same_conjugates(base, (s, BraidWord(base.n, u)), j_range, BallSpec(base.n, length))
+    rows = assert_same_conjugates(base, (s, BraidWord(base.n, u)), j_range, BallSpec(base.n, length))
     # both the in-ball witness and the just-past-the-ball fallback are exercised
-    assert any(r.radius < length for r in report.rows)
-    assert any(r.radius == length and r.witness is not None for r in report.rows)
+    assert any(r.radius < length for r in rows)
+    assert any(r.radius == length and r.witness is not None for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -220,8 +218,8 @@ def test_conjugates_match_reference_undecided(name, length, conjugators, depth_c
     base = dataclasses.replace(catalog_order(name), depth_cap=depth_cap)
     n = base.n
     ball = BallSpec(n, length)
-    report = assert_same_conjugates(base, (2, BraidWord(n, (2,))), range(1, 4), ball)
-    assert any(r.undecided_count for r in report.rows)
+    rows = assert_same_conjugates(base, (2, BraidWord(n, (2,))), range(1, 4), ball)
+    assert any(r.undecided_count for r in rows)
     # a list of conjugators runs as one agreement scan per conjugator
     orders = [ConjugatedOrder(base, BraidWord(n, h)) for h in conjugators]
     listed = [agreement_radius(conj, base, ball) for conj in orders]
@@ -301,7 +299,7 @@ def test_extensions_match_reference(name, m_range, length, in_ball):
     ball = BallSpec(base.n, length)
     new = outcome(converge_extensions_experiment, base, m_range, ball)
     assert new == outcome(ref_extensions, base, m_range, ball)
-    assert sum(r.radius < length for r in new.rows) == in_ball
+    assert sum(r.radius < length for r in new) == in_ball
 
 
 def test_extensions_reject_like_reference():
@@ -311,8 +309,8 @@ def test_extensions_reject_like_reference():
             ref_extensions, base, m_range, ball
         )
     # the checks come before the loop: a wrong ball raises with no M to scan,
-    # where the reference returns an empty report
-    assert outcome(ref_extensions, base, [], BallSpec(3, 2)).rows == ()
+    # where the reference returns no rows
+    assert outcome(ref_extensions, base, [], BallSpec(3, 2)) == ()
     assert outcome(converge_extensions_experiment, base, [], BallSpec(3, 2)) == (
         MalformedInputError,
         "strand counts differ",
@@ -356,5 +354,5 @@ def test_conjugator_matches_the_hand_built_letters(n, s, u):
 @pytest.mark.parametrize("name, s, u", [("dehornoy_3", 2, (2, 1)), ("dehornoy_3", 1, (2, -1)), ("b4_b", 3, (1, 3))])
 def test_conjugates_match_reference_with_a_longer_u(name, s, u):
     base = catalog_order(name)
-    report = assert_same_conjugates(base, (s, BraidWord(base.n, u)), range(0, 7), BallSpec(base.n, 3))
-    assert [r.j for r in report.rows] == list(range(7))
+    rows = assert_same_conjugates(base, (s, BraidWord(base.n, u)), range(0, 7), BallSpec(base.n, 3))
+    assert [r.j for r in rows] == list(range(7))

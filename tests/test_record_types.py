@@ -26,7 +26,7 @@ KEPT_DATACLASSES = {"GermConvention", "DehornoyOrder"}
 RECORD_FIELDS = {
     "braidorders.catalog.CalibrationResult": ("convention", "word", "matches"),
     "braidorders.experiments.AgreementReport": (
-        "radius", "max_length", "witness", "witness_signs", "undecided_count",
+        "radius", "witness", "witness_signs", "undecided_count",
     ),
     "braidorders.experiments.ConjugateRow": (
         "j", "conjugator", "radius", "witness", "witness_signs", "undecided_count",
@@ -35,18 +35,15 @@ RECORD_FIELDS = {
         "M", "weights", "radius", "witness", "witness_signs", "soul_witness_vector",
         "undecided_count",
     ),
-    "braidorders.experiments.ApproximationReport": ("spec_name", "ball", "rows"),
     "braidorders.experiments.ProbeRow": (
         "probe", "base_sign", "signs", "stabilized", "stable_sign",
     ),
-    "braidorders.experiments.LimitProbeReport": ("spec_name", "conjugator_pattern", "n_range", "rows"),
-    "braidorders.nt.DivergenceReport": ("depth", "verdict"),
     "braidorders.nt.ChainLevel": (
-        "index", "depth", "generator_pattern", "members_in_ball", "checked", "violations",
+        "level", "depth", "generator_pattern", "members_in_ball", "checked", "violations",
     ),
     "braidorders.nt.ChainReport": ("levels", "undecided_skipped"),
-    "braidorders.nt.ConradWitness": ("f", "g", "k_verified"),
-    "braidorders.nt.TotalityReport": ("tie_words", "records", "max_depth", "depth_target"),
+    "braidorders.nt.ConradWitness": ("f", "g"),
+    "braidorders.nt.TotalityReport": ("tie_words", "records", "max_depth"),
 }
 
 MODULES = [

@@ -286,14 +286,14 @@ def totality_probe_as_it_was(order, ball, depth_target):
         nonlocal best
         if not w.letters:
             return
-        report = divergence_depth(order, w)
-        if report.verdict is None:
+        depth, verdict = divergence_depth(order, w)
+        if verdict is None:
             if tie_eligible:
                 ties.append(w)
             return
-        if report.depth > best:
-            best = report.depth
-            records.append((report.depth, w))
+        if depth > best:
+            best = depth
+            records.append((depth, w))
 
     for w in ball.words():
         consider(w, tie_eligible=True)
@@ -304,7 +304,7 @@ def totality_probe_as_it_was(order, ball, depth_target):
             for i in range(1, order.n):
                 for e in (1, -1, 2, -2):
                     consider(multiply(multiply(g, sigma(order.n, i, e)), invert(g)), tie_eligible=False)
-    return TotalityReport(tuple(ties), tuple(records), best, depth_target)
+    return TotalityReport(tuple(ties), tuple(records), best)
 
 
 @pytest.mark.parametrize("name, n, length", [("sturmian_3", 3, 2), ("sturmian_4", 4, 2), ("mixed_4", 4, 2)])
@@ -324,10 +324,10 @@ def convex_chain_report_as_it_was(order, sample):
     words = list(sample.words())
     depths = {}
     for w in words:
-        report = divergence_depth(order, w)
-        if report.verdict is None:
+        depth, verdict = divergence_depth(order, w)
+        if verdict is None:
             undecided += 1
-        depths[w] = report.depth
+        depths[w] = depth
     levels = []
     for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
         members = [w for w in words if depths[w] >= d]

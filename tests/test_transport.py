@@ -130,7 +130,7 @@ def test_lazy_transport_matches_whole_maps_on_balls(name, max_length):
             depth, verdict = divergence(spec.word, whole, conv, None)
         else:
             # a stream's scan reads its image to the divergence depth only
-            read = min(report.depth + 1, order.depth_cap)
+            read = min(report[0] + 1, order.depth_cap)
             whole = certified_image(b, letters, mirrored, read)[:read]
             assert ray_prefix(act_on_geodesic(b, spec, conv).word, read) == whole, b
             depth, verdict = divergence(FreeWord(n, letters[:read]), FreeWord(n, whole), conv, None)
