@@ -46,4 +46,4 @@ ball = BallSpec(3, 4)
 counts = {-1: 0, 0: 0, 1: 0}
 for w in ball.words():
     counts[dehornoy_sign(w)] += 1
-print(f"ball L=4 in B_3: {ball.count()} words ->", {SIGN[s]: c for s, c in counts.items()})
+print(f"ball L=4 in B_3: {sum(counts.values())} words ->", {SIGN[s]: c for s, c in counts.items()})

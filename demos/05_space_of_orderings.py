@@ -66,5 +66,5 @@ for row in [r for r in probe_rows if r.differs][:4]:
 rep = totality_probe(catalog_order("sturmian_3"), BallSpec(3, 5), 20)
 print(
     f"sturmian_3 totality: ties {len(rep.tie_words)}, deepest small element [{rep.records[-1][1]}]"
-    f" at depth {rep.max_depth}"
+    f" at depth {rep.records[-1][0]}"
 )

@@ -12,7 +12,6 @@ from .braids import (
     BallSpec,
     BraidWord,
     conjugate,
-    enumerate_ball,
     invert,
     linking_number,
     multiply,
@@ -76,7 +75,6 @@ from .nt import (
     divergence_depth,
     format_geodesic_spec,
     in_convex_subgroup,
-    nt_sign,
     order_cmp,
     parse_geodesic_spec,
     soul_of,

@@ -133,41 +133,24 @@ class BallSpec:
         check_integer(self.n, "strand count", 2)
         check_integer(self.max_length, "max_length", 0)
 
-    def alphabet(self) -> list[int]:
-        letters = []
-        for i in range(1, self.n):
-            letters.extend((i, -i))
-        return letters
-
     def words(self) -> Iterator[BraidWord]:
-        """Fresh cursor over the ball in length-then-lexicographic order."""
-        return enumerate_ball(self)
-
-    def count(self) -> int:
-        g = 2 * (self.n - 1)
-        total = 1
-        for ell in range(1, self.max_length + 1):
-            total += g * (g - 1) ** (ell - 1)
-        return total
-
-
-def enumerate_ball(spec: BallSpec) -> Iterator[BraidWord]:
-    """Yield every freely reduced word of length <= max_length exactly once,
-    in length-then-lexicographic order (letters ranked 1 < -1 < 2 < -2 < ...)."""
-    yield _trusted_word(spec.n, ())
-    alphabet = spec.alphabet()
-    frontier: list[Letters] = [()]
-    for _ in range(spec.max_length):
-        new_frontier: list[Letters] = []
-        for prefix in frontier:
-            last = prefix[-1] if prefix else 0
-            for k in alphabet:
-                if k == -last:
-                    continue
-                new_frontier.append(prefix + (k,))
-        for letters in new_frontier:
-            yield _trusted_word(spec.n, letters)
-        frontier = new_frontier
+        """A fresh cursor yielding every freely reduced word of length <=
+        max_length exactly once, in length-then-lexicographic order (letters
+        ranked 1 < -1 < 2 < -2 < ...)."""
+        yield _trusted_word(self.n, ())
+        alphabet = [k for i in range(1, self.n) for k in (i, -i)]
+        frontier: list[Letters] = [()]
+        for _ in range(self.max_length):
+            new_frontier: list[Letters] = []
+            for prefix in frontier:
+                last = prefix[-1] if prefix else 0
+                for k in alphabet:
+                    if k == -last:
+                        continue
+                    new_frontier.append(prefix + (k,))
+            for letters in new_frontier:
+                yield _trusted_word(self.n, letters)
+            frontier = new_frontier
 
 
 def parse_braid(text: str, n: int) -> BraidWord:

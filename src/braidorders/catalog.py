@@ -32,7 +32,7 @@ from .freewords import (
     QuadraticIrrational,
     Sturmian,
 )
-from .nt import GeodesicSpec, NTOrder, letter_depths, nt_sign
+from .nt import GeodesicSpec, NTOrder, letter_depths
 from .planar import DEFAULT_DEPTH_CAP, GermConvention
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
@@ -50,8 +50,9 @@ def dehornoy_word(n: int) -> FreeWord:
     return FreeWord(n, tuple(-i for i in range(1, n)))
 
 
-def _dehornoy_spec(n: int, name: str | None = None) -> GeodesicSpec:
-    return GeodesicSpec(name or f"dehornoy_{n}", n, dehornoy_word(n), tuple(range(1, n)), (n - 1,))
+def _dehornoy_spec(name: str, word: FreeWord) -> GeodesicSpec:
+    """One separating depth per letter of the word, soul {n - 1}."""
+    return GeodesicSpec(name, word, tuple(range(1, word.n)), (word.n - 1,))
 
 
 def _blocks_stream(n: int, head: FreeLetters, block_a: FreeLetters, block_b: FreeLetters, label: str) -> Custom:
@@ -79,7 +80,7 @@ def _sturmian_spec(n: int) -> GeodesicSpec:
         word = _blocks_stream(
             n, (), tuple(range(1, n + 1)), tuple(range(n, 0, -1)), f"sturmian_{n}_blocks"
         )
-    return GeodesicSpec(f"sturmian_{n}", n, word)
+    return GeodesicSpec(f"sturmian_{n}", word)
 
 
 def _mixed_4_spec() -> GeodesicSpec:
@@ -89,17 +90,17 @@ def _mixed_4_spec() -> GeodesicSpec:
     # block keeps x_2 x_3 products from aligning, which would hand sigma_2 a
     # stabilizer.
     word = _blocks_stream(4, (-1,), (2, 3, 4), (3, 2, 4), "mixed_4_tail")
-    return GeodesicSpec("mixed_4", 4, word, (1,))
+    return GeodesicSpec("mixed_4", word, (1,))
 
 
 def catalog() -> dict[str, GeodesicSpec]:
     """All built-in specs by name."""
-    entries = [_dehornoy_spec(n) for n in (3, 4, 5, 6)]
-    entries.append(_dehornoy_spec(4, "b4_a"))
-    entries.append(GeodesicSpec("b4_b", 4, FreeWord(4, (3, 4, -1, -3)), (2, 3, 4), (1, 3)))
-    entries.append(GeodesicSpec("b4_c", 4, FreeWord(4, (-2, -1, -3, -1)), (2, 3, 4), (1, 3)))
+    entries = [_dehornoy_spec(f"dehornoy_{n}", dehornoy_word(n)) for n in (3, 4, 5, 6)]
+    entries.append(_dehornoy_spec("b4_a", dehornoy_word(4)))
+    entries.append(GeodesicSpec("b4_b", FreeWord(4, (3, 4, -1, -3)), (2, 3, 4), (1, 3)))
+    entries.append(GeodesicSpec("b4_c", FreeWord(4, (-2, -1, -3, -1)), (2, 3, 4), (1, 3)))
     entries.append(
-        GeodesicSpec("b6_cx", 6, FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5)), (4, 6, 7, 8, 9), (1, 3, 5))
+        GeodesicSpec("b6_cx", FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5)), (4, 6, 7, 8, 9), (1, 3, 5))
     )
     entries.append(_mixed_4_spec())
     entries.extend(_sturmian_spec(n) for n in (3, 4, 5, 6))
@@ -141,11 +142,11 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     matches: list[tuple[FreeWord, GermConvention]] = []
     for signs in itertools.product((-1, 1), repeat=n - 1):
         word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))
-        spec = GeodesicSpec("calibration", n, word, tuple(range(1, n)), (n - 1,))
+        spec = _dehornoy_spec("calibration", word)
         for rev, mir, flip in itertools.product((False, True), repeat=3):
             conv = GermConvention(n, rev, mir, flip)
             order = NTOrder(spec, conv)
-            if all(nt_sign(order, w) == t for w, t in zip(ball, targets)):
+            if all(order.sign(w) == t for w, t in zip(ball, targets)):
                 matches.append((word, conv))
     if not matches:
         raise CalibrationError(
@@ -153,12 +154,8 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
         )
     # all matches reproduced the same target signs, hence agree pairwise on
     # the ball; anything else would mean the comparison above was unstable
-    canonical_word = dehornoy_word(n)
-    canonical_conv = frozen_convention(n)
-    for word, conv in matches:
-        if word == canonical_word and conv == canonical_conv:
-            return CalibrationResult(conv, word, tuple(matches))
-    word, conv = matches[0]
+    canonical = (dehornoy_word(n), frozen_convention(n))
+    word, conv = canonical if canonical in matches else matches[0]
     return CalibrationResult(conv, word, tuple(matches))
 
 
@@ -185,7 +182,7 @@ def search_chain_words(
         for tup in itertools.product(alphabet, repeat=L):
             if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
                 continue
-            deaths = letter_depths(order_for_spec(GeodesicSpec("search", n, FreeWord(n, tup))))
+            deaths = letter_depths(order_for_spec(GeodesicSpec("search", FreeWord(n, tup))))
             if any(deaths[j] != deaths[-j] for j in range(1, n)):
                 continue
             seq = [deaths[j] for j in death_order]

@@ -105,9 +105,9 @@ def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlo
         message = f"soul order must look like {SOUL_ORDER_FORMS[form]}, got {token!r} ({exc})"
         raise MalformedInputError(message) from None
     if form == "qslope":
-        return ZkQuadraticSlope(k, d, tuple(pairs))
+        return ZkQuadraticSlope(d, tuple(pairs))
     if form == "slope":
-        return ZkIntegerSlope(k, tuple(values), ZkLex.standard(k))
+        return ZkIntegerSlope(tuple(values), ZkLex.standard(k))
     axes: list[int] = []
     signs: list[int] = []  # rank-ordered, paired with axes
     for v in values:
@@ -116,7 +116,7 @@ def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlo
             raise MalformedInputError(f"lex axis {gen} is not a soul generator of {soul}")
         axes.append(soul.index(gen))
         signs.append(1 if v > 0 else -1)
-    return ZkLex(k, tuple(axes), tuple(signs))
+    return ZkLex(tuple(axes), tuple(signs))
 
 
 def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
@@ -261,14 +261,14 @@ def cmd_chain(args) -> int:
     records = [
         {
             "command": "chain",
-            "level": lv.level,
-            "depth": lv.depth,
+            "level": level,
+            "depth": depth,
             "pattern": list(lv.generator_pattern),
             "members_in_ball": lv.members_in_ball,
             "checked": lv.checked,
             "violations": lv.violations,
         }
-        for lv in report.levels
+        for level, (depth, lv) in enumerate(zip(order.spec.separating_depths, report.levels), 1)
     ]
     _emit(args, records)
     return 2 if report.undecided_skipped else 0
@@ -311,7 +311,8 @@ def cmd_probe(args) -> int:
     order = _nt_order(args)
     if args.kind == "totality":
         report = totality_probe(order, BallSpec(args.n, args.ball_length), args.depth_target)
-        covered = report.max_depth >= args.depth_target
+        max_depth = report.records[-1][0] if report.records else -1
+        covered = max_depth >= args.depth_target
         _emit(
             args,
             [
@@ -320,26 +321,26 @@ def cmd_probe(args) -> int:
                     "kind": "totality",
                     "spec": order.spec.name,
                     "ties": [str(w) for w in report.tie_words],
-                    "max_depth": report.max_depth,
+                    "max_depth": max_depth,
                     "depth_target": args.depth_target,
                     "covered": covered,
                 }
             ],
         )
-        return 2 if (report.degenerate or not covered) else 0
+        return 2 if (report.tie_words or not covered) else 0
     lo, hi = _parse_range(args.range)
     pattern = _slash_pattern(args.pattern or "3/4", args.n)
     n_range = range(lo, hi + 1)
     rows = limit_probe_experiment(order, pattern, n_range, BallSpec(args.n, args.ball_length))
+    settled = [{"stabilized": r.stable_sign is not None, "differs": r.differs} for r in rows]
     records = [
         {
             "probe": str(r.probe),
             "base_sign": r.base_sign,
             "signs": "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in r.signs),
-            "stabilized": r.stabilized,
-            "differs": r.differs,
+            **flags,
         }
-        for r in rows
+        for r, flags in zip(rows, settled)
     ]
     window = {
         "kind": "limit_probe",
@@ -348,8 +349,8 @@ def cmd_probe(args) -> int:
         "N_range": list(n_range),
         "inconclusive_by_design": True,
     }
-    _emit(args, records, [{**window, **_fields(r), "differs": r.differs} for r in rows])
-    inconclusive = hi == lo or not any(r.stabilized for r in rows)
+    _emit(args, records, [{**window, **_fields(r), **flags} for r, flags in zip(rows, settled)])
+    inconclusive = hi == lo or not any(flags["stabilized"] for flags in settled)
     return 2 if inconclusive else 0
 
 

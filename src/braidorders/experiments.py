@@ -223,7 +223,7 @@ def converge_extensions_experiment(
         weights = [0] * k
         for rank, pos in enumerate(lex.axes):
             weights[pos] = M ** (k - 1 - rank)
-        slope = ZkIntegerSlope(k, tuple(weights), lex)
+        slope = ZkIntegerSlope(tuple(weights), lex)
         radius, witness, signs, vector = ball.max_length, None, None, None
         for w, v, base_sign in members:
             ext_sign = zk_sign(slope, v)
@@ -243,25 +243,22 @@ class ProbeRow(NamedTuple):
     probe: BraidWord
     base_sign: int
     signs: tuple[int, ...]
-    stabilized: bool
     stable_sign: int | None
 
     @property
     def differs(self) -> bool:
-        return self.stabilized and self.stable_sign != self.base_sign
+        return self.stable_sign is not None and self.stable_sign != self.base_sign
 
 
-def _stabilized(signs: Sequence[int]) -> tuple[bool, int | None]:
-    """Last two values agree and no flip occurs after the midpoint."""
-    if len(signs) < 2:
-        return False, None
-    if signs[-1] != signs[-2]:
-        return False, None
-    mid = len(signs) // 2
-    tail = signs[mid:]
+def _stable_sign(signs: Sequence[int]) -> int | None:
+    """The last value, when the last two agree and no flip occurs after the
+    midpoint; else None."""
+    if len(signs) < 2 or signs[-1] != signs[-2]:
+        return None
+    tail = signs[len(signs) // 2:]
     if any(a != b for a, b in zip(tail, tail[1:])):
-        return False, None
-    return True, signs[-1]
+        return None
+    return signs[-1]
 
 
 def limit_probe_experiment(
@@ -270,8 +267,9 @@ def limit_probe_experiment(
     """Conjugate by sigma_s^-N u for N in range, pattern = (s, u), and watch
     which probe signs settle: one row per probe.
 
-    Stabilization is a labeled heuristic (tail agreement with no late flip);
-    the rows claim nothing about the true limit order beyond the computed
+    Stabilization is a labeled heuristic (tail agreement with no late flip;
+    a row's stable_sign is None when its signs did not settle); the rows
+    claim nothing about the true limit order beyond the computed
     window, so the probe is inconclusive by design.
     """
     _conjugator(base.n, pattern, 0)  # checks s and u, also for an empty range
@@ -285,8 +283,7 @@ def limit_probe_experiment(
     for probe in probes:
         base_sign = base.sign(probe)
         signs = [conj.sign(probe) for conj in conjugates]
-        stab, stable = _stabilized(signs)
-        rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
+        rows.append(ProbeRow(probe, base_sign, tuple(signs), _stable_sign(signs)))
     return tuple(rows)
 
 

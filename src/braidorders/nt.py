@@ -55,19 +55,18 @@ from .planar import (
 @dataclass(frozen=True)
 class GeodesicSpec:
     """A named ray plus separating depths and soul generators.  The soul is
-    kept ascending, the order of its Z^k axes; the type follows from the ray
-    and the depths."""
+    kept ascending, the order of its Z^k axes; the strand count is the ray's
+    rank, and the type follows from the ray and the depths."""
 
     name: str
-    n: int
     word: Ray
     separating_depths: tuple[int, ...] = ()
     soul_generators: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not (hasattr(self.word, "n") and hasattr(self.word, "__iter__")):  # a ray, perhaps duck-typed
+            raise MalformedInputError(f"spec word must be a free word or a stream, got {self.word!r}")
         check_integer(self.n, "strand count", 2)
-        if self.word.n != self.n:
-            raise MalformedInputError(f"ray rank {self.word.n} differs from strand count {self.n}")
         for d in self.separating_depths:
             check_integer(d, "separating depth", 1)
         for i in self.soul_generators:
@@ -83,6 +82,10 @@ class GeodesicSpec:
                 raise MalformedInputError(f"soul generators {i}, {j} are adjacent")
         if soul and soul[-1] > self.n - 1:
             raise MalformedInputError(f"soul generator {soul[-1]} out of range")
+
+    @property
+    def n(self) -> int:
+        return self.word.n
 
     @property
     def m(self) -> int:
@@ -120,6 +123,10 @@ class NTOrder:
     depth_cap: int = DEFAULT_DEPTH_CAP
 
     def __post_init__(self):
+        if not isinstance(self.spec, GeodesicSpec):
+            raise MalformedInputError(f"order spec must be a GeodesicSpec, got {self.spec!r}")
+        if not isinstance(self.convention, GermConvention):
+            raise MalformedInputError(f"order convention must be a GermConvention, got {self.convention!r}")
         if self.convention.n != self.spec.n:
             raise MalformedInputError("convention rank must match the spec strand count")
         check_integer(self.depth_cap, "depth cap", 1)
@@ -129,7 +136,15 @@ class NTOrder:
         return self.spec.n
 
     def sign(self, b: BraidWord) -> int:
-        return nt_sign(self, b)
+        """-1 / 0 / +1: positive iff the braid moves the ray to a larger angle."""
+        if b.n != self.convention.n:  # the spec's strand count, read without a property call
+            raise MalformedInputError("strand counts differ")
+        if not b.letters:
+            return 0
+        _, verdict = divergence_depth(self, b)
+        if verdict is None:
+            raise UndecidedComparisonError(self.depth_cap)
+        return -verdict
 
 
 # --- the braid action on the free group of puncture loops ------------------
@@ -348,18 +363,6 @@ def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     return divergence(word, image, order.convention, cap)
 
 
-def nt_sign(order: NTOrder, b: BraidWord) -> int:
-    """-1 / 0 / +1: positive iff the braid moves the ray to a larger angle."""
-    if b.n != order.n:
-        raise MalformedInputError("strand counts differ")
-    if not b.letters:
-        return 0
-    _, verdict = divergence_depth(order, b)
-    if verdict is None:
-        raise UndecidedComparisonError(order.depth_cap)
-    return -verdict
-
-
 def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
     a > b; a < b iff a^-1 b is positive, by left invariance."""
@@ -397,8 +400,6 @@ def _level_patterns(order: NTOrder) -> list[tuple[int, ...]]:
 
 
 class ChainLevel(NamedTuple):
-    level: int
-    depth: int
     generator_pattern: tuple[int, ...]
     members_in_ball: int
     checked: int
@@ -409,13 +410,10 @@ class ChainReport(NamedTuple):
     levels: tuple[ChainLevel, ...]
     undecided_skipped: int
 
-    @property
-    def total_violations(self) -> int:
-        return sum(lv.violations for lv in self.levels)
-
 
 def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
-    """Membership patterns per level plus an exhaustive ball convexity check.
+    """Membership patterns per level, one level per separating depth in
+    order, plus an exhaustive ball convexity check.
 
     For each level, every ball word outside the level must not lie strictly
     between the level's order-minimum and order-maximum within the ball;
@@ -430,7 +428,7 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     undecided = sum(verdict is None for _, _, verdict in scans)
 
     levels = []
-    for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
+    for d, pattern in zip(spec.separating_depths, _level_patterns(order)):
         members = [w for w, depth, _ in scans if depth >= d]
         outside = [w for w, depth, _ in scans if depth < d]
         violations = 0
@@ -449,7 +447,7 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
                         violations += 1
                 except UndecidedComparisonError:
                     undecided += 1
-        levels.append(ChainLevel(i, d, pattern, len(members), checked, violations))
+        levels.append(ChainLevel(pattern, len(members), checked, violations))
     return ChainReport(tuple(levels), undecided)
 
 
@@ -514,11 +512,6 @@ def conrad_witness_search(
 class TotalityReport(NamedTuple):
     tie_words: tuple[BraidWord, ...]
     records: tuple[tuple[int, BraidWord], ...]
-    max_depth: int
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.tie_words)
 
 
 def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> TotalityReport:
@@ -528,7 +521,8 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
     (words that do not are reported as ties / degeneracy);
     (b) small elements: a deterministic candidate family (the ball words,
     then the generators sigma_i^+-1 and sigma_i^+-2 conjugated by ball words)
-    is scanned for braids of ever larger divergence depth, up to depth_target.
+    is scanned for braids of ever larger divergence depth, up to depth_target;
+    each new deepest (depth, word) is a record, the deepest last.
     """
     spec = order.spec
     if isinstance(spec.word, FreeWord):
@@ -563,7 +557,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
                 for e in (1, -1, 2, -2):
                     consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
 
-    return TotalityReport(tuple(ties), tuple(records), best)
+    return TotalityReport(tuple(ties), tuple(records))
 
 
 # --- spec file round trip ---------------------------------------------------
@@ -618,7 +612,7 @@ def parse_geodesic_spec(text: str) -> GeodesicSpec:
         raise MalformedInputError(f"unknown type {type_tag!r}")
     word_text = fields.get("word", "")
     word = parse_free_word(word_text, n) if type_tag == "finite" else parse_infinite_word(word_text, n)
-    spec = GeodesicSpec(name, n, word, _spec_integers(fields, "depths"), _spec_integers(fields, "soul"))
+    spec = GeodesicSpec(name, word, _spec_integers(fields, "depths"), _spec_integers(fields, "soul"))
     if spec.type_tag != type_tag:
         message = f"spec field type={type_tag} does not match its word and depths ({spec.type_tag})"
         raise MalformedInputError(message)

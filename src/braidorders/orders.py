@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError, check_integer
-from .nt import NTOrder, letter_depths, nt_sign
+from .nt import NTOrder, letter_depths
 
 
 class OrderOracle(Protocol):
@@ -45,6 +45,8 @@ class ConjugatedOrder:
     h: BraidWord
 
     def __post_init__(self):
+        if not isinstance(self.h, BraidWord):
+            raise MalformedInputError(f"conjugator must be a BraidWord, got {self.h!r}")
         if self.h.n != self.base.n:
             raise MalformedInputError("conjugator strand count differs from base")
 
@@ -62,14 +64,12 @@ class ConjugatedOrder:
 @dataclass(frozen=True)
 class ZkLex:
     """Lexicographic: sign of the first nonzero signed coordinate, in the
-    given axis priority order (axes are vector positions)."""
+    given axis priority order (axes are vector positions, k of them)."""
 
-    k: int
     axes: tuple[int, ...]
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        check_integer(self.k, "Z^k rank")
         for axis in self.axes:
             check_integer(axis, "lex axis")
         for s in self.signs:
@@ -79,39 +79,43 @@ class ZkLex:
         if len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs):
             raise MalformedInputError("signs must be +-1 per axis")
 
+    @property
+    def k(self) -> int:
+        return len(self.axes)
+
     @staticmethod
     def standard(k: int) -> "ZkLex":
-        return ZkLex(k, tuple(range(k)), (1,) * k)
+        return ZkLex(tuple(range(k)), (1,) * k)
 
 
 @dataclass(frozen=True)
 class ZkIntegerSlope:
     """sign of sum(w_i v_i) with a lexicographic tie break on zero."""
 
-    k: int
     weights: tuple[int, ...]
     tie_break: ZkLex
 
     def __post_init__(self):
-        check_integer(self.k, "Z^k rank")
         for w in self.weights:
             check_integer(w, "slope weight")
         if not isinstance(self.tie_break, ZkLex):
             raise MalformedInputError(f"slope tie break must be a ZkLex, got {self.tie_break!r}")
-        if len(self.weights) != self.k or self.tie_break.k != self.k:
+        if self.tie_break.k != self.k:
             raise MalformedInputError("weight/tie-break dimension mismatch")
+
+    @property
+    def k(self) -> int:
+        return len(self.weights)
 
 
 @dataclass(frozen=True)
 class ZkQuadraticSlope:
     """sign of sum((a_i + b_i sqrt(d)) v_i), exactly, in integer arithmetic."""
 
-    k: int
     d: int
     weights: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        check_integer(self.k, "Z^k rank")
         check_integer(self.d, "qslope d")
         for w in self.weights:
             if not isinstance(w, tuple) or len(w) != 2:
@@ -120,8 +124,6 @@ class ZkQuadraticSlope:
                 check_integer(c, "qslope weight")
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise MalformedInputError("d must be a positive non-square")
-        if len(self.weights) != self.k:
-            raise MalformedInputError("weight dimension mismatch")
         # Q(sqrt d) has dimension 2 over Q: the order is total only when no
         # nonzero vector has weight sum 0
         if self.k == 1:
@@ -135,6 +137,10 @@ class ZkQuadraticSlope:
             raise MalformedInputError(
                 "qslope needs k = 1 with a nonzero weight or k = 2 with independent weights"
             )
+
+    @property
+    def k(self) -> int:
+        return len(self.weights)
 
 
 ZkOrderSpec = ZkLex | ZkIntegerSlope | ZkQuadraticSlope
@@ -209,6 +215,10 @@ class ConvexExtensionOrder:
     soul_order: ZkOrderSpec
 
     def __post_init__(self):
+        if not isinstance(self.base, NTOrder):
+            raise MalformedInputError(f"convex extension base must be an NTOrder, got {self.base!r}")
+        if not isinstance(self.soul_order, ZkOrderSpec):
+            raise MalformedInputError(f"soul order must be a Z^k order, got {self.soul_order!r}")
         spec = self.base.spec
         if not spec.soul_generators:
             raise MalformedInputError("convex extension needs a base with nonempty soul")
@@ -227,7 +237,7 @@ class ConvexExtensionOrder:
         v = zk_membership(b, self.base.spec.soul_generators)
         if v is not None:
             return zk_sign(self.soul_order, v)
-        return nt_sign(self.base, b)
+        return self.base.sign(b)
 
 
 def soul_lex_of_base(base: NTOrder) -> ZkLex:
@@ -240,4 +250,4 @@ def soul_lex_of_base(base: NTOrder) -> ZkLex:
     soul = base.spec.soul_generators
     depths = letter_depths(base)
     order = sorted(range(len(soul)), key=lambda pos: depths[soul[pos]])
-    return ZkLex(len(soul), tuple(order), (1,) * len(soul))
+    return ZkLex(tuple(order), (1,) * len(soul))

@@ -8,8 +8,9 @@ recorded before the approximation experiments shared their base signs, the
 per-subcommand cases before the reports lost their own emitters, and the
 README's sign, cmp, conrad, chain and calibrate cases before the depth cap
 stopped cutting finite rays, and the cancelling-u and N = 0 cases before
-both conjugate families came to be built by one function, so they pin the
-output through those changes.
+both conjugate families came to be built by one function, and the
+stream-conjugates case before the reports stopped storing what they
+restate, so they pin the output through those changes.
 Each ``<case>.<format>.txt`` holds the stdout of ``braidorders
 <argv> --format <format>``, with the argv split as a shell would split it;
 ``exit_codes.json`` holds the exit code of each.
@@ -63,6 +64,9 @@ CASES = {
     "conjugates_cancelling_u": 'approx conjugates --n 3 --order nt:dehornoy_3 --range 0:3 --ball-length 4 --pattern "2/2 1"',
     # N = 0 conjugates by u alone
     "limit_from_zero": "probe --kind limit --n 6 --order nt:b6_cx --range 0:3 --ball-length 1 --pattern 3/4",
+    # a stream order and its conjugates: in-ball witnesses for j = 1, 2,
+    # witnesses past the ball from j = 3 on
+    "stream_conjugates": "approx conjugates --n 3 --order nt:sturmian_3 --range 1:6 --ball-length 4 --pattern 1/2",
 }
 
 

@@ -23,6 +23,11 @@ other.  A default that no call overrides is a knob only tests turn; one that
 every call overrides is a default only tests use.  ``KNOBS`` lists the
 exceptions with a reason.  Calls are matched by identifier too, and a call
 with ``*args`` or ``**kwargs`` counts as passing every parameter.
+
+A second name is found by its shape as well: a top-level function or public
+method of a top-level class whose whole body, docstring aside, is
+``return f(<its own parameters, positionally, in order>)`` renames f and
+fails here.
 """
 
 import ast
@@ -113,25 +118,35 @@ KNOBS = {
 }
 
 
+def functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """(qualified name, node) of each top-level function and of each public
+    method of a top-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found.append((f"{node.name}.{item.name}", item))
+    return found
+
+
 def defaulted(source: str) -> dict[str, tuple[str, str, int | None]]:
     """Qualified parameter name -> (callee identifier, parameter, place
     among the positional arguments of a call, or None if keyword-only) of
     each defaulted parameter of a top-level function or public method, and
     of each defaulted field of a top-level class."""
-    functions = []
+    tree = ast.parse(source)
     found = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef):
-            functions.append((node.name, node, False))
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for place, item in enumerate(fields(node)):
                 if item.value is not None:
                     found[f"{node.name}.{item.target.id}"] = (node.name, item.target.id, place)
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
-                    functions.append((f"{node.name}.{item.name}", item, not static))
-    for qualified, node, bound in functions:
+    for qualified, node in functions(tree):
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        bound = "." in qualified and not static
         args = node.args
         positional = (args.posonlyargs + args.args)[int(bound):]
         for place, arg in enumerate(positional[len(positional) - len(args.defaults):], len(positional) - len(args.defaults)):
@@ -205,3 +220,47 @@ def test_every_default_is_turned_and_relied_on():
     assert [name for name in flagged if name not in KNOBS] == []
     # a listed knob that some call now turns, or that is gone, is stale
     assert [name for name in KNOBS if name not in flagged] == []
+
+
+def second_names(source: str) -> list[str]:
+    """Top-level functions and public methods of top-level classes whose
+    body, docstring aside, returns a call of another function on their own
+    parameters, positionally and in order."""
+    found = []
+    for qualified, node in functions(ast.parse(source)):
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        args = node.args
+        if args.vararg or args.kwarg or args.kwonlyargs or len(body) != 1:
+            continue
+        returned = body[0].value if isinstance(body[0], ast.Return) else None
+        params = [arg.arg for arg in args.posonlyargs + args.args]
+        if isinstance(returned, ast.Call) and not returned.keywords:
+            if [getattr(arg, "id", None) for arg in returned.args] == params:
+                found.append(qualified)
+    return sorted(found)
+
+
+def test_checker_finds_second_names():
+    source = (
+        "def alias(a, b):\n"
+        "    \"Same as f.\"\n"
+        "    return f(a, b)\n"
+        "def swapped(a, b): return f(b, a)\n"
+        "def keyword(a): return f(x=a)\n"
+        "def more(a): return f(a, 1)\n"
+        "def rest(a, *b): return f(a)\n"
+        "def two(a):\n"
+        "    check(a)\n"
+        "    return f(a)\n"
+        "class Box:\n"
+        "    def open(self, wide): return open_box(self, wide)\n"
+        "    def _shut(self): return shut_box(self)\n"
+        "    def size(self): return len(self.items)\n"
+    )
+    assert second_names(source) == ["Box.open", "alias"]
+
+
+def test_no_second_names():
+    assert [name for path in MODULES for name in second_names(path.read_text())] == []

@@ -1,7 +1,9 @@
 """Every demo script runs to completion against the source tree and prints
-exactly the recorded output in ``demo_outputs/``, byte for byte."""
+exactly the recorded output in ``demo_outputs/``, byte for byte; README's
+python blocks run as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,10 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=300)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (OUTPUTS / f"{demo.stem}.txt").read_bytes()
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -49,7 +49,7 @@ from braidorders.experiments import (
     ProbeRow,
     _conjugator,
     _soul_witness,
-    _stabilized,
+    _stable_sign,
 )
 from braidorders.freewords import Custom
 from braidorders.nt import GeodesicSpec
@@ -132,7 +132,7 @@ def ref_extensions(base, m_range, ball):
         weights = [0] * k
         for rank, pos in enumerate(lex.axes):
             weights[pos] = M ** (k - 1 - rank)
-        slope = ZkIntegerSlope(k, tuple(weights), lex)
+        slope = ZkIntegerSlope(tuple(weights), lex)
         extension = ConvexExtensionOrder(base, slope)
         rep = ref_agreement_radius(extension, base, ball)
         witness, signs, vector = rep.witness, rep.witness_signs, None
@@ -170,8 +170,7 @@ def ref_limit_probe(base, pattern, n_range, probe_ball):
         signs = []
         for N in n_range:
             signs.append(ConjugatedOrder(base, ref_limit_conjugator(base.n, s, u, N)).sign(probe))
-        stab, stable = _stabilized(signs)
-        rows.append(ProbeRow(probe, base_sign, tuple(signs), stab, stable))
+        rows.append(ProbeRow(probe, base_sign, tuple(signs), _stable_sign(signs)))
     return tuple(rows)
 
 
@@ -248,7 +247,7 @@ def test_base_that_raises_mid_scan():
     # and the trivial commutator [sigma_1, sigma_3] reads past the end
     letters = tuple(itertools.islice(catalog_order("mixed_4").spec.word, 64))
     spec = GeodesicSpec(
-        "short", 4, Custom(4, lambda: iter(letters), label="short"), (1,)
+        "short", Custom(4, lambda: iter(letters), label="short"), (1,)
     )
     base = NTOrder(spec, frozen_convention(4))
     ball = BallSpec(4, 4)

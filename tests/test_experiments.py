@@ -93,6 +93,24 @@ def test_conjugates_experiment_infinite_type(specs, conv3):
     assert all(r.undecided_count == 0 for r in reports)
 
 
+@pytest.mark.parametrize(
+    "name, length, radii",
+    [("sturmian_3", 4, [2, 3, 4, 4, 4, 4]), ("sturmian_4", 3, [2, 3, 3, 3, 3, 3]), ("sturmian_6", 3, [2, 3, 3, 3, 3, 3])],
+)
+def test_stream_orders_are_limits_of_their_conjugates(name, length, radii):
+    # the paper: an ordering of infinite type is approximated by its own
+    # conjugates.  By sigma_1^-j sigma_2 the radius rises by one per j to
+    # the ball's bound, and a witness keeps every conjugate distinct
+    base = catalog_order(name)
+    ball = BallSpec(base.n, length)
+    rows = converge_conjugates_experiment(base, (1, BraidWord(base.n, (2,))), range(1, 7), ball)
+    assert [r.radius for r in rows] == radii
+    for r in rows:
+        assert r.undecided_count == 0
+        signs = (ConjugatedOrder(base, r.conjugator).sign(r.witness), base.sign(r.witness))
+        assert r.witness_signs == signs and signs[0] != signs[1], r.j
+
+
 def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv3):
     def no_scan(*args):
         raise AssertionError("the ball was read before u was checked")
@@ -210,7 +228,7 @@ def test_limit_probe_b6(specs):
     # soul-central probes are untouched by the conjugators
     for row in rows:
         if row.probe.letters in ((1,), (-1,)):
-            assert row.stabilized and row.stable_sign == row.base_sign
+            assert row.stable_sign == row.base_sign
     assert all(len(row.signs) == 12 for row in rows)
 
 
@@ -219,7 +237,7 @@ def test_limit_probe_short_window_inconclusive(specs):
         catalog_order("b6_cx"), (3, BraidWord(6, (4,))), range(1, 2), BallSpec(6, 1)
     )
     assert all(len(row.signs) == 1 for row in rows)
-    assert all(not row.stabilized for row in rows)
+    assert all(row.stable_sign is None for row in rows)
 
 
 def test_small_positive_search_examples(specs):

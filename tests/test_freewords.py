@@ -21,7 +21,6 @@ from braidorders import (
     catalog,
     invert,
     multiply,
-    nt_sign,
     parse_free_word,
     parse_infinite_word,
 )
@@ -272,7 +271,7 @@ def test_stream_prefix_image_coherence(rng):
     ]
     for stream in streams:
         n = stream.n
-        spec = GeodesicSpec("stream", n, stream)
+        spec = GeodesicSpec("stream", stream)
         long_input = FreeWord(n, ray_prefix(stream, 600))
         for _ in range(30):
             b = random_word(rng, n, rng.randrange(0, 6))
@@ -295,7 +294,7 @@ def test_stream_prefix_image_coherence(rng):
                 assert len(certified) >= 80
     # the identity braid on (x1 x2)^omega
     plain = GermConvention(3, False, False, False)
-    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", 3, streams[0]), plain).word
+    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", streams[0]), plain).word
     assert ray_prefix(image, 6) == (1, 2, 1, 2, 1, 2)
     assert ray_prefix(image, 0) == ()
 
@@ -314,7 +313,7 @@ def test_custom_supplier_checked():
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
             divergence(far, near, conv, 64)
         with pytest.raises(MalformedInputError, match="out of range for F_3"):
-            nt_sign(NTOrder(GeodesicSpec("far", 3, far), conv), BraidWord(3, (1,)))
+            NTOrder(GeodesicSpec("far", far), conv).sign(BraidWord(3, (1,)))
 
 
 def test_custom_rejects_bool_letters():
@@ -331,9 +330,9 @@ def test_growth_failure_on_degenerate_stream():
     # (x1 x1^-1)^omega is not reduced: every image of it collapses, so it
     # must be refused as it is read, not signed or left to hang
     stream = Custom(3, lambda: itertools.cycle((1, -1)), label="collapsing")
-    order = NTOrder(GeodesicSpec("collapsing", 3, stream), GermConvention(3, False, False, False))
+    order = NTOrder(GeodesicSpec("collapsing", stream), GermConvention(3, False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
-        nt_sign(order, BraidWord(3, (1,)))
+        order.sign(BraidWord(3, (1,)))
 
 
 def test_growth_budget_on_slow_reduced_stream():
@@ -342,10 +341,10 @@ def test_growth_budget_on_slow_reduced_stream():
     # but each image letter needs about 2.6^12 stream letters
     b = BraidWord(3, (1, -2) * 12)
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    base = GeodesicSpec("periodic", 3, periodic)
+    base = GeodesicSpec("periodic", periodic)
     pulled = act_on_geodesic(invert(b), base, GermConvention(3, False, False, False))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
-        nt_sign(NTOrder(pulled, GermConvention(3, False, False, False)), b)
+        NTOrder(pulled, GermConvention(3, False, False, False)).sign(b)
     # the stream's prefix holds its longest read: one letter that passed an
     # image letter on, then the 90113 that did not
     assert len(pulled.word._prefix.letters) == 90114
@@ -358,6 +357,6 @@ def test_non_reduced_stream_rejected():
     stream = Custom(
         3, lambda: itertools.chain((1,) * 8, (-1,) * 8, itertools.cycle((1, 2))), label="unreduced"
     )
-    order = NTOrder(GeodesicSpec("unreduced", 3, stream), GermConvention(3, False, False, False))
+    order = NTOrder(GeodesicSpec("unreduced", stream), GermConvention(3, False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
-        nt_sign(order, BraidWord(3, (2,)))
+        order.sign(BraidWord(3, (2,)))

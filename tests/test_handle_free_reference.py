@@ -18,7 +18,7 @@ import pytest
 from braidorders import BallSpec, BraidWord, BudgetExceededError, handle_reduce
 from braidorders.dehornoy import DEFAULT_BUDGET, ZERO, _find_handle, _reduce_handle
 
-from words import random_word
+from words import ball_size, random_word
 
 
 # --- reference: the BraidWord-wrapping result --------------------------------
@@ -75,7 +75,7 @@ def test_same_result_on_whole_balls(n, radius):
     for w in BallSpec(n, radius).words():
         assert_same(w)
         words += 1
-    assert words == BallSpec(n, radius).count()
+    assert words == ball_size(n, radius)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

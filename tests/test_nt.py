@@ -21,7 +21,6 @@ from braidorders import (
     in_convex_subgroup,
     invert,
     multiply,
-    nt_sign,
     order_cmp,
     parse_geodesic_spec,
     soul_of,
@@ -51,23 +50,23 @@ def test_catalog_contents_and_validation(specs):
 
 def test_spec_invariant_enforcement():
     with pytest.raises(MalformedInputError):
-        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1, 1))
+        GeodesicSpec("bad", FreeWord(4, (1,)), (1, 1))
     with pytest.raises(MalformedInputError):
-        GeodesicSpec("bad", 4, FreeWord(4, (1,)), (1,), (1, 2))
-    spec = GeodesicSpec("bad", 4, FreeWord(4, (-1, -2)), (1, 2), (3,))
+        GeodesicSpec("bad", FreeWord(4, (1,)), (1,), (1, 2))
+    spec = GeodesicSpec("bad", FreeWord(4, (-1, -2)), (1, 2), (3,))
     with pytest.raises(MalformedInputError):
         spec.validate()  # finite type needs n-1 depths
 
 
 def test_type_follows_the_ray_and_the_depths(specs):
     stream = specs["sturmian_3"].word
-    assert GeodesicSpec("f", 3, FreeWord(3, (-1, -2)), (1, 2), (2,)).type_tag == "finite"
-    assert GeodesicSpec("f", 3, FreeWord(3, (-1, -2))).type_tag == "finite"
-    assert GeodesicSpec("i", 3, stream, (1,)).type_tag == "infinite"
-    assert GeodesicSpec("full", 3, stream).type_tag == "full_infinite"
+    assert GeodesicSpec("f", FreeWord(3, (-1, -2)), (1, 2), (2,)).type_tag == "finite"
+    assert GeodesicSpec("f", FreeWord(3, (-1, -2))).type_tag == "finite"
+    assert GeodesicSpec("i", stream, (1,)).type_tag == "infinite"
+    assert GeodesicSpec("full", stream).type_tag == "full_infinite"
     # a stream with a soul is infinite type, however it is built, and fails
     # catalog validation
-    with_soul = GeodesicSpec("s", 3, stream, (1,), (1,))
+    with_soul = GeodesicSpec("s", stream, (1,), (1,))
     assert with_soul.type_tag == "infinite"
     with pytest.raises(MalformedInputError, match="infinite type has a trivial soul"):
         with_soul.validate()
@@ -77,23 +76,28 @@ def test_spec_fields_hold_no_type():
     # the type is read off the ray and the depths, so it cannot be stored
     # apart from them
     names = [field.name for field in dataclasses.fields(GeodesicSpec)]
-    assert names == ["name", "n", "word", "separating_depths", "soul_generators"]
+    assert names == ["name", "word", "separating_depths", "soul_generators"]
 
 
 def test_soul_is_kept_in_axis_order():
     word = FreeWord(6, (3, 4, 5, 6, 5, 6, -1, -3, -5))
     for soul in ([5, 1, 3], (3, 5, 1, 3), {1, 3, 5}, frozenset({5, 3, 1})):
-        spec = GeodesicSpec("b6", 6, word, (4, 6, 7, 8, 9), soul)
+        spec = GeodesicSpec("b6", word, (4, 6, 7, 8, 9), soul)
         assert spec.soul_generators == (1, 3, 5)
     with pytest.raises(MalformedInputError, match="soul generators 2, 3 are adjacent"):
-        GeodesicSpec("b6", 6, word, (4, 6, 7, 8, 9), (3, 5, 2))
+        GeodesicSpec("b6", word, (4, 6, 7, 8, 9), (3, 5, 2))
 
 
 def test_spec_checks_its_integers_and_ray_rank():
-    for n in (3.0, 2.5, True, "3"):
+    # the strand count is the ray's rank, so it cannot disagree with the ray
+    assert GeodesicSpec("x", FreeWord(4, (1, 4, 2)), (1, 2, 3), {2}).n == 4
+    with pytest.raises(MalformedInputError, match="strand count must be >= 2, got 1"):
+        GeodesicSpec("x", FreeWord(1, (1,)))
+    # a ray that is no word used to raise AttributeError
+    for word in ((1, 2), None, BraidWord(3, (1,))):
         with pytest.raises(MalformedInputError) as info:
-            GeodesicSpec("x", n, FreeWord(3, (1,)))
-        assert str(info.value) == f"strand count must be an integer, got {n!r}"
+            GeodesicSpec("x", word)
+        assert str(info.value) == f"spec word must be a free word or a stream, got {word!r}"
     for depths, soul, message in (
         ((1.0, 2), (2,), "separating depth must be an integer, got 1.0"),
         ((0, 2), (2,), "separating depth must be >= 1, got 0"),
@@ -102,12 +106,8 @@ def test_spec_checks_its_integers_and_ray_rank():
         ((1, 2), (3,), "soul generator 3 out of range"),
     ):
         with pytest.raises(MalformedInputError) as info:
-            GeodesicSpec("x", 3, FreeWord(3, (-1, -2)), depths, soul)
+            GeodesicSpec("x", FreeWord(3, (-1, -2)), depths, soul)
         assert str(info.value) == message
-    # a rank-4 ray under a B_3 spec used to build, and its signs then raised
-    # IndexError or KeyError
-    with pytest.raises(MalformedInputError, match="ray rank 4 differs from strand count 3"):
-        GeodesicSpec("x", 3, FreeWord(4, (1, 4, 2)), (1, 2, 3), {2})
 
 
 def test_depth_cap_is_a_positive_integer(specs):
@@ -321,7 +321,7 @@ def test_chain_nesting_monotone(specs, conv4):
 def test_chain_report_patterns(specs, conv4):
     report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv4), BallSpec(4, 4))
     assert [lv.generator_pattern for lv in report.levels] == [(2, 3), (3,), ()]
-    assert report.total_violations == 0
+    assert [lv.violations for lv in report.levels] == [0, 0, 0]
     with pytest.raises(MalformedInputError):
         convex_chain_report(NTOrder(specs["sturmian_3"], frozen_convention(3)), BallSpec(3, 2))
 
@@ -358,7 +358,7 @@ def test_soul_validation_on_catalog(specs):
 
 def test_soul_validation_mismatch_raises(specs, conv3):
     broken = GeodesicSpec(
-        "broken", 3, specs["dehornoy_3"].word, (1, 2), (1,)
+        "broken", specs["dehornoy_3"].word, (1, 2), (1,)
     )
     with pytest.raises(SoulValidationError):
         soul_of(NTOrder(broken, conv3))
@@ -438,8 +438,8 @@ def test_subword_property_all_catalog_orders(rng, name, cases):
 
 def test_totality_probe_sturmian(specs, conv3):
     report = totality_probe(NTOrder(specs["sturmian_3"], conv3), BallSpec(3, 5), 20)
-    assert not report.degenerate
-    assert report.max_depth >= 20
+    assert not report.tie_words
+    assert report.records[-1][0] >= 20
     depths = [d for d, _ in report.records]
     assert depths == sorted(depths)
 
@@ -451,18 +451,14 @@ def test_block_streams_have_no_small_stabilizers(specs, name, ball_l):
     spec = specs[name]
     conv = frozen_convention(spec.n)
     report = totality_probe(NTOrder(spec, conv), BallSpec(spec.n, ball_l), 4)
-    assert not report.degenerate, report.tie_words
+    assert not report.tie_words
 
 
 def test_totality_probe_periodic_control(conv3):
     from braidorders import EventuallyPeriodic
 
-    control = GeodesicSpec(
-        "control", 3,
-        EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))),
-    )
+    control = GeodesicSpec("control", EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))))
     report = totality_probe(NTOrder(control, conv3), BallSpec(3, 3), 5)
-    assert report.degenerate
     assert BraidWord(3, (1,)) in report.tie_words
 
 

@@ -6,8 +6,8 @@ result with mixed signs on its main index, a settled divergence on two equal
 germs, a braid word with a ``bool`` letter, one with a non-integer strand
 count, a Sturmian word whose slope is outside (0, 1), streams and Z^k
 orders with a non-integer field, a slope whose tie break is no ZkLex, a
-non-integer floor_times argument and a non-integer depth cap; all must still
-raise.
+non-integer floor_times argument, a non-integer depth cap, and combinators
+and specs built from parts of the wrong type; all must still raise.
 """
 
 import os
@@ -21,6 +21,7 @@ SCRIPT = """
 import sys
 from braidorders import BraidWord, MalformedInputError, QuadraticIrrational, Sturmian, frozen_convention
 from braidorders import NTOrder, ZkIntegerSlope, ZkLex, ZkQuadraticSlope, catalog
+from braidorders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder, GeodesicSpec, catalog_order
 from braidorders.dehornoy import HandleFreeWord
 from braidorders.planar import _verdict
 
@@ -50,9 +51,9 @@ for build in (
     lambda: QuadraticIrrational(7, 3.0, 11),
     lambda: QuadraticIrrational(7.0, 3, 11),
     lambda: Sturmian(3, QuadraticIrrational(7, 3, 11), True, 2),
-    lambda: ZkIntegerSlope(2, (0.5, 1.5), ZkLex.standard(2)),
-    lambda: ZkLex(1, (0,), (1.0,)),
-    lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)),
+    lambda: ZkIntegerSlope((0.5, 1.5), ZkLex.standard(2)),
+    lambda: ZkLex((0,), (1.0,)),
+    lambda: ZkQuadraticSlope(2.0, ((1, 0),)),
     lambda: QuadraticIrrational(7, 3, 11).floor_times(2.5),
     lambda: NTOrder(catalog()["sturmian_3"], frozen_convention(3), 2.5),
 ):
@@ -61,9 +62,21 @@ for build in (
     except MalformedInputError as exc:
         print("integer:", exc)
 try:
-    ZkIntegerSlope(1, (1,), None)
+    ZkIntegerSlope((1,), None)
 except MalformedInputError as exc:
     print("tie break:", exc)
+for build in (
+    lambda: ConvexExtensionOrder(catalog_order("b4_b"), None),
+    lambda: ConvexExtensionOrder(DehornoyOrder(4), ZkLex.standard(2)),
+    lambda: ConjugatedOrder(catalog_order("b4_b"), (1,)),
+    lambda: NTOrder(catalog()["b4_b"], None),
+    lambda: NTOrder(None, frozen_convention(4)),
+    lambda: GeodesicSpec("x", (1, 2)),
+):
+    try:
+        build()
+    except MalformedInputError as exc:
+        print("typed:", exc)
 """
 
 
@@ -89,4 +102,10 @@ def test_checks_raise_under_python_O():
         "integer: k must be an integer, got 2.5",
         "integer: depth cap must be an integer, got 2.5",
         "tie break: slope tie break must be a ZkLex, got None",
+        "typed: soul order must be a Z^k order, got None",
+        "typed: convex extension base must be an NTOrder, got DehornoyOrder(n=4)",
+        "typed: conjugator must be a BraidWord, got (1,)",
+        "typed: order convention must be a GermConvention, got None",
+        "typed: order spec must be a GeodesicSpec, got None",
+        "typed: spec word must be a free word or a stream, got (1, 2)",
     ]

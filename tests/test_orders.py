@@ -187,7 +187,7 @@ def test_zk_lex_examples():
     assert zk_sign(lex, (0, 0)) == 0
     assert zk_sign(lex, (0, -3)) == -1
     assert zk_sign(lex, (2, -5)) == 1
-    reversed_first = ZkLex(2, (0, 1), (-1, 1))
+    reversed_first = ZkLex((0, 1), (-1, 1))
     assert zk_sign(reversed_first, (1, 0)) == -1
 
 
@@ -196,16 +196,15 @@ def test_zk_fields_are_integers():
     # sign came back as the sign), or raise TypeError
     lex = ZkLex.standard(2)
     for build, message in (
-        (lambda: ZkIntegerSlope(2, (0.5, 1.5), lex), "slope weight must be an integer, got 0.5"),
-        (lambda: ZkIntegerSlope(2.0, (1, 1), lex), "Z^k rank must be an integer, got 2.0"),
+        (lambda: ZkIntegerSlope((0.5, 1.5), lex), "slope weight must be an integer, got 0.5"),
         # a tie break that is no ZkLex used to raise AttributeError
-        (lambda: ZkIntegerSlope(1, (1,), None), "slope tie break must be a ZkLex, got None"),
-        (lambda: ZkIntegerSlope(1, (1,), (0,)), "slope tie break must be a ZkLex, got (0,)"),
-        (lambda: ZkLex(1, (0,), (1.0,)), "lex sign must be an integer, got 1.0"),
-        (lambda: ZkLex(1, (0.0,), (1,)), "lex axis must be an integer, got 0.0"),
-        (lambda: ZkQuadraticSlope(1, 2.0, ((1, 0),)), "qslope d must be an integer, got 2.0"),
-        (lambda: ZkQuadraticSlope(1, 2, ((1, 0.5),)), "qslope weight must be an integer, got 0.5"),
-        (lambda: ZkQuadraticSlope(1, 2, ((1, 0, 3),)), "qslope weight must be a pair (a, b), got (1, 0, 3)"),
+        (lambda: ZkIntegerSlope((1,), None), "slope tie break must be a ZkLex, got None"),
+        (lambda: ZkIntegerSlope((1,), (0,)), "slope tie break must be a ZkLex, got (0,)"),
+        (lambda: ZkLex((0,), (1.0,)), "lex sign must be an integer, got 1.0"),
+        (lambda: ZkLex((0.0,), (1,)), "lex axis must be an integer, got 0.0"),
+        (lambda: ZkQuadraticSlope(2.0, ((1, 0),)), "qslope d must be an integer, got 2.0"),
+        (lambda: ZkQuadraticSlope(2, ((1, 0.5),)), "qslope weight must be an integer, got 0.5"),
+        (lambda: ZkQuadraticSlope(2, ((1, 0, 3),)), "qslope weight must be a pair (a, b), got (1, 0, 3)"),
     ):
         with pytest.raises(MalformedInputError) as info:
             build()
@@ -213,7 +212,7 @@ def test_zk_fields_are_integers():
 
 
 def test_zk_integer_slope_with_tie_break():
-    slope = ZkIntegerSlope(2, (2, 1), ZkLex.standard(2))
+    slope = ZkIntegerSlope((2, 1), ZkLex.standard(2))
     assert zk_sign(slope, (1, -2)) == 0 + zk_sign(ZkLex.standard(2), (1, -2))
     assert zk_sign(slope, (1, -1)) == 1
     assert zk_sign(slope, (-1, 1)) == -1
@@ -222,13 +221,13 @@ def test_zk_integer_slope_with_tie_break():
 
 
 def test_zk_quadratic_slope_exact():
-    spec = ZkQuadraticSlope(2, 2, ((1, 0), (0, 1)))  # weights 1, sqrt(2)
+    spec = ZkQuadraticSlope(2, ((1, 0), (0, 1)))  # weights 1, sqrt(2)
     assert zk_sign(spec, (-3, 2)) == -1  # 2 sqrt2 < 3
     assert zk_sign(spec, (-4, 3)) == 1  # 3 sqrt2 > 4
     assert zk_sign(spec, (0, 0)) == 0
     # no nonzero vector maps to zero for d = 2, 3
     for d in (2, 3):
-        s = ZkQuadraticSlope(2, d, ((1, 0), (0, 1)))
+        s = ZkQuadraticSlope(d, ((1, 0), (0, 1)))
         for a in range(-50, 51):
             for b in range(-50, 51):
                 if (a, b) != (0, 0):
@@ -238,22 +237,22 @@ def test_zk_quadratic_slope_exact():
 def test_zk_quadratic_slope_must_be_total():
     # Q(sqrt d) has dimension 2 over Q: a weight sum vanishes on a nonzero
     # vector for every rank-3 form, and for rank 2 with dependent weights
-    assert zk_sign(ZkQuadraticSlope(1, 2, ((0, -1),)), (3,)) == -1
-    for k, weights in (
-        (3, ((1, 0), (0, 1), (1, 1))),
-        (2, ((1, 2), (2, 4))),
-        (2, ((0, 0), (0, 1))),
-        (1, ((0, 0),)),
-        (0, ()),
+    assert zk_sign(ZkQuadraticSlope(2, ((0, -1),)), (3,)) == -1
+    for weights in (
+        ((1, 0), (0, 1), (1, 1)),
+        ((1, 2), (2, 4)),
+        ((0, 0), (0, 1)),
+        ((0, 0),),
+        (),
     ):
         with pytest.raises(MalformedInputError, match="qslope needs k = 1 with a nonzero weight"):
-            ZkQuadraticSlope(k, 2, weights)
+            ZkQuadraticSlope(2, weights)
 
 
 def test_convex_extension_needs_a_finite_ray():
     # a stream base with a nonempty soul is infinite type, whatever it names
     base = catalog_order("b4_b")
-    stream = GeodesicSpec("s", 4, catalog_order("sturmian_4").spec.word, (2, 3, 4), (1, 3))
+    stream = GeodesicSpec("s", catalog_order("sturmian_4").spec.word, (2, 3, 4), (1, 3))
     lex = ZkLex.standard(2)
     ConvexExtensionOrder(base, lex)
     with pytest.raises(MalformedInputError, match="convex extension needs a finite-type base"):
@@ -290,7 +289,7 @@ def test_zk_membership_conjugates(rng):
 
 def test_convex_extension_reversed_axis():
     base = catalog_order("dehornoy_3")
-    reversed_soul = ZkLex(1, (0,), (-1,))
+    reversed_soul = ZkLex((0,), (-1,))
     ext = ConvexExtensionOrder(base, reversed_soul)
     assert ext.sign(BraidWord(3, (2, 2, 2, 2, 2))) == -1
     # outside the soul the base decides

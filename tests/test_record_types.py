@@ -36,14 +36,14 @@ RECORD_FIELDS = {
         "undecided_count",
     ),
     "braidorders.experiments.ProbeRow": (
-        "probe", "base_sign", "signs", "stabilized", "stable_sign",
+        "probe", "base_sign", "signs", "stable_sign",
     ),
     "braidorders.nt.ChainLevel": (
-        "level", "depth", "generator_pattern", "members_in_ball", "checked", "violations",
+        "generator_pattern", "members_in_ball", "checked", "violations",
     ),
     "braidorders.nt.ChainReport": ("levels", "undecided_skipped"),
     "braidorders.nt.ConradWitness": ("f", "g"),
-    "braidorders.nt.TotalityReport": ("tie_words", "records", "max_depth"),
+    "braidorders.nt.TotalityReport": ("tie_words", "records"),
 }
 
 MODULES = [

@@ -233,7 +233,7 @@ def pairs(specs):
             other = EventuallyPeriodic(FreeWord(n, letters[:k]), FreeWord(n, (turn,)))
             out.append((f"periodic/{name}", (other, stream), (other, twin)))
         conv = frozen_convention(n)
-        spec = GeodesicSpec(name, n, stream)
+        spec = GeodesicSpec(name, stream)
         for _ in range(8):
             b = random_word(rng, n, rng.randrange(1, 5))
             image = act_on_geodesic(b, spec, conv).word

@@ -304,7 +304,7 @@ def totality_probe_as_it_was(order, ball, depth_target):
             for i in range(1, order.n):
                 for e in (1, -1, 2, -2):
                     consider(multiply(multiply(g, sigma(order.n, i, e)), invert(g)), tie_eligible=False)
-    return TotalityReport(tuple(ties), tuple(records), best)
+    return TotalityReport(tuple(ties), tuple(records))
 
 
 @pytest.mark.parametrize("name, n, length", [("sturmian_3", 3, 2), ("sturmian_4", 4, 2), ("mixed_4", 4, 2)])
@@ -329,7 +329,7 @@ def convex_chain_report_as_it_was(order, sample):
             undecided += 1
         depths[w] = depth
     levels = []
-    for i, (d, pattern) in enumerate(zip(spec.separating_depths, _level_patterns(order)), 1):
+    for d, pattern in zip(spec.separating_depths, _level_patterns(order)):
         members = [w for w in words if depths[w] >= d]
         outside = [w for w in words if depths[w] < d]
         violations = 0
@@ -348,7 +348,7 @@ def convex_chain_report_as_it_was(order, sample):
                         violations += 1
                 except UndecidedComparisonError:
                     undecided += 1
-        levels.append(ChainLevel(i, d, pattern, len(members), checked, violations))
+        levels.append(ChainLevel(pattern, len(members), checked, violations))
     return ChainReport(tuple(levels), undecided)
 
 

@@ -25,7 +25,6 @@ from braidorders import (
     act_on_geodesic,
     catalog,
     frozen_convention,
-    nt_sign,
     parse_infinite_word,
 )
 from braidorders.nt import _image_letters
@@ -177,13 +176,13 @@ def test_prefix_holds_the_longest_read_of_the_signs(rng):
         conv = frozen_convention(spec.n)
         order = NTOrder(spec, conv)
         counting = CountingRay(catalog()[name].word)
-        reference = NTOrder(GeodesicSpec(name, spec.n, counting), conv)
+        reference = NTOrder(GeodesicSpec(name, counting), conv)
         for _ in range(25):
             b = random_word(rng, spec.n, rng.randrange(1, 13))
             outcomes = []
             for oracle in (order, reference):
                 try:
-                    outcomes.append(nt_sign(oracle, b))
+                    outcomes.append(oracle.sign(b))
                 except (UndecidedComparisonError, StreamGrowthError) as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1], (name, b)

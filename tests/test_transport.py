@@ -28,7 +28,6 @@ from braidorders import (
     dehornoy_sign,
     divergence_depth,
     nt,
-    nt_sign,
 )
 from braidorders.errors import MalformedInputError, StreamGrowthError
 from braidorders.freewords import reduce_free
@@ -279,7 +278,7 @@ def test_long_words_match_handle_reduction():
         order = catalog_order(f"dehornoy_{n}")
         for length in lengths:
             w = random_word(rng, n, length)
-            assert nt_sign(order, w) == dehornoy_sign(w), (n, length)
+            assert order.sign(w) == dehornoy_sign(w), (n, length)
 
 
 @pytest.mark.parametrize("name", ["b4_b", "b4_c", "b6_cx", "dehornoy_5"])
@@ -305,11 +304,11 @@ def test_sign_memory_bounded(name, n, length):
     order = catalog_order(name)
     rng = random.Random(1)
     words = [random_word(rng, n, length) for _ in range(3)]
-    nt_sign(order, words[0])  # letter tables built outside the measurement
+    order.sign(words[0])  # letter tables built outside the measurement
     tracemalloc.start()
     try:
         for w in words:
-            nt_sign(order, w)
+            order.sign(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,7 @@
 """Words built without BraidWord's check, and the transport's dict tables,
 against the code they replace.
 
-``enumerate_ball``, ``invert``, ``multiply``, ``conjugate`` and the product
+``BallSpec.words``, ``invert``, ``multiply``, ``conjugate`` and the product
 inside ``order_cmp`` build their words through ``braids._trusted_word``; each
 must equal the word the checked constructor makes from the same letters.  The
 transport reads ``nt._letter_tables``; each dict must equal the per-letter
@@ -18,7 +18,6 @@ from braidorders import (
     BraidWord,
     MalformedInputError,
     conjugate,
-    enumerate_ball,
     invert,
     multiply,
 )
@@ -26,7 +25,7 @@ from braidorders.braids import inverse_letters
 from braidorders.freewords import reduce_free
 from braidorders.nt import _letter_tables, order_cmp
 
-from words import random_word
+from words import ball_size, random_word
 
 
 def reference_letter_images(n, letter, mirrored):
@@ -68,9 +67,9 @@ def reduced_words(n, length):
 
 @pytest.mark.parametrize("n, max_length", [(3, 8), (4, 6), (6, 4)])
 def test_ball_words_equal_checked_words_in_order(n, max_length):
-    words = list(enumerate_ball(BallSpec(n, max_length)))
+    words = list(BallSpec(n, max_length).words())
     expected = [letters for length in range(max_length + 1) for letters in reduced_words(n, length)]
-    assert len(words) == len(expected) == BallSpec(n, max_length).count()
+    assert len(words) == len(expected) == ball_size(n, max_length)
     for w, letters in zip(words, expected):
         assert w.letters == letters
         assert same_word(w, BraidWord(n, w.letters))
@@ -78,7 +77,7 @@ def test_ball_words_equal_checked_words_in_order(n, max_length):
 
 def test_ball_still_checks_the_strand_count():
     with pytest.raises(MalformedInputError):
-        next(enumerate_ball(BallSpec(1, 2)))
+        next(BallSpec(1, 2).words())
 
 
 class Recorder:

@@ -1,4 +1,5 @@
-"""Random braid words for the property and long-word tests.
+"""Random braid words for the property and long-word tests, and the size
+of a ball of words.
 
 Tests import it as ``from words import random_word``; it is not a test
 module itself.
@@ -17,3 +18,10 @@ def random_word(rng, n: int, length: int) -> BraidWord:
         choices = [k for k in alphabet if not letters or k != -letters[-1]]
         letters.append(rng.choice(choices))
     return BraidWord(n, tuple(letters))
+
+
+def ball_size(n: int, max_length: int) -> int:
+    """The number of freely reduced words of length <= max_length in B_n:
+    g (g - 1)^(l - 1) of each length l >= 1 over g = 2 (n - 1) letters."""
+    g = 2 * (n - 1)
+    return 1 + sum(g * (g - 1) ** (ell - 1) for ell in range(1, max_length + 1))
