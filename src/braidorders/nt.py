@@ -13,7 +13,9 @@ length, finite ray or stream alike.  Every question about the ordering (a
 sign, a divergence depth, a convex level) reads one transport and one
 divergence scan, divergence_depth, which returns the pair (depth, verdict);
 the scan of a finite ray is uncapped, that of a stream stops at the order's
-depth cap.
+depth cap.  A ray order's conjugate moves the ray (moved_order): a sign
+transports b alone over h(R), read into one shared prefix of what the deepest
+scan read (8 B a letter); on a stream the cap binds b(h(R)) against h(R).
 
 Depth membership is not always a subgroup: nesting and convexity hold on the
 sampled balls (tests, convex_chain_report), but in b4_b level 1 sigma_3^-2
@@ -23,7 +25,7 @@ and sigma_3^2 sigma_2^-1 are members and their product sigma_2^-1 is not.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
@@ -95,7 +97,7 @@ class GeodesicSpec:
     def type_tag(self) -> str:
         """finite for a finite ray; for a stream, infinite with separating
         depths and full_infinite without."""
-        if isinstance(self.word, FreeWord):
+        if isinstance(self.word, (FreeWord, _FiniteImage)):
             return "finite"
         return "infinite" if self.separating_depths else "full_infinite"
 
@@ -277,7 +279,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     table = _stage_tables(b.n, mirrored)
     tables = [table[letter] for letter in reversed(b.letters)]
     top = len(tables)
-    patience = None if isinstance(ray, FreeWord) else (3 * top + 16) << 10
+    patience = None if isinstance(ray, (FreeWord, _FiniteImage)) else (3 * top + 16) << 10
     # stage s: the letter it passed on last (0 before the first), then the
     # letters it holds back; it passes one on while its length exceeds
     # limits[s], which its last receipt sets (1 once the stage is flushing)
@@ -334,22 +336,34 @@ def braid_image_of_word(b: BraidWord, letters: FreeLetters, mirrored: bool) -> F
     return tuple(_image_letters(b, FreeWord(b.n, letters), mirrored))
 
 
+class _FiniteImage(Custom):
+    """A finite ray's image, read through a shared prefix: it ends, unchecked."""
+
+    def _source(self) -> Iterator[int]:
+        return iter(self.letters())
+
+
+def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
+    """The conjugate of the order by h (its sign of h^-1 b h is this order's
+    sign of b): the order of h(R), read lazily, as a finite ray's image grows
+    exponentially with |h| under a pseudo-Anosov h.  Only the spec's name and
+    word change."""
+    spec = order.spec
+    if h.n != spec.n:
+        raise MalformedInputError("strand counts differ")
+    image = partial(_image_letters, h, spec.word, order.convention.artin_mirrored)
+    word = (_FiniteImage if spec.type_tag == "finite" else Custom)(h.n, image, "image")
+    name = f"({h}).{spec.name}" if h.letters else spec.name
+    return replace(order, spec=replace(spec, name=name, word=word))
+
+
 def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
     """The spec for the image ray: a finite word whole, a stream as a Custom
-    stream whose letters are transported as they are read.  Its letters
-    function yields the same letters on every call, and the Custom calls it
-    once: each image letter is transported once per image spec, whatever
-    reads it.  Only the name is recomputed."""
-    if b.n != spec.n:
-        raise MalformedInputError("strand counts differ")
-
-    def image() -> Iterator[int]:
-        return _image_letters(b, spec.word, convention.artin_mirrored)
-
-    finite = isinstance(spec.word, FreeWord)
-    word = FreeWord(spec.n, tuple(image())) if finite else Custom(b.n, image, label="image")
-    name = f"({b}).{spec.name}" if b.letters else spec.name
-    return replace(spec, name=name, word=word)
+    stream whose letters are transported as they are read."""
+    moved = moved_order(NTOrder(spec, convention), b).spec
+    if isinstance(moved.word, _FiniteImage):
+        return replace(moved, word=FreeWord(spec.n, tuple(moved.word)))
+    return moved
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
@@ -359,7 +373,7 @@ def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     that agrees with its image up to the depth cap gives (cap, None)."""
     word = order.spec.word
     image = _image_letters(b, word, order.convention.artin_mirrored)
-    cap = None if isinstance(word, FreeWord) else order.depth_cap
+    cap = None if isinstance(word, (FreeWord, _FiniteImage)) else order.depth_cap
     return divergence(word, image, order.convention, cap)
 
 
@@ -525,7 +539,7 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
     each new deepest (depth, word) is a record, the deepest last.
     """
     spec = order.spec
-    if isinstance(spec.word, FreeWord):
+    if spec.type_tag == "finite":
         raise MalformedInputError(f"{spec.name}: totality probe needs an infinite-type spec")
     if depth_target < 0:
         raise MalformedInputError(f"depth target must be non-negative, got {depth_target}")

@@ -10,13 +10,14 @@ of Z^k while leaving everything outside untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
 from .errors import MalformedInputError, check_integer
-from .nt import NTOrder, letter_depths
+from .nt import NTOrder, letter_depths, moved_order
 
 
 class OrderOracle(Protocol):
@@ -39,12 +40,18 @@ class DehornoyOrder:
 
 @dataclass(frozen=True)
 class ConjugatedOrder:
-    """sign(b) = base.sign(h^-1 b h); nesting composes contravariantly."""
+    """sign(b) = base.sign(h^-1 b h); nesting composes contravariantly.  A ray
+    order's conjugate moves the ray: the order of h(R) (nt.moved_order, made
+    at the first sign) signs b by one transport of b alone over h(R), read
+    into a shared prefix of what the deepest scan read (8 B a letter); on a
+    stream the depth cap binds the scan of b(h(R)) against h(R)."""
 
     base: OrderOracle
     h: BraidWord
 
     def __post_init__(self):
+        if not (hasattr(self.base, "n") and hasattr(self.base, "sign")):
+            raise MalformedInputError(f"conjugated base must be an order oracle, got {self.base!r}")
         if not isinstance(self.h, BraidWord):
             raise MalformedInputError(f"conjugator must be a BraidWord, got {self.h!r}")
         if self.h.n != self.base.n:
@@ -54,11 +61,23 @@ class ConjugatedOrder:
     def n(self) -> int:
         return self.base.n
 
+    @cached_property
+    def _moved(self) -> NTOrder | None:  # not a field: eq and repr skip it
+        return moved_order(self.base, self.h) if isinstance(self.base, NTOrder) else None
+
     def sign(self, b: BraidWord) -> int:
-        return self.base.sign(conjugate(b, self.h))
+        moved = self._moved
+        return self.base.sign(conjugate(b, self.h)) if moved is None else moved.sign(b)
 
 
 # --- exact orderings of Z^k --------------------------------------------------
+
+
+def _sequence(values, field: str) -> Sequence:
+    """A Z^k order's field, checked to be a sequence."""
+    if not isinstance(values, Sequence):
+        raise MalformedInputError(f"{field} must be a sequence, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -70,9 +89,9 @@ class ZkLex:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        for axis in self.axes:
+        for axis in _sequence(self.axes, "lex axes"):
             check_integer(axis, "lex axis")
-        for s in self.signs:
+        for s in _sequence(self.signs, "lex signs"):
             check_integer(s, "lex sign")
         if sorted(self.axes) != list(range(self.k)):
             raise MalformedInputError("axes must be a permutation of 0..k-1")
@@ -96,7 +115,7 @@ class ZkIntegerSlope:
     tie_break: ZkLex
 
     def __post_init__(self):
-        for w in self.weights:
+        for w in _sequence(self.weights, "slope weights"):
             check_integer(w, "slope weight")
         if not isinstance(self.tie_break, ZkLex):
             raise MalformedInputError(f"slope tie break must be a ZkLex, got {self.tie_break!r}")
@@ -117,7 +136,7 @@ class ZkQuadraticSlope:
 
     def __post_init__(self):
         check_integer(self.d, "qslope d")
-        for w in self.weights:
+        for w in _sequence(self.weights, "qslope weights"):
             if not isinstance(w, tuple) or len(w) != 2:
                 raise MalformedInputError(f"qslope weight must be a pair (a, b), got {w!r}")
             for c in w:

@@ -143,9 +143,9 @@ def ref_extensions(base, m_range, ball):
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
-        rows.append(
-            ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector, rep.undecided_count)
-        )
+        # a finite-type base decides every sign, so the CLI writes its 0
+        assert rep.undecided_count == 0
+        rows.append(ExtensionRow(M, tuple(weights), rep.radius, witness, signs, vector))
     return tuple(rows)
 
 

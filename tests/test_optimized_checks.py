@@ -6,8 +6,10 @@ result with mixed signs on its main index, a settled divergence on two equal
 germs, a braid word with a ``bool`` letter, one with a non-integer strand
 count, a Sturmian word whose slope is outside (0, 1), streams and Z^k
 orders with a non-integer field, a slope whose tie break is no ZkLex, a
-non-integer floor_times argument, a non-integer depth cap, and combinators
-and specs built from parts of the wrong type; all must still raise.
+non-integer floor_times argument, a non-integer depth cap, and combinators,
+specs and Z^k orders built from parts of the wrong type (a conjugated base
+that is no order oracle, a Z^k field that is no sequence); all must still
+raise.
 """
 
 import os
@@ -72,6 +74,10 @@ for build in (
     lambda: NTOrder(catalog()["b4_b"], None),
     lambda: NTOrder(None, frozen_convention(4)),
     lambda: GeodesicSpec("x", (1, 2)),
+    lambda: ConjugatedOrder(None, BraidWord(3, (1,))),
+    lambda: ZkLex(None, (1,)),
+    lambda: ZkIntegerSlope(None, ZkLex.standard(1)),
+    lambda: ZkQuadraticSlope(2, None),
 ):
     try:
         build()
@@ -108,4 +114,8 @@ def test_checks_raise_under_python_O():
         "typed: order convention must be a GermConvention, got None",
         "typed: order spec must be a GeodesicSpec, got None",
         "typed: spec word must be a free word or a stream, got (1, 2)",
+        "typed: conjugated base must be an order oracle, got None",
+        "typed: lex axes must be a sequence, got None",
+        "typed: slope weights must be a sequence, got None",
+        "typed: qslope weights must be a sequence, got None",
     ]

@@ -24,10 +24,12 @@ from braidorders import (
     UndecidedComparisonError,
     act_on_geodesic,
     catalog,
+    divergence_depth,
     frozen_convention,
     parse_infinite_word,
 )
-from braidorders.nt import _image_letters
+from braidorders.nt import _image_letters, moved_order
+from braidorders.planar import EQUAL
 
 from words import random_word
 
@@ -81,6 +83,24 @@ def test_image_stream_matches_a_fresh_transport():
         expected = list(islice(_image_letters(b, source, conv.artin_mirrored), LENGTH))
         assert list(islice(image, LENGTH)) == expected, name
         assert fresh(image) == expected, name
+
+
+def test_a_finite_image_ends_every_read():
+    # the moved finite ray is read lazily through a shared prefix whose
+    # source ends; it stays finite: its scans take no depth cap
+    spec, conv = catalog()["dehornoy_3"], frozen_convention(3)
+    h = BraidWord(3, (1, -2, 1))
+    moved = moved_order(NTOrder(spec, conv, 1), h)
+    word = moved.spec.word
+    expected = act_on_geodesic(h, spec, conv).word.letters
+    assert len(expected) > 1
+    early = iter(word)
+    assert next(early) == expected[0]
+    assert tuple(word) == tuple(word) == expected
+    assert tuple(early) == expected[1:]
+    assert word._prefix.letters == list(expected)
+    assert moved.spec.type_tag == "finite"
+    assert divergence_depth(moved, BraidWord(3)) == (len(expected), EQUAL)
 
 
 def test_a_read_word_copies_and_pickles():

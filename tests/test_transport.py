@@ -7,8 +7,10 @@ stage (the looser bound it used before) checks them on random braids, as does
 kept here as the reference for the one comparison per junction and for the
 letters a stage passes at once; brute force checks those "safe" flags of the
 stage tables; handle reduction checks its signs on long random words, and
-conjugation checks them on orders with no oracle; and tracemalloc checks that
-a sign holds only the stage buffers, not the image.
+conjugation checks them on orders with no oracle, where the sign of h^-1 b h
+(``product_sign``) is also the reference for the moved ray h(R) that
+``ConjugatedOrder`` reads, on finite rays and streams; and tracemalloc checks
+that a sign holds only the stage buffers, not the image.
 """
 
 import random
@@ -19,8 +21,11 @@ import pytest
 
 from braidorders import (
     BallSpec,
+    BraidWord,
+    ConjugatedOrder,
     FreeWord,
     NTOrder,
+    UndecidedComparisonError,
     act_on_geodesic,
     catalog,
     catalog_order,
@@ -281,20 +286,80 @@ def test_long_words_match_handle_reduction():
             assert order.sign(w) == dehornoy_sign(w), (n, length)
 
 
+def product_sign(base, b, h):
+    """The base's sign of h^-1 b h: how a ray order's conjugate signed before
+    it moved the ray, kept here as the reference."""
+    try:
+        return base.sign(conjugate(b, h))
+    except UndecidedComparisonError:
+        return None
+
+
 @pytest.mark.parametrize("name", ["b4_b", "b4_c", "b6_cx", "dehornoy_5"])
 def test_conjugating_the_braid_moves_the_ray(name):
     # orders with no oracle at length, checked by an exact identity of
     # finite rays: h^-1 b h is positive for the ray iff b is positive for
-    # the ray moved by h; the two sides transport different braids along
-    # different rays
+    # the ray moved by h, drained whole or read lazily by ConjugatedOrder;
+    # the two sides transport different braids along different rays.  The
+    # conjugators are random, then (sigma_1 sigma_2^-1)^k, pseudo-Anosov on
+    # three strands, which stretch the ray by about 2.6^k
     base = catalog_order(name)
     conv = base.convention
     rng = random.Random(20240820)
-    for length, h_length, _ in product((64, 128, 256), range(1, 7), range(6)):
-        b = random_word(rng, base.n, length)
-        h = random_word(rng, base.n, h_length)
+    cases = [
+        (random_word(rng, base.n, length), random_word(rng, base.n, h_length))
+        for length, h_length, _ in product((64, 128, 256), range(1, 7), range(6))
+    ]
+    cases += [
+        (random_word(rng, base.n, length), BraidWord(base.n, (1, -2) * k))
+        for k, length, _ in product(range(1, 7), (8, 32, 128), range(4))
+    ]
+    for b, h in cases:
         moved = NTOrder(act_on_geodesic(h, base.spec, conv), conv)
-        assert base.sign(conjugate(b, h)) == moved.sign(b), (b, h)
+        assert product_sign(base, b, h) == moved.sign(b) == ConjugatedOrder(base, h).sign(b), (b, h)
+
+
+@pytest.mark.parametrize(
+    "name, length, both_undecided",
+    [("sturmian_3", 6, 72), ("sturmian_4", 5, 48), ("mixed_4", 4, 48), ("sturmian_6", 3, 0)],
+)
+def test_stream_conjugates_move_the_ray(name, length, both_undecided):
+    # on a stream the depth cap binds different scans, b(h(R)) against h(R)
+    # and (h^-1 b h)(R) against R, yet on these balls the two sides decide
+    # the same words; the undecided ones are the trivial words (12 a
+    # conjugate in B3 L6, 8 in B4 L5 and in B4 L4, none in B6 L3)
+    base = catalog_order(name)
+    undecided = 0
+    for j in range(1, 7):
+        h = BraidWord(base.n, (-1,) * j + (2,))
+        conj = ConjugatedOrder(base, h)
+        for b in BallSpec(base.n, length).words():
+            try:
+                moved = conj.sign(b)
+            except UndecidedComparisonError:
+                moved = None
+            assert moved == product_sign(base, b, h), (j, b)
+            undecided += moved is None
+    assert undecided == both_undecided
+
+
+def test_pseudo_anosov_conjugate_reads_only_what_its_signs_need():
+    # the whole image of the dehornoy_3 ray under (sigma_1 sigma_2^-1)^30
+    # has about 2.6^30 letters per ray letter; three signs read a few
+    base = catalog_order("dehornoy_3")
+    h = BraidWord(3, (1, -2) * 30)
+    words = [BraidWord(3, (k,)) for k in (1, 2, -1)]
+    expected = [product_sign(base, b, h) for b in words]  # letter tables built outside
+    tracemalloc.start()
+    try:
+        conj = ConjugatedOrder(base, h)
+        signs = [conj.sign(b) for b in words]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert signs == expected
+    assert peak < 1 << 16
+    assert len(conj._moved.spec.word._prefix.letters) < 10
 
 
 @pytest.mark.parametrize("name, n, length", [("dehornoy_4", 4, 60), ("sturmian_3", 3, 40)])
