@@ -47,6 +47,7 @@ from .errors import (
 )
 from .experiments import (
     AgreementReport,
+    agreement_radii,
     agreement_radius,
     converge_conjugates_experiment,
     converge_extensions_experiment,

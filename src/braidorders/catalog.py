@@ -23,7 +23,6 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .braids import BallSpec
-from .dehornoy import dehornoy_sign
 from .errors import CalibrationError, MalformedInputError
 from .freewords import (
     Custom,
@@ -32,7 +31,9 @@ from .freewords import (
     QuadraticIrrational,
     Sturmian,
 )
+from .experiments import agreement_radii
 from .nt import GeodesicSpec, NTOrder, letter_depths
+from .orders import DehornoyOrder
 from .planar import DEFAULT_DEPTH_CAP, GermConvention
 
 # flags: (germ_order_reversed, artin_mirrored, angle_flipped)
@@ -137,17 +138,14 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     """
     if n < 3:
         raise MalformedInputError("calibration needs n >= 3")
-    ball = list(BallSpec(n, max_length).words())
-    targets = [dehornoy_sign(w) for w in ball]
-    matches: list[tuple[FreeWord, GermConvention]] = []
-    for signs in itertools.product((-1, 1), repeat=n - 1):
-        word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))
-        spec = _dehornoy_spec("calibration", word)
-        for rev, mir, flip in itertools.product((False, True), repeat=3):
-            conv = GermConvention(n, rev, mir, flip)
-            order = NTOrder(spec, conv)
-            if all(order.sign(w) == t for w, t in zip(ball, targets)):
-                matches.append((word, conv))
+    candidates = [
+        (FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs))), GermConvention(n, *flags))
+        for signs in itertools.product((-1, 1), repeat=n - 1)
+        for flags in itertools.product((False, True), repeat=3)
+    ]
+    orders = [NTOrder(_dehornoy_spec("calibration", word), conv) for word, conv in candidates]
+    reports = agreement_radii(DehornoyOrder(n), orders, BallSpec(n, max_length))
+    matches = [c for c, report in zip(candidates, reports) if report.witness is None]
     if not matches:
         raise CalibrationError(
             f"no convention reproduces the oracle on the B_{n} ball of radius {max_length}"

@@ -33,7 +33,6 @@ class UndecidedComparisonError(RuntimeError):
 
     def __init__(self, depth: int):
         super().__init__(f"words agree beyond depth cap {depth}")
-        self.depth = depth
 
 
 class StreamGrowthError(RuntimeError):

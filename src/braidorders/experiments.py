@@ -1,10 +1,11 @@
 """Space-of-orderings experiments: agreement metrics and convergence scans.
 
-An agreement scan returns one report; the convergence scans and the limit
-probe return a tuple of rows, one per member of the family or per probe.
-Reports and rows are plain named tuples holding only what the scan
-computed, with no output code (the CLI writes them as text, JSON lines or
-CSV, with the inputs it parsed); every scan is deterministic given its
+An agreement scan walks the ball once for a whole family of orders, the base
+signing each ball word at most once, and returns one report per member; the
+convergence scans and the limit probe return a tuple of rows, one per member
+or per probe.  Reports and rows are plain named tuples holding only what the
+scan computed, with no output code (the CLI writes them as text, JSON lines
+or CSV, with the inputs it parsed); every scan is deterministic given its
 inputs, and undecided sign evaluations are counted and surfaced rather than
 coerced.
 """
@@ -38,56 +39,49 @@ class AgreementReport(NamedTuple):
 _UNDECIDED = object()  # a base sign that was taken and came out undecided
 
 
-class _AgreementScan:
-    """Agreement of a family of oracles with one base on one ball.
+def agreement_radii(base: OrderOracle, members: Sequence[OrderOracle], ball: BallSpec) -> tuple[AgreementReport, ...]:
+    """Each member's signs against the base's on every word of the ball
+    (words, not elements), in one walk: one report per member, in order.
 
-    The base signs each ball word at most once: the first member to reach a
-    word stores the base's sign there, or its undecided outcome, by ball
-    position, and later members reuse it.  Each member re-enumerates the
-    ball, and on each word the member signs before the base, as a scan of
-    one pair does.  The stored signs live as long as the scan object.
+    On each word every member with no witness yet signs, in order, and the
+    base signs once, right after the first member that decided; an undecided
+    sign on either side counts against the member.  A member's witness is its
+    first disagreement in enumeration order (length-lex smallest) and its
+    radius the largest L with no disagreement among words of length <= L; it
+    drops out there, and the walk ends when no member is left.  An error other
+    than an undecided sign rises from the earliest ball word that raises it.
     """
-
-    def __init__(self, base: OrderOracle, ball: BallSpec):
-        self.base = base
-        self.ball = ball
-        self.base_signs: list = []  # by ball position; None until the base signs the word
-
-    def agreement(self, member: OrderOracle) -> AgreementReport:
-        base, ball, base_signs = self.base, self.ball, self.base_signs
-        if member.n != base.n or ball.n != member.n:
-            raise MalformedInputError("strand counts differ")
-        undecided = 0
-        for pos, w in enumerate(ball.words()):
-            if pos == len(base_signs):
-                base_signs.append(None)
+    if any(m.n != base.n or ball.n != base.n for m in members):
+        raise MalformedInputError("strand counts differ")
+    reports: list[AgreementReport | None] = [None] * len(members)
+    undecided = [0] * len(members)
+    live = list(enumerate(members))
+    for w in ball.words():
+        if not live:
+            break
+        s2 = None
+        for i, member in tuple(live):
             try:
                 s1 = member.sign(w)
             except UndecidedComparisonError:
-                undecided += 1
+                undecided[i] += 1
                 continue
-            s2 = base_signs[pos]
             if s2 is None:
                 try:
                     s2 = base.sign(w)
                 except UndecidedComparisonError:
                     s2 = _UNDECIDED
-                base_signs[pos] = s2
             if s2 is _UNDECIDED:
-                undecided += 1
+                undecided[i] += 1
             elif s1 != s2:
-                return AgreementReport(len(w) - 1, w, (s1, s2), undecided)
-        return AgreementReport(ball.max_length, None, None, undecided)
+                reports[i] = AgreementReport(len(w) - 1, w, (s1, s2), undecided[i])
+                live.remove((i, member))
+    return tuple(r or AgreementReport(ball.max_length, None, None, u) for r, u in zip(reports, undecided))
 
 
 def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> AgreementReport:
-    """Compare signs on every word of the ball (words, not elements).
-
-    The radius is the largest L with no disagreement among words of length
-    <= L; the witness is the first disagreement in enumeration order, which
-    is the length-lex smallest one.
-    """
-    return _AgreementScan(o2, ball).agreement(o1)
+    """agreement_radii with the one member o1 and the base o2."""
+    return agreement_radii(o2, [o1], ball)[0]
 
 
 def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction:
@@ -143,12 +137,9 @@ def converge_conjugates_experiment(
     """
     n, s = base.n, pattern[0]
     _conjugator(n, pattern, 0)  # checks s and u, also for an empty range
-    family = [(j, _conjugator(n, pattern, j)) for j in j_range]
-    scan = _AgreementScan(base, ball)
+    conjugates = [ConjugatedOrder(base, _conjugator(n, pattern, j)) for j in j_range]
     rows = []
-    for j, h in family:
-        conj = ConjugatedOrder(base, h)
-        rep = scan.agreement(conj)
+    for j, conj, rep in zip(j_range, conjugates, agreement_radii(base, conjugates, ball)):
         witness, signs = rep.witness, rep.witness_signs
         if witness is None:
             for c in range(1, 7):
@@ -160,7 +151,7 @@ def converge_conjugates_experiment(
                 if pair[0] != pair[1]:
                     witness, signs = w, pair
                     break
-        rows.append(ConjugateRow(j, h, rep.radius, witness, signs, rep.undecided_count))
+        rows.append(ConjugateRow(j, conj.h, rep.radius, witness, signs, rep.undecided_count))
     return tuple(rows)
 
 

@@ -346,20 +346,22 @@ class _FiniteImage(Custom):
 def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
     """The conjugate of the order by h (its sign of h^-1 b h is this order's
     sign of b): the order of h(R), read lazily, as a finite ray's image grows
-    exponentially with |h| under a pseudo-Anosov h.  Only the spec's name and
-    word change."""
+    exponentially with |h| under a pseudo-Anosov h.  The moved spec has a
+    name and a word only: the base's separating depths and soul do not
+    describe h(R)."""
     spec = order.spec
     if h.n != spec.n:
         raise MalformedInputError("strand counts differ")
     image = partial(_image_letters, h, spec.word, order.convention.artin_mirrored)
     word = (_FiniteImage if spec.type_tag == "finite" else Custom)(h.n, image, "image")
     name = f"({h}).{spec.name}" if h.letters else spec.name
-    return replace(order, spec=replace(spec, name=name, word=word))
+    return replace(order, spec=GeodesicSpec(name, word))
 
 
 def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
     """The spec for the image ray: a finite word whole, a stream as a Custom
-    stream whose letters are transported as they are read."""
+    stream whose letters are transported as they are read; as in
+    moved_order, it has no separating depths and no soul."""
     moved = moved_order(NTOrder(spec, convention), b).spec
     if isinstance(moved.word, _FiniteImage):
         return replace(moved, word=FreeWord(spec.n, tuple(moved.word)))
@@ -470,6 +472,7 @@ def soul_of(order: NTOrder) -> tuple[int, ...]:
     whose nonempty pattern is pairwise non-adjacent, and checked against the
     stored value."""
     spec = order.spec
+    spec.validate()
     recomputed: tuple[int, ...] = ()
     for pattern in _level_patterns(order):
         if pattern and all(b - a >= 2 for a, b in zip(pattern, pattern[1:])):

@@ -154,6 +154,22 @@ def test_catalog_listing_and_dump(capsys):
     assert "word=3 4 -1 -3" in out
 
 
+@pytest.mark.parametrize(
+    "name, stream",
+    [
+        ("sturmian_4", "sturmian_4_blocks"),
+        ("sturmian_5", "sturmian_5_blocks"),
+        ("sturmian_6", "sturmian_6_blocks"),
+        ("mixed_4", "mixed_4_tail"),
+    ],
+)
+def test_catalog_entries_on_block_streams_have_no_spec_file(capsys, name, stream):
+    # a block stream is built by code, so its entry has no text form to print
+    code, out, err = run(capsys, "catalog", "--name", name)
+    assert (code, out) == (1, "")
+    assert err == f"error: custom stream {stream!r} has no text form\n"
+
+
 def test_catalog_dump_round_trips_through_file(tmp_path, capsys):
     code, out, _ = run(capsys, "catalog", "--name", "b4_c")
     path = tmp_path / "b4c.spec"

@@ -1,18 +1,19 @@
 """Every library definition has a caller in the program, and every default
 is both overridden and relied on there.
 
-A top-level function or class of a library module, or a public method or
-annotated field of a top-level class, must be referenced in ``src/``
-(outside ``__init__.py``, whose imports are only the package's exports),
-``demos/`` or ``benchmarks/``.  A name that only tests call is test code, a
-field that only tests read restates what the program knows elsewhere, and
-a second name for one job is a duplicate; all fail here unless ``EXEMPT``
-gives a reason to keep them.
+A top-level function or class of a library module, or a public method,
+annotated field or instance attribute of a top-level class, must be
+referenced in ``src/`` (outside ``__init__.py``, whose imports are only the
+package's exports), ``demos/`` or ``benchmarks/``.  A name that only tests
+call is test code, a field that only tests read restates what the program
+knows elsewhere, and a second name for one job is a duplicate; all fail
+here unless ``EXEMPT`` gives a reason to keep them.
 
 References are matched by identifier: a name or attribute spelled like the
-definition counts, strings, keyword arguments and a field's own declaration
-do not.  So a dead name that shares its spelling with some other attribute
-can slip through, but a name in use is never flagged.
+definition counts, strings, keyword arguments and assignments (a field's
+declaration, ``self.x = ...``) do not, and an instance attribute counts only
+when read as an attribute.  So a dead name that shares its spelling with
+some other attribute can slip through, but a name in use is never flagged.
 
 The same callers must turn every knob: a defaulted parameter of a top-level
 function, or of a public method of a top-level class, and a defaulted field
@@ -40,6 +41,7 @@ CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benc
 
 EXEMPT = {
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
+    "BudgetExceededError.partial": "the partly reduced word, which a caller needs in order to resume",
 }
 
 
@@ -50,7 +52,9 @@ def fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
 
 def definitions(source: str) -> dict[str, str]:
     """Qualified name -> identifier of each top-level function and class,
-    and of each public method and annotated field of a top-level class."""
+    and of each public method and annotated field of a top-level class; an
+    instance attribute (set as ``self.x = ...``) is read only as ``.x``, so
+    its identifier is ``.x``."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,21 +65,24 @@ def definitions(source: str) -> dict[str, str]:
                     found[f"{node.name}.{item.name}"] = item.name
             for item in fields(node):
                 found[f"{node.name}.{item.target.id}"] = item.target.id
+            for item in ast.walk(node):
+                if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store):
+                    if getattr(item.value, "id", None) == "self" and not item.attr.startswith("_"):
+                        found[f"{node.name}.{item.attr}"] = f".{item.attr}"
     return found
 
 
 def references(source: str) -> set[str]:
-    tree = ast.parse(source)
-    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
-    declared = {id(item.target) for node in classes for item in fields(node)}
+    """The identifiers read, as names or attributes, and each attribute read
+    again as ``.x``; assignment targets are not reads."""
     refs = set()
-    for node in ast.walk(tree):
-        if id(node) in declared:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "ctx", None), ast.Store):
             continue
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            refs |= {node.attr, f".{node.attr}"}
     return refs
 
 
@@ -93,10 +100,19 @@ def test_checker_finds_unreferenced_definitions():
         "    def open(self): pass\n"
         "    def shut(self): pass\n"
         "    def __len__(self): return 0\n"
+        "class Err:\n"
+        "    def __init__(self, cause, code):\n"
+        "        self.cause = cause\n"
+        "        self.code = code\n"
+        "        self._note = code\n"
         "Box(1, colour='red').open(used).side\n"
         "label = 'unused'\n"
+        "err = Err(1, 2)\n"
+        "code = err.cause\n"
     )
-    assert unreferenced(definitions(source), references(source)) == ["Box.colour", "Box.shut", "unused"]
+    # Err.code is spelled as a name, and only assigned as an attribute
+    expected = ["Box.colour", "Box.shut", "Err.code", "unused"]
+    assert unreferenced(definitions(source), references(source)) == expected
 
 
 def test_every_definition_has_a_caller():

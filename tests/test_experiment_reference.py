@@ -4,12 +4,16 @@ The references below are the earlier implementation, kept as it was: every
 member of a conjugate family ran its own agreement scan, which signed each
 ball word under both the member and the base, and fell back on the
 just-past-the-ball candidates; every convex extension ran its own agreement
-scan over the whole ball; the limit probe built each conjugate once per probe.
+scan over the whole ball; the limit probe built each conjugate once per probe;
+calibration listed the ball and its handle-reduction signs, and signed the
+list under each candidate until a sign missed.
 The conjugators and candidates were written out letter by letter, for j >= 0
-and, in the limit probe, a one-letter u.  The library now signs each ball
-word under the base at most once per experiment, compares extensions with the
-base on the soul members only, builds the limit probe's conjugates once, and
-builds every conjugator of both families as sigma_s^-j u with one function.
+and, in the limit probe, a one-letter u.  The library now walks the ball
+once for a whole family (agreement_radii), calibration's candidates too, so
+the base signs each ball word at most once per experiment; it compares
+extensions with the base on the soul members only, builds the limit probe's
+conjugates once, and builds every conjugator of both families as
+sigma_s^-j u with one function.
 Reports and rows must match field for field, and a base that raises
 mid-scan must raise the same exception.
 """
@@ -26,14 +30,19 @@ from braidorders import (
     ConjugatedOrder,
     ConvexExtensionOrder,
     DehornoyOrder,
+    FreeWord,
+    GermConvention,
     MalformedInputError,
     NTOrder,
     UndecidedComparisonError,
     ZkIntegerSlope,
+    agreement_radii,
     agreement_radius,
+    calibrate_conventions,
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
+    dehornoy_sign,
     frozen_convention,
     is_trivial_braid,
     limit_probe_experiment,
@@ -223,6 +232,7 @@ def test_conjugates_match_reference_undecided(name, length, conjugators, depth_c
     orders = [ConjugatedOrder(base, BraidWord(n, h)) for h in conjugators]
     listed = [agreement_radius(conj, base, ball) for conj in orders]
     assert listed == [ref_agreement_radius(conj, base, ball) for conj in orders]
+    assert agreement_radii(base, orders, ball) == tuple(listed)
     assert any(r.undecided_count for r in listed)
 
 
@@ -355,3 +365,99 @@ def test_conjugates_match_reference_with_a_longer_u(name, s, u):
     base = catalog_order(name)
     rows = assert_same_conjugates(base, (s, BraidWord(base.n, u)), range(0, 7), BallSpec(base.n, 3))
     assert [r.j for r in rows] == list(range(7))
+
+
+# --- one walk for a family --------------------------------------------------------
+
+
+def ref_calibration_matches(n, max_length):
+    ball = list(BallSpec(n, max_length).words())
+    targets = [dehornoy_sign(w) for w in ball]
+    matches = []
+    for signs in itertools.product((-1, 1), repeat=n - 1):
+        word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))
+        spec = GeodesicSpec("calibration", word, tuple(range(1, n)), (n - 1,))
+        for rev, mir, flip in itertools.product((False, True), repeat=3):
+            conv = GermConvention(n, rev, mir, flip)
+            order = NTOrder(spec, conv)
+            if all(order.sign(w) == t for w, t in zip(ball, targets)):
+                matches.append((word, conv))
+    return tuple(matches)
+
+
+@pytest.mark.parametrize("n, lengths", [(3, range(2, 7)), (4, range(2, 5))])
+def test_calibration_matches_reference(n, lengths):
+    for length in lengths:
+        assert calibrate_conventions(n, length).matches == ref_calibration_matches(n, length), length
+
+
+def test_calibration_signs_each_ball_word_once(monkeypatch):
+    # matches survive the whole ball, so the base signs every word, once
+    signed = []
+
+    def counted(w):
+        signed.append(w)
+        return dehornoy_sign(w)
+
+    monkeypatch.setattr("braidorders.orders.dehornoy_sign", counted)
+    calibrate_conventions(3, 4)
+    assert signed == list(BallSpec(3, 4).words())
+
+
+@pytest.mark.parametrize(
+    "name, length, j_range, base_signs",
+    [("dehornoy_3", 5, range(1, 5), 8), ("sturmian_3", 4, range(1, 7), 165), ("mixed_4", 3, range(1, 5), 10)],
+)
+def test_base_signs_each_ball_word_at_most_once(monkeypatch, name, length, j_range, base_signs):
+    # the base's own signs: a conjugate of a ray order signs as the order of
+    # the moved ray, another NTOrder
+    base = catalog_order(name)
+    ball = BallSpec(base.n, length)
+    pattern = (1, BraidWord(base.n, (2,)))
+    signed = []
+    sign = NTOrder.sign
+
+    def counted(self, w):
+        if self is base:
+            signed.append(w)
+        return sign(self, w)
+
+    monkeypatch.setattr(NTOrder, "sign", counted)
+    rows = converge_conjugates_experiment(base, pattern, j_range, ball)
+    assert len(signed) == base_signs
+    words = set(ball.words())
+    in_ball = [w for w in signed if w in words]
+    assert len(in_ball) == len(set(in_ball))
+    monkeypatch.undo()
+    assert rows == ref_conjugates(base, pattern, j_range, ball)
+
+
+def test_an_empty_family_signs_nothing():
+    def sign(w):
+        raise AssertionError("the base signed a word")
+
+    assert agreement_radii(SimpleNamespace(n=3, sign=sign), [], BallSpec(3, 4)) == ()
+
+
+def test_the_earliest_ball_word_raises():
+    # the first member raises on a later word than the second: the one walk
+    # meets the second member's word first, where one scan per member raised
+    # the first member's error
+    ball = BallSpec(3, 3)
+    words = list(ball.words())
+    late, early = words[10], words[5]
+
+    def member(bad):
+        def sign(w):
+            if w == bad:
+                raise MalformedInputError(f"cannot sign {w}")
+            return dehornoy_sign(w)
+
+        return SimpleNamespace(n=3, sign=sign)
+
+    members = [member(late), member(early)]
+    assert outcome(agreement_radii, DehornoyOrder(3), members, ball) == (MalformedInputError, f"cannot sign {early}")
+    assert outcome(ref_agreement_radius, members[0], DehornoyOrder(3), ball) == (
+        MalformedInputError,
+        f"cannot sign {late}",
+    )

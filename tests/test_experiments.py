@@ -115,7 +115,7 @@ def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv
     def no_scan(*args):
         raise AssertionError("the ball was read before u was checked")
 
-    monkeypatch.setattr("braidorders.experiments._AgreementScan", no_scan)
+    monkeypatch.setattr("braidorders.experiments.agreement_radii", no_scan)
     base = NTOrder(specs["dehornoy_3"], conv3)
     with pytest.raises(MalformedInputError, match="strand counts differ: 3 vs 6"):
         converge_conjugates_experiment(base, (2, BraidWord(6, (1,))), range(1, 4), BallSpec(3, 3))

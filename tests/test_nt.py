@@ -27,7 +27,7 @@ from braidorders import (
     totality_probe,
 )
 from braidorders.catalog import search_chain_words
-from braidorders.nt import GeodesicSpec, NTOrder, letter_depths
+from braidorders.nt import GeodesicSpec, NTOrder, letter_depths, moved_order
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
 from words import random_word
@@ -354,6 +354,20 @@ def test_soul_validation_on_catalog(specs):
         spec = specs[name]
         conv = frozen_convention(spec.n)
         assert soul_of(NTOrder(spec, conv)) == expected
+
+
+def test_a_moved_ray_has_no_structure_of_its_base():
+    # conjugation moves the separating depths and the soul, so the moved
+    # ray's spec carries neither, and the structure queries refuse it rather
+    # than read the base's
+    moved = moved_order(catalog_order("b4_b"), BraidWord(4, (2,)))
+    assert (moved.spec.separating_depths, moved.spec.soul_generators) == ((), ())
+    with pytest.raises(MalformedInputError, match="chain report needs at least one depth"):
+        convex_chain_report(moved, BallSpec(4, 3))
+    with pytest.raises(MalformedInputError, match="finite type needs n-1 separating depths"):
+        soul_of(moved)
+    image = act_on_geodesic(BraidWord(4, (2,)), catalog_order("b4_b").spec, frozen_convention(4))
+    assert (image.separating_depths, image.soul_generators) == ((), ())
 
 
 def test_soul_validation_mismatch_raises(specs, conv3):

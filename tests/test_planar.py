@@ -174,6 +174,6 @@ def test_calibration_same_flags_at_n4():
 
 def test_calibration_rejects_broken_oracle(monkeypatch):
     # a sign that no ray order reproduces: every word positive
-    monkeypatch.setattr(importlib.import_module("braidorders.catalog"), "dehornoy_sign", lambda w: 1)
+    monkeypatch.setattr(importlib.import_module("braidorders.orders"), "dehornoy_sign", lambda w: 1)
     with pytest.raises(CalibrationError):
         calibrate_conventions(3, 2)
