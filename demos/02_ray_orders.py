@@ -12,6 +12,7 @@ entire ball, and the catalog freezes the result.
 """
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
     DehornoyOrder,
@@ -20,7 +21,6 @@ from braidorders import (
     calibrate_conventions,
     catalog,
     catalog_order,
-    frozen_convention,
 )
 from braidorders.nt import braid_image_of_word
 
@@ -56,5 +56,5 @@ print(f"agreement with handle reduction on ball L=6: radius {report.radius}, wit
 spec = catalog()["dehornoy_3"]
 for j in (1, 3, 5):
     beta = BraidWord(3, (-2,) * j + (1,))
-    moved = act_on_geodesic(beta, spec, frozen_convention(3))
+    moved = act_on_geodesic(beta, spec, FROZEN_CONVENTION)
     print(f"(s2^-{j} s1).ray = {moved.word}   (winds {j}x around the far punctures)")

@@ -25,8 +25,6 @@ from .catalog import (
     catalog,
     catalog_order,
     dehornoy_word,
-    frozen_convention,
-    order_for_spec,
     search_chain_words,
 )
 from .dehornoy import (
@@ -96,6 +94,7 @@ from .orders import (
 from .planar import (
     DEFAULT_DEPTH_CAP,
     EQUAL,
+    FROZEN_CONVENTION,
     GREATER,
     LESS,
     GermConvention,

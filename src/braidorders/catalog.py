@@ -4,11 +4,11 @@ Orientation is not chosen by fiat: calibrate_conventions searches the finite
 convention space (germ fan direction x substitution mirror x angle flip x the
 sign pattern of a length n-1 candidate word) for the combinations whose ray
 order reproduces handle reduction on a whole ball, letter for letter.  The
-result is frozen below as FROZEN_CONVENTION_FLAGS and the dehornoy_n words;
-matches always come in equivalent twins (mirroring the substitution rules and
-flipping every verdict cancel out), and the all-negative sign pattern is the
-canonical pick because it makes the generator divergence depths symmetric
-under inversion.
+result is frozen as planar.FROZEN_CONVENTION, the same flags at every rank,
+and the dehornoy_n words; matches always come in equivalent twins (mirroring
+the substitution rules and flipping every verdict cancel out), and the
+all-negative sign pattern is the canonical pick because it makes the
+generator divergence depths symmetric under inversion.
 
 The B4 and B6 entries with richer convex chains are search artifacts:
 search_chain_words enumerates short words, keeps those whose generator
@@ -34,17 +34,9 @@ from .freewords import (
 from .experiments import agreement_radii
 from .nt import GeodesicSpec, NTOrder, letter_depths
 from .orders import DehornoyOrder
-from .planar import DEFAULT_DEPTH_CAP, GermConvention
-
-# flags: (germ_order_reversed, artin_mirrored, angle_flipped)
-FROZEN_CONVENTION_FLAGS = (True, False, True)
+from .planar import FROZEN_CONVENTION, GermConvention
 
 STURMIAN_SLOPE = QuadraticIrrational(d=7, p=3, q=11)  # (3 + sqrt 7)/11 ~ 0.5132
-
-
-def frozen_convention(n: int) -> GermConvention:
-    rev, mir, flip = FROZEN_CONVENTION_FLAGS
-    return GermConvention(n, rev, mir, flip)
 
 
 def dehornoy_word(n: int) -> FreeWord:
@@ -112,11 +104,7 @@ def catalog_order(name: str) -> NTOrder:
     specs = catalog()
     if name not in specs:
         raise MalformedInputError(f"unknown catalog entry {name!r} (have {sorted(specs)})")
-    return order_for_spec(specs[name])
-
-
-def order_for_spec(spec: GeodesicSpec, depth_cap: int = DEFAULT_DEPTH_CAP) -> NTOrder:
-    return NTOrder(spec, frozen_convention(spec.n), depth_cap)
+    return NTOrder(specs[name])
 
 
 # --- calibration --------------------------------------------------------------
@@ -139,7 +127,7 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     if n < 3:
         raise MalformedInputError("calibration needs n >= 3")
     candidates = [
-        (FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs))), GermConvention(n, *flags))
+        (FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs))), GermConvention(*flags))
         for signs in itertools.product((-1, 1), repeat=n - 1)
         for flags in itertools.product((False, True), repeat=3)
     ]
@@ -152,7 +140,7 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
         )
     # all matches reproduced the same target signs, hence agree pairwise on
     # the ball; anything else would mean the comparison above was unstable
-    canonical = (dehornoy_word(n), frozen_convention(n))
+    canonical = (dehornoy_word(n), FROZEN_CONVENTION)
     word, conv = canonical if canonical in matches else matches[0]
     return CalibrationResult(conv, word, tuple(matches))
 
@@ -180,7 +168,7 @@ def search_chain_words(
         for tup in itertools.product(alphabet, repeat=L):
             if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
                 continue
-            deaths = letter_depths(order_for_spec(GeodesicSpec("search", FreeWord(n, tup))))
+            deaths = letter_depths(NTOrder(GeodesicSpec("search", FreeWord(n, tup))))
             if any(deaths[j] != deaths[-j] for j in range(1, n)):
                 continue
             seq = [deaths[j] for j in death_order]

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .braids import BallSpec, BraidWord, parse_braid
-from .catalog import calibrate_conventions, catalog, order_for_spec
+from .catalog import calibrate_conventions, catalog
 from .errors import (
     BudgetExceededError,
     CalibrationError,
@@ -64,7 +64,7 @@ CMP_NAMES = {-1: "less", 0: "equal", 1: "greater"}
 def _load_spec(token: str, depth_cap: int) -> NTOrder:
     specs = catalog()
     if token in specs:
-        return order_for_spec(specs[token], depth_cap)
+        return NTOrder(specs[token], depth_cap=depth_cap)
     path = Path(token)
     if path.exists():
         try:
@@ -72,7 +72,7 @@ def _load_spec(token: str, depth_cap: int) -> NTOrder:
         except OSError as exc:
             message = f"cannot read spec file {token!r}: {exc.strerror}"
             raise MalformedInputError(message) from None
-        return order_for_spec(parse_geodesic_spec(text), depth_cap)
+        return NTOrder(parse_geodesic_spec(text), depth_cap=depth_cap)
     raise MalformedInputError(f"no catalog entry or spec file named {token!r}")
 
 

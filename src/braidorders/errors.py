@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one integer check of
-every rank, strand count, length and exact coefficient."""
+"""Exception types shared across the package, the one integer check of every
+rank, strand count, length and exact coefficient, and the one non-square d."""
 
 from __future__ import annotations
+
+from math import isqrt
 
 
 class MalformedInputError(ValueError):
@@ -15,6 +17,12 @@ def check_integer(value, name: str, minimum: int | None = None) -> None:
         raise MalformedInputError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise MalformedInputError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_non_square(d: int) -> None:
+    """Raise MalformedInputError unless the integer d is positive and not a square."""
+    if d <= 0 or isqrt(d) ** 2 == d:
+        raise MalformedInputError(f"d must be a positive non-square, got {d}")
 
 
 class BudgetExceededError(RuntimeError):

@@ -51,7 +51,7 @@ def agreement_radii(base: OrderOracle, members: Sequence[OrderOracle], ball: Bal
     drops out there, and the walk ends when no member is left.  An error other
     than an undecided sign rises from the earliest ball word that raises it.
     """
-    if any(m.n != base.n or ball.n != base.n for m in members):
+    if ball.n != base.n or any(m.n != base.n for m in members):
         raise MalformedInputError("strand counts differ")
     reports: list[AgreementReport | None] = [None] * len(members)
     undecided = [0] * len(members)

@@ -27,7 +27,7 @@ from itertools import chain, count, cycle
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import MalformedInputError, check_integer
+from .errors import MalformedInputError, check_integer, check_non_square
 
 FreeLetters = tuple[int, ...]
 
@@ -96,8 +96,7 @@ class QuadraticIrrational:
     def __post_init__(self):
         for value, name in ((self.d, "d"), (self.p, "p"), (self.q, "q")):
             check_integer(value, name)
-        if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
-            raise MalformedInputError(f"d must be a positive non-square, got {self.d}")
+        check_non_square(self.d)
         if self.q <= 0:
             raise MalformedInputError("q must be positive")
 

@@ -48,6 +48,7 @@ from .freewords import (
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
+    FROZEN_CONVENTION,
     GREATER,
     LESS,
     GermConvention,
@@ -118,10 +119,11 @@ class GeodesicSpec:
 
 @dataclass(frozen=True)
 class NTOrder:
-    """The left-ordering induced by a spec, as a sign oracle on braid words."""
+    """The left-ordering induced by a spec, as a sign oracle on braid words,
+    by default in the calibrated FROZEN_CONVENTION, the same at every rank."""
 
     spec: GeodesicSpec
-    convention: GermConvention
+    convention: GermConvention = FROZEN_CONVENTION
     depth_cap: int = DEFAULT_DEPTH_CAP
 
     def __post_init__(self):
@@ -129,8 +131,6 @@ class NTOrder:
             raise MalformedInputError(f"order spec must be a GeodesicSpec, got {self.spec!r}")
         if not isinstance(self.convention, GermConvention):
             raise MalformedInputError(f"order convention must be a GermConvention, got {self.convention!r}")
-        if self.convention.n != self.spec.n:
-            raise MalformedInputError("convention rank must match the spec strand count")
         check_integer(self.depth_cap, "depth cap", 1)
 
     @property
@@ -139,7 +139,7 @@ class NTOrder:
 
     def sign(self, b: BraidWord) -> int:
         """-1 / 0 / +1: positive iff the braid moves the ray to a larger angle."""
-        if b.n != self.convention.n:  # the spec's strand count, read without a property call
+        if b.n != self.spec.word.n:  # the spec's strand count, read without a property call
             raise MalformedInputError("strand counts differ")
         if not b.letters:
             return 0

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
-from .errors import MalformedInputError, check_integer
+from .errors import MalformedInputError, check_integer, check_non_square
 from .nt import NTOrder, letter_depths, moved_order
 
 
@@ -141,8 +140,7 @@ class ZkQuadraticSlope:
                 raise MalformedInputError(f"qslope weight must be a pair (a, b), got {w!r}")
             for c in w:
                 check_integer(c, "qslope weight")
-        if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
-            raise MalformedInputError("d must be a positive non-square")
+        check_non_square(self.d)
         # Q(sqrt d) has dimension 2 over Q: the order is total only when no
         # nonzero vector has weight sum 0
         if self.k == 1:

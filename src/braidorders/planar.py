@@ -9,14 +9,14 @@ cyclic order cut at the arrival germ (at the basepoint: cut at the boundary
 west position), decide which ray exits at the larger boundary angle.
 
 The orientation of the whole picture is not an a priori choice here: the three
-flags of GermConvention are frozen by calibrating against handle reduction
-(see calibration in the catalog module).
+flags of GermConvention, the same for every B_n, are frozen as FROZEN_CONVENTION
+by calibrating against handle reduction (see calibration in the catalog module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import islice, zip_longest
 
 from .freewords import Ray
@@ -30,7 +30,7 @@ DEFAULT_DEPTH_CAP = 512
 
 @dataclass(frozen=True)
 class GermConvention:
-    """Cyclic germ order at every cover vertex plus orientation flags.
+    """Orientation flags of the cyclic germ order at every cover vertex.
 
     The counterclockwise cycle starts at the terminal germ; with
     ``germ_order_reversed`` the petal fan is enumerated from x_1 up instead of
@@ -38,31 +38,34 @@ class GermConvention:
     generator and its inverse; ``angle_flipped`` inverts every verdict.
     """
 
-    n: int
     germ_order_reversed: bool
     artin_mirrored: bool
     angle_flipped: bool
 
-    def cycle(self) -> tuple[int, ...]:
+    def cycle(self, n: int) -> tuple[int, ...]:
         germs: list[int] = [TERMINAL]
-        indices = range(1, self.n + 1) if self.germ_order_reversed else range(self.n, 0, -1)
-        for i in indices:
+        for i in range(1, n + 1) if self.germ_order_reversed else range(n, 0, -1):
             germs.extend((i, -i))
         return tuple(germs)
 
-    @cached_property
-    def _places(self) -> tuple[int, ...]:
-        """Place of each germ in the cycle, indexed by germ + n: read-only,
-        built once per convention, read by the verdict of every sign."""
-        places = [0] * (2 * self.n + 1)
-        for p, g in enumerate(self.cycle()):
-            places[g + self.n] = p
-        return tuple(places)
+
+# calibrated against handle reduction at n = 3, 4, 5 and 6: the same flags at every rank
+FROZEN_CONVENTION = GermConvention(True, False, True)
 
 
-def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
-    """The angle verdict of a settled divergence: the next germs of the two
-    rays in the cyclic order cut at the arrival germ."""
+@lru_cache(maxsize=None)
+def _places(germ_order_reversed: bool, n: int) -> tuple[int, ...]:
+    """Place of each germ in the cycle, indexed by germ + n: read-only,
+    built once per fan direction and rank, read by the verdict of every sign."""
+    places = [0] * (2 * n + 1)
+    for p, g in enumerate(GermConvention(germ_order_reversed, False, False).cycle(n)):
+        places[g + n] = p
+    return tuple(places)
+
+
+def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention, n: int) -> int:
+    """The angle verdict of a settled divergence of two rays of rank n: their
+    next germs in the cyclic order cut at the arrival germ."""
     if gu == gv == TERMINAL:
         return EQUAL
     if gu == gv:
@@ -70,8 +73,8 @@ def _verdict(gu: int, gv: int, arrival: int, conv: GermConvention) -> int:
     # at the basepoint the arrival is TERMINAL, at position 0: the cycle is
     # then cut at the boundary west germ, just before it, and positions read
     # as listed
-    places, n = conv._places, conv.n
-    size = len(places)
+    places = _places(conv.germ_order_reversed, n)
+    size = 2 * n + 1
     a = places[arrival + n]
     verdict = LESS if (places[gu + n] - a) % size < (places[gv + n] - a) % size else GREATER
     return -verdict if conv.angle_flipped else verdict
@@ -98,4 +101,4 @@ def divergence(u: Ray, v: Ray, conv: GermConvention, depth_cap: int | None) -> t
         if depth_cap is not None and d >= depth_cap:
             return depth_cap, None
         gu = gv = TERMINAL  # both words ended together
-    return d, _verdict(gu, gv, arrival, conv)
+    return d, _verdict(gu, gv, arrival, conv, u.n)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidorders import catalog, frozen_convention
+from braidorders import FROZEN_CONVENTION, catalog
 
 
 @pytest.fixture
@@ -16,10 +16,5 @@ def specs():
 
 
 @pytest.fixture(scope="session")
-def conv3():
-    return frozen_convention(3)
-
-
-@pytest.fixture(scope="session")
-def conv4():
-    return frozen_convention(4)
+def conv():
+    return FROZEN_CONVENTION

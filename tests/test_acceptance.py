@@ -11,6 +11,7 @@ import time
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
     ConjugatedOrder,
@@ -28,7 +29,6 @@ from braidorders import (
     converge_extensions_experiment,
     convex_chain_report,
     dehornoy_sign,
-    frozen_convention,
     invert,
     is_trivial_braid,
     limit_probe_experiment,
@@ -114,9 +114,9 @@ def test_criterion_5_souls_and_conradian_failure():
     }
     for name, soul in expected.items():
         spec = specs[name]
-        conv = frozen_convention(spec.n)
+        conv = FROZEN_CONVENTION
         assert soul_of(NTOrder(spec, conv)) == soul, name
-    assert soul_of(NTOrder(specs["mixed_4"], frozen_convention(4))) == ()
+    assert soul_of(NTOrder(specs["mixed_4"], FROZEN_CONVENTION)) == ()
 
     pairs = {
         "dehornoy_3": ((-2, 1), (1,)),
@@ -153,7 +153,7 @@ def test_criterion_5_souls_and_conradian_failure():
 def test_criterion_6_convex_chain_shape():
     started = time.monotonic()
     specs = catalog()
-    conv = frozen_convention(4)
+    conv = FROZEN_CONVENTION
     report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv), BallSpec(4, 4))
     patterns = [lv.generator_pattern for lv in report.levels]
     assert patterns == [(2, 3), (3,), ()]
@@ -171,7 +171,7 @@ def test_criterion_6_convex_chain_shape():
 def test_criterion_7_totality_probe():
     started = time.monotonic()
     specs = catalog()
-    conv = frozen_convention(3)
+    conv = FROZEN_CONVENTION
     report = totality_probe(NTOrder(specs["sturmian_3"], conv), BallSpec(3, 5), 20)
     assert not report.tie_words
     assert report.records[-1][0] >= 20
@@ -185,16 +185,16 @@ def test_criterion_8_not_isolated():
     started = time.monotonic()
     specs = catalog()
     ext = converge_extensions_experiment(
-        NTOrder(specs["b6_cx"], frozen_convention(6)), range(2, 13), BallSpec(6, 3)
+        NTOrder(specs["b6_cx"], FROZEN_CONVENTION), range(2, 13), BallSpec(6, 3)
     )
     assert all(a.radius <= b.radius for a, b in zip(ext, ext[1:]))
     assert all(r.witness is not None for r in ext)
     conj3 = converge_conjugates_experiment(
-        NTOrder(specs["dehornoy_3"], frozen_convention(3)), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
+        NTOrder(specs["dehornoy_3"], FROZEN_CONVENTION), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
     )
     assert any(r.radius >= 6 for r in conj3) and all(r.witness is not None for r in conj3)
     conj4 = converge_conjugates_experiment(
-        NTOrder(specs["dehornoy_4"], frozen_convention(4)), (3, BraidWord(4, (2,))), range(1, 8), BallSpec(4, 4)
+        NTOrder(specs["dehornoy_4"], FROZEN_CONVENTION), (3, BraidWord(4, (2,))), range(1, 8), BallSpec(4, 4)
     )
     assert any(r.radius >= 4 for r in conj4) and all(r.witness is not None for r in conj4)
     _report(8, 600, started, "extension radii nondecreasing with witnesses; conjugate radii reach ball bounds")
@@ -204,7 +204,7 @@ def test_criterion_9_limit_probe():
     started = time.monotonic()
     specs = catalog()
     rows = limit_probe_experiment(
-        NTOrder(specs["b6_cx"], frozen_convention(6)), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
+        NTOrder(specs["b6_cx"], FROZEN_CONVENTION), (3, BraidWord(6, (4,))), range(1, 13), BallSpec(6, 2)
     )
     differing = [r for r in rows if r.differs]
     assert len(differing) >= 1
@@ -225,7 +225,7 @@ def test_criterion_10_property_suites():
 
     # planar order equivariance under 1000 random braid actions
     rng = random.Random(11)
-    conv = frozen_convention(4)
+    conv = FROZEN_CONVENTION
     done = 0
     while done < 1000:
         beta = random_word(rng, 4, rng.randrange(0, 6))

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
     ConjugatedOrder,
@@ -43,7 +44,6 @@ from braidorders import (
     converge_conjugates_experiment,
     converge_extensions_experiment,
     dehornoy_sign,
-    frozen_convention,
     is_trivial_braid,
     limit_probe_experiment,
     multiply,
@@ -259,7 +259,7 @@ def test_base_that_raises_mid_scan():
     spec = GeodesicSpec(
         "short", Custom(4, lambda: iter(letters), label="short"), (1,)
     )
-    base = NTOrder(spec, frozen_convention(4))
+    base = NTOrder(spec, FROZEN_CONVENTION)
     ball = BallSpec(4, 4)
     raised = (MalformedInputError, "custom stream 'short' ran out of letters")
     assert base.sign(BraidWord(4, (1, 3))) in (-1, 1)
@@ -378,7 +378,7 @@ def ref_calibration_matches(n, max_length):
         word = FreeWord(n, tuple(s * i for i, s in zip(range(1, n), signs)))
         spec = GeodesicSpec("calibration", word, tuple(range(1, n)), (n - 1,))
         for rev, mir, flip in itertools.product((False, True), repeat=3):
-            conv = GermConvention(n, rev, mir, flip)
+            conv = GermConvention(rev, mir, flip)
             order = NTOrder(spec, conv)
             if all(order.sign(w) == t for w, t in zip(ball, targets)):
                 matches.append((word, conv))

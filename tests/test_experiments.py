@@ -11,6 +11,7 @@ from braidorders import (
     MalformedInputError,
     NTOrder,
     SearchFailureError,
+    agreement_radii,
     agreement_radius,
     catalog_order,
     converge_conjugates_experiment,
@@ -56,9 +57,9 @@ def test_distance_monotone_in_conjugator(specs):
     assert distances[0] <= Fraction(1, 2)
 
 
-def test_conjugates_experiment_dehornoy3(specs, conv3):
+def test_conjugates_experiment_dehornoy3(specs, conv):
     rows = converge_conjugates_experiment(
-        NTOrder(specs["dehornoy_3"], conv3), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
+        NTOrder(specs["dehornoy_3"], conv), (2, BraidWord(3, (1,))), range(1, 9), BallSpec(3, 6)
     )
     radii = [r.radius for r in rows]
     assert any(radius >= 6 for radius in radii)
@@ -67,20 +68,20 @@ def test_conjugates_experiment_dehornoy3(specs, conv3):
     assert radii[-1] == 6
 
 
-def test_conjugates_experiment_dehornoy4(specs, conv4):
+def test_conjugates_experiment_dehornoy4(specs, conv):
     rows = converge_conjugates_experiment(
-        NTOrder(specs["dehornoy_4"], conv4), (3, BraidWord(4, (2,))), range(1, 7), BallSpec(4, 4)
+        NTOrder(specs["dehornoy_4"], conv), (3, BraidWord(4, (2,))), range(1, 7), BallSpec(4, 4)
     )
     radii = [r.radius for r in rows]
     assert any(radius >= 4 for radius in radii) and all(r.witness is not None for r in rows)
     assert all(a <= b for a, b in zip(radii, radii[1:]))
 
 
-def test_conjugates_experiment_infinite_type(specs, conv3):
+def test_conjugates_experiment_infinite_type(specs, conv):
     # trivial soul: the conjugators are the first nonempty B_3 L4 words at
     # each divergence depth; the deeper a conjugator diverges, the closer its
     # conjugate order is to the base, so the radii grow with the depth
-    base = NTOrder(specs["sturmian_3"], conv3)
+    base = NTOrder(specs["sturmian_3"], conv)
     by_depth = {}
     for w in BallSpec(3, 4).words():
         depth, verdict = divergence_depth(base, w)
@@ -111,19 +112,19 @@ def test_stream_orders_are_limits_of_their_conjugates(name, length, radii):
         assert r.witness_signs == signs and signs[0] != signs[1], r.j
 
 
-def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv3):
+def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv):
     def no_scan(*args):
         raise AssertionError("the ball was read before u was checked")
 
     monkeypatch.setattr("braidorders.experiments.agreement_radii", no_scan)
-    base = NTOrder(specs["dehornoy_3"], conv3)
+    base = NTOrder(specs["dehornoy_3"], conv)
     with pytest.raises(MalformedInputError, match="strand counts differ: 3 vs 6"):
         converge_conjugates_experiment(base, (2, BraidWord(6, (1,))), range(1, 4), BallSpec(3, 3))
 
 
-def test_conjugator_rows_for_negative_j(specs, conv3):
+def test_conjugator_rows_for_negative_j(specs, conv):
     # sigma_s^-j u for every j: a negative j conjugates by sigma_s^|j| u
-    base = NTOrder(specs["dehornoy_3"], conv3)
+    base = NTOrder(specs["dehornoy_3"], conv)
     rows = converge_conjugates_experiment(base, (2, BraidWord(3, (1,))), range(-3, 4), BallSpec(3, 3))
     for row in rows:
         power = (2,) * -row.j if row.j < 0 else (-2,) * row.j
@@ -182,6 +183,20 @@ def test_bad_patterns_raise_before_any_ball_word(experiment, pattern, message, w
         experiment(catalog_order("b6_cx"), (s, u), window, UnreadBall(6, 2))
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda base, ball: agreement_radii(base, [], ball),
+        lambda base, ball: converge_conjugates_experiment(base, (2, BraidWord(3, (1,))), [], ball),
+    ],
+)
+def test_an_empty_family_checks_the_ball_rank(experiment):
+    # with no member to compare, the ball's rank is still checked against
+    # the base's, as the extension experiment and the limit probe check it
+    with pytest.raises(MalformedInputError, match="^strand counts differ$"):
+        experiment(catalog_order("dehornoy_3"), BallSpec(4, 2))
+
+
 def test_extensions_experiment_b6(specs):
     rows = converge_extensions_experiment(
         catalog_order("b6_cx"), range(2, 13), BallSpec(6, 3)
@@ -194,10 +209,10 @@ def test_extensions_experiment_b6(specs):
     assert rows[0].weights == (4, 2, 1)
 
 
-def test_extensions_experiment_rejects_rank_one(specs, conv3):
+def test_extensions_experiment_rejects_rank_one(specs, conv):
     with pytest.raises(MalformedInputError):
         converge_extensions_experiment(
-            NTOrder(specs["dehornoy_3"], conv3), range(2, 4), BallSpec(3, 3)
+            NTOrder(specs["dehornoy_3"], conv), range(2, 4), BallSpec(3, 3)
         )
 
 

@@ -108,6 +108,10 @@ def test_quadratic_irrational_exact_floor():
         assert qi.floor_times(k) == math.floor(k * value)
     with pytest.raises(MalformedInputError):
         QuadraticIrrational(9, 1, 2)
+    for d in (4, -3):
+        with pytest.raises(MalformedInputError) as info:
+            QuadraticIrrational(d, 1, 2)
+        assert str(info.value) == f"d must be a positive non-square, got {d}"
     # 2.5 used to raise TypeError, and True was read as k = 1
     for k, message in (
         (2.5, "k must be an integer, got 2.5"),
@@ -276,7 +280,7 @@ def test_stream_prefix_image_coherence(rng):
         for _ in range(30):
             b = random_word(rng, n, rng.randrange(0, 6))
             for mirrored in (False, True):
-                conv = GermConvention(n, False, mirrored, False)
+                conv = GermConvention(False, mirrored, False)
                 reference = apply_map(artin_map_of(b, mirrored), long_input).letters
                 image = act_on_geodesic(b, spec, conv).word
                 prefixes = {length: ray_prefix(image, length) for length in (25, 10, 80, 40)}
@@ -293,7 +297,7 @@ def test_stream_prefix_image_coherence(rng):
                 assert tuple(certified) == reference[: len(certified)]
                 assert len(certified) >= 80
     # the identity braid on (x1 x2)^omega
-    plain = GermConvention(3, False, False, False)
+    plain = GermConvention(False, False, False)
     image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", streams[0]), plain).word
     assert ray_prefix(image, 6) == (1, 2, 1, 2, 1, 2)
     assert ray_prefix(image, 0) == ()
@@ -306,7 +310,7 @@ def test_custom_supplier_checked():
     # letters outside F_3, read by the scan or by the transport, where an
     # unchecked -4 would index past the germ places and read a wrong verdict;
     # 1.0 equals the letter 1 but is not an int
-    conv = GermConvention(3, False, False, False)
+    conv = GermConvention(False, False, False)
     for letters in ((4, 1), (-4, 1), (0, 1), (1, 2, 2.5), (1.0, 2)):
         far = Custom(3, lambda letters=letters: itertools.cycle(letters), label="far")
         near = Custom(3, lambda letters=letters: itertools.cycle(letters[:-1] + (3,)), label="near")
@@ -330,7 +334,7 @@ def test_growth_failure_on_degenerate_stream():
     # (x1 x1^-1)^omega is not reduced: every image of it collapses, so it
     # must be refused as it is read, not signed or left to hang
     stream = Custom(3, lambda: itertools.cycle((1, -1)), label="collapsing")
-    order = NTOrder(GeodesicSpec("collapsing", stream), GermConvention(3, False, False, False))
+    order = NTOrder(GeodesicSpec("collapsing", stream), GermConvention(False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
         order.sign(BraidWord(3, (1,)))
 
@@ -342,9 +346,9 @@ def test_growth_budget_on_slow_reduced_stream():
     b = BraidWord(3, (1, -2) * 12)
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
     base = GeodesicSpec("periodic", periodic)
-    pulled = act_on_geodesic(invert(b), base, GermConvention(3, False, False, False))
+    pulled = act_on_geodesic(invert(b), base, GermConvention(False, False, False))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
-        NTOrder(pulled, GermConvention(3, False, False, False)).sign(b)
+        NTOrder(pulled, GermConvention(False, False, False)).sign(b)
     # the stream's prefix holds its longest read: one letter that passed an
     # image letter on, then the 90113 that did not
     assert len(pulled.word._prefix.letters) == 90114
@@ -357,6 +361,6 @@ def test_non_reduced_stream_rejected():
     stream = Custom(
         3, lambda: itertools.chain((1,) * 8, (-1,) * 8, itertools.cycle((1, 2))), label="unreduced"
     )
-    order = NTOrder(GeodesicSpec("unreduced", stream), GermConvention(3, False, False, False))
+    order = NTOrder(GeodesicSpec("unreduced", stream), GermConvention(False, False, False))
     with pytest.raises(MalformedInputError, match="not freely reduced"):
         order.sign(BraidWord(3, (2,)))

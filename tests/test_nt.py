@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
     FreeWord,
@@ -17,7 +18,6 @@ from braidorders import (
     dehornoy_sign,
     divergence_depth,
     format_geodesic_spec,
-    frozen_convention,
     in_convex_subgroup,
     invert,
     multiply,
@@ -119,9 +119,9 @@ def test_depth_cap_is_a_positive_integer(specs):
         (0, "depth cap must be >= 1, got 0"),
     ):
         with pytest.raises(MalformedInputError) as info:
-            NTOrder(specs["sturmian_3"], frozen_convention(3), cap)
+            NTOrder(specs["sturmian_3"], FROZEN_CONVENTION, cap)
         assert str(info.value) == message
-    assert NTOrder(specs["sturmian_3"], frozen_convention(3), 1).depth_cap == 1
+    assert NTOrder(specs["sturmian_3"], FROZEN_CONVENTION, 1).depth_cap == 1
 
 
 def test_generator_signs_positive_everywhere(specs):
@@ -159,7 +159,7 @@ def test_calibration_twin_gives_identical_oracle(specs):
     from braidorders import GermConvention, NTOrder
 
     spec = specs["dehornoy_3"]
-    twin = NTOrder(spec, GermConvention(3, True, True, False))
+    twin = NTOrder(spec, GermConvention(True, True, False))
     frozen = catalog_order("dehornoy_3")
     for w in BallSpec(3, 5).words():
         assert twin.sign(w) == frozen.sign(w)
@@ -184,23 +184,23 @@ def test_nt_cmp_left_invariance_exhaustive_small():
                 assert order_cmp(order, multiply(g, a), multiply(g, b)) == base
 
 
-def test_act_on_geodesic_inverse_round_trip(rng, specs, conv4):
+def test_act_on_geodesic_inverse_round_trip(rng, specs, conv):
     spec = specs["dehornoy_4"]
     for _ in range(100):
         beta = random_word(rng, 4, rng.randrange(0, 6))
-        there = act_on_geodesic(beta, spec, conv4)
-        back = act_on_geodesic(invert(beta), there, conv4)
+        there = act_on_geodesic(beta, spec, conv)
+        back = act_on_geodesic(invert(beta), there, conv)
         assert back.word == spec.word
 
 
-def test_act_on_geodesic_spiral_blocks(specs, conv3):
+def test_act_on_geodesic_spiral_blocks(specs, conv):
     # conjugator family sigma2^-j sigma1: the moved ray winds around the two
     # far punctures j times, visible as a j-letter alternating turn block
     # followed by its mirror (frozen from computation)
     spec = specs["dehornoy_3"]
     for j in range(3, 7):
         beta = BraidWord(3, (-2,) * j + (1,))
-        letters = act_on_geodesic(beta, spec, conv3).word.letters
+        letters = act_on_geodesic(beta, spec, conv).word.letters
         turn = tuple(-3 if t % 2 == 0 else -2 for t in range(j))
         assert letters[0] == 1
         assert letters[1 : 1 + j] == turn
@@ -210,24 +210,24 @@ def test_act_on_geodesic_spiral_blocks(specs, conv3):
         assert len(letters) == 2 * j + 2
 
 
-def test_moved_ray_order_is_conjugated_order(rng, specs, conv4):
+def test_moved_ray_order_is_conjugated_order(rng, specs, conv):
     # the order of the moved ray h.gamma agrees with the base order of
     # h^-1 b h: the two notions of conjugate ordering coincide
     from braidorders import NTOrder, conjugate
 
     spec = specs["dehornoy_4"]
-    base = NTOrder(spec, conv4)
+    base = NTOrder(spec, conv)
     for _ in range(200):
         h = random_word(rng, 4, rng.randrange(0, 5))
         beta = random_word(rng, 4, rng.randrange(0, 5))
-        moved = NTOrder(act_on_geodesic(h, spec, conv4), conv4)
+        moved = NTOrder(act_on_geodesic(h, spec, conv), conv)
         assert moved.sign(beta) == base.sign(conjugate(beta, h))
 
 
 def test_divergence_depth_examples(specs):
     for n in (3, 4, 5):
         spec = specs[f"dehornoy_{n}"]
-        conv = frozen_convention(n)
+        conv = FROZEN_CONVENTION
         full = divergence_depth(NTOrder(spec, conv), BraidWord(n))
         assert full == (len(spec.word.letters), EQUAL)
         # the top generator survives every separation but the last
@@ -281,23 +281,23 @@ def test_convex_membership_table(specs):
     # sigma_j sits in level i exactly when j > i, with both signs agreeing
     for n in (3, 4, 5):
         spec = specs[f"dehornoy_{n}"]
-        conv = frozen_convention(n)
+        conv = FROZEN_CONVENTION
         for i in range(1, n):
             for j in range(1, n):
                 expected = j > i
                 assert in_convex_subgroup(NTOrder(spec, conv), BraidWord(n, (j,)), i) == expected
                 assert in_convex_subgroup(NTOrder(spec, conv), BraidWord(n, (-j,)), i) == expected
     with pytest.raises(MalformedInputError):
-        in_convex_subgroup(NTOrder(specs["dehornoy_3"], frozen_convention(3)), BraidWord(3), 5)
+        in_convex_subgroup(NTOrder(specs["dehornoy_3"], FROZEN_CONVENTION), BraidWord(3), 5)
 
 
-def test_convex_membership_closure(rng, specs, conv4):
+def test_convex_membership_closure(rng, specs, conv):
     spec = specs["dehornoy_4"]
-    members = [w for w in BallSpec(4, 4).words() if in_convex_subgroup(NTOrder(spec, conv4), w, 1)]
+    members = [w for w in BallSpec(4, 4).words() if in_convex_subgroup(NTOrder(spec, conv), w, 1)]
     for _ in range(500):
         a, b = rng.choice(members), rng.choice(members)
-        assert in_convex_subgroup(NTOrder(spec, conv4), multiply(a, b), 1)
-        assert in_convex_subgroup(NTOrder(spec, conv4), invert(a), 1)
+        assert in_convex_subgroup(NTOrder(spec, conv), multiply(a, b), 1)
+        assert in_convex_subgroup(NTOrder(spec, conv), invert(a), 1)
 
 
 @pytest.mark.xfail(strict=True, reason="depth membership is not closed under products (ROADMAP item 8)")
@@ -309,28 +309,28 @@ def test_convex_membership_closure_b4_b():
     assert in_convex_subgroup(order, multiply(a, b), 1)
 
 
-def test_chain_nesting_monotone(specs, conv4):
+def test_chain_nesting_monotone(specs, conv):
     spec = specs["dehornoy_4"]
     for w in BallSpec(4, 4).words():
-        member = [in_convex_subgroup(NTOrder(spec, conv4), w, i) for i in (1, 2, 3)]
+        member = [in_convex_subgroup(NTOrder(spec, conv), w, i) for i in (1, 2, 3)]
         for deep, shallow in ((2, 1), (1, 0)):
             if member[deep]:
                 assert member[shallow]
 
 
-def test_chain_report_patterns(specs, conv4):
-    report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv4), BallSpec(4, 4))
+def test_chain_report_patterns(specs, conv):
+    report = convex_chain_report(NTOrder(specs["dehornoy_4"], conv), BallSpec(4, 4))
     assert [lv.generator_pattern for lv in report.levels] == [(2, 3), (3,), ()]
     assert [lv.violations for lv in report.levels] == [0, 0, 0]
     with pytest.raises(MalformedInputError):
-        convex_chain_report(NTOrder(specs["sturmian_3"], frozen_convention(3)), BallSpec(3, 2))
+        convex_chain_report(NTOrder(specs["sturmian_3"], FROZEN_CONVENTION), BallSpec(3, 2))
 
 
-def test_three_b4_classes_distinct(specs, conv4):
+def test_three_b4_classes_distinct(specs, conv):
     reports = {
         name: tuple(
             lv.generator_pattern
-            for lv in convex_chain_report(NTOrder(specs[name], conv4), BallSpec(4, 3)).levels
+            for lv in convex_chain_report(NTOrder(specs[name], conv), BallSpec(4, 3)).levels
         )
         for name in ("b4_a", "b4_b", "b4_c")
     }
@@ -352,7 +352,7 @@ def test_soul_validation_on_catalog(specs):
         ("sturmian_3", ()),
     ]:
         spec = specs[name]
-        conv = frozen_convention(spec.n)
+        conv = FROZEN_CONVENTION
         assert soul_of(NTOrder(spec, conv)) == expected
 
 
@@ -366,16 +366,16 @@ def test_a_moved_ray_has_no_structure_of_its_base():
         convex_chain_report(moved, BallSpec(4, 3))
     with pytest.raises(MalformedInputError, match="finite type needs n-1 separating depths"):
         soul_of(moved)
-    image = act_on_geodesic(BraidWord(4, (2,)), catalog_order("b4_b").spec, frozen_convention(4))
+    image = act_on_geodesic(BraidWord(4, (2,)), catalog_order("b4_b").spec, FROZEN_CONVENTION)
     assert (image.separating_depths, image.soul_generators) == ((), ())
 
 
-def test_soul_validation_mismatch_raises(specs, conv3):
+def test_soul_validation_mismatch_raises(specs, conv):
     broken = GeodesicSpec(
         "broken", specs["dehornoy_3"].word, (1, 2), (1,)
     )
     with pytest.raises(SoulValidationError):
-        soul_of(NTOrder(broken, conv3))
+        soul_of(NTOrder(broken, conv))
 
 
 def test_depth_cap_leaves_finite_reports_unchanged(specs):
@@ -450,8 +450,8 @@ def test_subword_property_all_catalog_orders(rng, name, cases):
         assert order_cmp(order, w, bigger) == -1
 
 
-def test_totality_probe_sturmian(specs, conv3):
-    report = totality_probe(NTOrder(specs["sturmian_3"], conv3), BallSpec(3, 5), 20)
+def test_totality_probe_sturmian(specs, conv):
+    report = totality_probe(NTOrder(specs["sturmian_3"], conv), BallSpec(3, 5), 20)
     assert not report.tie_words
     assert report.records[-1][0] >= 20
     depths = [d for d, _ in report.records]
@@ -463,22 +463,22 @@ def test_block_streams_have_no_small_stabilizers(specs, name, ball_l):
     # regression: block tails must not assemble braid-invariant loop
     # products (the boundary loop, or an aligned x_i x_{i+1})
     spec = specs[name]
-    conv = frozen_convention(spec.n)
+    conv = FROZEN_CONVENTION
     report = totality_probe(NTOrder(spec, conv), BallSpec(spec.n, ball_l), 4)
     assert not report.tie_words
 
 
-def test_totality_probe_periodic_control(conv3):
+def test_totality_probe_periodic_control(conv):
     from braidorders import EventuallyPeriodic
 
     control = GeodesicSpec("control", EventuallyPeriodic(FreeWord(3, (1,)), FreeWord(3, (2, 1))))
-    report = totality_probe(NTOrder(control, conv3), BallSpec(3, 3), 5)
+    report = totality_probe(NTOrder(control, conv), BallSpec(3, 3), 5)
     assert BraidWord(3, (1,)) in report.tie_words
 
 
-def test_totality_probe_rejects_finite(specs, conv3):
+def test_totality_probe_rejects_finite(specs, conv):
     with pytest.raises(MalformedInputError):
-        totality_probe(NTOrder(specs["dehornoy_3"], conv3), BallSpec(3, 2), 5)
+        totality_probe(NTOrder(specs["dehornoy_3"], conv), BallSpec(3, 2), 5)
 
 
 def test_spec_file_round_trip(specs):

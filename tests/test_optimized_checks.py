@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import sys
-from braidorders import BraidWord, MalformedInputError, QuadraticIrrational, Sturmian, frozen_convention
+from braidorders import FROZEN_CONVENTION, BraidWord, MalformedInputError, QuadraticIrrational, Sturmian
 from braidorders import NTOrder, ZkIntegerSlope, ZkLex, ZkQuadraticSlope, catalog
 from braidorders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder, GeodesicSpec, catalog_order
 from braidorders.dehornoy import HandleFreeWord
@@ -34,7 +34,7 @@ try:
 except AssertionError as exc:
     print("main_sign:", exc)
 try:
-    _verdict(2, 2, 1, frozen_convention(3))
+    _verdict(2, 2, 1, FROZEN_CONVENTION, 3)
 except AssertionError as exc:
     print("verdict:", exc)
 try:
@@ -57,7 +57,7 @@ for build in (
     lambda: ZkLex((0,), (1.0,)),
     lambda: ZkQuadraticSlope(2.0, ((1, 0),)),
     lambda: QuadraticIrrational(7, 3, 11).floor_times(2.5),
-    lambda: NTOrder(catalog()["sturmian_3"], frozen_convention(3), 2.5),
+    lambda: NTOrder(catalog()["sturmian_3"], FROZEN_CONVENTION, 2.5),
 ):
     try:
         build()
@@ -72,7 +72,7 @@ for build in (
     lambda: ConvexExtensionOrder(DehornoyOrder(4), ZkLex.standard(2)),
     lambda: ConjugatedOrder(catalog_order("b4_b"), (1,)),
     lambda: NTOrder(catalog()["b4_b"], None),
-    lambda: NTOrder(None, frozen_convention(4)),
+    lambda: NTOrder(None, FROZEN_CONVENTION),
     lambda: GeodesicSpec("x", (1, 2)),
     lambda: ConjugatedOrder(None, BraidWord(3, (1,))),
     lambda: ZkLex(None, (1,)),

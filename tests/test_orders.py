@@ -205,6 +205,8 @@ def test_zk_fields_are_integers():
         (lambda: ZkQuadraticSlope(2.0, ((1, 0),)), "qslope d must be an integer, got 2.0"),
         (lambda: ZkQuadraticSlope(2, ((1, 0.5),)), "qslope weight must be an integer, got 0.5"),
         (lambda: ZkQuadraticSlope(2, ((1, 0, 3),)), "qslope weight must be a pair (a, b), got (1, 0, 3)"),
+        (lambda: ZkQuadraticSlope(4, ((1, 0),)), "d must be a positive non-square, got 4"),
+        (lambda: ZkQuadraticSlope(-3, ((1, 0),)), "d must be a positive non-square, got -3"),
     ):
         with pytest.raises(MalformedInputError) as info:
             build()

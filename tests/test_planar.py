@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BraidWord,
     CalibrationError,
     EventuallyPeriodic,
@@ -16,9 +17,8 @@ from braidorders import (
     catalog_order,
     dehornoy_sign,
     divergence_depth,
-    frozen_convention,
 )
-from braidorders.catalog import FROZEN_CONVENTION_FLAGS, dehornoy_word
+from braidorders.catalog import dehornoy_word
 from braidorders.planar import DEFAULT_DEPTH_CAP, divergence
 
 from artin_reference import apply_map, artin_map_of
@@ -32,32 +32,32 @@ def planar_verdict(u, v, conv, depth_cap=DEFAULT_DEPTH_CAP):
 
 
 def test_germ_cycle_contents():
-    conv = GermConvention(3, False, False, False)
-    assert conv.cycle() == (0, 3, -3, 2, -2, 1, -1)
-    rev = GermConvention(3, True, False, False)
-    assert rev.cycle() == (0, 1, -1, 2, -2, 3, -3)
+    conv = GermConvention(False, False, False)
+    assert conv.cycle(3) == (0, 3, -3, 2, -2, 1, -1)
+    rev = GermConvention(True, False, False)
+    assert rev.cycle(3) == (0, 1, -1, 2, -2, 3, -3)
 
 
 def test_default_convention_basepoint_cut():
     # with the default (unreversed, unflipped) table the x_n-starting word
     # leaves at a smaller angle than the x_1-starting word
     for n in (3, 5):
-        conv = GermConvention(n, False, False, False)
+        conv = GermConvention(False, False, False)
         u = FreeWord(n, (n, 1))
         v = FreeWord(n, (1, n))
         assert planar_verdict(u, v, conv) == -1
         assert planar_verdict(v, u, conv) == 1
 
 
-def test_equal_and_prefix_words(conv3):
+def test_equal_and_prefix_words(conv):
     u = FreeWord(3, (1, -2))
-    assert planar_verdict(u, u, conv3) == 0
+    assert planar_verdict(u, u, conv) == 0
     v = FreeWord(3, (1, -2, 3))
-    assert planar_verdict(u, v, conv3) != 0
-    assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3)
+    assert planar_verdict(u, v, conv) != 0
+    assert planar_verdict(u, v, conv) == -planar_verdict(v, u, conv)
 
 
-def test_comparator_exhaustive_total_order_small_words(conv3):
+def test_comparator_exhaustive_total_order_small_words(conv):
     # every pair of distinct words up to length 2 in F_3: total, antisymmetric,
     # and transitive as a whole (sorting by the comparator is consistent)
     import functools
@@ -71,27 +71,27 @@ def test_comparator_exhaustive_total_order_small_words(conv3):
             if b != -a:
                 words.append(FreeWord(3, (a, b)))
     for u, v in itertools.combinations(words, 2):
-        assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3) != 0
-    ordered = sorted(words, key=functools.cmp_to_key(lambda u, v: planar_verdict(u, v, conv3)))
+        assert planar_verdict(u, v, conv) == -planar_verdict(v, u, conv) != 0
+    ordered = sorted(words, key=functools.cmp_to_key(lambda u, v: planar_verdict(u, v, conv)))
     for u, v in zip(ordered, ordered[1:]):
-        assert planar_verdict(u, v, conv3) == -1
+        assert planar_verdict(u, v, conv) == -1
     for u, w in zip(ordered, ordered[2:]):
-        assert planar_verdict(u, w, conv3) == -1
+        assert planar_verdict(u, w, conv) == -1
 
 
-def test_comparator_total_antisymmetric_transitive(rng, conv3):
+def test_comparator_total_antisymmetric_transitive(rng, conv):
     for _ in range(500):
         words = [random_free_word(rng, 3, rng.randrange(0, 7)) for _ in range(3)]
         u, v, w = words
         if u != v:
-            assert planar_verdict(u, v, conv3) != 0
-            assert planar_verdict(u, v, conv3) == -planar_verdict(v, u, conv3)
+            assert planar_verdict(u, v, conv) != 0
+            assert planar_verdict(u, v, conv) == -planar_verdict(v, u, conv)
         if u != v and v != w and u != w:
-            if planar_verdict(u, v, conv3) < 0 and planar_verdict(v, w, conv3) < 0:
-                assert planar_verdict(u, w, conv3) < 0
+            if planar_verdict(u, v, conv) < 0 and planar_verdict(v, w, conv) < 0:
+                assert planar_verdict(u, w, conv) < 0
 
 
-def test_order_equivariance_under_braid_action(rng, conv4):
+def test_order_equivariance_under_braid_action(rng, conv):
     # the action fixes the boundary, so it preserves angle comparisons exactly
     for _ in range(1000):
         beta = random_word(rng, 4, rng.randrange(0, 6))
@@ -99,23 +99,23 @@ def test_order_equivariance_under_braid_action(rng, conv4):
         v = random_free_word(rng, 4, rng.randrange(0, 8))
         if u == v:
             continue
-        m = artin_map_of(beta, conv4.artin_mirrored)
-        before = planar_verdict(u, v, conv4)
-        after = planar_verdict(apply_map(m, u), apply_map(m, v), conv4)
+        m = artin_map_of(beta, conv.artin_mirrored)
+        before = planar_verdict(u, v, conv)
+        after = planar_verdict(apply_map(m, u), apply_map(m, v), conv)
         assert before == after
 
 
-def test_finite_words_decide_past_the_cap(conv3):
+def test_finite_words_decide_past_the_cap(conv):
     # finite words always separate, so their scan may go uncapped; a cap
     # stops any two rays, and a finite ray order scans with none, for its
     # signs and its divergence reports alike
     base = (1, 2) * 300
     u = FreeWord(3, base + (1,))
     v = FreeWord(3, base + (-2,))
-    assert divergence(u, v, conv3, None)[0] > 64
-    assert divergence(u, v, conv3, 64) == (64, None)
-    assert planar_verdict(u, v, conv3, None) == -planar_verdict(v, u, conv3, None) != 0
-    assert planar_verdict(FreeWord(3, base), u, conv3, None) != 0
+    assert divergence(u, v, conv, None)[0] > 64
+    assert divergence(u, v, conv, 64) == (64, None)
+    assert planar_verdict(u, v, conv, None) == -planar_verdict(v, u, conv, None) != 0
+    assert planar_verdict(FreeWord(3, base), u, conv, None) != 0
     order = dataclasses.replace(catalog_order("dehornoy_4"), depth_cap=1)
     top = BraidWord(4, (3,))
     depth, verdict = divergence_depth(order, top)
@@ -124,52 +124,37 @@ def test_finite_words_decide_past_the_cap(conv3):
     assert order.sign(top) == dehornoy_sign(top) == 1
 
 
-def test_streams_agreeing_beyond_cap_undecided(conv3):
+def test_streams_agreeing_beyond_cap_undecided(conv):
     ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    assert divergence(ep, ep, conv3, depth_cap=64) == (64, None)
+    assert divergence(ep, ep, conv, depth_cap=64) == (64, None)
     st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
-    assert divergence(st, st, conv3, depth_cap=100) == (100, None)
+    assert divergence(st, st, conv, depth_cap=100) == (100, None)
 
 
-def test_stream_vs_finite_decided(conv3):
+def test_stream_vs_finite_decided(conv):
     st = Sturmian(3, QuadraticIrrational(7, 3, 11), 1, 2)
     head = FreeWord(3, ray_prefix(st, 5))
-    assert planar_verdict(head, st, conv3) != 0
+    assert planar_verdict(head, st, conv) != 0
 
 
-def test_common_prefix_length(conv3):
+def test_common_prefix_length(conv):
     u = FreeWord(3, (1, 2, 1))
     v = FreeWord(3, (1, 2, -1))
-    depth, verdict = divergence(u, v, conv3, None)
+    depth, verdict = divergence(u, v, conv, None)
     assert depth == 2 and verdict in (-1, 1)
     ep = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
-    assert divergence(ep, ep, conv3, depth_cap=32) == (32, None)
-    assert divergence(u, u, conv3, None) == (3, 0)
+    assert divergence(ep, ep, conv, depth_cap=32) == (32, None)
+    assert divergence(u, u, conv, None) == (3, 0)
 
 
-def test_calibration_recovers_frozen_convention():
-    result = calibrate_conventions(3, 4)
-    assert result.word == dehornoy_word(3)
-    flags = (
-        result.convention.germ_order_reversed,
-        result.convention.artin_mirrored,
-        result.convention.angle_flipped,
-    )
-    assert flags == FROZEN_CONVENTION_FLAGS
-    # candidate word has exactly n-1 = 2 letters on indices 1, 2
-    assert sorted(abs(k) for k in result.word.letters) == [1, 2]
-    # matches are pairwise equivalent on the ball: calibrate asserts agreement
-    assert len(result.matches) >= 1
-
-
-def test_calibration_same_flags_at_n4():
-    result = calibrate_conventions(4, 3)
-    flags = (
-        result.convention.germ_order_reversed,
-        result.convention.artin_mirrored,
-        result.convention.angle_flipped,
-    )
-    assert flags == FROZEN_CONVENTION_FLAGS
+@pytest.mark.parametrize("n, max_length", [(3, 4), (4, 3), (5, 3), (6, 2)])
+def test_calibration_finds_one_convention_at_every_rank(n, max_length):
+    result = calibrate_conventions(n, max_length)
+    assert result.convention == FROZEN_CONVENTION
+    assert result.word == dehornoy_word(n)
+    # two equivalent twins (mirrored rules with flipped verdicts) for each
+    # of two candidate words
+    assert len(result.matches) == 4
 
 
 def test_calibration_rejects_broken_oracle(monkeypatch):

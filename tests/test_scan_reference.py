@@ -19,12 +19,12 @@ from typing import Callable
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     EventuallyPeriodic,
     FreeWord,
     GermConvention,
     Sturmian,
     act_on_geodesic,
-    frozen_convention,
 )
 from braidorders.catalog import STURMIAN_SLOPE
 from braidorders.freewords import Custom
@@ -135,12 +135,12 @@ def ref_diverge(u, v, depth_cap):
             window = min(window, depth_cap + 1)
 
 
-def ref_verdict(d, pu, pv, conv):
+def ref_verdict(d, pu, pv, conv, n):
     gu = pu[d] if d < len(pu) else TERMINAL
     gv = pv[d] if d < len(pv) else TERMINAL
     if gu == gv == TERMINAL:
         return EQUAL
-    pos = {g: p for p, g in enumerate(conv.cycle())}
+    pos = {g: p for p, g in enumerate(conv.cycle(n))}
     if d == 0:
         pu_pos, pv_pos = pos[gu], pos[gv]
     else:
@@ -156,7 +156,7 @@ def ref_divergence(u, v, conv, depth_cap):
     d, pu, pv = ref_diverge(u, v, depth_cap)
     if depth_cap is not None and d >= depth_cap:
         return depth_cap, None
-    return d, ref_verdict(d, pu, pv, conv)
+    return d, ref_verdict(d, pu, pv, conv, u.n)
 
 
 def ref_common_prefix_length(u, v, depth_cap):
@@ -232,7 +232,7 @@ def pairs(specs):
             turn = next(p for p in range(1, n + 1) if p != letters[k] and -p not in letters[k - 1 : k])
             other = EventuallyPeriodic(FreeWord(n, letters[:k]), FreeWord(n, (turn,)))
             out.append((f"periodic/{name}", (other, stream), (other, twin)))
-        conv = frozen_convention(n)
+        conv = FROZEN_CONVENTION
         spec = GeodesicSpec(name, stream)
         for _ in range(8):
             b = random_word(rng, n, rng.randrange(1, 5))
@@ -259,7 +259,7 @@ def test_divergence_matches_window_scan(specs, depth_cap):
         n = u.n
         # two finite words also scan uncapped, as a finite ray order scans them
         finite = isinstance(u, FreeWord) and isinstance(v, FreeWord)
-        conventions = (frozen_convention(n), GermConvention(n, False, False, False))
+        conventions = (FROZEN_CONVENTION, GermConvention(False, False, False))
         for conv, cap in itertools.product(conventions, (depth_cap, None)):
             if cap is None and not finite:
                 continue
@@ -279,4 +279,4 @@ def test_scan_reads_no_letter_past_cap(specs):
         letters = ray_prefix(specs["sturmian_3"].word, depth_cap)
         u = Custom(3, lambda: iter(letters), label="short")
         v = Custom(3, lambda: iter(letters), label="short")
-        assert divergence(u, v, frozen_convention(3), depth_cap) == (depth_cap, None)
+        assert divergence(u, v, FROZEN_CONVENTION, depth_cap) == (depth_cap, None)

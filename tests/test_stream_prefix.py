@@ -15,6 +15,7 @@ from itertools import islice
 import pytest
 
 from braidorders import (
+    FROZEN_CONVENTION,
     BraidWord,
     Custom,
     GeodesicSpec,
@@ -25,7 +26,6 @@ from braidorders import (
     act_on_geodesic,
     catalog,
     divergence_depth,
-    frozen_convention,
     parse_infinite_word,
 )
 from braidorders.nt import _image_letters, moved_order
@@ -77,7 +77,7 @@ def test_image_stream_matches_a_fresh_transport():
     for name, letters in (("sturmian_4", (1, -3, 2, 2)), ("mixed_4", (-2, 3, 1)), ("sturmian_3", (1, -2) * 3)):
         spec = catalog()[name]
         b = BraidWord(spec.n, letters)
-        conv = frozen_convention(spec.n)
+        conv = FROZEN_CONVENTION
         image = act_on_geodesic(b, spec, conv).word
         source = CountingRay(catalog()[name].word)
         expected = list(islice(_image_letters(b, source, conv.artin_mirrored), LENGTH))
@@ -88,7 +88,7 @@ def test_image_stream_matches_a_fresh_transport():
 def test_a_finite_image_ends_every_read():
     # the moved finite ray is read lazily through a shared prefix whose
     # source ends; it stays finite: its scans take no depth cap
-    spec, conv = catalog()["dehornoy_3"], frozen_convention(3)
+    spec, conv = catalog()["dehornoy_3"], FROZEN_CONVENTION
     h = BraidWord(3, (1, -2, 1))
     moved = moved_order(NTOrder(spec, conv, 1), h)
     word = moved.spec.word
@@ -193,7 +193,7 @@ def test_an_error_from_the_letters_function_replays():
 def test_prefix_holds_the_longest_read_of_the_signs(rng):
     for name in STREAMS:
         spec = catalog()[name]
-        conv = frozen_convention(spec.n)
+        conv = FROZEN_CONVENTION
         order = NTOrder(spec, conv)
         counting = CountingRay(catalog()[name].word)
         reference = NTOrder(GeodesicSpec(name, counting), conv)
