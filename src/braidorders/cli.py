@@ -330,6 +330,8 @@ def cmd_probe(args) -> int:
         )
         return 2 if (report.tie_words or not covered) else 0
     lo, hi = _parse_range(args.range)
+    if not args.pattern and args.n < 5:
+        raise MalformedInputError(f"the default --pattern 3/4 needs B_5 or more; give --pattern for B_{args.n}")
     pattern = _slash_pattern(args.pattern or "3/4", args.n)
     n_range = range(lo, hi + 1)
     rows = limit_probe_experiment(order, pattern, n_range, BallSpec(args.n, args.ball_length))

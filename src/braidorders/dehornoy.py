@@ -98,7 +98,8 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
     """Reduce handles until none remain; the result represents the same braid.
 
     Raises BudgetExceededError (carrying the partial word) if more than
-    ``budget`` reduction steps are needed.
+    ``budget`` reduction steps are needed.  The budget counts steps, not
+    time: each step rescans the word from its start and rebuilds it.
     """
     letters = list(w.letters)
     steps = 0

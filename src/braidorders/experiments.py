@@ -155,28 +155,6 @@ def converge_conjugates_experiment(
     return tuple(rows)
 
 
-def _soul_witness(base: NTOrder, slope: ZkIntegerSlope) -> tuple[BraidWord, tuple[int, ...]] | None:
-    """A soul element of the base on which the slope and its tie break, the
-    base's lex priority (soul_lex_of_base), disagree, with its exponent
-    vector: an axis against a large multiple of a lower-priority axis."""
-    lex, weights = slope.tie_break, slope.weights
-    soul = base.spec.soul_generators
-    k = len(soul)
-    for hi_pos in range(k):
-        for lo_pos in range(k):
-            if lex.axes.index(hi_pos) >= lex.axes.index(lo_pos):
-                continue
-            # lex says +1 for e_hi - t e_lo with any t; slope flips at large t
-            t = weights[hi_pos] // max(1, weights[lo_pos]) + 1
-            v = [0] * k
-            v[hi_pos] = 1
-            v[lo_pos] = -t
-            if zk_sign(slope, v) != zk_sign(lex, v):
-                letters = (soul[hi_pos],) + (-soul[lo_pos],) * t
-                return BraidWord(base.n, letters), tuple(v)
-    return None
-
-
 def _soul_members(base: NTOrder, soul: Sequence[int], ball: BallSpec) -> list[tuple]:
     """(word, exponent vector, base sign) of each soul member of the ball, in
     ball order."""
@@ -208,6 +186,12 @@ def converge_extensions_experiment(
         raise MalformedInputError("slope parameter M must be >= 2")
     lex = soul_lex_of_base(base)
     members = _soul_members(base, soul, ball) if m_range else []  # read once for every M
+    # past the ball, slope and lex disagree on e_hi - t e_lo for every hi above
+    # lo in priority: lex reads +1, the slope w_hi - t w_lo = -w_lo for
+    # t = w_hi // w_lo + 1 (w_lo divides w_hi).  The pair is the first in axis
+    # order: hi the first axis not last in priority, lo the first below it.
+    hi = 1 if lex.axes[-1] == 0 else 0
+    lo = min(lex.axes[lex.axes.index(hi) + 1:])
     rows = []
     for M in m_range:
         weights = [0] * k
@@ -221,10 +205,10 @@ def converge_extensions_experiment(
                 radius, witness, signs, vector = len(w) - 1, w, (ext_sign, base_sign), v
                 break
         else:
-            found = _soul_witness(base, slope)
-            if found is not None:
-                witness, vector = found
-                signs = (zk_sign(slope, vector), base.sign(witness))
+            t = weights[hi] // weights[lo] + 1
+            witness = BraidWord(base.n, (soul[hi],) + (-soul[lo],) * t)
+            vector = tuple(1 if pos == hi else -t if pos == lo else 0 for pos in range(k))
+            signs = (zk_sign(slope, vector), base.sign(witness))
         rows.append(ExtensionRow(M, tuple(weights), radius, witness, signs, vector))
     return tuple(rows)
 

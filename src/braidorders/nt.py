@@ -139,9 +139,7 @@ class NTOrder:
 
     def sign(self, b: BraidWord) -> int:
         """-1 / 0 / +1: positive iff the braid moves the ray to a larger angle."""
-        if b.n != self.spec.word.n:  # the spec's strand count, read without a property call
-            raise MalformedInputError("strand counts differ")
-        if not b.letters:
+        if not b.letters and b.n == self.spec.word.n:  # the scan checks any other rank
             return 0
         _, verdict = divergence_depth(self, b)
         if verdict is None:
@@ -374,6 +372,8 @@ def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     transport and one scan.  The scan of a finite ray is uncapped; a stream
     that agrees with its image up to the depth cap gives (cap, None)."""
     word = order.spec.word
+    if b.n != word.n:  # the spec's strand count, read without a property call
+        raise MalformedInputError("strand counts differ")
     image = _image_letters(b, word, order.convention.artin_mirrored)
     cap = None if isinstance(word, (FreeWord, _FiniteImage)) else order.depth_cap
     return divergence(word, image, order.convention, cap)
@@ -448,7 +448,6 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
         members = [w for w, depth, _ in scans if depth >= d]
         outside = [w for w, depth, _ in scans if depth < d]
         violations = 0
-        checked = 0
         if members:
             lo = hi = members[0]
             for w in members[1:]:
@@ -457,13 +456,12 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
                 if order_cmp(order, w, hi) == GREATER:
                     hi = w
             for g in outside:
-                checked += 1
                 try:
                     if order_cmp(order, lo, g) == LESS and order_cmp(order, g, hi) == LESS:
                         violations += 1
                 except UndecidedComparisonError:
                     undecided += 1
-        levels.append(ChainLevel(pattern, len(members), checked, violations))
+        levels.append(ChainLevel(pattern, len(members), len(outside) if members else 0, violations))
     return ChainReport(tuple(levels), undecided)
 
 
@@ -516,9 +514,8 @@ def conrad_witness_search(
     for f, g in priority_pairs:
         if is_witness(f, g):
             return ConradWitness(f, g)
-    words = list(ball.words())
-    for f in words:
-        for g in words:
+    for f in ball.words():
+        for g in ball.words():
             if is_witness(f, g):
                 return ConradWitness(f, g)
     raise SearchFailureError(
@@ -546,6 +543,8 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
         raise MalformedInputError(f"{spec.name}: totality probe needs an infinite-type spec")
     if depth_target < 0:
         raise MalformedInputError(f"depth target must be non-negative, got {depth_target}")
+    if ball.n != spec.n:
+        raise MalformedInputError("ball strand count differs from spec")
     ties: list[BraidWord] = []
     records: list[tuple[int, BraidWord]] = []
     best = -1

@@ -1,10 +1,12 @@
 """Sign oracles for left-orderings and the combinators that build new ones.
 
 An order oracle is anything with a strand count ``n`` and a ``sign`` method
-mapping a braid word to -1 / 0 / +1 (zero exactly on trivial braids).  The
-oracles here: handle reduction, ray orders, conjugates of an oracle, and
-convex extensions that re-order the abelian soul block by an exact ordering
-of Z^k while leaving everything outside untouched.
+mapping a braid word to -1 / 0 / +1, zero only on trivial braids.  A ray
+order on a stream returns 0 on the empty (freely reduced) word only, and
+raises UndecidedComparisonError at its depth cap on every other trivial
+braid.  The oracles here: handle reduction, ray orders, conjugates of an
+oracle, and convex extensions that re-order the abelian soul block by an
+exact ordering of Z^k while leaving everything outside untouched.
 """
 
 from __future__ import annotations
@@ -176,21 +178,14 @@ def zk_sign(spec: ZkOrderSpec, v: Sequence[int]) -> int:
         if total != 0:
             return 1 if total > 0 else -1
         return zk_sign(spec.tie_break, v)
-    # quadratic slope: A + B sqrt(d) with exact sign bookkeeping
+    # A + B sqrt(d): A's sign when A and B agree or B = 0, B's when A = 0,
+    # else that of the larger term (A^2 != dB^2, as d is not a square)
     a_part = sum(a * x for (a, _), x in zip(spec.weights, v))
     b_part = sum(b * x for (_, b), x in zip(spec.weights, v))
-    if b_part == 0:
-        return 0 if a_part == 0 else (1 if a_part > 0 else -1)
-    if a_part == 0:
-        return 1 if b_part > 0 else -1
-    if a_part > 0 and b_part > 0:
-        return 1
-    if a_part < 0 and b_part < 0:
-        return -1
-    # opposite signs: compare a_part^2 against d b_part^2 on the positive side
-    if a_part > 0:
-        return 1 if a_part * a_part > spec.d * b_part * b_part else -1
-    return 1 if spec.d * b_part * b_part > a_part * a_part else -1
+    sa, sb = (a_part > 0) - (a_part < 0), (b_part > 0) - (b_part < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a_part * a_part > spec.d * b_part * b_part else sb
 
 
 # --- soul membership ----------------------------------------------------------
@@ -207,13 +202,11 @@ def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
     for i, j in zip(soul, soul[1:]):
         if j - i < 2:
             raise MalformedInputError(f"soul generators {i}, {j} are adjacent or out of order")
-    pair_points = {p for i in soul for p in (i, i + 1)}
-    for p, image in enumerate(permutation_of(b), 1):
-        if p in pair_points:
-            i = p if p in soul else p - 1
-            if image not in (i, i + 1):
-                return None
-        elif image != p:
+    if soul and not 1 <= soul[0] <= soul[-1] <= b.n - 1:
+        raise MalformedInputError(f"soul generators {list(soul)} out of range for B_{b.n}")
+    # every strand ends where it began or at its soul partner
+    for p, q in enumerate(permutation_of(b), 1):
+        if q != p and not (abs(q - p) == 1 and min(p, q) in soul):
             return None
     exponents = tuple(linking_number(b, i, i + 1) for i in soul)
     candidate_letters: list[int] = []

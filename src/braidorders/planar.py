@@ -42,12 +42,6 @@ class GermConvention:
     artin_mirrored: bool
     angle_flipped: bool
 
-    def cycle(self, n: int) -> tuple[int, ...]:
-        germs: list[int] = [TERMINAL]
-        for i in range(1, n + 1) if self.germ_order_reversed else range(n, 0, -1):
-            germs.extend((i, -i))
-        return tuple(germs)
-
 
 # calibrated against handle reduction at n = 3, 4, 5 and 6: the same flags at every rank
 FROZEN_CONVENTION = GermConvention(True, False, True)
@@ -57,8 +51,10 @@ FROZEN_CONVENTION = GermConvention(True, False, True)
 def _places(germ_order_reversed: bool, n: int) -> tuple[int, ...]:
     """Place of each germ in the cycle, indexed by germ + n: read-only,
     built once per fan direction and rank, read by the verdict of every sign."""
+    fan = range(1, n + 1) if germ_order_reversed else range(n, 0, -1)
+    cycle = [TERMINAL] + [g for i in fan for g in (i, -i)]
     places = [0] * (2 * n + 1)
-    for p, g in enumerate(GermConvention(germ_order_reversed, False, False).cycle(n)):
+    for p, g in enumerate(cycle):
         places[g + n] = p
     return tuple(places)
 

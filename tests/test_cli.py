@@ -89,6 +89,11 @@ def test_malformed_input_exit_code(capsys):
             ("approx", "conjugates", "--n", "3", "--order", "nt:sturmian_3"),
             "conjugate pattern needed for trivial-soul specs",
         ),
+        # the default limit pattern 3/4 names sigma_4, which B_4 lacks
+        (
+            ("probe", "--kind", "limit", "--n", "4", "--order", "nt:b4_b"),
+            "the default --pattern 3/4 needs B_5 or more; give --pattern for B_4",
+        ),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv

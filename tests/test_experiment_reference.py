@@ -50,6 +50,7 @@ from braidorders import (
     sigma,
     soul_lex_of_base,
     zk_membership,
+    zk_sign,
 )
 from braidorders.experiments import (
     AgreementReport,
@@ -57,7 +58,6 @@ from braidorders.experiments import (
     ExtensionRow,
     ProbeRow,
     _conjugator,
-    _soul_witness,
     _stable_sign,
 )
 from braidorders.freewords import Custom
@@ -128,6 +128,28 @@ def ref_conjugates(base, pattern, j_range, ball):
     return tuple(rows)
 
 
+def ref_soul_witness(base, slope):
+    """A soul element of the base on which the slope and its tie break, the
+    base's lex priority (soul_lex_of_base), disagree, with its exponent
+    vector: an axis against a large multiple of a lower-priority axis."""
+    lex, weights = slope.tie_break, slope.weights
+    soul = base.spec.soul_generators
+    k = len(soul)
+    for hi_pos in range(k):
+        for lo_pos in range(k):
+            if lex.axes.index(hi_pos) >= lex.axes.index(lo_pos):
+                continue
+            # lex says +1 for e_hi - t e_lo with any t; slope flips at large t
+            t = weights[hi_pos] // max(1, weights[lo_pos]) + 1
+            v = [0] * k
+            v[hi_pos] = 1
+            v[lo_pos] = -t
+            if zk_sign(slope, v) != zk_sign(lex, v):
+                letters = (soul[hi_pos],) + (-soul[lo_pos],) * t
+                return BraidWord(base.n, letters), tuple(v)
+    return None
+
+
 def ref_extensions(base, m_range, ball):
     soul = sorted(base.spec.soul_generators)
     k = len(soul)
@@ -148,7 +170,7 @@ def ref_extensions(base, m_range, ball):
         if witness is not None:
             vector = zk_membership(witness, soul)
         else:
-            found = _soul_witness(base, slope)
+            found = ref_soul_witness(base, slope)
             if found is not None:
                 witness, vector = found
                 signs = (extension.sign(witness), base.sign(witness))
@@ -301,6 +323,10 @@ def test_base_that_raises_mid_scan():
         ("b4_b", [2, 3, 2], 4, 2),
         ("b4_c", range(2, 6), 3, 0),
         ("b6_cx", range(2, 9), 3, 0),
+        # the empty ball has no witness, so every row takes the soul witness
+        ("b4_b", range(2, 21), 0, 0),
+        ("b4_c", range(2, 21), 0, 0),
+        ("b6_cx", range(2, 21), 0, 0),
     ],
 )
 def test_extensions_match_reference(name, m_range, length, in_ball):
@@ -309,6 +335,7 @@ def test_extensions_match_reference(name, m_range, length, in_ball):
     new = outcome(converge_extensions_experiment, base, m_range, ball)
     assert new == outcome(ref_extensions, base, m_range, ball)
     assert sum(r.radius < length for r in new) == in_ball
+    assert all(r.witness is not None for r in new)
 
 
 def test_extensions_reject_like_reference():

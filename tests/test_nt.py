@@ -238,6 +238,32 @@ def test_divergence_depth_examples(specs):
         assert first < spec.separating_depths[0]
 
 
+RANK_QUERIES = {
+    "sign": lambda order, w: order.sign(w),
+    "sign of the empty word": lambda order, w: order.sign(BraidWord(w.n)),
+    "divergence_depth": divergence_depth,
+    "in_convex_subgroup": lambda order, w: in_convex_subgroup(order, w, 1),
+    "order_cmp": lambda order, w: order_cmp(order, w, w),
+    "moved order": lambda order, w: moved_order(order, BraidWord(order.n, (1,))).sign(w),
+    "convex_chain_report": lambda order, w: convex_chain_report(order, BallSpec(w.n, 1)),
+    "totality_probe": lambda order, w: totality_probe(order, BallSpec(w.n, 1), 3),
+    "totality_probe on the empty ball": lambda order, w: totality_probe(order, BallSpec(w.n, 0), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "name, query",
+    [(name, q) for name in ("dehornoy_3", "mixed_4") for q in RANK_QUERIES if name == "mixed_4" or "totality" not in q],
+)
+@pytest.mark.parametrize("extra", [1, -1])
+def test_ray_order_queries_reject_other_strand_counts(name, query, extra):
+    # the divergence scan used to read a B_4 word on a B_3 ray: depth (2, 0),
+    # convex level membership, and totality ties that were B_4 words
+    order = catalog_order(name)
+    with pytest.raises(MalformedInputError, match="strand counts? differs?"):
+        RANK_QUERIES[query](order, BraidWord(order.n + extra, (1,)))
+
+
 def _two_scan_divergence(order, b):
     # the divergence report from the whole image and two scans: the common
     # prefix length counted here letter by letter, to the cap for a stream

@@ -16,8 +16,11 @@ from braidorders import (
     ZkQuadraticSlope,
     catalog_order,
     invert,
+    is_trivial_braid,
+    linking_number,
     multiply,
     order_cmp,
+    permutation_of,
     soul_lex_of_base,
     zk_membership,
     zk_sign,
@@ -236,6 +239,98 @@ def test_zk_quadratic_slope_exact():
                     assert zk_sign(s, (a, b)) != 0
 
 
+def quadratic_sign_as_it_was(spec, v):
+    """The six-return ladder zk_sign used for a quadratic slope."""
+    a_part = sum(a * x for (a, _), x in zip(spec.weights, v))
+    b_part = sum(b * x for (_, b), x in zip(spec.weights, v))
+    if b_part == 0:
+        return 0 if a_part == 0 else (1 if a_part > 0 else -1)
+    if a_part == 0:
+        return 1 if b_part > 0 else -1
+    if a_part > 0 and b_part > 0:
+        return 1
+    if a_part < 0 and b_part < 0:
+        return -1
+    if a_part > 0:
+        return 1 if a_part * a_part > spec.d * b_part * b_part else -1
+    return 1 if spec.d * b_part * b_part > a_part * a_part else -1
+
+
+def test_zk_quadratic_sign_matches_the_ladder(rng):
+    # every case: B = 0, A = 0, A and B agreeing, and opposite signs either
+    # way round with either term the larger; Pell pairs put A^2 and 2B^2 one
+    # apart
+    pell = ZkQuadraticSlope(2, ((1, 0), (0, 1)))
+    pairs = [(pell, v) for a, b in ((3, 2), (17, 12), (99, 70), (577, 408)) for v in ((a, -b), (-a, b))]
+    while len(pairs) < 10_000:
+        d = rng.choice([2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 1000003])
+        weights = tuple((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.choice((1, 2))))
+        try:
+            spec = ZkQuadraticSlope(d, weights)
+        except MalformedInputError:
+            continue
+        pairs.extend((spec, tuple(rng.randint(-30, 30) for _ in range(spec.k))) for _ in range(50))
+    cases = set()
+    for spec, v in pairs:
+        expected = quadratic_sign_as_it_was(spec, v)
+        assert zk_sign(spec, v) == expected, (spec, v)
+        a_part = sum(a * x for (a, _), x in zip(spec.weights, v))
+        b_part = sum(b * x for (_, b), x in zip(spec.weights, v))
+        sa, sb = (a_part > 0) - (a_part < 0), (b_part > 0) - (b_part < 0)
+        cases.add((sa, sb, expected) if sa * sb < 0 else (abs(sa), abs(sb)))
+    assert cases == {(0, 0), (1, 0), (0, 1), (1, 1), (1, -1, 1), (1, -1, -1), (-1, 1, 1), (-1, 1, -1)}
+
+
+def soul_pairs_as_it_was(b, soul):
+    """zk_membership's permutation test as a pair-point loop, before the
+    partner predicate: True when the candidate goes on to the triviality
+    check."""
+    pair_points = {p for i in soul for p in (i, i + 1)}
+    for p, image in enumerate(permutation_of(b), 1):
+        if p in pair_points:
+            i = p if p in soul else p - 1
+            if image not in (i, i + 1):
+                return False
+        elif image != p:
+            return False
+    return True
+
+
+def zk_membership_as_it_was(b, soul):
+    for i, j in zip(soul, soul[1:]):
+        if j - i < 2:
+            raise MalformedInputError(f"soul generators {i}, {j} are adjacent or out of order")
+    if not soul_pairs_as_it_was(b, soul):
+        return None
+    exponents = tuple(linking_number(b, i, i + 1) for i in soul)
+    candidate_letters = []
+    for i, e in zip(soul, exponents):
+        candidate_letters.extend([i if e > 0 else -i] * abs(e))
+    if not is_trivial_braid(multiply(b, invert(BraidWord(b.n, tuple(candidate_letters))))):
+        return None
+    return exponents
+
+
+@pytest.mark.parametrize("n, length, soul", [(4, 5, (1, 3)), (4, 5, (1,)), (4, 5, (3,)), (6, 3, (1, 3, 5))])
+def test_zk_membership_matches_the_pair_point_loop(monkeypatch, n, length, soul):
+    # the same vectors, and the same words reach the triviality check: a
+    # permutation test that let more through would still give the vectors
+    checked = []
+
+    def recorded(w):
+        checked.append(w)
+        return is_trivial_braid(w)
+
+    monkeypatch.setattr("braidorders.orders.is_trivial_braid", recorded)
+    found = 0
+    for w in BallSpec(n, length).words():
+        checked.clear()
+        v = zk_membership(w, soul)
+        assert (v, len(checked)) == (zk_membership_as_it_was(w, soul), soul_pairs_as_it_was(w, soul)), w
+        found += v is not None
+    assert found > 1
+
+
 def test_zk_quadratic_slope_must_be_total():
     # Q(sqrt d) has dimension 2 over Q: a weight sum vanishes on a nonzero
     # vector for every rank-3 form, and for rank 2 with dependent weights
@@ -271,12 +366,16 @@ def test_zk_membership_examples():
     # the soul comes in axis order, as a spec keeps it
     with pytest.raises(MalformedInputError, match="soul generators 3, 1 are adjacent or out of order"):
         zk_membership(BraidWord(4, (1,)), (3, 1))
+    # a generator outside 1..n-1 used to answer None, or raise from the
+    # linking numbers on the empty word
+    for word in (BraidWord(3, (1,)), BraidWord(3)):
+        for soul in ((3,), (0,), (1, 3), (-1, 2)):
+            with pytest.raises(MalformedInputError, match=r"soul generators \[.*\] out of range for B_3"):
+                zk_membership(word, soul)
 
 
 def test_zk_membership_conjugates(rng):
     # h s1^3 h^-1 lies in <s1> only when the conjugation fixes it
-    from braidorders import is_trivial_braid
-
     for _ in range(60):
         h = random_word(rng, 3, rng.randrange(0, 5))
         w = multiply(multiply(h, BraidWord(3, (1, 1, 1))), invert(h))

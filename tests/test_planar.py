@@ -19,10 +19,11 @@ from braidorders import (
     divergence_depth,
 )
 from braidorders.catalog import dehornoy_word
-from braidorders.planar import DEFAULT_DEPTH_CAP, divergence
+from braidorders.planar import DEFAULT_DEPTH_CAP, _places, divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import random_free_word, ray_prefix
+from test_scan_reference import ref_germ_cycle
 from words import random_word
 
 
@@ -32,10 +33,19 @@ def planar_verdict(u, v, conv, depth_cap=DEFAULT_DEPTH_CAP):
 
 
 def test_germ_cycle_contents():
-    conv = GermConvention(False, False, False)
-    assert conv.cycle(3) == (0, 3, -3, 2, -2, 1, -1)
-    rev = GermConvention(True, False, False)
-    assert rev.cycle(3) == (0, 1, -1, 2, -2, 3, -3)
+    # places indexed by germ + 3: x3^-1 x2^-1 x1^-1 T x1 x2 x3
+    assert _places(False, 3) == (2, 4, 6, 0, 5, 3, 1)  # cycle T x3 x3^-1 x2 x2^-1 x1 x1^-1
+    assert _places(True, 3) == (6, 4, 2, 0, 1, 3, 5)  # cycle T x1 x1^-1 x2 x2^-1 x3 x3^-1
+
+
+@pytest.mark.parametrize("reversed_fan", [False, True])
+def test_places_match_the_germ_cycle(reversed_fan):
+    # the places list the fan itself; the reference builds the cycle and
+    # indexes it, as a convention's cycle method did
+    for n in range(2, 9):
+        cycle = ref_germ_cycle(GermConvention(reversed_fan, False, False), n)
+        assert sorted(cycle) == list(range(-n, n + 1))
+        assert _places(reversed_fan, n) == tuple(cycle.index(g) for g in range(-n, n + 1)), n
 
 
 def test_default_convention_basepoint_cut():

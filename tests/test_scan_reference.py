@@ -135,12 +135,21 @@ def ref_diverge(u, v, depth_cap):
             window = min(window, depth_cap + 1)
 
 
+def ref_germ_cycle(conv, n):
+    """The counterclockwise germ cycle from TERMINAL: x_i, x_i^-1 for i from
+    n down, or from 1 up when the fan is reversed."""
+    germs = [TERMINAL]
+    for i in range(1, n + 1) if conv.germ_order_reversed else range(n, 0, -1):
+        germs.extend((i, -i))
+    return tuple(germs)
+
+
 def ref_verdict(d, pu, pv, conv, n):
     gu = pu[d] if d < len(pu) else TERMINAL
     gv = pv[d] if d < len(pv) else TERMINAL
     if gu == gv == TERMINAL:
         return EQUAL
-    pos = {g: p for p, g in enumerate(conv.cycle(n))}
+    pos = {g: p for p, g in enumerate(ref_germ_cycle(conv, n))}
     if d == 0:
         pu_pos, pv_pos = pos[gu], pos[gv]
     else:
