@@ -12,27 +12,33 @@ entire ball, and the catalog freezes the result.
 """
 
 from braidorders import (
-    FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
     DehornoyOrder,
-    act_on_geodesic,
+    FreeWord,
+    GeodesicSpec,
+    NTOrder,
     agreement_radius,
     calibrate_conventions,
-    catalog,
     catalog_order,
 )
-from braidorders.nt import braid_image_of_word
+from braidorders.nt import moved_order
+
+
+def image(b, letters):
+    """b's image of a finite loop word: the word of the moved ray, read whole."""
+    loop = NTOrder(GeodesicSpec("loop", FreeWord(b.n, letters)))
+    return FreeWord(b.n, tuple(moved_order(loop, b).spec.word))
+
 
 # --- the substitution action ---------------------------------------------------
 
 for j in (1, 2, 3):
-    img = braid_image_of_word(BraidWord(3, (1,)), (j,), False)
-    print(f"sigma1: x{j} -> {' '.join(map(str, img))}")
+    print(f"sigma1: x{j} -> {image(BraidWord(3, (1,)), (j,))}")
 
 # braid relation holds on the nose: both sides move every generator alike
 lhs, rhs = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
-assert all(braid_image_of_word(lhs, (j,), False) == braid_image_of_word(rhs, (j,), False) for j in (1, 2, 3))
+assert all(image(lhs, (j,)) == image(rhs, (j,)) for j in (1, 2, 3))
 print("map(s1 s2 s1) == map(s2 s1 s2)")
 
 # --- calibration ---------------------------------------------------------------
@@ -53,8 +59,7 @@ print(f"agreement with handle reduction on ball L=6: radius {report.radius}, wit
 
 # --- watching a ray move ---------------------------------------------------------
 
-spec = catalog()["dehornoy_3"]
 for j in (1, 3, 5):
     beta = BraidWord(3, (-2,) * j + (1,))
-    moved = act_on_geodesic(beta, spec, FROZEN_CONVENTION)
-    print(f"(s2^-{j} s1).ray = {moved.word}   (winds {j}x around the far punctures)")
+    moved = image(beta, order.spec.word.letters)
+    print(f"(s2^-{j} s1).ray = {moved}   (winds {j}x around the far punctures)")

@@ -8,15 +8,49 @@ They are not always subgroups: in b4_b level 1, sigma_3^-2 and
 sigma_3^2 sigma_2^-1 are members but their product sigma_2^-1 is not.
 """
 
+import itertools
+
 from braidorders import (
     BallSpec,
     BraidWord,
+    FreeWord,
+    GeodesicSpec,
+    MalformedInputError,
+    NTOrder,
     catalog_order,
     convex_chain_report,
     divergence_depth,
     soul_of,
 )
-from braidorders.catalog import search_chain_words
+from braidorders.nt import letter_depths
+
+
+def search_chain_words(n, death_order, lengths):
+    """Words whose generators die symmetrically in the requested order.
+
+    Returns (letters, separating_depths) pairs; depths are the deaths of the
+    second dying generator onward plus the word length, so that membership at
+    level i means surviving past the i-th death.  This is the procedure that
+    produced the committed b4_b, b4_c and b6_cx words.
+    """
+    if sorted(death_order) != list(range(1, n)):
+        raise MalformedInputError("death_order must list every generator once")
+    alphabet = [k for i in range(1, n + 1) for k in (i, -i)]
+    results = []
+    for L in lengths:
+        for tup in itertools.product(alphabet, repeat=L):
+            if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
+                continue
+            deaths = letter_depths(NTOrder(GeodesicSpec("search", FreeWord(n, tup))))
+            if any(deaths[j] != deaths[-j] for j in range(1, n)):
+                continue
+            seq = [deaths[j] for j in death_order]
+            if seq != sorted(seq) or len(set(seq)) != len(seq) or seq[-1] >= L:
+                continue
+            depths = tuple(seq[1:]) + (L,)
+            results.append((tup, depths))
+    return results
+
 
 # --- generator divergence depths -------------------------------------------------
 

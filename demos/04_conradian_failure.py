@@ -11,11 +11,10 @@ abelian soul the property holds at k = 1 already.
 import random
 
 from braidorders import (
-    BallSpec,
     BraidWord,
     catalog_order,
-    conrad_witness_search,
     invert,
+    is_conrad_witness,
     multiply,
 )
 
@@ -30,9 +29,9 @@ K_MAX = 20
 
 for name, (f_letters, g_letters) in PAIRS.items():
     order = catalog_order(name)
-    hint = [(BraidWord(order.n, f_letters), BraidWord(order.n, g_letters))]
-    w = conrad_witness_search(order, K_MAX, BallSpec(order.n, 2), priority_pairs=hint)
-    print(f"{name}: f = [{w.f}], g = [{w.g}] with f g^k < g for all k <= {K_MAX}")
+    f, g = BraidWord(order.n, f_letters), BraidWord(order.n, g_letters)
+    assert is_conrad_witness(order, f, g, K_MAX)
+    print(f"{name}: f = [{f}], g = [{g}] with f g^k < g for all k <= {K_MAX}")
 
 # inside the soul of b6_cx no such pair exists: f g > g whenever f, g positive
 order = catalog_order("b6_cx")

@@ -8,15 +8,17 @@ watches where the conjugates of the rank-3 example actually head: toward a
 permuted chain, not the original ordering.
 """
 
+from fractions import Fraction
+
 from braidorders import (
     BallSpec,
     BraidWord,
     DehornoyOrder,
+    agreement_radius,
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
     limit_probe_experiment,
-    order_distance,
     small_positive_search,
     totality_probe,
 )
@@ -28,7 +30,9 @@ from braidorders import ConjugatedOrder
 
 for j in (1, 3, 5, 7):
     conj = ConjugatedOrder(base, BraidWord(3, (-2,) * j + (1,)))
-    d = order_distance(base, conj, BallSpec(3, 6))
+    report = agreement_radius(base, conj, BallSpec(3, 6))
+    # 2^-radius; without a witness 0, the ball's lower bound
+    d = Fraction(0) if report.witness is None else Fraction(1, 2**report.radius)
     print(f"dist(order, conjugate by s2^-{j} s1) <= {d}")
 
 # the natural conjugators sit just above the soul

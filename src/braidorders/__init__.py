@@ -25,7 +25,6 @@ from .catalog import (
     catalog,
     catalog_order,
     dehornoy_word,
-    search_chain_words,
 )
 from .dehornoy import (
     DEFAULT_BUDGET,
@@ -50,7 +49,6 @@ from .experiments import (
     converge_conjugates_experiment,
     converge_extensions_experiment,
     limit_probe_experiment,
-    order_distance,
     small_positive_search,
 )
 from .freewords import (
@@ -68,12 +66,12 @@ from .nt import (
     GeodesicSpec,
     NTOrder,
     TotalityReport,
-    act_on_geodesic,
     conrad_witness_search,
     convex_chain_report,
     divergence_depth,
     format_geodesic_spec,
     in_convex_subgroup,
+    is_conrad_witness,
     order_cmp,
     parse_geodesic_spec,
     soul_of,

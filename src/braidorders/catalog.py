@@ -10,17 +10,17 @@ the substitution rules and flipping every verdict cancel out), and the
 all-negative sign pattern is the canonical pick because it makes the
 generator divergence depths symmetric under inversion.
 
-The B4 and B6 entries with richer convex chains are search artifacts:
-search_chain_words enumerates short words, keeps those whose generator
-divergence depths are inversion-symmetric and die in the requested order, and
-the first hits were committed here after passing the full chain, soul and
-axiom checks.
+The B4 and B6 entries with richer convex chains are search artifacts: the
+search in demos/03_convex_chains.py enumerates short words, keeps those whose
+generator divergence depths are inversion-symmetric and die in the requested
+order, and the first hits were committed here after passing the full chain,
+soul and axiom checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .braids import BallSpec
 from .errors import CalibrationError, MalformedInputError
@@ -32,7 +32,7 @@ from .freewords import (
     Sturmian,
 )
 from .experiments import agreement_radii
-from .nt import GeodesicSpec, NTOrder, letter_depths
+from .nt import GeodesicSpec, NTOrder
 from .orders import DehornoyOrder
 from .planar import FROZEN_CONVENTION, GermConvention
 
@@ -144,36 +144,3 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     word, conv = canonical if canonical in matches else matches[0]
     return CalibrationResult(conv, word, tuple(matches))
 
-
-# --- the committed chain-word search -------------------------------------------
-
-
-def search_chain_words(
-    n: int,
-    death_order: Sequence[int],
-    lengths: Iterable[int],
-) -> list[tuple[FreeLetters, tuple[int, ...]]]:
-    """Words whose generators die symmetrically in the requested order.
-
-    Returns (letters, separating_depths) pairs; depths are the deaths of the
-    second dying generator onward plus the word length, so that membership at
-    level i means surviving past the i-th death.  This is the procedure that
-    produced the committed b4_b, b4_c and b6_cx words.
-    """
-    if sorted(death_order) != list(range(1, n)):
-        raise MalformedInputError("death_order must list every generator once")
-    alphabet = [k for i in range(1, n + 1) for k in (i, -i)]
-    results = []
-    for L in lengths:
-        for tup in itertools.product(alphabet, repeat=L):
-            if any(tup[i] == -tup[i + 1] for i in range(L - 1)):
-                continue
-            deaths = letter_depths(NTOrder(GeodesicSpec("search", FreeWord(n, tup))))
-            if any(deaths[j] != deaths[-j] for j in range(1, n)):
-                continue
-            seq = [deaths[j] for j in death_order]
-            if seq != sorted(seq) or len(set(seq)) != len(seq) or seq[-1] >= L:
-                continue
-            depths = tuple(seq[1:]) + (L,)
-            results.append((tup, depths))
-    return results

@@ -1,7 +1,8 @@
 """Batch command line for the sign oracles, catalog and experiments.
 
 Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
-(undecided comparisons, degenerate probes, too-short stabilization windows).
+(undecided comparisons, degenerate probes, too-short stabilization windows),
+141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Output is deterministic for fixed flags; --format picks text (key=value
 lines), json (one schema-tagged record per line) or csv (a header and rows).
 The commands turn their results, and the experiments' reports and rows
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv as csv_module
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -280,7 +282,7 @@ def cmd_approx(args) -> int:
     lo, hi = _parse_range(args.range)
     if args.kind == "conjugates":
         soul = order.spec.soul_generators
-        if args.pattern:
+        if args.pattern is not None:
             pattern = _slash_pattern(args.pattern, args.n)
         else:
             if not soul:
@@ -330,9 +332,9 @@ def cmd_probe(args) -> int:
         )
         return 2 if (report.tie_words or not covered) else 0
     lo, hi = _parse_range(args.range)
-    if not args.pattern and args.n < 5:
+    if args.pattern is None and args.n < 5:
         raise MalformedInputError(f"the default --pattern 3/4 needs B_5 or more; give --pattern for B_{args.n}")
-    pattern = _slash_pattern(args.pattern or "3/4", args.n)
+    pattern = _slash_pattern("3/4" if args.pattern is None else args.pattern, args.n)
     n_range = range(lo, hi + 1)
     rows = limit_probe_experiment(order, pattern, n_range, BallSpec(args.n, args.ball_length))
     settled = [{"stabilized": r.stable_sign is not None, "differs": r.differs} for r in rows]
@@ -510,7 +512,13 @@ def main(argv: list[str] | None = None) -> int:
         # reserved "mathematically inconclusive" code
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: devnull takes the exit flush, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         MalformedInputError,
         CalibrationError,

@@ -12,7 +12,6 @@ coerced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, multiply, sigma
@@ -82,18 +81,6 @@ def agreement_radii(base: OrderOracle, members: Sequence[OrderOracle], ball: Bal
 def agreement_radius(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> AgreementReport:
     """agreement_radii with the one member o1 and the base o2."""
     return agreement_radii(o2, [o1], ball)[0]
-
-
-def order_distance(o1: OrderOracle, o2: OrderOracle, ball: BallSpec) -> Fraction:
-    """2^-radius; exact when a disagreement witness exists in the ball.
-
-    Without a witness the result is 0, a ball-limited lower bound: the true
-    distance is then at most 2^-max_length but may be positive.
-    """
-    report = agreement_radius(o1, o2, ball)
-    if report.witness is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** report.radius)
 
 
 class ConjugateRow(NamedTuple):

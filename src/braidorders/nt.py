@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
 from .errors import (
@@ -328,12 +328,6 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
             s = top - 1
 
 
-def braid_image_of_word(b: BraidWord, letters: FreeLetters, mirrored: bool) -> FreeLetters:
-    """The whole image of a finite word under the braid, the lazy transport
-    drained."""
-    return tuple(_image_letters(b, FreeWord(b.n, letters), mirrored))
-
-
 class _FiniteImage(Custom):
     """A finite ray's image, read through a shared prefix: it ends, unchecked."""
 
@@ -354,16 +348,6 @@ def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
     word = (_FiniteImage if spec.type_tag == "finite" else Custom)(h.n, image, "image")
     name = f"({h}).{spec.name}" if h.letters else spec.name
     return replace(order, spec=GeodesicSpec(name, word))
-
-
-def act_on_geodesic(b: BraidWord, spec: GeodesicSpec, convention: GermConvention) -> GeodesicSpec:
-    """The spec for the image ray: a finite word whole, a stream as a Custom
-    stream whose letters are transported as they are read; as in
-    moved_order, it has no separating depths and no soul."""
-    moved = moved_order(NTOrder(spec, convention), b).spec
-    if isinstance(moved.word, _FiniteImage):
-        return replace(moved, word=FreeWord(spec.n, tuple(moved.word)))
-    return moved
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
@@ -490,33 +474,27 @@ class ConradWitness(NamedTuple):
     g: BraidWord
 
 
-def conrad_witness_search(
-    order,
-    k_max: int,
-    ball: BallSpec,
-    priority_pairs: Sequence[tuple[BraidWord, BraidWord]] = (),
-) -> ConradWitness:
-    """First pair (priority candidates, then ball order) violating the Conrad
-    property up to k_max.  Raises SearchFailureError when none exists."""
+def is_conrad_witness(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
+    """Whether f and g are positive with f g^k < g for every k up to k_max:
+    the pair breaks the Conrad property, as far as k_max sees."""
     if k_max < 0:
         raise MalformedInputError(f"k_max must be non-negative, got {k_max}")
-
-    def is_witness(f: BraidWord, g: BraidWord) -> bool:
-        if order.sign(f) <= 0 or order.sign(g) <= 0:
+    if order.sign(f) <= 0 or order.sign(g) <= 0:
+        return False
+    gk = BraidWord(g.n)
+    for _ in range(k_max + 1):
+        if order_cmp(order, multiply(f, gk), g) != LESS:
             return False
-        gk = BraidWord(ball.n)
-        for _ in range(k_max + 1):
-            if order_cmp(order, multiply(f, gk), g) != LESS:
-                return False
-            gk = multiply(gk, g)
-        return True
+        gk = multiply(gk, g)
+    return True
 
-    for f, g in priority_pairs:
-        if is_witness(f, g):
-            return ConradWitness(f, g)
+
+def conrad_witness_search(order, k_max: int, ball: BallSpec) -> ConradWitness:
+    """First pair of the ball, in ball order, violating the Conrad property up
+    to k_max.  Raises SearchFailureError when none exists."""
     for f in ball.words():
         for g in ball.words():
-            if is_witness(f, g):
+            if is_conrad_witness(order, f, g, k_max):
                 return ConradWitness(f, g)
     raise SearchFailureError(
         f"no Conradian-failure witness in ball L={ball.max_length} with k_max={k_max}"

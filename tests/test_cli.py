@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,15 @@ def test_malformed_input_exit_code(capsys):
             ("approx", "conjugates", "--n", "3", "--order", "nt:sturmian_3"),
             "conjugate pattern needed for trivial-soul specs",
         ),
+        # an empty pattern is a malformed pattern, not the default one
+        (
+            ("probe", "--kind", "limit", "--n", "6", "--order", "nt:b6_cx", "--pattern", ""),
+            "--pattern must look like s/<braid word>, got '' (no '/')",
+        ),
+        (
+            ("approx", "conjugates", "--n", "3", "--order", "nt:sturmian_3", "--pattern", ""),
+            "--pattern must look like s/<braid word>, got '' (no '/')",
+        ),
         # the default limit pattern 3/4 names sigma_4, which B_4 lacks
         (
             ("probe", "--kind", "limit", "--n", "4", "--order", "nt:b4_b"),
@@ -97,6 +110,23 @@ def test_malformed_input_exit_code(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader is gone before the first write, as after `| head -1`: the
+    # exit code is 128 + SIGPIPE and stderr holds no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "braidorders.cli", "catalog"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert b"Traceback" not in result.stderr and b"Error" not in result.stderr, result.stderr
 
 
 def test_unreadable_spec_file_is_malformed_input(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Every demo script runs to completion against the source tree and prints
 exactly the recorded output in ``demo_outputs/``, byte for byte; README's
-python blocks run as written."""
+python blocks run as written; the chain-word search in demo 03 still finds
+the committed catalog words first."""
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,11 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_search_chain_words_reproduces_committed_entries():
+    search_chain_words = runpy.run_path(str(ROOT / "demos" / "03_convex_chains.py"))["search_chain_words"]
+    hits_c = search_chain_words(4, death_order=(2, 3, 1), lengths=(4,))
+    assert hits_c[0] == ((-2, -1, -3, -1), (2, 3, 4))
+    hits_b = search_chain_words(4, death_order=(2, 1, 3), lengths=(4,))
+    assert hits_b[0] == ((3, 4, -1, -3), (2, 3, 4))

@@ -17,7 +17,6 @@ from braidorders import (
     QuadraticIrrational,
     StreamGrowthError,
     Sturmian,
-    act_on_geodesic,
     catalog,
     invert,
     multiply,
@@ -26,11 +25,11 @@ from braidorders import (
 )
 from braidorders.braids import inverse_letters
 from braidorders.freewords import format_infinite_word
-from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, _letter_tables, braid_image_of_word
+from braidorders.nt import SINGLE_LETTER_BOUND, GeodesicSpec, _letter_tables
 from braidorders.planar import divergence
 
 from artin_reference import ArtinMap, apply_map, artin_map_of, compose, substitute
-from words import random_word
+from words import moved_spec, random_word
 
 
 def approximate(qi):
@@ -261,7 +260,8 @@ def test_braid_image_matches_artin_map(rng):
         u = random_free_word(rng, n, rng.randrange(0, 10))
         for mirrored in (False, True):
             expected = apply_map(artin_map_of(b, mirrored), u).letters
-            assert braid_image_of_word(b, u.letters, mirrored) == expected
+            image = moved_spec(b, GeodesicSpec("u", u), GermConvention(False, mirrored, False)).word
+            assert image.letters == expected
 
 
 def test_stream_prefix_image_coherence(rng):
@@ -282,7 +282,7 @@ def test_stream_prefix_image_coherence(rng):
             for mirrored in (False, True):
                 conv = GermConvention(False, mirrored, False)
                 reference = apply_map(artin_map_of(b, mirrored), long_input).letters
-                image = act_on_geodesic(b, spec, conv).word
+                image = moved_spec(b, spec, conv).word
                 prefixes = {length: ray_prefix(image, length) for length in (25, 10, 80, 40)}
                 for length, prefix in prefixes.items():
                     assert len(prefix) == length
@@ -293,12 +293,12 @@ def test_stream_prefix_image_coherence(rng):
                 cut = Custom(n, lambda: iter(long_input.letters), label="prefix")
                 certified = []
                 with pytest.raises(MalformedInputError, match="ran out"):
-                    certified.extend(act_on_geodesic(b, replace(spec, word=cut), conv).word)
+                    certified.extend(moved_spec(b, replace(spec, word=cut), conv).word)
                 assert tuple(certified) == reference[: len(certified)]
                 assert len(certified) >= 80
     # the identity braid on (x1 x2)^omega
     plain = GermConvention(False, False, False)
-    image = act_on_geodesic(BraidWord(3), GeodesicSpec("ep", streams[0]), plain).word
+    image = moved_spec(BraidWord(3), GeodesicSpec("ep", streams[0]), plain).word
     assert ray_prefix(image, 6) == (1, 2, 1, 2, 1, 2)
     assert ray_prefix(image, 0) == ()
 
@@ -346,7 +346,7 @@ def test_growth_budget_on_slow_reduced_stream():
     b = BraidWord(3, (1, -2) * 12)
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
     base = GeodesicSpec("periodic", periodic)
-    pulled = act_on_geodesic(invert(b), base, GermConvention(False, False, False))
+    pulled = moved_spec(invert(b), base, GermConvention(False, False, False))
     with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
         NTOrder(pulled, GermConvention(False, False, False)).sign(b)
     # the stream's prefix holds its longest read: one letter that passed an

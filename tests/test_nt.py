@@ -11,7 +11,6 @@ from braidorders import (
     FreeWord,
     MalformedInputError,
     SoulValidationError,
-    act_on_geodesic,
     catalog_order,
     conrad_witness_search,
     convex_chain_report,
@@ -20,17 +19,17 @@ from braidorders import (
     format_geodesic_spec,
     in_convex_subgroup,
     invert,
+    is_conrad_witness,
     multiply,
     order_cmp,
     parse_geodesic_spec,
     soul_of,
     totality_probe,
 )
-from braidorders.catalog import search_chain_words
 from braidorders.nt import GeodesicSpec, NTOrder, letter_depths, moved_order
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
-from words import random_word
+from words import moved_spec, random_word
 
 
 def test_catalog_contents_and_validation(specs):
@@ -184,23 +183,23 @@ def test_nt_cmp_left_invariance_exhaustive_small():
                 assert order_cmp(order, multiply(g, a), multiply(g, b)) == base
 
 
-def test_act_on_geodesic_inverse_round_trip(rng, specs, conv):
+def test_moved_ray_inverse_round_trip(rng, specs, conv):
     spec = specs["dehornoy_4"]
     for _ in range(100):
         beta = random_word(rng, 4, rng.randrange(0, 6))
-        there = act_on_geodesic(beta, spec, conv)
-        back = act_on_geodesic(invert(beta), there, conv)
+        there = moved_spec(beta, spec, conv)
+        back = moved_spec(invert(beta), there, conv)
         assert back.word == spec.word
 
 
-def test_act_on_geodesic_spiral_blocks(specs, conv):
+def test_moved_ray_spiral_blocks(specs, conv):
     # conjugator family sigma2^-j sigma1: the moved ray winds around the two
     # far punctures j times, visible as a j-letter alternating turn block
     # followed by its mirror (frozen from computation)
     spec = specs["dehornoy_3"]
     for j in range(3, 7):
         beta = BraidWord(3, (-2,) * j + (1,))
-        letters = act_on_geodesic(beta, spec, conv).word.letters
+        letters = moved_spec(beta, spec, conv).word.letters
         turn = tuple(-3 if t % 2 == 0 else -2 for t in range(j))
         assert letters[0] == 1
         assert letters[1 : 1 + j] == turn
@@ -220,7 +219,7 @@ def test_moved_ray_order_is_conjugated_order(rng, specs, conv):
     for _ in range(200):
         h = random_word(rng, 4, rng.randrange(0, 5))
         beta = random_word(rng, 4, rng.randrange(0, 5))
-        moved = NTOrder(act_on_geodesic(h, spec, conv), conv)
+        moved = NTOrder(moved_spec(h, spec, conv), conv)
         assert moved.sign(beta) == base.sign(conjugate(beta, h))
 
 
@@ -271,7 +270,7 @@ def _two_scan_divergence(order, b):
     # of rays known to separate
     ray = order.spec.word
     cap = None if isinstance(ray, FreeWord) else order.depth_cap
-    image = act_on_geodesic(b, order.spec, order.convention).word
+    image = moved_spec(b, order.spec, order.convention).word
     depth = 0
     for x, y in itertools.zip_longest(ray, image):
         if depth == cap or x != y:
@@ -392,8 +391,6 @@ def test_a_moved_ray_has_no_structure_of_its_base():
         convex_chain_report(moved, BallSpec(4, 3))
     with pytest.raises(MalformedInputError, match="finite type needs n-1 separating depths"):
         soul_of(moved)
-    image = act_on_geodesic(BraidWord(4, (2,)), catalog_order("b4_b").spec, FROZEN_CONVENTION)
-    assert (image.separating_depths, image.soul_generators) == ((), ())
 
 
 def test_soul_validation_mismatch_raises(specs, conv):
@@ -419,17 +416,18 @@ def test_depth_cap_leaves_finite_reports_unchanged(specs):
 
 
 def test_conrad_witness_canonical_pairs(specs):
-    order = catalog_order("dehornoy_3")
-    f, g = BraidWord(3, (-2, 1)), BraidWord(3, (1,))
-    witness = conrad_witness_search(order, 20, BallSpec(3, 2), priority_pairs=[(f, g)])
-    assert (witness.f, witness.g) == (f, g)
-    order4 = catalog_order("b4_b")
-    f4, g4 = BraidWord(4, (-3, 2)), BraidWord(4, (2,))
-    witness4 = conrad_witness_search(order4, 20, BallSpec(4, 2), priority_pairs=[(f4, g4)])
-    assert (witness4.f, witness4.g) == (f4, g4)
+    for name, f_letters, g_letters in (("dehornoy_3", (-2, 1), (1,)), ("b4_b", (-3, 2), (2,))):
+        order = catalog_order(name)
+        f, g = BraidWord(order.n, f_letters), BraidWord(order.n, g_letters)
+        assert is_conrad_witness(order, f, g, 20)
+        # g g^0 = g is not below g, and f^-1 is not positive
+        assert not is_conrad_witness(order, g, g, 20)
+        assert not is_conrad_witness(order, invert(f), g, 20)
+        with pytest.raises(MalformedInputError, match="k_max must be non-negative, got -1"):
+            is_conrad_witness(order, f, g, -1)
 
 
-def test_conrad_search_without_hints_finds_witness():
+def test_conrad_search_finds_witness():
     order = catalog_order("dehornoy_3")
     witness = conrad_witness_search(order, 10, BallSpec(3, 2))
     assert order.sign(witness.f) == 1 and order.sign(witness.g) == 1
@@ -520,10 +518,3 @@ def test_spec_file_round_trip(specs):
         assert parsed.soul_generators == spec.soul_generators
         if isinstance(spec.word, FreeWord):
             assert parsed.word == spec.word
-
-
-def test_search_chain_words_reproduces_committed_entries():
-    hits_c = search_chain_words(4, death_order=(2, 3, 1), lengths=(4,))
-    assert hits_c[0] == ((-2, -1, -3, -1), (2, 3, 4))
-    hits_b = search_chain_words(4, death_order=(2, 1, 3), lengths=(4,))
-    assert hits_b[0] == ((3, 4, -1, -3), (2, 3, 4))

@@ -1,10 +1,10 @@
-"""No library module imports or reads another module's private name.
+"""No library module or demo imports or reads another module's private name.
 
 A name that begins with an underscore is private to the module that defines
-it; a second module that needs it should read a public name instead.  This
-walks each module's syntax tree, ``__init__.py`` included, and flags every
-underscore name imported from a module of the package, and every attribute
-read ``x._name`` whose name the reading module does not define (as a
+it; a second module, or a demo, that needs it should read a public name
+instead.  This walks each file's syntax tree, ``__init__.py`` included, and
+flags every underscore name imported from a module of the package, and every
+attribute read ``x._name`` whose name the reading file does not define (as a
 function, class, assigned name or assigned attribute).  Dunder names and the
 named-tuple API (``_asdict`` and its kin) are public.
 """
@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidorders"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "braidorders").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 NAMEDTUPLE_API = {"_asdict", "_fields", "_field_defaults", "_make", "_replace"}
 
 
@@ -43,7 +44,7 @@ def test_checker_finds_private_imports():
     assert private_imports(source) == ["_x._a", "braidorders.braids._trusted_word", "nt._letter_depths"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda path: path.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
 
@@ -85,6 +86,6 @@ def test_checker_finds_foreign_private_reads():
     assert foreign_private_reads(source) == ["_letters", "_peek"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda path: path.name)
 def test_no_foreign_private_reads(path):
     assert foreign_private_reads(path.read_text()) == []

@@ -24,7 +24,6 @@ from braidorders import (
     FreeWord,
     GermConvention,
     Sturmian,
-    act_on_geodesic,
 )
 from braidorders.catalog import STURMIAN_SLOPE
 from braidorders.freewords import Custom
@@ -33,7 +32,7 @@ from braidorders.planar import EQUAL, GREATER, LESS, TERMINAL, divergence
 
 from artin_reference import substitute
 from test_freewords import random_free_word, ray_prefix
-from words import random_word
+from words import moved_spec, random_word
 
 # --- reference: prefix formulas and the windowed scan ------------------------
 
@@ -245,7 +244,7 @@ def pairs(specs):
         spec = GeodesicSpec(name, stream)
         for _ in range(8):
             b = random_word(rng, n, rng.randrange(1, 5))
-            image = act_on_geodesic(b, spec, conv).word
+            image = moved_spec(b, spec, conv).word
             twin_image = ref_image(b, twin, conv.artin_mirrored)
             # only pairs that separate: a scan without its cap stop must
             # fail these checks, not run forever

@@ -23,7 +23,6 @@ from braidorders import (
     NTOrder,
     StreamGrowthError,
     UndecidedComparisonError,
-    act_on_geodesic,
     catalog,
     divergence_depth,
     parse_infinite_word,
@@ -31,7 +30,7 @@ from braidorders import (
 from braidorders.nt import _image_letters, moved_order
 from braidorders.planar import EQUAL
 
-from words import random_word
+from words import moved_spec, random_word
 
 LENGTH = 2000
 STREAMS = ("sturmian_3", "sturmian_4", "sturmian_5", "sturmian_6", "mixed_4")
@@ -78,7 +77,7 @@ def test_image_stream_matches_a_fresh_transport():
         spec = catalog()[name]
         b = BraidWord(spec.n, letters)
         conv = FROZEN_CONVENTION
-        image = act_on_geodesic(b, spec, conv).word
+        image = moved_spec(b, spec, conv).word
         source = CountingRay(catalog()[name].word)
         expected = list(islice(_image_letters(b, source, conv.artin_mirrored), LENGTH))
         assert list(islice(image, LENGTH)) == expected, name
@@ -92,7 +91,7 @@ def test_a_finite_image_ends_every_read():
     h = BraidWord(3, (1, -2, 1))
     moved = moved_order(NTOrder(spec, conv, 1), h)
     word = moved.spec.word
-    expected = act_on_geodesic(h, spec, conv).word.letters
+    expected = moved_spec(h, spec, conv).word.letters
     assert len(expected) > 1
     early = iter(word)
     assert next(early) == expected[0]

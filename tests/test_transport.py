@@ -26,7 +26,6 @@ from braidorders import (
     FreeWord,
     NTOrder,
     UndecidedComparisonError,
-    act_on_geodesic,
     catalog,
     catalog_order,
     conjugate,
@@ -41,7 +40,7 @@ from braidorders.planar import divergence
 
 from artin_reference import apply_map, artin_map_of
 from test_freewords import ray_prefix
-from words import random_word
+from words import moved_spec, random_word
 
 
 def cascading_image_letters(b, ray, mirrored, bound):
@@ -130,13 +129,13 @@ def test_lazy_transport_matches_whole_maps_on_balls(name, max_length):
         report = divergence_depth(order, b)
         if isinstance(spec.word, FreeWord):
             whole = apply_map(artin_map_of(b, mirrored), spec.word)
-            assert act_on_geodesic(b, spec, conv).word == whole, b
+            assert moved_spec(b, spec, conv).word == whole, b
             depth, verdict = divergence(spec.word, whole, conv, None)
         else:
             # a stream's scan reads its image to the divergence depth only
             read = min(report[0] + 1, order.depth_cap)
             whole = certified_image(b, letters, mirrored, read)[:read]
-            assert ray_prefix(act_on_geodesic(b, spec, conv).word, read) == whole, b
+            assert ray_prefix(moved_spec(b, spec, conv).word, read) == whole, b
             depth, verdict = divergence(FreeWord(n, letters[:read]), FreeWord(n, whole), conv, None)
             if depth >= order.depth_cap:
                 verdict = None  # the stream's scan stops at the cap
@@ -315,7 +314,7 @@ def test_conjugating_the_braid_moves_the_ray(name):
         for k, length, _ in product(range(1, 7), (8, 32, 128), range(4))
     ]
     for b, h in cases:
-        moved = NTOrder(act_on_geodesic(h, base.spec, conv), conv)
+        moved = NTOrder(moved_spec(h, base.spec, conv), conv)
         assert product_sign(base, b, h) == moved.sign(b) == ConjugatedOrder(base, h).sign(b), (b, h)
 
 

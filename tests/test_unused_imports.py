@@ -1,7 +1,7 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or demo imports is used in that file.
 
-No linter ships with the project, so this walks each module's syntax tree: a
-name bound by an import must occur as a name somewhere else in the module.
+No linter ships with the project, so this walks each file's syntax tree: a
+name bound by an import must occur as a name somewhere else in the file.
 ``__init__.py`` is left out, as its imports are the package's exports.
 """
 
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidorders"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "braidorders"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +33,6 @@ def test_checker_finds_unused_imports():
     assert unused_imports(source) == ["Mapping", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -1,5 +1,5 @@
-"""Random braid words for the property and long-word tests, and the size
-of a ball of words.
+"""Random braid words for the property and long-word tests, the size of a
+ball of words, and a braid's image of a ray as a spec.
 
 Tests import it as ``from words import random_word``; it is not a test
 module itself.
@@ -7,7 +7,12 @@ module itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from braidorders.braids import BraidWord
+from braidorders.freewords import FreeWord
+from braidorders.nt import GeodesicSpec, NTOrder, moved_order
+from braidorders.planar import GermConvention
 
 
 def random_word(rng, n: int, length: int) -> BraidWord:
@@ -25,3 +30,12 @@ def ball_size(n: int, max_length: int) -> int:
     g (g - 1)^(l - 1) of each length l >= 1 over g = 2 (n - 1) letters."""
     g = 2 * (n - 1)
     return 1 + sum(g * (g - 1) ** (ell - 1) for ell in range(1, max_length + 1))
+
+
+def moved_spec(b: BraidWord, spec: GeodesicSpec, conv: GermConvention) -> GeodesicSpec:
+    """The spec of b's image of the ray, moved_order's: a finite image
+    drained into a FreeWord, a stream transported as it is read."""
+    moved = moved_order(NTOrder(spec, conv), b).spec
+    if spec.type_tag == "finite":
+        return replace(moved, word=FreeWord(spec.n, tuple(moved.word)))
+    return moved
