@@ -31,8 +31,9 @@ from braidorders import ConjugatedOrder
 for j in (1, 3, 5, 7):
     conj = ConjugatedOrder(base, BraidWord(3, (-2,) * j + (1,)))
     report = agreement_radius(base, conj, BallSpec(3, 6))
-    # 2^-radius; without a witness 0, the ball's lower bound
-    d = Fraction(0) if report.witness is None else Fraction(1, 2**report.radius)
+    # 2^-radius, an upper bound: the signs agree on every word of length <=
+    # radius, which without a witness is the ball's max_length
+    d = Fraction(1, 2**report.radius)
     print(f"dist(order, conjugate by s2^-{j} s1) <= {d}")
 
 # the natural conjugators sit just above the soul

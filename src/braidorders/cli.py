@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import functools
 import json
 import os
 import sys
@@ -427,7 +428,10 @@ def _slash_pattern(text: str, n: int) -> tuple[int, BraidWord]:
         raise MalformedInputError(f"--pattern must look like s/<braid word>, got {text!r} ({exc})") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: parse_args keeps no
+    state between calls, and building it costs a few milliseconds a call."""
     parser = argparse.ArgumentParser(
         prog="braidorders",
         description="Exact sign oracles and experiments for braid group orderings.",

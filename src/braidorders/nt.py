@@ -17,6 +17,16 @@ depth cap.  A ray order's conjugate moves the ray (moved_order): a sign
 transports b alone over h(R), read into one shared prefix of what the deepest
 scan read (8 B a letter); on a stream the cap binds b(h(R)) against h(R).
 
+Two braids compare by their images, with no product word: a < b iff
+a(R) < b(R) in angle, by left invariance (Short and Wiest, "Orderings of
+mapping class groups after Thurston", Enseign. Math. 46, 2000).  A braid's
+image is made once (_image, the same lazily read ray that moved_order
+builds) and decides all of its comparisons: order_cmp, the chain report's
+running minima and maxima, a Conrad witness's g.  Streams compare the same
+way; there the cap binds the common prefix of the two images, so near the
+cap the undecided pairs can differ from those of the product a^-1 b (at the
+default cap they agree on the tested balls), while decided verdicts agree.
+
 Depth membership is not always a subgroup: nesting and convexity hold on the
 sampled balls (tests, convex_chain_report), but in b4_b level 1 sigma_3^-2
 and sigma_3^2 sigma_2^-1 are members and their product sigma_2^-1 is not.
@@ -24,6 +34,7 @@ and sigma_3^2 sigma_2^-1 are members and their product sigma_2^-1 is not.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Iterator, Mapping, NamedTuple
@@ -48,6 +59,7 @@ from .freewords import (
 )
 from .planar import (
     DEFAULT_DEPTH_CAP,
+    EQUAL,
     FROZEN_CONVENTION,
     GREATER,
     LESS,
@@ -335,19 +347,31 @@ class _FiniteImage(Custom):
         return iter(self.letters())
 
 
+def _image(order: NTOrder, b: BraidWord) -> Ray:
+    """b(R), the image of the order's ray under b, read lazily into a prefix
+    that every reader of it shares: a finite ray's image grows exponentially
+    with |b| under a pseudo-Anosov b, so no reader takes more than it needs."""
+    spec = order.spec
+    if b.n != spec.n:
+        raise MalformedInputError("strand counts differ")
+    letters = partial(_image_letters, b, spec.word, order.convention.artin_mirrored)
+    return (_FiniteImage if spec.type_tag == "finite" else Custom)(b.n, letters, "image")
+
+
 def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
     """The conjugate of the order by h (its sign of h^-1 b h is this order's
-    sign of b): the order of h(R), read lazily, as a finite ray's image grows
-    exponentially with |h| under a pseudo-Anosov h.  The moved spec has a
-    name and a word only: the base's separating depths and soul do not
-    describe h(R)."""
-    spec = order.spec
-    if h.n != spec.n:
-        raise MalformedInputError("strand counts differ")
-    image = partial(_image_letters, h, spec.word, order.convention.artin_mirrored)
-    word = (_FiniteImage if spec.type_tag == "finite" else Custom)(h.n, image, "image")
-    name = f"({h}).{spec.name}" if h.letters else spec.name
-    return replace(order, spec=GeodesicSpec(name, word))
+    sign of b): the order of h(R).  The moved spec has a name and a word
+    only: the base's separating depths and soul do not describe h(R)."""
+    name = f"({h}).{order.spec.name}" if h.letters else order.spec.name
+    return replace(order, spec=GeodesicSpec(name, _image(order, h)))
+
+
+def _scan(order: NTOrder, u: Ray, v: Ray) -> tuple[int, int | None]:
+    """planar.divergence of two rays under the order's convention, as
+    divergence_depth scans: uncapped when the order's ray is finite, capped
+    at its depth cap when it is a stream."""
+    cap = None if isinstance(order.spec.word, (FreeWord, _FiniteImage)) else order.depth_cap
+    return divergence(u, v, order.convention, cap)
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
@@ -363,10 +387,41 @@ def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     return divergence(word, image, order.convention, cap)
 
 
+def order_key(oracle, b: BraidWord):
+    """What the oracle compares b by (key_cmp): for a ray order, b's image of
+    the ray, read lazily, so that a word compared many times is transported
+    once; for any other oracle, b itself."""
+    return _image(oracle, b) if isinstance(oracle, NTOrder) else b
+
+
+def key_cmp(oracle, x, y) -> int:
+    """-1 / 0 / +1 as the braids whose order_keys are x and y compare
+    (order_cmp): for a ray order, the angle verdict of one divergence scan
+    of the two images; for any other oracle, minus the sign of x^-1 y."""
+    if not isinstance(oracle, NTOrder):
+        return -oracle.sign(multiply(invert(x), y))
+    _, verdict = _scan(oracle, x, y)
+    if verdict is None:
+        raise UndecidedComparisonError(oracle.depth_cap)
+    return verdict
+
+
 def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     """-1 when a < b under the oracle's ordering, 0 when equal, +1 when
-    a > b; a < b iff a^-1 b is positive, by left invariance."""
-    return -oracle.sign(multiply(invert(a), b))
+    a > b, by left invariance: a < b iff a^-1 b is positive.
+
+    A ray order forms no product: a^-1 b moves R to a larger angle iff b(R)
+    lies above a(R), as a acts on the boundary preserving the angle order
+    (Short and Wiest, "Orderings of mapping class groups after Thurston",
+    Enseign. Math. 46, 2000).  So it compares the images a(R) and b(R)
+    (key_cmp), finite ray and stream alike; on a stream the depth cap binds
+    their common prefix, and images that agree up to it raise
+    UndecidedComparisonError.  Equal words are equal without a scan, which
+    on a stream would reach the cap.  Any other oracle signs a^-1 b."""
+    x, y = order_key(oracle, a), order_key(oracle, b)  # a ray order's keys check the ranks
+    if a == b and isinstance(oracle, NTOrder):
+        return EQUAL
+    return key_cmp(oracle, x, y)
 
 
 def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
@@ -417,36 +472,58 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
 
     For each level, every ball word outside the level must not lie strictly
     between the level's order-minimum and order-maximum within the ball;
-    expected violation count is zero.
+    expected violation count is zero.  Two walks of the ball, each word
+    transported once per walk and compared by its image (key_cmp): the
+    first finds each word's depth and, for each level it belongs to,
+    updates the level's running minimum and maximum, the only images kept;
+    the second counts the words outside a level that lie between them.  So
+    the report holds no per-word list.  A word with an undecided depth or
+    comparison counts once in undecided_skipped.
     """
     spec = order.spec
     if spec.m < 1:
         raise MalformedInputError(f"{spec.name}: chain report needs at least one depth")
     if sample.n != spec.n:
         raise MalformedInputError("ball strand count differs from spec")
-    scans = [(w, *divergence_depth(order, w)) for w in sample.words()]
-    undecided = sum(verdict is None for _, _, verdict in scans)
+    depths = spec.separating_depths
+    lo: list = [None] * spec.m  # each level's order-minimum and -maximum image
+    hi: list = [None] * spec.m
+    members = [0] * spec.m
+    words = undecided = 0
+    for w in sample.words():
+        image = _image(order, w)
+        depth, verdict = _scan(order, spec.word, image)
+        words += 1
+        undecided += verdict is None
+        for i in range(bisect_right(depths, depth)):  # the levels w belongs to
+            members[i] += 1
+            if lo[i] is None:
+                lo[i] = hi[i] = image
+            elif key_cmp(order, image, lo[i]) == LESS:
+                lo[i] = image
+            elif key_cmp(order, image, hi[i]) == GREATER:
+                hi[i] = image
 
-    levels = []
-    for d, pattern in zip(spec.separating_depths, _level_patterns(order)):
-        members = [w for w, depth, _ in scans if depth >= d]
-        outside = [w for w, depth, _ in scans if depth < d]
-        violations = 0
-        if members:
-            lo = hi = members[0]
-            for w in members[1:]:
-                if order_cmp(order, w, lo) == LESS:
-                    lo = w
-                if order_cmp(order, w, hi) == GREATER:
-                    hi = w
-            for g in outside:
-                try:
-                    if order_cmp(order, lo, g) == LESS and order_cmp(order, g, hi) == LESS:
-                        violations += 1
-                except UndecidedComparisonError:
-                    undecided += 1
-        levels.append(ChainLevel(pattern, len(members), len(outside) if members else 0, violations))
-    return ChainReport(tuple(levels), undecided)
+    violations = [0] * spec.m
+    for g in sample.words():
+        image = _image(order, g)
+        depth, _ = _scan(order, spec.word, image)
+        undecided_here = False
+        for i in range(bisect_right(depths, depth), spec.m):  # the levels g is outside of
+            if lo[i] is None:
+                break  # no members here, nor in any deeper level
+            try:
+                if key_cmp(order, lo[i], image) == LESS and key_cmp(order, image, hi[i]) == LESS:
+                    violations[i] += 1
+            except UndecidedComparisonError:
+                undecided_here = True
+        undecided += undecided_here
+
+    levels = tuple(
+        ChainLevel(pattern, count, words - count if count else 0, v)
+        for pattern, count, v in zip(_level_patterns(order), members, violations)
+    )
+    return ChainReport(levels, undecided)
 
 
 def soul_of(order: NTOrder) -> tuple[int, ...]:
@@ -474,28 +551,43 @@ class ConradWitness(NamedTuple):
     g: BraidWord
 
 
-def is_conrad_witness(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
-    """Whether f and g are positive with f g^k < g for every k up to k_max:
-    the pair breaks the Conrad property, as far as k_max sees."""
+def _check_k_max(k_max: int) -> None:
     if k_max < 0:
         raise MalformedInputError(f"k_max must be non-negative, got {k_max}")
-    if order.sign(f) <= 0 or order.sign(g) <= 0:
+
+
+def _below_its_powers(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
+    """Whether g is positive with f g^k < g for every k up to k_max, for f
+    known to be positive; g's order key is made once."""
+    if order.sign(g) <= 0:
         return False
+    g_key = order_key(order, g)
     gk = BraidWord(g.n)
     for _ in range(k_max + 1):
-        if order_cmp(order, multiply(f, gk), g) != LESS:
+        fgk = multiply(f, gk)
+        if fgk == g or key_cmp(order, order_key(order, fgk), g_key) != LESS:
             return False
         gk = multiply(gk, g)
     return True
 
 
+def is_conrad_witness(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
+    """Whether f and g are positive with f g^k < g for every k up to k_max:
+    the pair breaks the Conrad property, as far as k_max sees."""
+    _check_k_max(k_max)
+    return order.sign(f) > 0 and _below_its_powers(order, f, g, k_max)
+
+
 def conrad_witness_search(order, k_max: int, ball: BallSpec) -> ConradWitness:
     """First pair of the ball, in ball order, violating the Conrad property up
-    to k_max.  Raises SearchFailureError when none exists."""
+    to k_max (is_conrad_witness), each f's positivity decided once.  Raises
+    SearchFailureError when none exists."""
+    _check_k_max(k_max)
     for f in ball.words():
-        for g in ball.words():
-            if is_conrad_witness(order, f, g, k_max):
-                return ConradWitness(f, g)
+        if order.sign(f) > 0:
+            for g in ball.words():
+                if _below_its_powers(order, f, g, k_max):
+                    return ConradWitness(f, g)
     raise SearchFailureError(
         f"no Conradian-failure witness in ball L={ball.max_length} with k_max={k_max}"
     )

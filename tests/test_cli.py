@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from braidorders import cli
 from braidorders.cli import main, parse_order
 from braidorders.orders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder
 from braidorders.nt import NTOrder
@@ -110,6 +111,28 @@ def test_malformed_input_exit_code(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
+    # the parser is built once per process; a usage error or --help on it
+    # leaves nothing behind that a later call would see
+    calls = (
+        ("cmp", "--n", "4", "--order", "nt:b4_b", "1 2", "2 1"),
+        ("sign", "--n", "x", "--order", "dehornoy", "1"),
+        ("sign", "--n", "3", "--order", "dehornoy", "1", "--format", "json"),
+        ("--help",),
+        ("chain", "--n", "4", "--order", "nt:b4_b", "--ball-length", "2"),
+        ("approx", "--help"),
+        ("approx", "conjugates", "--n", "3"),
+        ("nonsense",),
+        ("cmp", "--n", "4", "--order", "nt:b4_b", "1 2", "2 1", "--format", "csv"),
+    )
+    assert cli.build_parser() is cli.build_parser()
+    cached = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 0, 0, 1, 1, 0]
 
 
 def test_closed_stdout_exits_141_without_traceback():

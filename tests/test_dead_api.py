@@ -41,6 +41,7 @@ CALLERS = MODULES
 
 EXEMPT = {
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
+    "is_conrad_witness": "public definition of a Conradian-failure pair; the search shares its body but decides each f's positivity once",
     "BudgetExceededError.partial": "the partly reduced word, which a caller needs in order to resume",
     "catalog_order": "the entry point to a catalog order for demos, README and the benchmark",
     "ConjugateRow.conjugator": "a JSON field of approx rows, written through cli._fields, pinned in tests/cli_outputs and the benchmark digests",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -391,6 +392,21 @@ def test_a_moved_ray_has_no_structure_of_its_base():
         convex_chain_report(moved, BallSpec(4, 3))
     with pytest.raises(MalformedInputError, match="finite type needs n-1 separating depths"):
         soul_of(moved)
+
+
+def test_chain_report_memory_does_not_grow_with_the_ball():
+    # two walks keep two images a level, not the ball's 4687 words with
+    # their depths; what remains is the ball enumeration's last sphere
+    order = catalog_order("b4_b")
+    convex_chain_report(order, BallSpec(4, 1))  # letter tables built outside
+    tracemalloc.start()
+    try:
+        report = convex_chain_report(order, BallSpec(4, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [lv.violations for lv in report.levels] == [0, 0, 0]
+    assert peak < 1 << 20
 
 
 def test_soul_validation_mismatch_raises(specs, conv):

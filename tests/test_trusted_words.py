@@ -2,7 +2,8 @@
 against the code they replace.
 
 ``BallSpec.words``, ``invert``, ``multiply``, ``conjugate`` and the product
-inside ``order_cmp`` build their words through ``braids._trusted_word``; each
+inside ``order_cmp`` (of an oracle other than a ray order, which compares
+images) build their words through ``braids._trusted_word``; each
 must equal the word the checked constructor makes from the same letters.  The
 transport reads ``nt._letter_tables``; each dict must equal the per-letter
 table the library built before (kept here as ``reference_letter_images``).
