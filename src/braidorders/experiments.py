@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .braids import BallSpec, BraidWord, multiply, sigma
 from .errors import MalformedInputError, SearchFailureError, UndecidedComparisonError
-from .nt import NTOrder, key_cmp, order_key
+from .nt import NTOrder, order_cmp
 from .orders import (
     ConjugatedOrder,
     OrderOracle,
@@ -251,10 +251,8 @@ def limit_probe_experiment(
 def small_positive_search(
     order: OrderOracle, soul: Sequence[int], ball: BallSpec
 ) -> BraidWord:
-    """Order-minimal positive braid outside <soul> among the ball's positives;
-    the running minimum keeps its order key (for a ray order, its image)."""
+    """Order-minimal positive braid outside <soul> among the ball's positives."""
     best: BraidWord | None = None
-    best_key = None
     for w in ball.words():
         if not w.letters:
             continue
@@ -263,9 +261,8 @@ def small_positive_search(
                 continue
             if soul and zk_membership(w, soul) is not None:
                 continue
-            key = order_key(order, w)
-            if best is None or key_cmp(order, key, best_key) < 0:
-                best, best_key = w, key
+            if best is None or order_cmp(order, w, best) < 0:
+                best = w
         except UndecidedComparisonError:
             continue
     if best is None:

@@ -19,13 +19,13 @@ scan read (8 B a letter); on a stream the cap binds b(h(R)) against h(R).
 
 Two braids compare by their images, with no product word: a < b iff
 a(R) < b(R) in angle, by left invariance (Short and Wiest, "Orderings of
-mapping class groups after Thurston", Enseign. Math. 46, 2000).  A braid's
-image is made once (_image, the same lazily read ray that moved_order
-builds) and decides all of its comparisons: order_cmp, the chain report's
-running minima and maxima, a Conrad witness's g.  Streams compare the same
-way; there the cap binds the common prefix of the two images, so near the
-cap the undecided pairs can differ from those of the product a^-1 b (at the
-default cap they agree on the tested balls), while decided verdicts agree.
+mapping class groups after Thurston", Enseign. Math. 46, 2000).  order_cmp
+makes each braid's image (_image, the same lazily read ray that moved_order
+builds) and compares the two by one capped scan, _image_cmp, which the chain
+report's running minima and maxima read too.  Streams compare the same way;
+there the cap binds the common prefix of the two images, so near the cap the
+undecided pairs can differ from those of the product a^-1 b (at the default
+cap they agree on the tested balls), while decided verdicts agree.
 
 Depth membership is not always a subgroup: nesting and convexity hold on the
 sampled balls (tests, convex_chain_report), but in b4_b level 1 sigma_3^-2
@@ -110,7 +110,7 @@ class GeodesicSpec:
     def type_tag(self) -> str:
         """finite for a finite ray; for a stream, infinite with separating
         depths and full_infinite without."""
-        if isinstance(self.word, (FreeWord, _FiniteImage)):
+        if isinstance(self.word, _FINITE_RAYS):
             return "finite"
         return "infinite" if self.separating_depths else "full_infinite"
 
@@ -289,7 +289,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
     table = _stage_tables(b.n, mirrored)
     tables = [table[letter] for letter in reversed(b.letters)]
     top = len(tables)
-    patience = None if isinstance(ray, (FreeWord, _FiniteImage)) else (3 * top + 16) << 10
+    patience = None if isinstance(ray, _FINITE_RAYS) else (3 * top + 16) << 10
     # stage s: the letter it passed on last (0 before the first), then the
     # letters it holds back; it passes one on while its length exceeds
     # limits[s], which its last receipt sets (1 once the stage is flushing)
@@ -347,6 +347,9 @@ class _FiniteImage(Custom):
         return iter(self.letters())
 
 
+_FINITE_RAYS = (FreeWord, _FiniteImage)  # the rays that end: their scans are uncapped
+
+
 def _image(order: NTOrder, b: BraidWord) -> Ray:
     """b(R), the image of the order's ray under b, read lazily into a prefix
     that every reader of it shares: a finite ray's image grows exponentially
@@ -367,10 +370,10 @@ def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
 
 
 def _scan(order: NTOrder, u: Ray, v: Ray) -> tuple[int, int | None]:
-    """planar.divergence of two rays under the order's convention, as
-    divergence_depth scans: uncapped when the order's ray is finite, capped
-    at its depth cap when it is a stream."""
-    cap = None if isinstance(order.spec.word, (FreeWord, _FiniteImage)) else order.depth_cap
+    """planar.divergence of two rays under the order's convention: uncapped
+    when the order's ray is finite, capped at its depth cap when it is a
+    stream."""
+    cap = None if isinstance(order.spec.word, _FINITE_RAYS) else order.depth_cap
     return divergence(u, v, order.convention, cap)
 
 
@@ -382,27 +385,16 @@ def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     word = order.spec.word
     if b.n != word.n:  # the spec's strand count, read without a property call
         raise MalformedInputError("strand counts differ")
-    image = _image_letters(b, word, order.convention.artin_mirrored)
-    cap = None if isinstance(word, (FreeWord, _FiniteImage)) else order.depth_cap
-    return divergence(word, image, order.convention, cap)
+    return _scan(order, word, _image_letters(b, word, order.convention.artin_mirrored))
 
 
-def order_key(oracle, b: BraidWord):
-    """What the oracle compares b by (key_cmp): for a ray order, b's image of
-    the ray, read lazily, so that a word compared many times is transported
-    once; for any other oracle, b itself."""
-    return _image(oracle, b) if isinstance(oracle, NTOrder) else b
-
-
-def key_cmp(oracle, x, y) -> int:
-    """-1 / 0 / +1 as the braids whose order_keys are x and y compare
-    (order_cmp): for a ray order, the angle verdict of one divergence scan
-    of the two images; for any other oracle, minus the sign of x^-1 y."""
-    if not isinstance(oracle, NTOrder):
-        return -oracle.sign(multiply(invert(x), y))
-    _, verdict = _scan(oracle, x, y)
+def _image_cmp(order: NTOrder, x: Ray, y: Ray) -> int:
+    """-1 / 0 / +1 as the images x and y compare in angle, by one scan; on a
+    stream, images that agree up to the depth cap raise
+    UndecidedComparisonError."""
+    _, verdict = _scan(order, x, y)
     if verdict is None:
-        raise UndecidedComparisonError(oracle.depth_cap)
+        raise UndecidedComparisonError(order.depth_cap)
     return verdict
 
 
@@ -414,14 +406,14 @@ def order_cmp(oracle, a: BraidWord, b: BraidWord) -> int:
     lies above a(R), as a acts on the boundary preserving the angle order
     (Short and Wiest, "Orderings of mapping class groups after Thurston",
     Enseign. Math. 46, 2000).  So it compares the images a(R) and b(R)
-    (key_cmp), finite ray and stream alike; on a stream the depth cap binds
-    their common prefix, and images that agree up to it raise
+    (_image_cmp), finite ray and stream alike; on a stream the depth cap
+    binds their common prefix, and images that agree up to it raise
     UndecidedComparisonError.  Equal words are equal without a scan, which
     on a stream would reach the cap.  Any other oracle signs a^-1 b."""
-    x, y = order_key(oracle, a), order_key(oracle, b)  # a ray order's keys check the ranks
-    if a == b and isinstance(oracle, NTOrder):
-        return EQUAL
-    return key_cmp(oracle, x, y)
+    if not isinstance(oracle, NTOrder):
+        return -oracle.sign(multiply(invert(a), b))
+    x, y = _image(oracle, a), _image(oracle, b)  # the images check the ranks
+    return EQUAL if a == b else _image_cmp(oracle, x, y)
 
 
 def in_convex_subgroup(order: NTOrder, b: BraidWord, i: int) -> bool:
@@ -473,12 +465,13 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     For each level, every ball word outside the level must not lie strictly
     between the level's order-minimum and order-maximum within the ball;
     expected violation count is zero.  Two walks of the ball, each word
-    transported once per walk and compared by its image (key_cmp): the
+    transported once per walk and compared by its image (_image_cmp): the
     first finds each word's depth and, for each level it belongs to,
     updates the level's running minimum and maximum, the only images kept;
     the second counts the words outside a level that lie between them.  So
     the report holds no per-word list.  A word with an undecided depth or
-    comparison counts once in undecided_skipped.
+    comparison, among a level's members or against them, counts once in
+    undecided_skipped.
     """
     spec = order.spec
     if spec.m < 1:
@@ -494,15 +487,19 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
         image = _image(order, w)
         depth, verdict = _scan(order, spec.word, image)
         words += 1
-        undecided += verdict is None
+        undecided_here = verdict is None
         for i in range(bisect_right(depths, depth)):  # the levels w belongs to
             members[i] += 1
-            if lo[i] is None:
-                lo[i] = hi[i] = image
-            elif key_cmp(order, image, lo[i]) == LESS:
-                lo[i] = image
-            elif key_cmp(order, image, hi[i]) == GREATER:
-                hi[i] = image
+            try:
+                if lo[i] is None:
+                    lo[i] = hi[i] = image
+                elif _image_cmp(order, image, lo[i]) == LESS:
+                    lo[i] = image
+                elif _image_cmp(order, image, hi[i]) == GREATER:
+                    hi[i] = image
+            except UndecidedComparisonError:
+                undecided_here = True
+        undecided += undecided_here
 
     violations = [0] * spec.m
     for g in sample.words():
@@ -513,7 +510,7 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
             if lo[i] is None:
                 break  # no members here, nor in any deeper level
             try:
-                if key_cmp(order, lo[i], image) == LESS and key_cmp(order, image, hi[i]) == LESS:
+                if _image_cmp(order, lo[i], image) == LESS and _image_cmp(order, image, hi[i]) == LESS:
                     violations[i] += 1
             except UndecidedComparisonError:
                 undecided_here = True
@@ -551,43 +548,29 @@ class ConradWitness(NamedTuple):
     g: BraidWord
 
 
-def _check_k_max(k_max: int) -> None:
+def is_conrad_witness(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
+    """Whether f and g are positive with f g^k < g for every k up to k_max:
+    the pair breaks the Conrad property, as far as k_max sees."""
     if k_max < 0:
         raise MalformedInputError(f"k_max must be non-negative, got {k_max}")
-
-
-def _below_its_powers(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
-    """Whether g is positive with f g^k < g for every k up to k_max, for f
-    known to be positive; g's order key is made once."""
-    if order.sign(g) <= 0:
+    if order.sign(f) <= 0 or order.sign(g) <= 0:
         return False
-    g_key = order_key(order, g)
     gk = BraidWord(g.n)
     for _ in range(k_max + 1):
-        fgk = multiply(f, gk)
-        if fgk == g or key_cmp(order, order_key(order, fgk), g_key) != LESS:
+        if order_cmp(order, multiply(f, gk), g) != LESS:
             return False
         gk = multiply(gk, g)
     return True
 
 
-def is_conrad_witness(order, f: BraidWord, g: BraidWord, k_max: int) -> bool:
-    """Whether f and g are positive with f g^k < g for every k up to k_max:
-    the pair breaks the Conrad property, as far as k_max sees."""
-    _check_k_max(k_max)
-    return order.sign(f) > 0 and _below_its_powers(order, f, g, k_max)
-
-
 def conrad_witness_search(order, k_max: int, ball: BallSpec) -> ConradWitness:
     """First pair of the ball, in ball order, violating the Conrad property up
-    to k_max (is_conrad_witness), each f's positivity decided once.  Raises
-    SearchFailureError when none exists."""
-    _check_k_max(k_max)
+    to k_max (is_conrad_witness).  Raises SearchFailureError when none
+    exists."""
     for f in ball.words():
-        if order.sign(f) > 0:
-            for g in ball.words():
-                if _below_its_powers(order, f, g, k_max):
-                    return ConradWitness(f, g)
+        for g in ball.words():
+            if is_conrad_witness(order, f, g, k_max):
+                return ConradWitness(f, g)
     raise SearchFailureError(
         f"no Conradian-failure witness in ball L={ball.max_length} with k_max={k_max}"
     )

@@ -189,6 +189,14 @@ def test_soul_and_chain(capsys):
     assert all(lv["violations"] == 0 for lv in levels)
 
 
+def test_chain_with_undecided_member_comparisons_prints_its_level(capsys):
+    code, out, err = run(
+        capsys, "chain", "--n", "4", "--order", "nt:mixed_4", "--ball-length", "3", "--depth-cap", "5"
+    )
+    assert (code, err) == (2, "")
+    assert out == "command=chain  level=1  depth=1  pattern=[2, 3]  members_in_ball=57  checked=130  violations=0\n"
+
+
 def test_depth_cap_leaves_finite_orders_exact(capsys):
     # the cap bounds stream scans only: a small cap changes no finite report
     code, out, err = run(capsys, "soul", "--n", "6", "--order", "nt:b6_cx", "--validate", "--depth-cap", "5")

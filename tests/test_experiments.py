@@ -130,6 +130,35 @@ def test_orders_are_limits_of_their_conjugates(name, pattern, length, radii):
         assert r.witness_signs == signs and signs[0] != signs[1], r.j
 
 
+def _short_families(n):
+    """(s, u) for sigma_s^-j u with u empty or one letter other than sigma_s^+-1."""
+    letters = [k for i in range(1, n) for k in (i, -i)]
+    return [(s, u) for s in range(1, n) for u in [()] + [(k,) for k in letters if abs(k) != s]]
+
+
+@pytest.mark.parametrize(
+    "name, length, families, largest",
+    [("b6_cx", 2, 30, [1, 1, 1, 1, 1, 1]), ("mixed_4", 4, 15, [2, 1, 1, 1, 1, 1])],
+)
+def test_short_conjugate_families_stay_at_radius_1(name, length, families, largest):
+    """Evidence, not the paper's claim: over every family sigma_s^-j u with
+    u empty or one letter, j = 1..6, that has a witness on every row, the
+    largest radius of each j stays at 1 from j = 2 on.  b6_cx is the
+    ordering the paper suggests may not be a limit of its conjugates;
+    mixed_4 is typed infinite, and every ordering of infinite type is such a
+    limit, so whether its type tag (or the family) matches the paper is
+    still open."""
+    base = catalog_order(name)
+    ball = BallSpec(base.n, length)
+    radii = []
+    for s, u in _short_families(base.n):
+        rows = converge_conjugates_experiment(base, (s, BraidWord(base.n, u)), range(1, 7), ball)
+        if all(r.witness is not None for r in rows):
+            radii.append([r.radius for r in rows])
+    assert len(radii) == families
+    assert [max(column) for column in zip(*radii)] == largest
+
+
 def test_conjugates_experiment_checks_u_before_scanning(monkeypatch, specs, conv):
     def no_scan(*args):
         raise AssertionError("the ball was read before u was checked")

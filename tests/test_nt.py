@@ -27,7 +27,7 @@ from braidorders import (
     soul_of,
     totality_probe,
 )
-from braidorders.nt import GeodesicSpec, NTOrder, letter_depths, moved_order
+from braidorders.nt import ChainLevel, ChainReport, GeodesicSpec, NTOrder, letter_depths, moved_order
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
 from words import moved_spec, random_word
@@ -407,6 +407,15 @@ def test_chain_report_memory_does_not_grow_with_the_ball():
         tracemalloc.stop()
     assert [lv.violations for lv in report.levels] == [0, 0, 0]
     assert peak < 1 << 20
+
+
+def test_chain_report_counts_undecided_member_comparisons():
+    # at cap 5, comparisons among mixed_4's level members (finding the
+    # level's minimum and maximum) reach the cap: each such word counts once
+    # in undecided_skipped, and the level is still reported
+    order = dataclasses.replace(catalog_order("mixed_4"), depth_cap=5)
+    report = convex_chain_report(order, BallSpec(4, 3))
+    assert report == ChainReport((ChainLevel((2, 3), 57, 130, 0),), 33)
 
 
 def test_soul_validation_mismatch_raises(specs, conv):

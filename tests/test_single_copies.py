@@ -36,6 +36,7 @@ from braidorders import (
     parse_braid,
     parse_free_word,
     sigma,
+    small_positive_search,
     totality_probe,
 )
 from braidorders.braids import _trusted_word, inverse_letters
@@ -305,6 +306,25 @@ def test_image_comparison_matches_the_product_rule(name):
         if rng.random() < 0.2:  # the same braid, by the braid relation
             b = BraidWord(order.n, a.letters + (1, 2, 1, -2, -1, -2))
         assert order_cmp(order, a, b) == product_cmp(order, a, b), (a, b)
+
+
+def test_ray_order_comparisons_form_no_product(monkeypatch):
+    # a ray order compares images, so its comparisons run with nt's invert
+    # gone; any other oracle signs the product a^-1 b, and so needs it
+    def no_inverse(b):
+        raise AssertionError(f"inverted {b}")
+
+    monkeypatch.setattr("braidorders.nt.invert", no_inverse)
+    for name in _finite_names():
+        order = catalog_order(name)
+        ball = list(BallSpec(order.n, 2).words())
+        for a in ball:
+            for b in ball:
+                order_cmp(order, a, b)
+    convex_chain_report(catalog_order("b4_b"), BallSpec(4, 3))
+    small_positive_search(catalog_order("dehornoy_3"), [2], BallSpec(3, 2))
+    with pytest.raises(AssertionError, match="inverted"):
+        order_cmp(DehornoyOrder(3), BraidWord(3, (1,)), BraidWord(3, (2,)))
 
 
 @pytest.mark.parametrize("name", ["sturmian_3", "sturmian_4", "mixed_4", "sturmian_5"])
