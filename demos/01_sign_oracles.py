@@ -23,7 +23,8 @@ SIGN = {-1: "negative", 0: "zero", 1: "positive"}
 
 w = BraidWord(3, (-1, 2, 1))
 hf = handle_reduce(w)
-print(f"handle_reduce({w}) -> {hf.word}   main index {hf.main_index}, sign {SIGN[hf.main_sign]}")
+main = min(abs(k) for k in hf.letters)  # the lowest index, which occurs with one sign
+print(f"handle_reduce({w}) -> {hf.word}   main index {main}, sign {SIGN[1 if main in hf.letters else -1]}")
 
 # the defining relations reduce to nothing
 print("relator s1 s2 s1 s2^-1 s1^-1 s2^-1 trivial:", is_trivial_braid(BraidWord(3, (1, 2, 1, -2, -1, -2))))

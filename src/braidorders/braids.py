@@ -55,6 +55,8 @@ def _trusted_word(n: int, letters: Letters) -> BraidWord:
 
 def sigma(n: int, i: int, power: int) -> BraidWord:
     """The generator sigma_i of B_n raised to an integer power."""
+    check_integer(i, "generator index")
+    check_integer(power, "generator power")
     if not 1 <= i <= n - 1:
         raise MalformedInputError(f"generator index {i} out of range for B_{n}")
     k = i if power >= 0 else -i

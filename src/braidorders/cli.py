@@ -31,6 +31,7 @@ from .errors import (
     SoulValidationError,
     StreamGrowthError,
     UndecidedComparisonError,
+    check_integer,
 )
 from .experiments import (
     agreement_radius,
@@ -125,6 +126,7 @@ def _parse_soul_order(token: str, soul: tuple[int, ...]) -> ZkLex | ZkIntegerSlo
 def parse_order(text: str, n: int, depth_cap: int) -> OrderOracle:
     """Grammar: dehornoy | nt:<name-or-file> | conj:<order>:<braid> |
     ext:<order>:<soul-order>; the trailing segment is colon-free."""
+    check_integer(depth_cap, "depth cap", 1)  # for every order, not just nt:
     text = text.strip()
     if text == "dehornoy":
         return DehornoyOrder(n)

@@ -67,39 +67,25 @@ def _reduce_handle(letters: list[int], p: int, t: int) -> list[int]:
 
 
 class HandleFreeWord(NamedTuple):
-    """A handle-free representative of a braid, plus its lowest index.
-
-    ``n`` is the strand count, ``letters`` the freely reduced, handle-free
-    letters, and ``main_index`` the lowest index among them (None for the
-    empty word).  The ``BraidWord`` is built only when ``word`` is read;
-    ``main_sign`` reads the letters directly.
-    """
+    """A handle-free representative of a braid: ``n`` is the strand count,
+    ``letters`` the freely reduced, handle-free letters.  The ``BraidWord``
+    is built only when ``word`` is read."""
 
     n: int
     letters: Letters
-    main_index: int | None
 
     @property
     def word(self) -> BraidWord:
         return BraidWord(self.n, self.letters)
 
-    @property
-    def main_sign(self) -> int:
-        i = self.main_index
-        if i is None:
-            return ZERO
-        k = i if i in self.letters else -i
-        if -k in self.letters:
-            raise AssertionError("handle-free word has mixed signs on its main index")
-        return POSITIVE if k > 0 else NEGATIVE
 
-
-def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
+def handle_reduce(w: BraidWord) -> HandleFreeWord:
     """Reduce handles until none remain; the result represents the same braid.
 
     Raises BudgetExceededError (carrying the partial word) if more than
-    ``budget`` reduction steps are needed.  The budget counts steps, not
-    time: each step rescans the word from its start and rebuilds it.
+    DEFAULT_BUDGET reduction steps are needed; the constant is read at call
+    time.  The budget counts steps, not time: each step rescans the word
+    from its start and rebuilds it.
     """
     letters = list(w.letters)
     steps = 0
@@ -108,13 +94,24 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HandleFreeWord:
         if found is None:
             break
         steps += 1
-        if steps > budget:
+        if steps > DEFAULT_BUDGET:
             raise BudgetExceededError(
-                f"handle reduction exceeded {budget} steps on a word of length {len(w)}",
+                f"handle reduction exceeded {DEFAULT_BUDGET} steps on a word of length {len(w)}",
                 BraidWord(w.n, tuple(letters)),
             )
         letters = _reduce_handle(letters, *found)
-    return HandleFreeWord(w.n, tuple(letters), min(map(abs, letters), default=None))
+    return HandleFreeWord(w.n, tuple(letters))
+
+
+def _main_sign(letters: Letters) -> int | None:
+    """The sigma-sign rule: the one sign of the lowest index, ZERO for the
+    empty word, None when that index occurs with both signs."""
+    if not letters:
+        return ZERO
+    i = min(map(abs, letters))
+    if -i not in letters:
+        return POSITIVE
+    return NEGATIVE if i not in letters else None
 
 
 def dehornoy_sign(w: BraidWord) -> int:
@@ -123,15 +120,12 @@ def dehornoy_sign(w: BraidWord) -> int:
     A settled word (see the module docstring) is signed in linear time,
     without handle reduction, so it never exhausts the step budget.
     """
-    letters = w.letters
-    if not letters:
-        return ZERO
-    i = min(map(abs, letters))
-    if -i not in letters:
-        return POSITIVE
-    if i not in letters:
-        return NEGATIVE
-    return handle_reduce(w).main_sign
+    sign = _main_sign(w.letters)
+    if sign is None:
+        sign = _main_sign(handle_reduce(w).letters)
+        if sign is None:
+            raise AssertionError("handle-free word has mixed signs on its main index")
+    return sign
 
 
 def is_trivial_braid(w: BraidWord) -> bool:

@@ -26,10 +26,9 @@ def check_non_square(d: int) -> None:
 
 
 class BudgetExceededError(RuntimeError):
-    """Handle reduction ran out of its step budget.
-
-    Carries the partially reduced word so callers can inspect or resume.
-    """
+    """Handle reduction ran out of its step budget, or a finite ray's scan of
+    its letter budget.  Carries the partially reduced word so callers can
+    inspect or resume; a scan carries None."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)

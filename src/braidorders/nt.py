@@ -41,6 +41,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .braids import BallSpec, BraidWord, conjugate, inverse_letters, invert, multiply, sigma
 from .errors import (
+    BudgetExceededError,
     MalformedInputError,
     SearchFailureError,
     SoulValidationError,
@@ -347,7 +348,8 @@ class _FiniteImage(Custom):
         return iter(self.letters())
 
 
-_FINITE_RAYS = (FreeWord, _FiniteImage)  # the rays that end: their scans are uncapped
+_FINITE_RAYS = (FreeWord, _FiniteImage)  # the rays that end: their scans are exact
+SCAN_BUDGET = 1 << 18  # the letters a finite ray's scan may read
 
 
 def _image(order: NTOrder, b: BraidWord) -> Ray:
@@ -370,18 +372,21 @@ def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
 
 
 def _scan(order: NTOrder, u: Ray, v: Ray) -> tuple[int, int | None]:
-    """planar.divergence of two rays under the order's convention: uncapped
-    when the order's ray is finite, capped at its depth cap when it is a
-    stream."""
-    cap = None if isinstance(order.spec.word, _FINITE_RAYS) else order.depth_cap
-    return divergence(u, v, order.convention, cap)
+    """planar.divergence of two rays under the order's convention, capped by
+    the depth cap on a stream; a finite ray's scan, exact but deep under a
+    pseudo-Anosov braid, raises BudgetExceededError at SCAN_BUDGET letters."""
+    finite = isinstance(order.spec.word, _FINITE_RAYS)
+    depth, verdict = divergence(u, v, order.convention, SCAN_BUDGET if finite else order.depth_cap)
+    if finite and verdict is None:
+        raise BudgetExceededError(f"a finite ray's scan read its budget of {SCAN_BUDGET} letters", None)
+    return depth, verdict
 
 
 def divergence_depth(order: NTOrder, b: BraidWord) -> tuple[int, int | None]:
     """(depth, verdict): the longest common prefix of the ray and its image
     under b, with the angle verdict LESS, EQUAL or GREATER, from one
-    transport and one scan.  The scan of a finite ray is uncapped; a stream
-    that agrees with its image up to the depth cap gives (cap, None)."""
+    transport and one scan (_scan).  A stream that agrees with its image up
+    to the depth cap gives (cap, None)."""
     word = order.spec.word
     if b.n != word.n:  # the spec's strand count, read without a property call
         raise MalformedInputError("strand counts differ")
@@ -469,9 +474,10 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     first finds each word's depth and, for each level it belongs to,
     updates the level's running minimum and maximum, the only images kept;
     the second counts the words outside a level that lie between them.  So
-    the report holds no per-word list.  A word with an undecided depth or
-    comparison, among a level's members or against them, counts once in
-    undecided_skipped.
+    the report holds no per-word list.  A word with an undecided depth, or
+    an undecided comparison among a level's members, counts once in
+    undecided_skipped; an outside word's comparisons are its own verdict
+    against the ray, which is decided.
     """
     spec = order.spec
     if spec.m < 1:
@@ -505,16 +511,13 @@ def convex_chain_report(order: NTOrder, sample: BallSpec) -> ChainReport:
     for g in sample.words():
         image = _image(order, g)
         depth, _ = _scan(order, spec.word, image)
-        undecided_here = False
         for i in range(bisect_right(depths, depth), spec.m):  # the levels g is outside of
             if lo[i] is None:
                 break  # no members here, nor in any deeper level
-            try:
-                if _image_cmp(order, lo[i], image) == LESS and _image_cmp(order, image, hi[i]) == LESS:
-                    violations[i] += 1
-            except UndecidedComparisonError:
-                undecided_here = True
-        undecided += undecided_here
+            # never undecided: g parts from the ray below d_i <= cap, where
+            # every member's image still follows it
+            if _image_cmp(order, lo[i], image) == LESS and _image_cmp(order, image, hi[i]) == LESS:
+                violations[i] += 1
 
     levels = tuple(
         ChainLevel(pattern, count, words - count if count else 0, v)
@@ -618,13 +621,12 @@ def totality_probe(order: NTOrder, ball: BallSpec, depth_target: int) -> Totalit
     for w in ball.words():
         consider(w, tie_eligible=True)
 
-    if best < depth_target:
-        for g in ball.words():
-            if best >= depth_target:
-                break
-            for i in range(1, spec.n):
-                for e in (1, -1, 2, -2):
-                    consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
+    for g in ball.words():
+        if best >= depth_target:
+            break
+        for i in range(1, spec.n):
+            for e in (1, -1, 2, -2):
+                consider(conjugate(sigma(spec.n, i, e), invert(g)), tie_eligible=False)
 
     return TotalityReport(tuple(ties), tuple(records))
 

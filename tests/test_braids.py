@@ -4,11 +4,15 @@ from braidorders import (
     BallSpec,
     BraidWord,
     MalformedInputError,
+    catalog_order,
+    converge_conjugates_experiment,
     invert,
+    limit_probe_experiment,
     linking_number,
     multiply,
     parse_braid,
     permutation_of,
+    sigma,
 )
 
 from words import ball_size, random_word
@@ -107,6 +111,25 @@ def test_permutation_inverse(rng):
         a = random_word(rng, 5, rng.randrange(0, 7))
         pa, pinv = permutation_of(a), permutation_of(invert(a))
         assert all(pa[pinv[i - 1] - 1] == pinv[pa[i - 1] - 1] == i for i in range(1, 6))
+
+
+def test_sigma_checks_its_index_and_power():
+    assert sigma(3, 2, -2) == BraidWord(3, (-2, -2))
+    # a float power used to raise TypeError, and True to pass for 1
+    for i, power, message in (
+        (1, 2.0, "generator power must be an integer, got 2.0"),
+        (1, True, "generator power must be an integer, got True"),
+        (True, 1, "generator index must be an integer, got True"),
+        (1.0, 1, "generator index must be an integer, got 1.0"),
+    ):
+        with pytest.raises(MalformedInputError, match=message):
+            sigma(3, i, power)
+    # the conjugate families build their conjugators from sigma
+    base, pattern = catalog_order("dehornoy_3"), (2, BraidWord(3, (1,)))
+    with pytest.raises(MalformedInputError, match="generator power must be an integer, got -1.5"):
+        converge_conjugates_experiment(base, pattern, [1.5], BallSpec(3, 2))
+    with pytest.raises(MalformedInputError, match="generator power must be an integer, got -1.5"):
+        limit_probe_experiment(base, pattern, [1.5], BallSpec(3, 1))
 
 
 def test_linking_number_examples():

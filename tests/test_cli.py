@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidorders import cli
+from braidorders import cli, nt
 from braidorders.cli import main, parse_order
 from braidorders.orders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder
 from braidorders.nt import NTOrder
@@ -40,6 +40,18 @@ def test_agree_cross_oracle(capsys):
     assert record["radius"] == 5 and record["witness"] == ""
 
 
+def test_a_finite_scan_out_of_budget_exits_2(capsys, monkeypatch):
+    # -1 -2 1 2 agrees with h(R) for 377 letters at k = 8 and 2,584 at k = 10
+    monkeypatch.setattr(nt, "SCAN_BUDGET", 1024)
+
+    def sign(order, k):
+        return run(capsys, "sign", "--n", "3", "--order", f"{order}:{' '.join(['1 -2'] * k)}", "--", "-1 -2 1 2")
+
+    assert sign("conj:nt:dehornoy_3", 8) == sign("conj:dehornoy", 8) == (0, "command=sign  braid=-1 -2 1 2  sign=negative\n", "")
+    code, out, err = sign("conj:nt:dehornoy_3", 10)
+    assert code == 2 and out == "" and "budget of 1024 letters" in err
+
+
 def test_malformed_input_exit_code(capsys):
     code, _, err = run(capsys, "sign", "--n", "3", "--order", "dehornoy", "7")
     assert code == 1
@@ -71,6 +83,11 @@ def test_malformed_input_exit_code(capsys):
         (
             ("chain", "--n", "4", "--order", "nt:dehornoy_4", "--ball-length", "1", "--depth-cap", "-2"),
             "depth cap must be >= 1, got -2",
+        ),
+        # the cap is checked for every order, also where no ray reads it
+        (
+            ("agree", "--n", "3", "--order", "dehornoy", "--other", "dehornoy", "--ball-length", "1", "--depth-cap", "-5"),
+            "depth cap must be >= 1, got -5",
         ),
         (("sign", "--n", "3", "--order", "conj:dehornoy", "1"), "conj needs conj:<order>:<braid>, got 'conj:dehornoy'"),
         (("sign", "--n", "3", "--order", "ext:dehornoy:lex(1)", "1"), "ext base must be an nt:<...> order"),

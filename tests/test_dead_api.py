@@ -41,7 +41,7 @@ CALLERS = MODULES
 
 EXEMPT = {
     "in_convex_subgroup": "public query for membership in a convex level, the paper's convex chain",
-    "BudgetExceededError.partial": "the partly reduced word, which a caller needs in order to resume",
+    "BudgetExceededError.partial": "the partly reduced word, which a caller needs in order to resume (None from a finite ray's scan)",
     "catalog_order": "the entry point to a catalog order for demos, README and the benchmark",
     "ConjugateRow.conjugator": "a JSON field of approx rows, written through cli._fields, pinned in tests/cli_outputs and the benchmark digests",
     "ExtensionRow.soul_witness_vector": "a JSON field of approx rows, written through cli._fields, pinned in tests/cli_outputs and the benchmark digests",
@@ -133,7 +133,6 @@ def test_every_definition_has_a_caller():
 
 
 KNOBS = {
-    "handle_reduce.budget": "the safety budget on reduction steps, which tests exhaust on purpose",
     "main.argv": "the in-process entry that the benchmark and tests drive; the console script reads sys.argv",
 }
 

@@ -29,29 +29,46 @@ def _insert(w: BraidWord, extra, pos) -> BraidWord:
     return BraidWord(w.n, w.letters[:pos] + tuple(extra) + w.letters[pos:])
 
 
+def _main_index(hf) -> int | None:
+    return min((abs(k) for k in hf.letters), default=None)
+
+
+def _handle_free_sign(hf) -> int:
+    """The one sign of a handle-free word's lowest index, read here rather
+    than through dehornoy_sign."""
+    main = _main_index(hf)
+    if main is None:
+        return 0
+    signs = {1 if k > 0 else -1 for k in hf.letters if abs(k) == main}
+    assert len(signs) == 1, "handle-free word has mixed signs on its main index"
+    return signs.pop()
+
+
 def test_handle_free_output_single_main_sign(rng):
     for _ in range(400):
         w = random_word(rng, 4, rng.randrange(0, 10))
         hf = handle_reduce(w)
-        if hf.main_index is None:
+        main = _main_index(hf)
+        if main is None:
             assert hf.word.letters == ()
             continue
-        signs = {k > 0 for k in hf.word.letters if abs(k) == hf.main_index}
+        signs = {k > 0 for k in hf.word.letters if abs(k) == main}
         assert len(signs) == 1
 
 
 def test_handle_reduce_examples():
     assert handle_reduce(BraidWord(3, (1, -1))).word.letters == ()
     hf = handle_reduce(BraidWord(3, (1, 2, -1)))
-    assert hf.main_index == 1 and hf.main_sign == 1
+    assert _main_index(hf) == 1 and _handle_free_sign(hf) == 1
     hf = handle_reduce(BraidWord(3, (-1, 2, 1)))
     # equals sigma2 sigma1 sigma2^-1: positive either way
-    assert hf.main_sign == 1
+    assert _handle_free_sign(hf) == 1
 
 
-def test_budget_error_carries_partial_state():
+def test_budget_error_carries_partial_state(monkeypatch):
+    monkeypatch.setattr(dehornoy, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExceededError) as info:
-        handle_reduce(BraidWord(4, (1, 2, -1, 3, 2, -1, -2, 3, 1, -2)), budget=1)
+        handle_reduce(BraidWord(4, (1, 2, -1, 3, 2, -1, -2, 3, 1, -2)))
     assert isinstance(info.value.partial, BraidWord)
 
 
@@ -221,7 +238,7 @@ def test_settled_shortcut_matches_handle_reduction(monkeypatch):
     # the result must be handle reduction's on the whole B3 L8, B4 L6 and
     # B5 L4 balls and on random words to length 256, both branches taken
     words = _differential_words()
-    expected = [handle_reduce(w).main_sign for w in words]
+    expected = [_handle_free_sign(handle_reduce(w)) for w in words]
     reduced = []
 
     def spy(w, *args):
@@ -239,7 +256,7 @@ def test_settled_shortcut_matches_handle_reduction(monkeypatch):
 
 def test_settled_words_signed_without_handle_reduction(monkeypatch):
     words = [w for w in _differential_words() if _settled(w.letters)]
-    expected = [handle_reduce(w).main_sign for w in words]
+    expected = [_handle_free_sign(handle_reduce(w)) for w in words]
 
     def refuse(w, *args):
         raise AssertionError(f"handle reduction called on {w}")
@@ -250,10 +267,13 @@ def test_settled_words_signed_without_handle_reduction(monkeypatch):
         dehornoy_sign(BraidWord(3, (1, 2, -1)))
 
 
-def test_settled_word_never_exhausts_the_budget():
+def test_settled_word_never_exhausts_the_budget(monkeypatch):
     # sigma_1 then a word that needs many sigma_2-handle steps: reduction
     # runs out of a small budget, the settled sign does not need it
     w = BraidWord(4, (1,) + (2, 3, -2, -3) * 6)
-    with pytest.raises(BudgetExceededError):
-        handle_reduce(w, budget=2)
-    assert handle_reduce(w).main_sign == dehornoy_sign(w) == 1
+    with monkeypatch.context() as patched:
+        patched.setattr(dehornoy, "DEFAULT_BUDGET", 2)
+        with pytest.raises(BudgetExceededError):
+            handle_reduce(w)
+        assert dehornoy_sign(w) == 1
+    assert _handle_free_sign(handle_reduce(w)) == dehornoy_sign(w) == 1

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
@@ -9,9 +10,13 @@ from braidorders import (
     FROZEN_CONVENTION,
     BallSpec,
     BraidWord,
+    BudgetExceededError,
+    ConjugatedOrder,
+    DehornoyOrder,
     FreeWord,
     MalformedInputError,
     SoulValidationError,
+    UndecidedComparisonError,
     catalog_order,
     conrad_witness_search,
     convex_chain_report,
@@ -27,6 +32,7 @@ from braidorders import (
     soul_of,
     totality_probe,
 )
+from braidorders import nt
 from braidorders.nt import ChainLevel, ChainReport, GeodesicSpec, NTOrder, letter_depths, moved_order
 from braidorders.planar import EQUAL, GREATER, LESS, divergence
 
@@ -416,6 +422,79 @@ def test_chain_report_counts_undecided_member_comparisons():
     order = dataclasses.replace(catalog_order("mixed_4"), depth_cap=5)
     report = convex_chain_report(order, BallSpec(4, 3))
     assert report == ChainReport((ChainLevel((2, 3), 57, 130, 0),), 33)
+
+
+def _level_extremes(order, ball):
+    """Each level's order-minimum and -maximum image, found as the chain
+    report's first walk finds them (an undecided comparison among members
+    leaves them as they are)."""
+    depths = order.spec.separating_depths
+    lo, hi = [None] * len(depths), [None] * len(depths)
+    for w in ball.words():
+        image = nt._image(order, w)
+        depth, _ = nt._scan(order, order.spec.word, image)
+        for i in range(bisect_right(depths, depth)):
+            try:
+                if lo[i] is None:
+                    lo[i] = hi[i] = image
+                elif nt._image_cmp(order, image, lo[i]) == LESS:
+                    lo[i] = image
+                elif nt._image_cmp(order, image, hi[i]) == GREATER:
+                    hi[i] = image
+            except UndecidedComparisonError:
+                pass
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "name, length, cap",
+    [
+        ("b4_b", 4, 512), ("b4_c", 4, 512), ("dehornoy_4", 4, 512), ("b4_a", 4, 512), ("b6_cx", 3, 512),
+        ("mixed_4", 3, 512), ("mixed_4", 3, 2), ("mixed_4", 3, 1), ("mixed_4", 4, 5),
+    ],
+)
+def test_outside_words_meet_a_level_by_their_own_verdict(name, length, cap):
+    # the chain report's second walk compares each word g outside level i
+    # with the level's minimum and maximum image.  g's depth is decided and
+    # below d_i <= cap, and every member's image follows the ray past d_i, so
+    # g(R) parts from both where it parts from the ray, with the same germs:
+    # each comparison is g's own verdict against the ray, never undecided
+    order = dataclasses.replace(catalog_order(name), depth_cap=cap)
+    ball = BallSpec(order.n, length)
+    depths = order.spec.separating_depths
+    lo, hi = _level_extremes(order, ball)
+    compared = 0
+    for g in ball.words():
+        image = nt._image(order, g)
+        depth, verdict = nt._scan(order, order.spec.word, image)
+        for i in range(bisect_right(depths, depth), len(depths)):
+            if lo[i] is None:
+                break
+            assert verdict is not None, (name, cap, g)
+            assert nt._image_cmp(order, lo[i], image) == verdict, (name, cap, g, i)
+            assert nt._image_cmp(order, image, hi[i]) == -verdict, (name, cap, g, i)
+            compared += 2
+    assert compared > 0
+
+
+def test_a_finite_scan_stops_at_its_letter_budget(monkeypatch):
+    # h(R) for h = (1 -2)^k agrees with its image under -1 -2 1 2 for 377
+    # letters at k = 8 and 2,584 at k = 10 (the depth grows with the
+    # dilatation of h): under a budget of 1024 letters the first sign is
+    # still exact, and the second raises the typed error with no partial word
+    monkeypatch.setattr(nt, "SCAN_BUDGET", 1024)
+    w = BraidWord(3, (-1, -2, 1, 2))
+    h = BraidWord(3, (1, -2) * 8)
+    assert ConjugatedOrder(catalog_order("dehornoy_3"), h).sign(w) == ConjugatedOrder(DehornoyOrder(3), h).sign(w)
+    h = BraidWord(3, (1, -2) * 10)
+    with pytest.raises(BudgetExceededError, match="budget of 1024 letters") as info:
+        ConjugatedOrder(catalog_order("dehornoy_3"), h).sign(w)
+    assert info.value.partial is None
+    # the budget binds finite rays only: a stream's scan stops at its depth cap
+    monkeypatch.setattr(nt, "SCAN_BUDGET", 1)
+    assert divergence_depth(catalog_order("sturmian_3"), BraidWord(3, (1,)))[1] is not None
+    with pytest.raises(BudgetExceededError):
+        divergence_depth(catalog_order("dehornoy_3"), BraidWord(3, (2,)))
 
 
 def test_soul_validation_mismatch_raises(specs, conv):

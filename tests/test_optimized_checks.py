@@ -1,15 +1,15 @@
 """The library's internal correctness checks survive ``python -O``.
 
 ``-O`` strips ``assert`` statements, so the checks that guard a sign are
-written as explicit raises.  A subprocess under ``-O`` builds a handle-free
-result with mixed signs on its main index, a settled divergence on two equal
-germs, a braid word with a ``bool`` letter, one with a non-integer strand
-count, a Sturmian word whose slope is outside (0, 1), streams and Z^k
-orders with a non-integer field, a slope whose tie break is no ZkLex, a
-non-integer floor_times argument, a non-integer depth cap, and combinators,
-specs and Z^k orders built from parts of the wrong type (a conjugated base
-that is no order oracle, a Z^k field that is no sequence); all must still
-raise.
+written as explicit raises.  A subprocess under ``-O`` signs a word whose
+handle reduction is patched to leave mixed signs on its main index, settles
+a divergence on two equal germs, and builds a braid word with a ``bool``
+letter, one with a non-integer strand count, a Sturmian word whose slope is
+outside (0, 1), streams and Z^k orders with a non-integer field, a slope
+whose tie break is no ZkLex, a non-integer floor_times argument, a
+non-integer depth cap, and combinators, specs and Z^k orders built from
+parts of the wrong type (a conjugated base that is no order oracle, a Z^k
+field that is no sequence); all must still raise.
 """
 
 import os
@@ -24,15 +24,16 @@ import sys
 from braidorders import FROZEN_CONVENTION, BraidWord, MalformedInputError, QuadraticIrrational, Sturmian
 from braidorders import NTOrder, ZkIntegerSlope, ZkLex, ZkQuadraticSlope, catalog
 from braidorders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder, GeodesicSpec, catalog_order
-from braidorders.dehornoy import HandleFreeWord
+from braidorders import dehornoy
 from braidorders.planar import _verdict
 
 assert False, "asserts are live"  # stripped under -O
 print("optimize", sys.flags.optimize)
+dehornoy.handle_reduce = lambda w: dehornoy.HandleFreeWord(w.n, w.letters)  # leaves the word mixed
 try:
-    HandleFreeWord(3, (1, 2, -1), 1).main_sign
+    dehornoy.dehornoy_sign(BraidWord(3, (1, 2, -1)))
 except AssertionError as exc:
-    print("main_sign:", exc)
+    print("dehornoy_sign:", exc)
 try:
     _verdict(2, 2, 1, FROZEN_CONVENTION, 3)
 except AssertionError as exc:
@@ -94,7 +95,7 @@ def test_checks_raise_under_python_O():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "optimize 1",
-        "main_sign: handle-free word has mixed signs on its main index",
+        "dehornoy_sign: handle-free word has mixed signs on its main index",
         "verdict: divergence scan stopped on equal letters",
         "letter: letter True out of range for B_3 (need 1 <= |k| <= 2)",
         "strands: strand count must be an integer, got 3.5",
