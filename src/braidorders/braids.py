@@ -14,30 +14,26 @@ the products here reduce at most once and skip the check (``_trusted_word``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import MalformedInputError, check_integer
+from .errors import MalformedInputError, Value, check_integer
 from .freewords import is_letter, parse_letters, reduce_free
 
 Letters = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A freely reduced word in the Artin generators of B_n."""
 
     n: int
-    letters: Letters = ()
+    letters: Letters
 
-    def __post_init__(self):
-        check_integer(self.n, "strand count", 2)
-        for k in self.letters:
-            if not is_letter(k, self.n - 1):
-                raise MalformedInputError(
-                    f"letter {k!r} out of range for B_{self.n} (need 1 <= |k| <= {self.n - 1})"
-                )
-        object.__setattr__(self, "letters", reduce_free(self.letters))
+    def __init__(self, n, letters=()):
+        check_integer(n, "strand count", 2)
+        for k in letters:
+            if not is_letter(k, n - 1):
+                raise MalformedInputError(f"letter {k!r} out of range for B_{n} (need 1 <= |k| <= {n - 1})")
+        self.__dict__.update(n=n, letters=reduce_free(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -121,8 +117,7 @@ def linking_number(w: BraidWord, i: int, j: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(Value):
     """All freely reduced words of length <= max_length in B_n.
 
     Words, not group elements: no deduplication by braid equality is done.
@@ -131,9 +126,10 @@ class BallSpec:
     n: int
     max_length: int
 
-    def __post_init__(self):
-        check_integer(self.n, "strand count", 2)
-        check_integer(self.max_length, "max_length", 0)
+    def __init__(self, n, max_length):
+        check_integer(n, "strand count", 2)
+        check_integer(max_length, "max_length", 0)
+        self.__dict__.update(n=n, max_length=max_length)
 
     def words(self) -> Iterator[BraidWord]:
         """A fresh cursor yielding every freely reduced word of length <=

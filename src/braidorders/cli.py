@@ -1,7 +1,9 @@
 """Batch command line for the sign oracles, catalog and experiments.
 
 Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
-(undecided comparisons, degenerate probes, too-short stabilization windows),
+(undecided comparisons, degenerate probes, too-short stabilization windows;
+stderr says "inconclusive:") or out of budget (handle reduction's steps, a
+finite ray's scan letters, a stalled stream; stderr says "out of budget:"),
 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Output is deterministic for fixed flags; --format picks text (key=value
 lines), json (one schema-tagged record per line) or csv (a header and rows).
@@ -534,8 +536,11 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UndecidedComparisonError, StreamGrowthError, BudgetExceededError) as exc:
+    except UndecidedComparisonError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return 2
+    except (BudgetExceededError, StreamGrowthError) as exc:
+        print(f"out of budget: {exc}", file=sys.stderr)
         return 2
 
 

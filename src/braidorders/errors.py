@@ -1,9 +1,49 @@
 """Exception types shared across the package, the one integer check of every
-rank, strand count, length and exact coefficient, and the one non-square d."""
+rank, strand count, length and exact coefficient, the one non-square d, and
+Value, the immutable base of every validated value type (braid and free
+words, streams, specs, orders, conventions)."""
 
 from __future__ import annotations
 
 from math import isqrt
+
+
+class Value:
+    """An immutable value compared by its fields: the annotated names of its
+    class, after those of its bases.  A subclass's __init__ checks its
+    arguments and stores the fields with self.__dict__.update; equality (of
+    two values of one class), hash and repr, Name(field=value, ...), read the
+    fields alone, so a cached_property beside them stays out; no attribute
+    can be set or deleted."""
+
+    _fields = ()  # the field names, set on each subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(name for name in cls.__annotations__ if name not in cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__, other.__dict__
+        for name in self._fields:  # as tuples compare: identity, then ==
+            x, y = mine[name], theirs[name]
+            if x is not y and not x == y:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple([self.__dict__[name] for name in self._fields]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: {self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
 
 
 class MalformedInputError(ValueError):

@@ -21,13 +21,12 @@ letter by letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, cycle
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import MalformedInputError, check_integer, check_non_square
+from .errors import MalformedInputError, Value, check_integer, check_non_square
 
 FreeLetters = tuple[int, ...]
 
@@ -48,19 +47,18 @@ def is_letter(k, bound: int) -> bool:
     return isinstance(k, int) and not isinstance(k, bool) and 1 <= abs(k) <= bound
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Value):
     """A freely reduced word in F_n."""
 
     n: int
     letters: FreeLetters
 
-    def __post_init__(self):
-        check_integer(self.n, "rank", 1)
-        for k in self.letters:
-            if not is_letter(k, self.n):
-                raise MalformedInputError(f"letter {k!r} out of range for F_{self.n}")
-        object.__setattr__(self, "letters", reduce_free(self.letters))
+    def __init__(self, n, letters):
+        check_integer(n, "rank", 1)
+        for k in letters:
+            if not is_letter(k, n):
+                raise MalformedInputError(f"letter {k!r} out of range for F_{n}")
+        self.__dict__.update(n=n, letters=reduce_free(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -85,20 +83,20 @@ def parse_free_word(text: str, n: int) -> FreeWord:
     return FreeWord(n, parse_letters(text, "free word"))
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Value):
     """The number (p + sqrt(d)) / q with integer p, q > 0 and non-square d > 0."""
 
     d: int
     p: int
     q: int
 
-    def __post_init__(self):
-        for value, name in ((self.d, "d"), (self.p, "p"), (self.q, "q")):
+    def __init__(self, d, p, q):
+        for value, name in ((d, "d"), (p, "p"), (q, "q")):
             check_integer(value, name)
-        check_non_square(self.d)
-        if self.q <= 0:
+        check_non_square(d)
+        if q <= 0:
             raise MalformedInputError("q must be positive")
+        self.__dict__.update(d=d, p=p, q=q)
 
     def floor_times(self, k: int) -> int:
         """floor(k * (p + sqrt(d)) / q), exactly, for integer k >= 0.
@@ -110,21 +108,21 @@ class QuadraticIrrational:
         return (k * self.p + isqrt(k * k * self.d)) // self.q
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodic:
+class EventuallyPeriodic(Value):
     """head . period^omega; concatenations must stay reduced."""
 
     head: FreeWord
     period: FreeWord
 
-    def __post_init__(self):
-        if len(self.period) == 0:
+    def __init__(self, head, period):
+        if len(period) == 0:
             raise MalformedInputError("period must be nonempty")
-        if self.head.n != self.period.n:
+        if head.n != period.n:
             raise MalformedInputError("head and period rank differ")
-        probe = self.head.letters + self.period.letters + self.period.letters
+        probe = head.letters + period.letters + period.letters
         if reduce_free(probe) != probe:
             raise MalformedInputError("head.period.period is not freely reduced")
+        self.__dict__.update(head=head, period=period)
 
     @property
     def n(self) -> int:
@@ -190,8 +188,7 @@ class _PrefixedStream:
         return state
 
 
-@dataclass(frozen=True)
-class Sturmian(_PrefixedStream):
+class Sturmian(_PrefixedStream, Value):
     """The Sturmian word over two positive letters cut by an irrational slope.
 
     Position k carries letter_b when floor((k+1) slope) - floor(k slope) = 1,
@@ -205,21 +202,22 @@ class Sturmian(_PrefixedStream):
     letter_a: int
     letter_b: int
 
-    def __post_init__(self):
-        check_integer(self.n, "rank", 1)
-        if not isinstance(self.slope, QuadraticIrrational):
-            raise MalformedInputError(f"Sturmian slope must be a QuadraticIrrational, got {self.slope!r}")
-        check_integer(self.letter_a, "Sturmian letter")
-        check_integer(self.letter_b, "Sturmian letter")
-        if self.letter_a <= 0 or self.letter_b <= 0:
+    def __init__(self, n, slope, letter_a, letter_b):
+        check_integer(n, "rank", 1)
+        if not isinstance(slope, QuadraticIrrational):
+            raise MalformedInputError(f"Sturmian slope must be a QuadraticIrrational, got {slope!r}")
+        check_integer(letter_a, "Sturmian letter")
+        check_integer(letter_b, "Sturmian letter")
+        if letter_a <= 0 or letter_b <= 0:
             raise MalformedInputError("Sturmian letters must be positive generators")
-        if self.letter_a == self.letter_b:
+        if letter_a == letter_b:
             raise MalformedInputError("Sturmian letters must differ")
-        if max(self.letter_a, self.letter_b) > self.n:
+        if max(letter_a, letter_b) > n:
             raise MalformedInputError("Sturmian letters out of range")
-        s = self.slope  # irrational, so in (0, 1) iff its floor is 0
-        if s.floor_times(1) != 0:
-            raise MalformedInputError(f"Sturmian slope ({s.p} + sqrt({s.d}))/{s.q} is not in (0, 1)")
+        # irrational, so in (0, 1) iff its floor is 0
+        if slope.floor_times(1) != 0:
+            raise MalformedInputError(f"Sturmian slope ({slope.p} + sqrt({slope.d}))/{slope.q} is not in (0, 1)")
+        self.__dict__.update(n=n, slope=slope, letter_a=letter_a, letter_b=letter_b)
 
     def _source(self) -> Iterator[int]:
         """The letters computed afresh from the slope."""
@@ -230,8 +228,7 @@ class Sturmian(_PrefixedStream):
             prev = cur
 
 
-@dataclass(frozen=True)
-class Custom(_PrefixedStream):
+class Custom(_PrefixedStream, Value):
     """An infinite word given by a function that returns a fresh iterator
     over its letters; each call must start again from the first letter and
     yield the same letters.  The function is called once per word object:
@@ -246,8 +243,9 @@ class Custom(_PrefixedStream):
     letters: Callable[[], Iterable[int]]
     label: str
 
-    def __post_init__(self):
-        check_integer(self.n, "rank", 1)
+    def __init__(self, n, letters, label):
+        check_integer(n, "rank", 1)
+        self.__dict__.update(n=n, letters=letters, label=label)
 
     def _source(self) -> Iterator[int]:
         """The letters of a fresh call of the function, checked."""

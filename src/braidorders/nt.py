@@ -35,7 +35,6 @@ and sigma_3^2 sigma_2^-1 are members and their product sigma_2^-1 is not.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Iterator, Mapping, NamedTuple
 
@@ -47,6 +46,7 @@ from .errors import (
     SoulValidationError,
     StreamGrowthError,
     UndecidedComparisonError,
+    Value,
     check_integer,
 )
 from .freewords import (
@@ -68,36 +68,34 @@ from .planar import (
     divergence,
 )
 
-@dataclass(frozen=True)
-class GeodesicSpec:
+class GeodesicSpec(Value):
     """A named ray plus separating depths and soul generators.  The soul is
     kept ascending, the order of its Z^k axes; the strand count is the ray's
     rank, and the type follows from the ray and the depths."""
 
     name: str
     word: Ray
-    separating_depths: tuple[int, ...] = ()
-    soul_generators: tuple[int, ...] = ()
+    separating_depths: tuple[int, ...]
+    soul_generators: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (hasattr(self.word, "n") and hasattr(self.word, "__iter__")):  # a ray, perhaps duck-typed
-            raise MalformedInputError(f"spec word must be a free word or a stream, got {self.word!r}")
-        check_integer(self.n, "strand count", 2)
-        for d in self.separating_depths:
+    def __init__(self, name, word, separating_depths=(), soul_generators=()):
+        if not (hasattr(word, "n") and hasattr(word, "__iter__")):  # a ray, perhaps duck-typed
+            raise MalformedInputError(f"spec word must be a free word or a stream, got {word!r}")
+        check_integer(word.n, "strand count", 2)
+        for d in separating_depths:
             check_integer(d, "separating depth", 1)
-        for i in self.soul_generators:
+        for i in soul_generators:
             check_integer(i, "soul generator", 1)
-        object.__setattr__(self, "separating_depths", tuple(self.separating_depths))
-        object.__setattr__(self, "soul_generators", tuple(sorted(set(self.soul_generators))))
-        depths = self.separating_depths
+        depths = tuple(separating_depths)
+        soul = tuple(sorted(set(soul_generators)))
         if list(depths) != sorted(set(depths)):
             raise MalformedInputError("separating depths must be strictly increasing positives")
-        soul = self.soul_generators
         for i, j in zip(soul, soul[1:]):
             if j - i < 2:
                 raise MalformedInputError(f"soul generators {i}, {j} are adjacent")
-        if soul and soul[-1] > self.n - 1:
+        if soul and soul[-1] > word.n - 1:
             raise MalformedInputError(f"soul generator {soul[-1]} out of range")
+        self.__dict__.update(name=name, word=word, separating_depths=depths, soul_generators=soul)
 
     @property
     def n(self) -> int:
@@ -130,21 +128,21 @@ class GeodesicSpec:
             raise MalformedInputError(f"{self.name}: mixed type needs 0 < m < n-1")
 
 
-@dataclass(frozen=True)
-class NTOrder:
+class NTOrder(Value):
     """The left-ordering induced by a spec, as a sign oracle on braid words,
     by default in the calibrated FROZEN_CONVENTION, the same at every rank."""
 
     spec: GeodesicSpec
-    convention: GermConvention = FROZEN_CONVENTION
-    depth_cap: int = DEFAULT_DEPTH_CAP
+    convention: GermConvention
+    depth_cap: int
 
-    def __post_init__(self):
-        if not isinstance(self.spec, GeodesicSpec):
-            raise MalformedInputError(f"order spec must be a GeodesicSpec, got {self.spec!r}")
-        if not isinstance(self.convention, GermConvention):
-            raise MalformedInputError(f"order convention must be a GermConvention, got {self.convention!r}")
-        check_integer(self.depth_cap, "depth cap", 1)
+    def __init__(self, spec, convention=FROZEN_CONVENTION, depth_cap=DEFAULT_DEPTH_CAP):
+        if not isinstance(spec, GeodesicSpec):
+            raise MalformedInputError(f"order spec must be a GeodesicSpec, got {spec!r}")
+        if not isinstance(convention, GermConvention):
+            raise MalformedInputError(f"order convention must be a GermConvention, got {convention!r}")
+        check_integer(depth_cap, "depth cap", 1)
+        self.__dict__.update(spec=spec, convention=convention, depth_cap=depth_cap)
 
     @property
     def n(self) -> int:
@@ -368,7 +366,7 @@ def moved_order(order: NTOrder, h: BraidWord) -> NTOrder:
     sign of b): the order of h(R).  The moved spec has a name and a word
     only: the base's separating depths and soul do not describe h(R)."""
     name = f"({h}).{order.spec.name}" if h.letters else order.spec.name
-    return replace(order, spec=GeodesicSpec(name, _image(order, h)))
+    return NTOrder(GeodesicSpec(name, _image(order, h)), order.convention, order.depth_cap)
 
 
 def _scan(order: NTOrder, u: Ray, v: Ray) -> tuple[int, int | None]:

@@ -11,13 +11,12 @@ exact ordering of Z^k while leaving everything outside untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol, Sequence
 
 from .braids import BraidWord, conjugate, invert, linking_number, multiply, permutation_of
 from .dehornoy import dehornoy_sign, is_trivial_braid
-from .errors import MalformedInputError, check_integer, check_non_square
+from .errors import MalformedInputError, Value, check_integer, check_non_square
 from .nt import NTOrder, letter_depths, moved_order
 
 
@@ -27,11 +26,13 @@ class OrderOracle(Protocol):
     def sign(self, b: BraidWord) -> int: ...
 
 
-@dataclass(frozen=True)
-class DehornoyOrder:
+class DehornoyOrder(Value):
     """The handle-reduction ordering as an oracle."""
 
     n: int
+
+    def __init__(self, n):
+        self.__dict__.update(n=n)
 
     def sign(self, b: BraidWord) -> int:
         if b.n != self.n:
@@ -39,8 +40,7 @@ class DehornoyOrder:
         return dehornoy_sign(b)
 
 
-@dataclass(frozen=True)
-class ConjugatedOrder:
+class ConjugatedOrder(Value):
     """sign(b) = base.sign(h^-1 b h); nesting composes contravariantly.  A ray
     order's conjugate moves the ray: the order of h(R) (nt.moved_order, made
     at the first sign) signs b by one transport of b alone over h(R), read
@@ -50,13 +50,14 @@ class ConjugatedOrder:
     base: OrderOracle
     h: BraidWord
 
-    def __post_init__(self):
-        if not (hasattr(self.base, "n") and hasattr(self.base, "sign")):
-            raise MalformedInputError(f"conjugated base must be an order oracle, got {self.base!r}")
-        if not isinstance(self.h, BraidWord):
-            raise MalformedInputError(f"conjugator must be a BraidWord, got {self.h!r}")
-        if self.h.n != self.base.n:
+    def __init__(self, base, h):
+        if not (hasattr(base, "n") and hasattr(base, "sign")):
+            raise MalformedInputError(f"conjugated base must be an order oracle, got {base!r}")
+        if not isinstance(h, BraidWord):
+            raise MalformedInputError(f"conjugator must be a BraidWord, got {h!r}")
+        if h.n != base.n:
             raise MalformedInputError("conjugator strand count differs from base")
+        self.__dict__.update(base=base, h=h)
 
     @property
     def n(self) -> int:
@@ -81,23 +82,23 @@ def _sequence(values, field: str) -> Sequence:
     return values
 
 
-@dataclass(frozen=True)
-class ZkLex:
+class ZkLex(Value):
     """Lexicographic: sign of the first nonzero signed coordinate, in the
     given axis priority order (axes are vector positions, k of them)."""
 
     axes: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        for axis in _sequence(self.axes, "lex axes"):
+    def __init__(self, axes, signs):
+        for axis in _sequence(axes, "lex axes"):
             check_integer(axis, "lex axis")
-        for s in _sequence(self.signs, "lex signs"):
+        for s in _sequence(signs, "lex signs"):
             check_integer(s, "lex sign")
-        if sorted(self.axes) != list(range(self.k)):
+        if sorted(axes) != list(range(len(axes))):
             raise MalformedInputError("axes must be a permutation of 0..k-1")
-        if len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs):
+        if len(signs) != len(axes) or any(s not in (-1, 1) for s in signs):
             raise MalformedInputError("signs must be +-1 per axis")
+        self.__dict__.update(axes=axes, signs=signs)
 
     @property
     def k(self) -> int:
@@ -108,47 +109,46 @@ class ZkLex:
         return ZkLex(tuple(range(k)), (1,) * k)
 
 
-@dataclass(frozen=True)
-class ZkIntegerSlope:
+class ZkIntegerSlope(Value):
     """sign of sum(w_i v_i) with a lexicographic tie break on zero."""
 
     weights: tuple[int, ...]
     tie_break: ZkLex
 
-    def __post_init__(self):
-        for w in _sequence(self.weights, "slope weights"):
+    def __init__(self, weights, tie_break):
+        for w in _sequence(weights, "slope weights"):
             check_integer(w, "slope weight")
-        if not isinstance(self.tie_break, ZkLex):
-            raise MalformedInputError(f"slope tie break must be a ZkLex, got {self.tie_break!r}")
-        if self.tie_break.k != self.k:
+        if not isinstance(tie_break, ZkLex):
+            raise MalformedInputError(f"slope tie break must be a ZkLex, got {tie_break!r}")
+        if tie_break.k != len(weights):
             raise MalformedInputError("weight/tie-break dimension mismatch")
+        self.__dict__.update(weights=weights, tie_break=tie_break)
 
     @property
     def k(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class ZkQuadraticSlope:
+class ZkQuadraticSlope(Value):
     """sign of sum((a_i + b_i sqrt(d)) v_i), exactly, in integer arithmetic."""
 
     d: int
     weights: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        check_integer(self.d, "qslope d")
-        for w in _sequence(self.weights, "qslope weights"):
+    def __init__(self, d, weights):
+        check_integer(d, "qslope d")
+        for w in _sequence(weights, "qslope weights"):
             if not isinstance(w, tuple) or len(w) != 2:
                 raise MalformedInputError(f"qslope weight must be a pair (a, b), got {w!r}")
             for c in w:
                 check_integer(c, "qslope weight")
-        check_non_square(self.d)
+        check_non_square(d)
         # Q(sqrt d) has dimension 2 over Q: the order is total only when no
         # nonzero vector has weight sum 0
-        if self.k == 1:
-            total = self.weights[0] != (0, 0)
-        elif self.k == 2:
-            (a1, b1), (a2, b2) = self.weights
+        if len(weights) == 1:
+            total = weights[0] != (0, 0)
+        elif len(weights) == 2:
+            (a1, b1), (a2, b2) = weights
             total = a1 * b2 != a2 * b1
         else:
             total = False
@@ -156,6 +156,7 @@ class ZkQuadraticSlope:
             raise MalformedInputError(
                 "qslope needs k = 1 with a nonzero weight or k = 2 with independent weights"
             )
+        self.__dict__.update(d=d, weights=weights)
 
     @property
     def k(self) -> int:
@@ -217,25 +218,25 @@ def zk_membership(b: BraidWord, soul: Sequence[int]) -> tuple[int, ...] | None:
     return exponents
 
 
-@dataclass(frozen=True)
-class ConvexExtensionOrder:
+class ConvexExtensionOrder(Value):
     """Re-order the soul block by a Z^k ordering; defer to the base outside."""
 
     base: NTOrder
     soul_order: ZkOrderSpec
 
-    def __post_init__(self):
-        if not isinstance(self.base, NTOrder):
-            raise MalformedInputError(f"convex extension base must be an NTOrder, got {self.base!r}")
-        if not isinstance(self.soul_order, ZkOrderSpec):
-            raise MalformedInputError(f"soul order must be a Z^k order, got {self.soul_order!r}")
-        spec = self.base.spec
+    def __init__(self, base, soul_order):
+        if not isinstance(base, NTOrder):
+            raise MalformedInputError(f"convex extension base must be an NTOrder, got {base!r}")
+        if not isinstance(soul_order, ZkOrderSpec):
+            raise MalformedInputError(f"soul order must be a Z^k order, got {soul_order!r}")
+        spec = base.spec
         if not spec.soul_generators:
             raise MalformedInputError("convex extension needs a base with nonempty soul")
         if spec.type_tag != "finite":
             raise MalformedInputError("convex extension needs a finite-type base")
-        if self.soul_order.k != len(spec.soul_generators):
+        if soul_order.k != len(spec.soul_generators):
             raise MalformedInputError("soul order rank differs from soul rank")
+        self.__dict__.update(base=base, soul_order=soul_order)
 
     @property
     def n(self) -> int:

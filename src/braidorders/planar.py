@@ -15,10 +15,10 @@ by calibrating against handle reduction (see calibration in the catalog module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
 
+from .errors import Value
 from .freewords import Ray
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -28,8 +28,7 @@ TERMINAL = 0  # germ label for "exit to the boundary endpoint"
 DEFAULT_DEPTH_CAP = 512
 
 
-@dataclass(frozen=True)
-class GermConvention:
+class GermConvention(Value):
     """Orientation flags of the cyclic germ order at every cover vertex.
 
     The counterclockwise cycle starts at the terminal germ; with
@@ -41,6 +40,9 @@ class GermConvention:
     germ_order_reversed: bool
     artin_mirrored: bool
     angle_flipped: bool
+
+    def __init__(self, germ_order_reversed, artin_mirrored, angle_flipped):
+        self.__dict__.update(germ_order_reversed=germ_order_reversed, artin_mirrored=artin_mirrored, angle_flipped=angle_flipped)
 
 
 # calibrated against handle reduction at n = 3, 4, 5 and 6: the same flags at every rank

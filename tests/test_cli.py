@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidorders import cli, nt
+from braidorders import cli, dehornoy, nt
 from braidorders.cli import main, parse_order
 from braidorders.orders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder
 from braidorders.nt import NTOrder
@@ -50,6 +50,15 @@ def test_a_finite_scan_out_of_budget_exits_2(capsys, monkeypatch):
     assert sign("conj:nt:dehornoy_3", 8) == sign("conj:dehornoy", 8) == (0, "command=sign  braid=-1 -2 1 2  sign=negative\n", "")
     code, out, err = sign("conj:nt:dehornoy_3", 10)
     assert code == 2 and out == "" and "budget of 1024 letters" in err
+    # a spent budget is named as such: the sign has an exact answer
+    assert err.startswith("out of budget: ")
+
+
+def test_handle_reduction_out_of_budget_exits_2(capsys, monkeypatch):
+    # 1 2 -1 has sigma_1 with both signs, so its sign needs handle reduction
+    monkeypatch.setattr(dehornoy, "DEFAULT_BUDGET", 0)
+    code, out, err = run(capsys, "sign", "--n", "3", "--order", "dehornoy", "1 2 -1")
+    assert code == 2 and out == "" and err.startswith("out of budget: ")
 
 
 def test_malformed_input_exit_code(capsys):

@@ -16,11 +16,11 @@ when read as an attribute.  So a dead name that shares its spelling with
 some other attribute can slip through, but a name in use is never flagged.
 
 The same callers must turn every knob: a defaulted parameter of a top-level
-function, or of a public method of a top-level class, and a defaulted field
-of a top-level class, must be passed by some call (by keyword, or by enough
-positional arguments; a field's place is its place among the class's
-annotated fields, and calls match it by the class name) and left out by some
-other.  A default that no call overrides is a knob only tests turn; one that
+function, or of a public method or the ``__init__`` of a top-level class,
+and a defaulted field of a top-level class, must be passed by some call (by
+keyword, or by enough positional arguments; a field's place is its place
+among the class's annotated fields, and calls of a class match its fields
+and its ``__init__`` by the class name) and left out by some other.  A default that no call overrides is a knob only tests turn; one that
 every call overrides is a default only tests use.  ``KNOBS`` lists the
 exceptions with a reason.  Calls are matched by identifier too, and a call
 with ``*args`` or ``**kwargs`` counts as passing every parameter.
@@ -154,25 +154,31 @@ def functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
 def defaulted(source: str) -> dict[str, tuple[str, str, int | None]]:
     """Qualified parameter name -> (callee identifier, parameter, place
     among the positional arguments of a call, or None if keyword-only) of
-    each defaulted parameter of a top-level function or public method, and
-    of each defaulted field of a top-level class."""
+    each defaulted parameter of a top-level function or public method, of
+    each defaulted field of a top-level class, and of each defaulted
+    parameter of a top-level class's __init__, named and called by the
+    class name."""
     tree = ast.parse(source)
     found = {}
+    callables = [(qualified, node.name, node) for qualified, node in functions(tree)]
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for place, item in enumerate(fields(node)):
                 if item.value is not None:
                     found[f"{node.name}.{item.target.id}"] = (node.name, item.target.id, place)
-    for qualified, node in functions(tree):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    callables.append((node.name, node.name, item))
+    for qualified, callee, node in callables:
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-        bound = "." in qualified and not static
+        bound = ("." in qualified or node.name == "__init__") and not static
         args = node.args
         positional = (args.posonlyargs + args.args)[int(bound):]
         for place, arg in enumerate(positional[len(positional) - len(args.defaults):], len(positional) - len(args.defaults)):
-            found[f"{qualified}.{arg.arg}"] = (node.name, arg.arg, place)
+            found[f"{qualified}.{arg.arg}"] = (callee, arg.arg, place)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                found[f"{qualified}.{arg.arg}"] = (node.name, arg.arg, None)
+                found[f"{qualified}.{arg.arg}"] = (callee, arg.arg, None)
     return found
 
 
@@ -214,6 +220,8 @@ def test_checker_finds_unturned_knobs():
         "    row: int\n"
         "    col: int = 0\n"
         "    wide: bool = False\n"
+        "class Pen:\n"
+        "    def __init__(self, ink, thick=1, cap=True, *, nib=0): pass\n"
         "never(0)\n"
         "always(0, 2)\n"
         "always(0, b=2)\n"
@@ -223,8 +231,12 @@ def test_checker_finds_unturned_knobs():
         "Box().open()\n"
         "Cell(0)\n"
         "Cell(0, 1)\n"
+        "Pen(0)\n"
+        "Pen(0, 2, nib=1)\n"
     )
-    assert unturned(defaulted(source), calls(source)) == ["Cell.wide", "always.b", "never.b"]
+    # Pen's cap is never passed: a call's second argument is its thick
+    expected = ["Cell.wide", "Pen.cap", "always.b", "never.b"]
+    assert unturned(defaulted(source), calls(source)) == expected
     assert unturned(defaulted("def f(a=1): pass\n"), calls("f(*args)\nf()\n")) == []
 
 

@@ -18,7 +18,6 @@ Reports and rows must match field for field, and a base that raises
 mid-scan must raise the same exception.
 """
 
-import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -245,7 +244,7 @@ def test_conjugates_match_reference_finite(name, pattern, j_range, length):
 )
 @pytest.mark.parametrize("depth_cap", [8, 16])
 def test_conjugates_match_reference_undecided(name, length, conjugators, depth_cap):
-    base = dataclasses.replace(catalog_order(name), depth_cap=depth_cap)
+    base = NTOrder(catalog_order(name).spec, depth_cap=depth_cap)
     n = base.n
     ball = BallSpec(n, length)
     rows = assert_same_conjugates(base, (2, BraidWord(n, (2,))), range(1, 4), ball)
@@ -263,8 +262,8 @@ def test_agreement_radius_matches_reference():
         (DehornoyOrder(3), ConjugatedOrder(DehornoyOrder(3), BraidWord(3, (-2, 1))), BallSpec(3, 4)),
         (catalog_order("dehornoy_3"), DehornoyOrder(3), BallSpec(3, 5)),
         (
-            dataclasses.replace(catalog_order("sturmian_3"), depth_cap=8),
-            dataclasses.replace(catalog_order("sturmian_3"), depth_cap=16),
+            NTOrder(catalog_order("sturmian_3").spec, depth_cap=8),
+            NTOrder(catalog_order("sturmian_3").spec, depth_cap=16),
             BallSpec(3, 3),
         ),
         (DehornoyOrder(3), DehornoyOrder(4), BallSpec(3, 2)),
@@ -363,7 +362,7 @@ def test_extensions_reject_like_reference():
 def test_limit_probe_matches_reference(name, pattern, depth_cap):
     # N from 0: the signs at N = 0 differ from the later ones on some probes;
     # u = sigma_3 cancels the whole of sigma_3^-1 at N = 1
-    base = dataclasses.replace(catalog_order(name), depth_cap=depth_cap)
+    base = NTOrder(catalog_order(name).spec, depth_cap=depth_cap)
     ball = BallSpec(base.n, 2)
     pattern = (pattern[0], BraidWord(base.n, (pattern[1],)))
     new = outcome(limit_probe_experiment, base, pattern, range(0, 6), ball)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from braidorders import (
@@ -7,6 +5,7 @@ from braidorders import (
     BraidWord,
     ConjugatedOrder,
     DehornoyOrder,
+    GeodesicSpec,
     MalformedInputError,
     NTOrder,
     SearchFailureError,
@@ -266,9 +265,10 @@ def test_extensions_experiment_rejects_rank_one(specs, conv):
 def test_extensions_experiment_rejects_a_stream_ray(specs):
     # the soul-only comparison needs every base sign decided: a finite ray
     base = catalog_order("b4_b")
-    stream = replace(base.spec, word=specs["sturmian_4"].word)
+    spec = base.spec
+    stream = GeodesicSpec(spec.name, specs["sturmian_4"].word, spec.separating_depths, spec.soul_generators)
     with pytest.raises(MalformedInputError):
-        converge_extensions_experiment(replace(base, spec=stream), range(2, 4), BallSpec(4, 2))
+        converge_extensions_experiment(NTOrder(stream), range(2, 4), BallSpec(4, 2))
 
 
 def test_extensions_experiment_rejects_a_bad_m_before_scanning(monkeypatch):

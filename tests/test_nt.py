@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -81,7 +80,7 @@ def test_type_follows_the_ray_and_the_depths(specs):
 def test_spec_fields_hold_no_type():
     # the type is read off the ray and the depths, so it cannot be stored
     # apart from them
-    names = [field.name for field in dataclasses.fields(GeodesicSpec)]
+    names = list(GeodesicSpec.__annotations__)
     assert names == ["name", "word", "separating_depths", "soul_generators"]
 
 
@@ -292,7 +291,7 @@ def _two_scan_divergence(order, b):
 def test_divergence_depth_matches_two_scans(depth_cap):
     verdicts = set()
     for name, ball_l in (("dehornoy_4", 4), ("b6_cx", 2), ("sturmian_3", 5), ("mixed_4", 3)):
-        order = dataclasses.replace(catalog_order(name), depth_cap=depth_cap)
+        order = NTOrder(catalog_order(name).spec, depth_cap=depth_cap)
         for w in BallSpec(order.n, ball_l).words():
             report = divergence_depth(order, w)
             assert report == _two_scan_divergence(order, w), (name, w)
@@ -419,7 +418,7 @@ def test_chain_report_counts_undecided_member_comparisons():
     # at cap 5, comparisons among mixed_4's level members (finding the
     # level's minimum and maximum) reach the cap: each such word counts once
     # in undecided_skipped, and the level is still reported
-    order = dataclasses.replace(catalog_order("mixed_4"), depth_cap=5)
+    order = NTOrder(catalog_order("mixed_4").spec, depth_cap=5)
     report = convex_chain_report(order, BallSpec(4, 3))
     assert report == ChainReport((ChainLevel((2, 3), 57, 130, 0),), 33)
 
@@ -459,7 +458,7 @@ def test_outside_words_meet_a_level_by_their_own_verdict(name, length, cap):
     # below d_i <= cap, and every member's image follows the ray past d_i, so
     # g(R) parts from both where it parts from the ray, with the same germs:
     # each comparison is g's own verdict against the ray, never undecided
-    order = dataclasses.replace(catalog_order(name), depth_cap=cap)
+    order = NTOrder(catalog_order(name).spec, depth_cap=cap)
     ball = BallSpec(order.n, length)
     depths = order.spec.separating_depths
     lo, hi = _level_extremes(order, ball)
@@ -515,7 +514,7 @@ def test_depth_cap_leaves_finite_reports_unchanged(specs):
         default = catalog_order(name)
         expected = (letter_depths(default), soul_of(default), convex_chain_report(default, ball))
         for cap in (1, 3, 5, 512):
-            order = dataclasses.replace(catalog_order(name), depth_cap=cap)
+            order = NTOrder(catalog_order(name).spec, depth_cap=cap)
             assert (letter_depths(order), soul_of(order), convex_chain_report(order, ball)) == expected, (name, cap)
 
 

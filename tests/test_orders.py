@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from braidorders import (
     DehornoyOrder,
     GeodesicSpec,
     MalformedInputError,
+    NTOrder,
     ZkIntegerSlope,
     ZkLex,
     ZkQuadraticSlope,
@@ -353,7 +353,7 @@ def test_convex_extension_needs_a_finite_ray():
     lex = ZkLex.standard(2)
     ConvexExtensionOrder(base, lex)
     with pytest.raises(MalformedInputError, match="convex extension needs a finite-type base"):
-        ConvexExtensionOrder(replace(base, spec=stream), lex)
+        ConvexExtensionOrder(NTOrder(stream), lex)
 
 
 def test_zk_membership_examples():

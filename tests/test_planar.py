@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 
@@ -11,6 +10,7 @@ from braidorders import (
     EventuallyPeriodic,
     FreeWord,
     GermConvention,
+    NTOrder,
     QuadraticIrrational,
     Sturmian,
     calibrate_conventions,
@@ -126,7 +126,7 @@ def test_finite_words_decide_past_the_cap(conv):
     assert divergence(u, v, conv, 64) == (64, None)
     assert planar_verdict(u, v, conv, None) == -planar_verdict(v, u, conv, None) != 0
     assert planar_verdict(FreeWord(3, base), u, conv, None) != 0
-    order = dataclasses.replace(catalog_order("dehornoy_4"), depth_cap=1)
+    order = NTOrder(catalog_order("dehornoy_4").spec, depth_cap=1)
     top = BraidWord(4, (3,))
     depth, verdict = divergence_depth(order, top)
     assert (depth, verdict) == divergence_depth(catalog_order("dehornoy_4"), top)

@@ -12,7 +12,6 @@ braids under a ray order by the sign of their product a^-1 b, which the
 comparison of their images a(R) and b(R) replaced.
 """
 
-import dataclasses
 import random
 from math import isqrt
 
@@ -24,6 +23,7 @@ from braidorders import (
     DehornoyOrder,
     FreeWord,
     MalformedInputError,
+    NTOrder,
     QuadraticIrrational,
     Sturmian,
     UndecidedComparisonError,
@@ -337,7 +337,7 @@ def test_image_comparison_on_streams(name):
     base = catalog_order(name)
     ball = list(BallSpec(base.n, 3 if base.n == 3 else 2).words())
     for cap in (DEFAULT_DEPTH_CAP, 64, 5):
-        order = dataclasses.replace(base, depth_cap=cap)
+        order = NTOrder(base.spec, depth_cap=cap)
         for a in ball:
             for b in ball:
                 image, product = _cmp_outcome(order_cmp, order, a, b), _cmp_outcome(product_cmp, order, a, b)
@@ -346,7 +346,7 @@ def test_image_comparison_on_streams(name):
                 elif image is not None and product is not None:
                     assert image == product, (cap, a, b)
     if name == "sturmian_3":
-        order = dataclasses.replace(base, depth_cap=64)
+        order = NTOrder(base.spec, depth_cap=64)
         a, b = BraidWord(3, (2,)), BraidWord(3, (2, 1))
         assert (_cmp_outcome(order_cmp, order, a, b), _cmp_outcome(product_cmp, order, a, b)) == (None, LESS)
 
@@ -391,7 +391,7 @@ def totality_probe_as_it_was(order, ball, depth_target):
 
 @pytest.mark.parametrize("name, n, length", [("sturmian_3", 3, 2), ("sturmian_4", 4, 2), ("mixed_4", 4, 2)])
 def test_totality_probe_matches_the_two_product_conjugates(name, n, length):
-    order = dataclasses.replace(catalog_order(name), depth_cap=64)
+    order = NTOrder(catalog_order(name).spec, depth_cap=64)
     for target in (5, 12, 40):
         ball = BallSpec(n, length)
         assert totality_probe(order, ball, target) == totality_probe_as_it_was(order, ball, target), target
@@ -451,7 +451,7 @@ def convex_chain_report_as_it_was(order, sample):
     ],
 )
 def test_chain_report_matches_the_dict_version(name, n, length, cap):
-    order = dataclasses.replace(catalog_order(name), depth_cap=cap)
+    order = NTOrder(catalog_order(name).spec, depth_cap=cap)
     ball = BallSpec(n, length)
     report = convex_chain_report(order, ball)
     assert report == convex_chain_report_as_it_was(order, ball)

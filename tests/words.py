@@ -7,7 +7,6 @@ module itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from braidorders.braids import BraidWord
 from braidorders.freewords import FreeWord
@@ -37,5 +36,5 @@ def moved_spec(b: BraidWord, spec: GeodesicSpec, conv: GermConvention) -> Geodes
     drained into a FreeWord, a stream transported as it is read."""
     moved = moved_order(NTOrder(spec, conv), b).spec
     if spec.type_tag == "finite":
-        return replace(moved, word=FreeWord(spec.n, tuple(moved.word)))
+        return GeodesicSpec(moved.name, FreeWord(spec.n, tuple(moved.word)))
     return moved
