@@ -35,11 +35,8 @@ from .dehornoy import (
 )
 from .errors import (
     BudgetExceededError,
-    CalibrationError,
     MalformedInputError,
     SearchFailureError,
-    SoulValidationError,
-    StreamGrowthError,
     UndecidedComparisonError,
 )
 from .experiments import (

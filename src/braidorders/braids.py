@@ -30,9 +30,12 @@ class BraidWord(Value):
 
     def __init__(self, n, letters=()):
         check_integer(n, "strand count", 2)
-        for k in letters:
-            if not is_letter(k, n - 1):
-                raise MalformedInputError(f"letter {k!r} out of range for B_{n} (need 1 <= |k| <= {n - 1})")
+        try:
+            for k in letters:
+                if not is_letter(k, n - 1):
+                    raise MalformedInputError(f"letter {k!r} out of range for B_{n} (need 1 <= |k| <= {n - 1})")
+        except TypeError:
+            raise MalformedInputError(f"braid letters must be iterable, got {letters!r}") from None
         self.__dict__.update(n=n, letters=reduce_free(letters))
 
     def __len__(self) -> int:

@@ -23,7 +23,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .braids import BallSpec
-from .errors import CalibrationError, MalformedInputError
+from .errors import MalformedInputError
 from .freewords import (
     Custom,
     FreeLetters,
@@ -121,8 +121,8 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     reduction.
 
     All matches must agree with each other on the ball (they are equivalent
-    there); no match at all means the comparator or the action is broken, so
-    this raises CalibrationError.
+    there); no match at all means the comparator or the action is broken, an
+    implementation bug, so this raises AssertionError, as dehornoy_sign does.
     """
     if n < 3:
         raise MalformedInputError("calibration needs n >= 3")
@@ -135,7 +135,7 @@ def calibrate_conventions(n: int, max_length: int) -> CalibrationResult:
     reports = agreement_radii(DehornoyOrder(n), orders, BallSpec(n, max_length))
     matches = [c for c, report in zip(candidates, reports) if report.witness is None]
     if not matches:
-        raise CalibrationError(
+        raise AssertionError(
             f"no convention reproduces the oracle on the B_{n} ball of radius {max_length}"
         )
     # all matches reproduced the same target signs, hence agree pairwise on

@@ -1,10 +1,13 @@
 """Batch command line for the sign oracles, catalog and experiments.
 
-Exit codes: 0 success, 1 malformed input, 2 mathematically inconclusive
+Exit codes: 0 success, 1 malformed input or a failed search (ValueError,
+SearchFailureError; stderr says "error:"), 2 mathematically inconclusive
 (undecided comparisons, degenerate probes, too-short stabilization windows;
-stderr says "inconclusive:") or out of budget (handle reduction's steps, a
-finite ray's scan letters, a stalled stream; stderr says "out of budget:"),
-141 (128 + SIGPIPE) when the reader of standard output closes it early.
+stderr says "inconclusive:") or out of budget (BudgetExceededError: handle
+reduction's steps, a finite ray's scan letters, a stalled stream; stderr
+says "out of budget:"), 141 (128 + SIGPIPE) when the reader of standard
+output closes it early; any other exception, such as the AssertionError of
+a broken oracle, propagates.
 Output is deterministic for fixed flags; --format picks text (key=value
 lines), json (one schema-tagged record per line) or csv (a header and rows).
 The commands turn their results, and the experiments' reports and rows
@@ -27,11 +30,8 @@ from .braids import BallSpec, BraidWord, parse_braid
 from .catalog import calibrate_conventions, catalog
 from .errors import (
     BudgetExceededError,
-    CalibrationError,
     MalformedInputError,
     SearchFailureError,
-    SoulValidationError,
-    StreamGrowthError,
     UndecidedComparisonError,
     check_integer,
 )
@@ -241,17 +241,7 @@ def cmd_agree(args) -> int:
 def cmd_conrad(args) -> int:
     oracle = parse_order(args.order, args.n, args.depth_cap)
     witness = conrad_witness_search(oracle, args.k_max, BallSpec(args.n, args.ball_length))
-    _emit(
-        args,
-        [
-            {
-                "command": "conrad",
-                "f": str(witness.f),
-                "g": str(witness.g),
-                "k_verified": args.k_max,
-            }
-        ],
-    )
+    _emit(args, [{"command": "conrad", **_fields(witness), "k_verified": args.k_max}])
     return 0
 
 
@@ -527,19 +517,13 @@ def main(argv: list[str] | None = None) -> int:
         # the reader left: devnull takes the exit flush, which would raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (
-        MalformedInputError,
-        CalibrationError,
-        SoulValidationError,
-        SearchFailureError,
-        ValueError,
-    ) as exc:
+    except (ValueError, SearchFailureError) as exc:  # MalformedInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UndecidedComparisonError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, StreamGrowthError) as exc:
+    except BudgetExceededError as exc:
         print(f"out of budget: {exc}", file=sys.stderr)
         return 2
 

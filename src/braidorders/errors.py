@@ -66,9 +66,10 @@ def check_non_square(d: int) -> None:
 
 
 class BudgetExceededError(RuntimeError):
-    """Handle reduction ran out of its step budget, or a finite ray's scan of
-    its letter budget.  Carries the partially reduced word so callers can
-    inspect or resume; a scan carries None."""
+    """Handle reduction ran out of its step budget, a finite ray's scan of its
+    letter budget, or a stream's transport of its patience (no image letter
+    in (3 |b| + 16) 2^10 letters).  Carries the partially reduced word so
+    callers can inspect or resume; a scan or a stalled stream carries None."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)
@@ -80,23 +81,6 @@ class UndecidedComparisonError(RuntimeError):
 
     def __init__(self, depth: int):
         super().__init__(f"words agree beyond depth cap {depth}")
-
-
-class StreamGrowthError(RuntimeError):
-    """A stream's transport read (3 |b| + 16) 2^10 letters in a row without
-    passing on an image letter under the braid b: the image of the stream
-    grows too slowly for this budget."""
-
-
-class CalibrationError(RuntimeError):
-    """No orientation convention reproduces the handle-reduction oracle.
-
-    This signals an implementation bug, never a tunable.
-    """
-
-
-class SoulValidationError(RuntimeError):
-    """Recomputed soul generators disagree with the stored ones."""
 
 
 class SearchFailureError(RuntimeError):

@@ -55,9 +55,12 @@ class FreeWord(Value):
 
     def __init__(self, n, letters):
         check_integer(n, "rank", 1)
-        for k in letters:
-            if not is_letter(k, n):
-                raise MalformedInputError(f"letter {k!r} out of range for F_{n}")
+        try:
+            for k in letters:
+                if not is_letter(k, n):
+                    raise MalformedInputError(f"letter {k!r} out of range for F_{n}")
+        except TypeError:
+            raise MalformedInputError(f"free letters must be iterable, got {letters!r}") from None
         self.__dict__.update(n=n, letters=reduce_free(letters))
 
     def __len__(self) -> int:

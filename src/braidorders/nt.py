@@ -43,8 +43,6 @@ from .errors import (
     BudgetExceededError,
     MalformedInputError,
     SearchFailureError,
-    SoulValidationError,
-    StreamGrowthError,
     UndecidedComparisonError,
     Value,
     check_integer,
@@ -82,10 +80,16 @@ class GeodesicSpec(Value):
         if not (hasattr(word, "n") and hasattr(word, "__iter__")):  # a ray, perhaps duck-typed
             raise MalformedInputError(f"spec word must be a free word or a stream, got {word!r}")
         check_integer(word.n, "strand count", 2)
-        for d in separating_depths:
-            check_integer(d, "separating depth", 1)
-        for i in soul_generators:
-            check_integer(i, "soul generator", 1)
+        try:
+            for d in separating_depths:
+                check_integer(d, "separating depth", 1)
+        except TypeError:
+            raise MalformedInputError(f"separating depths must be iterable, got {separating_depths!r}") from None
+        try:
+            for i in soul_generators:
+                check_integer(i, "soul generator", 1)
+        except TypeError:
+            raise MalformedInputError(f"soul generators must be iterable, got {soul_generators!r}") from None
         depths = tuple(separating_depths)
         soul = tuple(sorted(set(soul_generators)))
         if list(depths) != sorted(set(depths)):
@@ -283,7 +287,8 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
 
     A stage that would cancel a letter it has already passed on raises
     MalformedInputError: the ray was not freely reduced.  A stream raises
-    StreamGrowthError after (3 |b| + 16) 2^10 letters without an image letter.
+    BudgetExceededError (partial None) after (3 |b| + 16) 2^10 letters
+    without an image letter.
     """
     table = _stage_tables(b.n, mirrored)
     tables = [table[letter] for letter in reversed(b.letters)]
@@ -308,7 +313,7 @@ def _image_letters(b: BraidWord, ray: Ray, mirrored: bool) -> Iterator[int]:
         elif flushing < 0 and (letter := next(letters, None)) is not None:
             idle += 1
             if patience is not None and idle > patience:
-                raise StreamGrowthError(f"no image letter after {idle} stream letters")
+                raise BudgetExceededError(f"no image letter after {idle} stream letters", None)
         else:  # the ray has just ended, or stage `flushing` is drained
             flushing += 1
             if flushing == top:
@@ -536,7 +541,7 @@ def soul_of(order: NTOrder) -> tuple[int, ...]:
             recomputed = pattern
             break
     if recomputed != spec.soul_generators:
-        raise SoulValidationError(
+        raise MalformedInputError(
             f"{spec.name}: recomputed soul {list(recomputed)} != stored {list(spec.soul_generators)}"
         )
     return spec.soul_generators

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidorders import cli, dehornoy, nt
+from braidorders import cli, dehornoy, errors, nt
 from braidorders.cli import main, parse_order
 from braidorders.orders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder
 from braidorders.nt import NTOrder
@@ -183,6 +183,63 @@ def test_unreadable_spec_file_is_malformed_input(tmp_path, capsys):
     code, out, err = run(capsys, "sign", "--n", "3", "--order", f"nt:{tmp_path}", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: cannot read spec file")
+
+
+# every exception class that braidorders.errors defines, found by walking it
+ERROR_CLASSES = [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+]
+# the one CLI outcome of each class: a raised instance, its exit code and stderr
+OUTCOMES = {
+    "MalformedInputError": (errors.MalformedInputError("bad word"), 1, "error: bad word\n"),
+    "SearchFailureError": (errors.SearchFailureError("none found"), 1, "error: none found\n"),
+    "UndecidedComparisonError": (
+        errors.UndecidedComparisonError(7), 2, "inconclusive: words agree beyond depth cap 7\n"
+    ),
+    "BudgetExceededError": (errors.BudgetExceededError("spent", None), 2, "out of budget: spent\n"),
+}
+
+
+def soul_file_with_a_wrong_soul(tmp_path):
+    path = tmp_path / "t.spec"
+    path.write_text("name=t\nn=3\ntype=finite\nword=-1 -2\ndepths=1 2\nsoul=1\n")
+    return ["soul", "--n", "3", "--order", f"nt:{path}", "--validate"]
+
+
+END_TO_END = {
+    "soul --validate": (soul_file_with_a_wrong_soul, 1, "error: t: recomputed soul [2] != stored [1]\n"),
+    "conrad": (
+        lambda tmp_path: ["conrad", "--n", "3", "--order", "dehornoy", "--ball-length", "1"],
+        1,
+        "error: no Conradian-failure witness in ball L=1 with k_max=20\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", [cls.__name__ for cls in ERROR_CLASSES] + ["AssertionError"] + list(END_TO_END)
+)
+def test_every_exception_class_has_one_cli_outcome(case, tmp_path, capsys, monkeypatch):
+    if case in END_TO_END:
+        argv, code, err = END_TO_END[case]
+        assert run(capsys, *argv(tmp_path)) == (code, "", err)
+        return
+
+    def parse_braid(text, n):
+        raise raised
+
+    monkeypatch.setattr(cli, "parse_braid", parse_braid)
+    argv = ["sign", "--n", "3", "--order", "dehornoy", "1"]
+    if case == "AssertionError":  # an implementation bug, such as a broken oracle, propagates
+        raised = AssertionError("broken oracle")
+        with pytest.raises(AssertionError, match="broken oracle"):
+            main(argv)
+        return
+    assert case in OUTCOMES, f"{case} has no CLI outcome"
+    raised, code, err = OUTCOMES[case]
+    assert type(raised).__name__ == case
+    assert run(capsys, *argv) == (code, "", err)
 
 
 def test_undecided_exit_code(capsys):

@@ -8,16 +8,22 @@ from braidorders import (
     GeodesicSpec,
     MalformedInputError,
     NTOrder,
+    FROZEN_CONVENTION,
     SearchFailureError,
+    UndecidedComparisonError,
     agreement_radii,
     agreement_radius,
+    catalog,
     catalog_order,
     converge_conjugates_experiment,
     converge_extensions_experiment,
     divergence_depth,
     limit_probe_experiment,
+    multiply,
+    sigma,
     small_positive_search,
 )
+from braidorders.experiments import _stable_sign
 
 
 def test_agreement_identical_oracles():
@@ -314,3 +320,44 @@ def test_small_positive_search_examples(specs):
     assert sturm.sign(smallest) == 1
     with pytest.raises(SearchFailureError):
         small_positive_search(DehornoyOrder(3), [2], BallSpec(3, 0))
+
+
+def capped_mixed_4():
+    """mixed_4 with a depth cap of 1: its stream leaves the signs of sigma_2
+    and sigma_3 (and of the words built from them) undecided."""
+    return NTOrder(catalog()["mixed_4"], FROZEN_CONVENTION, 1)
+
+
+def undecided(order, w) -> bool:
+    try:
+        order.sign(w)
+    except UndecidedComparisonError:
+        return True
+    return False
+
+
+def test_small_positive_search_skips_undecided_signs():
+    order, ball = capped_mixed_4(), BallSpec(4, 2)
+    assert [str(w) for w in ball.words() if w.letters and undecided(order, w)][:4] == ["2", "-2", "3", "-3"]
+    assert small_positive_search(order, [], ball) == BraidWord(4, (1,))
+
+
+def test_fallback_witnesses_skip_undecided_candidates():
+    base = capped_mixed_4()
+    (row,) = converge_conjugates_experiment(base, (2, BraidWord(4)), [1], BallSpec(4, 1))
+    # no ball word tells the conjugate apart, and every fallback candidate
+    # sigma_2^-(1+c) sigma_2^c (= sigma_2^-1) is undecided: no witness
+    assert row.radius == 1 and row.witness is None and row.witness_signs is None
+    conj = ConjugatedOrder(base, row.conjugator)
+    for c in range(1, 7):
+        w = multiply(sigma(4, 2, -(1 + c)), sigma(4, 2, c))
+        assert undecided(conj, w) or undecided(base, w), c
+
+
+@pytest.mark.parametrize(
+    "signs, stable",
+    [([1, 1], 1), ([-1, 1, -1, -1], -1), ([1], None), ([1, -1], None), ([1, 1, 1, -1, 1, 1], None)],
+)
+def test_stable_sign_needs_a_settled_tail(signs, stable):
+    # [1, 1, 1, -1, 1, 1]: the last two agree, but the tail flips after the midpoint
+    assert _stable_sign(signs) == stable

@@ -7,6 +7,7 @@ import pytest
 
 from braidorders import (
     BraidWord,
+    BudgetExceededError,
     Custom,
     EventuallyPeriodic,
     FreeWord,
@@ -14,7 +15,6 @@ from braidorders import (
     MalformedInputError,
     NTOrder,
     QuadraticIrrational,
-    StreamGrowthError,
     Sturmian,
     catalog,
     invert,
@@ -347,8 +347,9 @@ def test_growth_budget_on_slow_reduced_stream():
     periodic = EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2)))
     base = GeodesicSpec("periodic", periodic)
     pulled = moved_spec(invert(b), base, GermConvention(False, False, False))
-    with pytest.raises(StreamGrowthError, match="after 90113 stream letters"):
+    with pytest.raises(BudgetExceededError, match="after 90113 stream letters") as info:
         NTOrder(pulled, GermConvention(False, False, False)).sign(b)
+    assert info.value.partial is None
     # the stream's prefix holds its longest read: one letter that passed an
     # image letter on, then the 90113 that did not
     assert len(pulled.word._prefix.letters) == 90114

@@ -14,7 +14,6 @@ from braidorders import (
     DehornoyOrder,
     FreeWord,
     MalformedInputError,
-    SoulValidationError,
     UndecidedComparisonError,
     catalog_order,
     conrad_witness_search,
@@ -322,6 +321,19 @@ def test_convex_membership_table(specs):
         in_convex_subgroup(NTOrder(specs["dehornoy_3"], FROZEN_CONVENTION), BraidWord(3), 5)
 
 
+def test_convex_membership_undecided_above_the_separating_depth():
+    # (x1 x2)^omega agrees with its image under 1 2 1 -2 -1 -2 up to the
+    # depth cap 2, short of the separating depth 5: membership is undecided
+    from braidorders import EventuallyPeriodic
+
+    spec = GeodesicSpec("p", EventuallyPeriodic(FreeWord(3, ()), FreeWord(3, (1, 2))), (5,))
+    order = NTOrder(spec, FROZEN_CONVENTION, 2)
+    w = BraidWord(3, (1, 2, 1, -2, -1, -2))
+    assert divergence_depth(order, w) == (2, None)
+    with pytest.raises(UndecidedComparisonError, match="depth cap 2"):
+        in_convex_subgroup(order, w, 1)
+
+
 def test_convex_membership_closure(rng, specs, conv):
     spec = specs["dehornoy_4"]
     members = [w for w in BallSpec(4, 4).words() if in_convex_subgroup(NTOrder(spec, conv), w, 1)]
@@ -500,7 +512,7 @@ def test_soul_validation_mismatch_raises(specs, conv):
     broken = GeodesicSpec(
         "broken", specs["dehornoy_3"].word, (1, 2), (1,)
     )
-    with pytest.raises(SoulValidationError):
+    with pytest.raises(MalformedInputError, match=r"broken: recomputed soul \[2\] != stored \[1\]"):
         soul_of(NTOrder(broken, conv))
 
 

@@ -3,7 +3,8 @@
 ``-O`` strips ``assert`` statements, so the checks that guard a sign are
 written as explicit raises.  A subprocess under ``-O`` signs a word whose
 handle reduction is patched to leave mixed signs on its main index, settles
-a divergence on two equal germs, and builds a braid word with a ``bool``
+a divergence on two equal germs, calibrates the conventions against a
+Dehornoy sign patched to call every word positive, and builds a braid word with a ``bool``
 letter, one with a non-integer strand count, a Sturmian word whose slope is
 outside (0, 1), streams and Z^k orders with a non-integer field, a slope
 whose tie break is no ZkLex, a non-integer floor_times argument, a
@@ -24,7 +25,7 @@ import sys
 from braidorders import FROZEN_CONVENTION, BraidWord, MalformedInputError, QuadraticIrrational, Sturmian
 from braidorders import NTOrder, ZkIntegerSlope, ZkLex, ZkQuadraticSlope, catalog
 from braidorders import ConjugatedOrder, ConvexExtensionOrder, DehornoyOrder, GeodesicSpec, catalog_order
-from braidorders import dehornoy
+from braidorders import calibrate_conventions, dehornoy, orders
 from braidorders.planar import _verdict
 
 assert False, "asserts are live"  # stripped under -O
@@ -38,6 +39,11 @@ try:
     _verdict(2, 2, 1, FROZEN_CONVENTION, 3)
 except AssertionError as exc:
     print("verdict:", exc)
+orders.dehornoy_sign = lambda w: 1  # every word positive: no ray order reproduces it
+try:
+    calibrate_conventions(3, 2)
+except AssertionError as exc:
+    print("calibration:", exc)
 try:
     BraidWord(3, (True, 2))
 except MalformedInputError as exc:
@@ -97,6 +103,7 @@ def test_checks_raise_under_python_O():
         "optimize 1",
         "dehornoy_sign: handle-free word has mixed signs on its main index",
         "verdict: divergence scan stopped on equal letters",
+        "calibration: no convention reproduces the oracle on the B_3 ball of radius 2",
         "letter: letter True out of range for B_3 (need 1 <= |k| <= 2)",
         "strands: strand count must be an integer, got 3.5",
         "slope: Sturmian slope (3 + sqrt(7))/2 is not in (0, 1)",

@@ -17,11 +17,11 @@ import pytest
 from braidorders import (
     FROZEN_CONVENTION,
     BraidWord,
+    BudgetExceededError,
     Custom,
     GeodesicSpec,
     MalformedInputError,
     NTOrder,
-    StreamGrowthError,
     UndecidedComparisonError,
     catalog,
     divergence_depth,
@@ -202,7 +202,7 @@ def test_prefix_holds_the_longest_read_of_the_signs(rng):
             for oracle in (order, reference):
                 try:
                     outcomes.append(oracle.sign(b))
-                except (UndecidedComparisonError, StreamGrowthError) as exc:
+                except (UndecidedComparisonError, BudgetExceededError) as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1], (name, b)
             assert len(spec.word._prefix.letters) == counting.longest, (name, b)

@@ -33,7 +33,7 @@ from braidorders import (
     divergence_depth,
     nt,
 )
-from braidorders.errors import MalformedInputError, StreamGrowthError
+from braidorders.errors import BudgetExceededError, MalformedInputError
 from braidorders.freewords import reduce_free
 from braidorders.nt import SINGLE_LETTER_BOUND, _letter_tables, _stage_tables
 from braidorders.planar import divergence
@@ -68,7 +68,7 @@ def cascading_image_letters(b, ray, mirrored, bound):
         elif flushing < 0 and (letter := next(letters, None)) is not None:
             idle += 1
             if patience is not None and idle > patience:
-                raise StreamGrowthError(f"no image letter after {idle} stream letters")
+                raise BudgetExceededError(f"no image letter after {idle} stream letters", None)
         else:
             flushing += 1
             if flushing == top:
@@ -162,7 +162,7 @@ def transport_outcome(image):
     raised."""
     try:
         return tuple(islice(image, 300))
-    except (MalformedInputError, StreamGrowthError) as exc:
+    except (MalformedInputError, BudgetExceededError) as exc:
         return (type(exc), str(exc))
 
 

@@ -1,5 +1,6 @@
 """The value types on ``errors.Value`` behave as the frozen dataclasses they
-replaced, and the package starts without ``dataclasses``.
+replaced, except that a field which is not iterable is malformed input, not
+a ``TypeError``; and the package starts without ``dataclasses``.
 
 The twins below are the old definitions of ``BraidWord``, ``GeodesicSpec``
 and ``NTOrder``, each a ``@dataclass(frozen=True)`` with its old
@@ -120,11 +121,11 @@ def test_catalog_specs_and_orders_match_their_twins():
 
 WORD = FreeWord(3, (-1, -2))
 BAD_INPUT = {
-    "BraidWord": [(), (3.5, (1,)), ("3", ()), (True, ()), (1, ()), (3, (3,)), (3, (0,)), (3, (True, 2)), (3, None)],
+    "BraidWord": [(), (3.5, (1,)), ("3", ()), (True, ()), (1, ()), (3, (3,)), (3, (0,)), (3, (True, 2))],
     "GeodesicSpec": [
         ("x",), ("x", None), ("x", FreeWord(1, (1,))), ("x", WORD, (0,)), ("x", WORD, (1.0,)),
         ("x", WORD, (2, 1)), ("x", WORD, (1, 1)), ("x", WORD, (), (1, 2)), ("x", WORD, (), (3,)),
-        ("x", WORD, (), (0,)), ("x", WORD, (), None),
+        ("x", WORD, (), (0,)),
     ],
     "NTOrder": [(), (None,), ("spec", None), ("spec", FROZEN_CONVENTION, 0), ("spec", None, 5),
                 ("spec", FROZEN_CONVENTION, 1.5), ("spec", FROZEN_CONVENTION, True)],
@@ -151,6 +152,23 @@ def test_bad_input_raises_as_the_twins_do(name):
         assert twin[0] is new[0], (args, twin, new)
         if twin[0] is MalformedInputError:
             assert twin[1] == new[1], args
+
+
+# a field that is not iterable: a twin (FreeWord has none) raised TypeError,
+# the value names the field
+NOT_ITERABLE = [
+    (braids.BraidWord, BraidWord, (3, None), "braid letters must be iterable, got None"),
+    (FreeWord, None, (3, None), "free letters must be iterable, got None"),
+    (nt.GeodesicSpec, GeodesicSpec, ("x", WORD, None), "separating depths must be iterable, got None"),
+    (nt.GeodesicSpec, GeodesicSpec, ("x", WORD, (), None), "soul generators must be iterable, got None"),
+]
+
+
+@pytest.mark.parametrize("cls, twin_cls, args, message", NOT_ITERABLE)
+def test_a_field_that_is_not_iterable_is_malformed(cls, twin_cls, args, message):
+    assert outcome(cls, args) == (MalformedInputError, message)
+    if twin_cls is not None:
+        assert outcome(twin_cls, args)[0] is TypeError
 
 
 def test_fields_refuse_assignment_and_deletion():
