@@ -137,21 +137,32 @@ class BallSpec(Value):
     def words(self) -> Iterator[BraidWord]:
         """A fresh cursor yielding every freely reduced word of length <=
         max_length exactly once, in length-then-lexicographic order (letters
-        ranked 1 < -1 < 2 < -2 < ...)."""
-        yield _trusted_word(self.n, ())
-        alphabet = [k for i in range(1, self.n) for k in (i, -i)]
+        ranked 1 < -1 < 2 < -2 < ...).
+
+        Only the words up to length max_length - 2 are kept (the frontier);
+        the last two spheres are yielded from it, one letter or two at a
+        time, so memory stays a fraction of the last sphere."""
+        n = self.n
+        yield _trusted_word(n, ())
+        alphabet = [k for i in range(1, n) for k in (i, -i)]
+        # the letters that may follow a word ending in `last`; 0 ends the empty word
+        after = {last: [k for k in alphabet if k != -last] for last in (0, *alphabet)}
+        depth = max(self.max_length - 2, 0)
         frontier: list[Letters] = [()]
-        for _ in range(self.max_length):
-            new_frontier: list[Letters] = []
+        for _ in range(depth):
+            frontier = [prefix + (k,) for prefix in frontier for k in after[prefix[-1] if prefix else 0]]
+            for letters in frontier:
+                yield _trusted_word(n, letters)
+        if self.max_length > depth:
             for prefix in frontier:
-                last = prefix[-1] if prefix else 0
-                for k in alphabet:
-                    if k == -last:
-                        continue
-                    new_frontier.append(prefix + (k,))
-            for letters in new_frontier:
-                yield _trusted_word(self.n, letters)
-            frontier = new_frontier
+                for k in after[prefix[-1] if prefix else 0]:
+                    yield _trusted_word(n, prefix + (k,))
+        if self.max_length > depth + 1:
+            for prefix in frontier:
+                for k in after[prefix[-1] if prefix else 0]:
+                    head = prefix + (k,)
+                    for j in after[k]:
+                        yield _trusted_word(n, head + (j,))
 
 
 def parse_braid(text: str, n: int) -> BraidWord:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from braidorders import (
@@ -174,6 +176,44 @@ def test_ball_no_duplicates_no_unreduced(n, L):
         assert BraidWord(w.n, w.letters) == w
         assert len(w) <= L
     assert len(seen) == ball_size(n, L)
+
+
+def reference_ball_letters(n: int, max_length: int):
+    """The enumeration that kept each whole sphere as its frontier."""
+    yield ()
+    alphabet = [k for i in range(1, n) for k in (i, -i)]
+    frontier = [()]
+    for _ in range(max_length):
+        new_frontier = []
+        for prefix in frontier:
+            last = prefix[-1] if prefix else 0
+            for k in alphabet:
+                if k == -last:
+                    continue
+                new_frontier.append(prefix + (k,))
+        yield from new_frontier
+        frontier = new_frontier
+
+
+@pytest.mark.parametrize("n,L", [(2, 3), (3, 0), (3, 1), (3, 2), (3, 8), (4, 6), (4, 7), (6, 4)])
+def test_ball_order_matches_whole_sphere_frontier(n, L):
+    words = BallSpec(n, L).words()
+    for count, (w, expected) in enumerate(zip(words, reference_ball_letters(n, L), strict=True)):
+        assert w.letters == expected, count
+        assert w.n == n
+    assert count + 1 == ball_size(n, L)
+
+
+def test_ball_enumeration_memory_is_bounded():
+    # B4 L7 has 117,187 words; a whole last sphere of tuples took 11 MB
+    tracemalloc.start()
+    try:
+        for _ in BallSpec(4, 7).words():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ball_independent_cursors():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_budget_error_carries_partial_state(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         handle_reduce(BraidWord(4, (1, 2, -1, 3, 2, -1, -2, 3, 1, -2)))
     assert isinstance(info.value.partial, BraidWord)
+
+
+def test_small_budget_ends_a_long_word_quickly(monkeypatch):
+    # a step resumes where the last one changed the word, so the step
+    # budget bounds the time; 5 s is a generous bound for 100 steps
+    w = random_word(random.Random(2048), 4, 2048)
+    monkeypatch.setattr(dehornoy, "DEFAULT_BUDGET", 100)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        handle_reduce(w)
+    assert time.perf_counter() - start < 5.0
+    partial = info.value.partial
+    assert isinstance(partial, BraidWord) and partial.n == 4 and partial != w
 
 
 def test_signs_of_named_elements():
